@@ -8,10 +8,11 @@ Workloads: cli_fixtures, sched_unrolled, explore_space, verify_wpm, or `all`
 to run each in turn in this one process.  The package is imported from the
 checkout's `src/`; nothing needs installing.
 
-The run sets up its inputs from the seed several times (set-up time is the
-median), then repeats the workload's fixed work, at least once, for as many
+The run repeats the workload's fixed work, at least once, for as many
 iterations as fit in `--seconds`, and reports the median per-iteration wall
-and CPU time.  Every iteration's outputs are checked by the oracles in
+and CPU time.  It sets up its inputs from the seed before each iteration, and
+at least three times in all; set-up time is the median import time plus the
+median set-up.  Every iteration's outputs are checked by the oracles in
 `oracles.py`; an operation whose output fails a check counts as failed.
 
 With `--trace 0` the result holds the end-to-end metrics.  With `--trace 1`
@@ -47,8 +48,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 WORK = os.path.join(ROOT, ".perfbench")
 WORKLOAD_NAMES = ("cli_fixtures", "sched_unrolled", "explore_space", "verify_wpm")
-IMPORT_REPEATS = 5
-SETUP_REPEATS = 3
+IMPORTS_PER_SETUP = 2
+MIN_SETUPS = 3
 
 END_TO_END = {
     "wall_s": "s",
@@ -93,18 +94,15 @@ def commit_id() -> str:
     return "unknown"
 
 
-def import_seconds() -> list[float]:
+def import_seconds() -> float:
     """Fresh-interpreter import time of numpy and every psmsynth module."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    samples = []
-    for _ in range(IMPORT_REPEATS):
-        done = subprocess.run(
-            [sys.executable, "-c", IMPORT_PROBE], cwd=ROOT, env=env,
-            capture_output=True, text=True, timeout=120, check=True,
-        )
-        samples.append(float(done.stdout.strip().splitlines()[-1]))
-    return samples
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return float(done.stdout.strip().splitlines()[-1])
 
 
 def reset_dir(path: str) -> None:
@@ -124,15 +122,16 @@ def measure(name: str, seed: int, seconds: float, trace: bool) -> dict:
     work = os.path.join(WORK, "work", name)
     tally = workloads.Tally()
 
-    imports = import_seconds()
-    setups = []
-    for _ in range(SETUP_REPEATS):
+    imports, setups = [], []
+
+    def set_up() -> None:
+        imports.extend(import_seconds() for _ in range(IMPORTS_PER_SETUP))
         reset_dir(work)
         gc.collect()
         t0 = time.perf_counter()
-        setup_problems = workload.setup(work, seed)
+        problems = workload.setup(work, seed)
         setups.append(time.perf_counter() - t0)
-    tally.op("set-up", setup_problems)
+        tally.op("set-up", problems)
 
     out = os.path.join(work, "out")
     samples = {"wall_s": [], "cpu_s": []}
@@ -155,8 +154,11 @@ def measure(name: str, seed: int, seconds: float, trace: bool) -> dict:
         return wall, cpu
 
     # Untraced iterations for as long as one more (and, when tracing, the
-    # traced one after them) still fits in the time given.
+    # traced one after them) still fits in the time given.  Set-up is timed
+    # between iterations too, so that its samples span the same stretch of
+    # machine time as the iterations' samples.
     started = time.perf_counter()
+    set_up()
     while True:
         began = time.perf_counter()
         wall, cpu = iterate()
@@ -165,6 +167,9 @@ def measure(name: str, seed: int, seconds: float, trace: bool) -> dict:
         now = time.perf_counter()
         if now - started + (2 if trace else 1) * (now - began) > seconds:
             break
+        set_up()
+    while len(setups) < MIN_SETUPS:
+        set_up()
 
     metrics = {
         "wall_s": statistics.median(samples["wall_s"]),
