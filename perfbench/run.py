@@ -59,7 +59,7 @@ END_TO_END = {
     "sched_area": "units",
 }
 
-# Imports every psmsynth module, as the first command of a session does.
+# Imports every psmsynth module, as a fresh `psmsynth` process does.
 IMPORT_PROBE = (
     "import time; t0 = time.perf_counter(); "
     "import numpy, psmsynth.cli, psmsynth.dsl, psmsynth.kernels; "
