@@ -14,6 +14,10 @@ from fractions import Fraction
 # One-cycle operation types; loads and stores (two cycles) are placed by hand.
 ALU_TYPES = ("add", "sub", "mul", "cmp", "logic", "shift", "select")
 
+TWIN_INPUTS = 4  # input ports shared by the two copies of the twin body
+ALTERNATIVE_OPS = 14  # ops of each alternatives-group computation
+LATER_STARTS = 4  # StartMeasure events after the first, all dropped
+
 # Per-layer type mixes of the 64-op graph in `sched_unrolled`: loads first,
 # stores last, one-cycle ALU ops between.  No multipliers: their area weight
 # (4x an adder) would make the schedule area swing with the seed.
@@ -80,31 +84,32 @@ def small_dfg_text(rng: random.Random, index: int) -> str:
     return "\n".join(out) + "\n"
 
 
-def twin_body_text(rng: random.Random, n_inputs: int = 4) -> str:
+def twin_body_text(rng: random.Random) -> str:
     """Loop body made of two independent copies of one random layered 64-op
     graph that share the input ports."""
-    ops = _layered(rng, BODY_LAYERS, n_inputs)
+    ops = _layered(rng, BODY_LAYERS, TWIN_INPUTS)
     n = len(ops)
 
     def copy_id(x: int) -> int:
-        return x if x < n_inputs else x + n
+        return x if x < TWIN_INPUTS else x + n
 
     twin = ops + [(copy_id(oid), t, [copy_id(x) for x in operands]) for oid, t, operands in ops]
-    return "\n".join(_block("loop 64", n_inputs, twin, [n_inputs + n - 1, n_inputs + 2 * n - 1])) + "\n"
+    outputs = [TWIN_INPUTS + n - 1, TWIN_INPUTS + 2 * n - 1]
+    return "\n".join(_block("loop 64", TWIN_INPUTS, twin, outputs)) + "\n"
 
 
-def alternative_body_text(rng: random.Random, n_ops: int = 14) -> str:
+def alternative_body_text(rng: random.Random) -> str:
     """`.dfg` text of one computation, a loop body two one-cycle ops wide,
     whose latency sweep makes the rows of one alternatives group."""
-    types = [ALU_TYPES[k % len(ALU_TYPES)] for k in range(n_ops)]
+    types = [ALU_TYPES[k % len(ALU_TYPES)] for k in range(ALTERNATIVE_OPS)]
     body = _layered(rng, _chunks(types, 2), 2)
     return "\n".join(_block(f"loop {rng.randrange(200, 400)}", 2, body, [body[-1][0]])) + "\n"
 
 
-def start_measure_times(rng: random.Random, horizon_s: int, extra: int = 4) -> list[Fraction]:
+def start_measure_times(rng: random.Random, horizon_s: int) -> list[Fraction]:
     """StartMeasure times: the first within 5 ms, so the monitored activity is
     the same length for every seed; later ones arrive while the heart-rate
     component is running and are dropped."""
     first = Fraction(rng.randrange(100, 5000), 10**6)
-    later = sorted(Fraction(rng.randrange(10**6, (horizon_s - 1) * 10**6), 10**6) for _ in range(extra))
+    later = sorted(Fraction(rng.randrange(10**6, (horizon_s - 1) * 10**6), 10**6) for _ in range(LATER_STARTS))
     return [first] + later

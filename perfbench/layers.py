@@ -1,5 +1,6 @@
 """Per-layer metrics: which spans time what, which probes count what, and how
-the traced iterations turn into the `per_layer` numbers of BENCHMARK.json.
+the traced iterations turn into the `per_layer` numbers of BENCHMARK.json,
+which gives their units.
 
 Each layer is a `psmsynth` module (`expr` and `timeunits` count as `model`).
 The comment on each block names the end-to-end metric and workload that the
@@ -47,76 +48,6 @@ GROUPS = {
     # dse: wall_s and peak_rss_mb on explore_space.
     "dse.streaming_s": ["dse.explore_streaming"],
 }
-
-# Per-layer metric name -> (unit, better).  BENCHMARK.json lists the same.
-PER_LAYER = {
-    **{f"cli.{c}_s": ("s", "lower") for c in CLI_COMMANDS},
-    "cli.commands": ("count", "lower"),
-    "cli.nonzero_exits": ("count", "lower"),
-    "dsl.parse_s": ("s", "lower"),
-    "dsl.models": ("count", "lower"),
-    "dsl.bytes": ("bytes", "lower"),
-    "model.validate_s": ("s", "lower"),
-    "model.simulate_s": ("s", "lower"),
-    "model.state_entries": ("count", "lower"),
-    "model.events": ("count", "lower"),
-    "model.dropped": ("count", "lower"),
-    "model.us_per_event": ("us", "lower"),
-    "dfg.parse_s": ("s", "lower"),
-    "dfg.bounds_s": ("s", "lower"),
-    "dfg.ops": ("count", "lower"),
-    "dfg.mobility": ("count", "lower"),
-    "fds.schedule_s": ("s", "lower"),
-    "fds.calls": ("count", "lower"),
-    "fds.ops": ("count", "lower"),
-    "fds.ms_per_op": ("ms", "lower"),
-    "fds.call_p50_ms": ("ms", "lower"),
-    "fds.call_p90_ms": ("ms", "lower"),
-    "fds.call_samples": ("count", "higher"),
-    "fds.area": ("units", "lower"),
-    "fds.self_share": ("fraction", "lower"),
-    "cost.rows_s": ("s", "lower"),
-    "cost.rows": ("count", "lower"),
-    "fsm.synth_s": ("s", "lower"),
-    "fsm.interpret_s": ("s", "lower"),
-    "fsm.cycle_entries": ("count", "lower"),
-    "fsm.us_per_entry": ("us", "lower"),
-    "fsm.compare_s": ("s", "lower"),
-    "fsm.mismatches": ("count", "lower"),
-    "fsm.vcd_s": ("s", "lower"),
-    "fsm.vcd_bytes": ("bytes", "lower"),
-    "fsm.rtl_s": ("s", "lower"),
-    "fsm.rtl_bytes": ("bytes", "lower"),
-    "kernels.evaluate_s": ("s", "lower"),
-    "kernels.pareto_s": ("s", "lower"),
-    "kernels.calls": ("count", "lower"),
-    "kernels.configs_per_s": ("1/s", "higher"),
-    "kernels.numba": ("count", "higher"),
-    "kernels.pareto_1k_ms": ("ms", "lower"),
-    "kernels.pareto_10k_ms": ("ms", "lower"),
-    "kernels.pareto_100k_ms": ("ms", "lower"),
-    "kernels.evaluate_chunk4k_s": ("s", "lower"),
-    "kernels.evaluate_chunk64k_s": ("s", "lower"),
-    "kernels.evaluate_chunk1m_s": ("s", "lower"),
-    "dse.explore_common_s": ("s", "lower"),
-    "dse.explore_indep_s": ("s", "lower"),
-    "dse.configs": ("count", "lower"),
-    "dse.feasible": ("count", "lower"),
-    "dse.front": ("count", "higher"),
-    "dse.configs_per_s": ("1/s", "higher"),
-    "dse.report_bytes": ("bytes", "lower"),
-    "dse.streaming_s": ("s", "lower"),
-    "dse.streaming_front": ("count", "higher"),
-    **{f"{layer}.self_s": ("s", "lower") for layer in LAYERS},
-    "bench.self_s": ("s", "lower"),
-    "bench.ops_failed": ("fraction", "lower"),
-    "trace.setup_s": ("s", "lower"),
-    "trace.wall_s": ("s", "lower"),
-    "trace.untraced_wall_s": ("s", "lower"),
-    "trace.overhead_s": ("s", "lower"),
-    "trace.spans": ("count", "lower"),
-}
-
 
 class Probes:
     """Domain counters taken from the arguments and results of traced calls.
@@ -224,7 +155,7 @@ def layer_metrics(tracer, probes: Probes, setup_wall: float, traced_wall: float,
     """Per-layer numbers of one traced set-up plus one traced iteration of
     `traced_wall` seconds; `untraced_wall` is the untraced iterations' median."""
     c = probes.counts
-    m: dict[str, float] = {name: 0.0 for name in PER_LAYER}
+    m: dict[str, float] = {}
     for name in GROUPS:
         m[name] = tracer.group_time.get(name, 0.0)
     for key in ("cli.commands", "cli.nonzero_exits", "dsl.models", "dsl.bytes",

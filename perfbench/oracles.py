@@ -159,17 +159,32 @@ def mobility(graph: Graph, lam: int) -> int:
 
 # --- Exploration reports -------------------------------------------------------
 
-def _read_configs(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def space_size(alts_csv: str) -> int:
+    """Configurations of an alternatives table: the product over computations
+    of their row counts."""
+    rows: dict[str, int] = {}
+    with open(alts_csv, encoding="utf-8") as handle:
+        k_mcc = handle.readline().rstrip("\n").split(",").index("mcc")
+        for line in handle:
+            if line.strip():
+                mcc = line.split(",")[k_mcc]
+                rows[mcc] = rows.get(mcc, 0) + 1
+    return int(np.prod(list(rows.values()))) if rows else 0
+
+
+def _read_configs(path: str, problems: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(ids, area, energy, feasible) columns of a configs.csv/pareto.csv file,
     read line by line so that checking a large report adds little to the
-    process's peak memory."""
+    process's peak memory.  A row with the wrong number of cells is added to
+    `problems`."""
     ids, area, energy, feasible = array("q"), array("d"), array("d"), array("b")
     with open(path, encoding="utf-8") as handle:
         col = {name: k for k, name in enumerate(handle.readline().rstrip("\n").split(","))}
         k_id, k_area, k_energy, k_ok = col["config_id"], col["area"], col["energy_mj"], col["feasible"]
-        for line in handle:
+        for n, line in enumerate(handle, start=2):
             cells = line.rstrip("\n").split(",")
             if len(cells) != len(col):
+                problems.append(f"{os.path.basename(path)} line {n}: {len(cells)} cells for {len(col)} columns")
                 continue
             ids.append(int(cells[k_id]))
             area.append(float(cells[k_area]))
@@ -183,14 +198,18 @@ def _read_configs(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
 REPORT_TOL = 2e-6
 
 
-def check_front(report_dir: str) -> list[str]:
-    """Every point of pareto.csv is a feasible row of configs.csv with the same
-    area and energy, and no feasible row of configs.csv dominates it."""
-    ids, area, energy, feasible = _read_configs(os.path.join(report_dir, "configs.csv"))
-    f_ids, f_area, f_energy, _ = _read_configs(os.path.join(report_dir, "pareto.csv"))
+def check_front(report_dir: str, n_configs: int) -> list[str]:
+    """configs.csv lists configurations 0 .. n_configs-1 in order, every point
+    of pareto.csv is a feasible row of configs.csv with the same area and
+    energy, and no feasible row of configs.csv dominates it."""
+    problems: list[str] = []
+    ids, area, energy, feasible = _read_configs(os.path.join(report_dir, "configs.csv"), problems)
+    f_ids, f_area, f_energy, _ = _read_configs(os.path.join(report_dir, "pareto.csv"), problems)
+    if ids.size != n_configs or (ids != np.arange(ids.size)).any():
+        problems.append(f"configs.csv lists {ids.size} rows, not configurations 0..{n_configs - 1} in order")
+        return problems
     if f_ids.size == 0:
-        return ["empty front"]
-    problems = []
+        return problems + ["empty front"]
     ok_area, ok_energy = area[feasible], energy[feasible]
     for cid, a, e in zip(f_ids, f_area, f_energy):
         k = int(np.searchsorted(ids, cid))  # configs.csv lists ids in order

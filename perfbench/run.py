@@ -5,14 +5,16 @@ Run from the root of a checkout:
     python3 perfbench/run.py --workload cli_fixtures --seed 1 --seconds 20 --trace 0
 
 Workloads: cli_fixtures, sched_unrolled, explore_space, verify_wpm, or `all`
-to run each in turn in this one process.  The package is imported from the
-checkout's `src/`; nothing needs installing.
+to run each in turn, each in a child process of its own so that its peak
+memory is its own.  The package is imported from the checkout's `src/`;
+nothing needs installing.
 
 The run repeats the workload's fixed work, at least once, for as many
 iterations as fit in `--seconds`, and reports the median per-iteration wall
-and CPU time.  It sets up its inputs from the seed before each iteration, and
-at least three times in all; set-up time is the median import time plus the
-median set-up.  Every iteration's outputs are checked by the oracles in
+and CPU time.  It sets up its inputs from the seed several times before the
+first iteration, once before each later one, and again after the last until
+it has set up `MIN_SETUPS` times; set-up time is the median import time plus
+the median set-up.  Every iteration's outputs are checked by the oracles in
 `oracles.py`; an operation whose output fails a check counts as failed.
 
 With `--trace 0` the result holds the end-to-end metrics.  With `--trace 1`
@@ -47,17 +49,11 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 WORK = os.path.join(ROOT, ".perfbench")
-WORKLOAD_NAMES = ("cli_fixtures", "sched_unrolled", "explore_space", "verify_wpm")
-IMPORTS_PER_SETUP = 2
-MIN_SETUPS = 3
+MIN_SETUPS = 8
 
-END_TO_END = {
-    "wall_s": "s",
-    "cpu_s": "s",
-    "setup_s": "s",
-    "peak_rss_mb": "MB",
-    "sched_area": "units",
-}
+with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _handle:
+    BENCH = json.load(_handle)
+WORKLOAD_NAMES = tuple(w["name"] for w in BENCH["workloads"])
 
 # Imports every psmsynth module, as a fresh `psmsynth` process does.
 IMPORT_PROBE = (
@@ -73,25 +69,18 @@ def fail(message: str) -> int:
 
 
 def commit_id() -> str:
-    """HEAD of the checkout's git metadata, when there is any."""
-    git = os.path.join(ROOT, ".git")
+    """HEAD of the checkout when it is a git repository of its own."""
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=os.path.dirname(ROOT))
     try:
-        with open(os.path.join(git, "HEAD"), encoding="utf-8") as handle:
-            head = handle.read().strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[5:]
-        ref_path = os.path.join(git, ref)
-        if os.path.exists(ref_path):
-            with open(ref_path, encoding="utf-8") as handle:
-                return handle.read().strip()
-        with open(os.path.join(git, "packed-refs"), encoding="utf-8") as handle:
-            for line in handle:
-                if line.rstrip().endswith(" " + ref):
-                    return line.split()[0]
-    except OSError:
-        pass
-    return "unknown"
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=30)
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    return done.stdout.strip() if done.returncode == 0 else "unknown"
+
+
+def units_of(section: str) -> dict[str, str]:
+    return {m["name"]: m["unit"] for m in BENCH[section]}
 
 
 def import_seconds() -> float:
@@ -125,7 +114,7 @@ def measure(name: str, seed: int, seconds: float, trace: bool) -> dict:
     imports, setups = [], []
 
     def set_up() -> None:
-        imports.extend(import_seconds() for _ in range(IMPORTS_PER_SETUP))
+        imports.append(import_seconds())
         reset_dir(work)
         gc.collect()
         t0 = time.perf_counter()
@@ -154,11 +143,12 @@ def measure(name: str, seed: int, seconds: float, trace: bool) -> dict:
         return wall, cpu
 
     # Untraced iterations for as long as one more (and, when tracing, the
-    # traced one after them) still fits in the time given.  Set-up is timed
-    # between iterations too, so that its samples span the same stretch of
-    # machine time as the iterations' samples.
+    # traced one after them) still fits in the time given.  Set-ups come
+    # before, between and after the iterations, so that their samples span
+    # the same stretch of machine time as the iterations' samples.
     started = time.perf_counter()
-    set_up()
+    for _ in range(MIN_SETUPS // 2):
+        set_up()
     while True:
         began = time.perf_counter()
         wall, cpu = iterate()
@@ -178,7 +168,7 @@ def measure(name: str, seed: int, seconds: float, trace: bool) -> dict:
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "sched_area": 0.0,
     }
-    units = dict(END_TO_END)
+    units = units_of("end_to_end")
     detail = {}
     if trace:
         # One traced set-up and one traced iteration give the per-layer numbers.
@@ -199,8 +189,9 @@ def measure(name: str, seed: int, seconds: float, trace: bool) -> dict:
             per_layer.update(workloads.kernel_rows(seed))
         detail["end_to_end"] = metrics
         detail["spans_file"] = write_spans(tracer, name, seed)
-        metrics = per_layer
-        units = {k: unit for k, (unit, _) in layers.PER_LAYER.items()}
+        units = units_of("per_layer")
+        # A layer idle on this workload reports 0.
+        metrics = {k: per_layer.get(k, 0.0) for k in units}
 
     if len(outputs) != 1:
         tally.op("repeatability", [f"{len(outputs)} different outputs from one input"])
@@ -272,23 +263,30 @@ def main(argv=None) -> int:
     if not os.path.abspath(psmsynth.__file__).startswith(SRC + os.sep):
         return fail(f"imported psmsynth from {psmsynth.__file__}, not from {SRC}")
 
-    names = WORKLOAD_NAMES if args.workload == "all" else (args.workload,)
-    results = {}
-    for name in names:
-        result = measure(name, args.seed, args.seconds, bool(args.trace))
-        results[name] = result
+    if args.workload != "all":
+        result = measure(args.workload, args.seed, args.seconds, bool(args.trace))
         for key, metric in result["metrics"].items():
-            print(f"{name} {key} {metric['value']:.6g} {metric['unit']}")
-    if len(names) == 1:
-        final = results[names[0]]
-    else:
-        final = {
-            "correct": all(r["correct"] for r in results.values()),
-            "attempted": sum(r["attempted"] for r in results.values()),
-            "failed": sum(r["failed"] for r in results.values()),
-            "metrics": {f"{n}.{k}": v for n, r in results.items() for k, v in r["metrics"].items()},
-        }
-    print(json.dumps(final))
+            print(f"{args.workload} {key} {metric['value']:.6g} {metric['unit']}")
+        print(json.dumps(result))
+        return 0
+
+    results = {}
+    for name in WORKLOAD_NAMES:
+        argv = [sys.executable, os.path.abspath(__file__), "--workload", name, "--seed", str(args.seed),
+                "--seconds", str(args.seconds), "--trace", str(args.trace)]
+        done = subprocess.run(argv, cwd=ROOT, stdout=subprocess.PIPE, text=True)
+        lines = done.stdout.splitlines()
+        for line in lines[:-1]:
+            print(line, flush=True)
+        if done.returncode != 0:
+            return fail(f"workload {name} exited with code {done.returncode}")
+        results[name] = json.loads(lines[-1])
+    print(json.dumps({
+        "correct": all(r["correct"] for r in results.values()),
+        "attempted": sum(r["attempted"] for r in results.values()),
+        "failed": sum(r["failed"] for r in results.values()),
+        "metrics": {f"{n}.{k}": v for n, r in results.items() for k, v in r["metrics"].items()},
+    }))
     return 0
 
 

@@ -84,26 +84,30 @@ def test_mobility_of_a_chain():
     assert oracles.mobility(chain, 5) == 9
 
 
+FIXTURE_CONFIGS = oracles.space_size(workloads.fixture("wpm_lcfds.csv"))
+
+
 def explore_fixture(tmp_path):
     out = str(tmp_path / "dse")
-    code, _, err = workloads.run_cli([
+    code, stdout, err = workloads.run_cli([
         "explore", "--alts", workloads.fixture("wpm_lcfds.csv"),
         "--config", workloads.fixture("wpm.cfg"), "--out", out,
     ])
     assert code == 0, err
+    assert f"configurations: {FIXTURE_CONFIGS}" in stdout
     return out
 
 
 def test_front_check_catches_dominated_and_infeasible_points(tmp_path):
     out = explore_fixture(tmp_path)
-    assert oracles.check_front(out) == []
+    assert oracles.check_front(out, FIXTURE_CONFIGS) == []
     configs = workloads.read(os.path.join(out, "configs.csv")).splitlines()
     pareto_path = os.path.join(out, "pareto.csv")
     pareto = workloads.read(pareto_path).splitlines()
     front_ids = {ln.split(",")[0] for ln in pareto[1:]}
     off_front = next(ln for ln in configs[1:] if ln.endswith(",yes") and ln.split(",")[0] not in front_ids)
     workloads.write(pareto_path, "\n".join(pareto + [off_front]) + "\n")
-    assert any("dominated" in p for p in oracles.check_front(out))
+    assert any("dominated" in p for p in oracles.check_front(out, FIXTURE_CONFIGS))
 
     out = explore_fixture(tmp_path / "again")
     front_id = workloads.read(os.path.join(out, "pareto.csv")).splitlines()[1].split(",")[0]
@@ -111,7 +115,17 @@ def test_front_check_catches_dominated_and_infeasible_points(tmp_path):
     rows = workloads.read(configs_path).splitlines()
     rows = [ln[:-3] + "no" if ln.split(",")[0] == front_id else ln for ln in rows]
     workloads.write(configs_path, "\n".join(rows) + "\n")
-    assert any("not a feasible" in p for p in oracles.check_front(out))
+    assert any("not a feasible" in p for p in oracles.check_front(out, FIXTURE_CONFIGS))
+
+
+def test_front_check_catches_a_truncated_or_malformed_configs_csv(tmp_path):
+    out = explore_fixture(tmp_path)
+    configs_path = os.path.join(out, "configs.csv")
+    rows = workloads.read(configs_path).splitlines()
+    workloads.write(configs_path, "\n".join(rows[:-1]) + "\n")
+    assert any("lists" in p for p in oracles.check_front(out, FIXTURE_CONFIGS))
+    workloads.write(configs_path, "\n".join(rows[:-1] + [rows[-1] + ",extra"]) + "\n")
+    assert any("cells" in p for p in oracles.check_front(out, FIXTURE_CONFIGS))
 
 
 def test_streaming_check_catches_a_lost_point_and_a_bad_count():
@@ -207,16 +221,3 @@ def test_tracer_times_layers_and_restores_the_package(tmp_path):
     assert 0 < m["fds.schedule_s"] <= m["cli.schedule_s"]
     total_self = sum(m[f"{layer}.self_s"] for layer in LAYERS)
     assert abs(total_self - tracer.top_level) < 1e-6
-
-
-def test_benchmark_json_matches_the_metrics_reported():
-    import json
-
-    import layers
-    import run
-
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
-        bench = json.load(handle)
-    assert {m["name"]: m["unit"] for m in bench["end_to_end"]} == run.END_TO_END
-    assert {m["name"]: (m["unit"], m["better"]) for m in bench["per_layer"]} == layers.PER_LAYER
-    assert [w["name"] for w in bench["workloads"]] == list(run.WORKLOAD_NAMES)

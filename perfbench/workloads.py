@@ -191,7 +191,8 @@ class CliFixtures:
                 elif kind == "synth" and tag == "mhr" and read(argv[-1]) != golden_rtl:
                     problems.append("mhr RTL differs from the golden file")
                 elif kind == "explore":
-                    problems += oracles.check_front(os.path.join(out, "explore", tag))
+                    problems += oracles.check_front(os.path.join(out, "explore", tag),
+                                                    oracles.space_size(argv[2]))
                 elif kind == "report" and "pareto front:" not in stdout:
                     problems.append("report printed no front")
             tally.op(f"{kind} {tag}".strip(), problems)
@@ -315,7 +316,7 @@ class ExploreSpace:
             if not problems:
                 if expected not in stdout:
                     problems.append(f"expected '{expected}'")
-                problems += oracles.check_front(os.path.join(out, tag))
+                problems += oracles.check_front(os.path.join(out, tag), self.ROWS ** self.GROUPS)
             tally.op(f"explore {tag}", problems)
         fa, fe, fi, feasible = big
         dominated = [
