@@ -227,21 +227,26 @@ def cmd_schedule(args) -> int:
     name = args.mcc or os.path.splitext(os.path.basename(args.dfg))[0]
     f_max = parse_frequency(args.fmax)
 
+    worklist = nest
+    if args.unroll:
+        try:
+            worklist = dfg.unroll(nest, args.unroll)
+        except dfg.UnrollError as err:
+            raise CliError(f"{args.dfg}: {err}", EXIT_VALIDATION) from None
+
     if args.latency is not None:
         lams = [args.latency]
     else:
         # Evenly spaced constraints over the useful latency range of the
-        # hottest loop body (or the whole graph when there are no loops).
-        probe = nest.loops[0].body if nest.loops else (nest.pre or dfg.Dfg())
+        # hottest loop body as scheduled, that is after unrolling (or of the
+        # whole graph when there are no loops).
+        probe = worklist.loops[0].body if worklist.loops else (worklist.pre or dfg.Dfg())
         if not probe.ops:
             raise CliError(f"{args.dfg}: nothing to schedule", EXIT_VALIDATION)
-        lo = dfg.min_latency(probe)
-        hi = dfg.max_useful_latency(probe)
-        points = max(1, args.points)
-        if points == 1 or hi == lo:
-            lams = [lo]
-        else:
-            lams = sorted({round(lo + (hi - lo) * k / (points - 1)) for k in range(points)})
+        try:
+            lams = fds.latency_sweep(probe, args.points)
+        except fds.SchedulingError as err:
+            raise CliError(f"--points: {err}", EXIT_VALIDATION) from None
 
     os.makedirs(args.out, exist_ok=True)
     manifest = RunManifest("schedule")
@@ -252,12 +257,6 @@ def cmd_schedule(args) -> int:
         "f_max_hz": str(f_max),
         "unroll": args.unroll,
     }
-    worklist = nest
-    if args.unroll:
-        try:
-            worklist = dfg.unroll(nest, args.unroll)
-        except dfg.UnrollError as err:
-            raise CliError(f"{args.dfg}: {err}", EXIT_VALIDATION) from None
 
     rows = []
     for lam in lams:

@@ -41,6 +41,7 @@ class Dfg:
     ops: tuple[Op, ...] = ()
     inputs: tuple[int, ...] = ()
     outputs: tuple[int, ...] = ()
+    _by_id: dict[int, Op] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = sorted(self.inputs) + sorted(o.id for o in self.ops)
@@ -56,12 +57,10 @@ class Dfg:
         for out in self.outputs:
             if out not in known:
                 raise DfgError(f"output references undeclared id {out}")
+        object.__setattr__(self, "_by_id", {op.id: op for op in self.ops})
 
     def op(self, op_id: int) -> Op:
-        for op in self.ops:
-            if op.id == op_id:
-                return op
-        raise KeyError(op_id)
+        return self._by_id[op_id]
 
     def successors(self) -> dict[int, list[int]]:
         succ: dict[int, list[int]] = {op.id: [] for op in self.ops}
@@ -283,7 +282,7 @@ def max_useful_latency(dfg: Dfg, latencies=None) -> int:
     op_ids = {op.id for op in dfg.ops}
     done: dict[int, int] = {}
     free_at: dict[str, int] = {}
-    for v in _serial_order(dfg):
+    for v in dfg.topo_order():  # lowest id first among ready ops
         op = dfg.op(v)
         lat = _latency(latencies, op)
         ready = max((done[p] for p in op.operands if p in op_ids), default=0)
@@ -291,11 +290,6 @@ def max_useful_latency(dfg: Dfg, latencies=None) -> int:
         done[v] = begin + lat
         free_at[op.type] = begin + lat
     return max(done.values(), default=0)
-
-
-def _serial_order(dfg: Dfg) -> list[int]:
-    # Topological, lowest id first among ready ops.
-    return dfg.topo_order()
 
 
 # --- Text format -------------------------------------------------------------

@@ -10,8 +10,8 @@ byte-for-byte reproducible.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Mapping
 
 from .cost import CostTable, exec_latency, loop_keys
@@ -85,57 +85,72 @@ def validate_schedule(dfg: Dfg, schedule: Schedule, latencies=None) -> None:
 
 # --- Frames and distribution graphs ------------------------------------------
 
-def _frames(dfg: Dfg, lam: int, latencies, fixed: Mapping[int, int]) -> dict[int, tuple[int, int]]:
-    """Start-time intervals [lo, hi] for every op, honoring fixed placements."""
+@dataclass(frozen=True)
+class _Ops:
+    """The operations of one graph, indexed once per call: dependence order,
+    type and latency per op, and operation predecessors/successors (an operand
+    used twice is listed twice, so its force counts twice)."""
+
+    order: list[int]
+    kind: dict[int, str]
+    lat: dict[int, int]
+    preds: dict[int, list[int]]
+    succs: dict[int, list[int]]
+    needed: int  # minimum achievable latency
+
+
+def _index(dfg: Dfg, latencies) -> _Ops:
     op_ids = {op.id for op in dfg.ops}
-    order = dfg.topo_order()
+    preds = {op.id: [p for p in op.operands if p in op_ids] for op in dfg.ops}
+    succs: dict[int, list[int]] = {v: [] for v in op_ids}
+    for v, ps in preds.items():
+        for p in ps:
+            succs[p].append(v)
+    return _Ops(
+        order=dfg.topo_order(),
+        kind={op.id: op.type for op in dfg.ops},
+        lat={op.id: latencies.get(op.type, 1) for op in dfg.ops},
+        preds=preds,
+        succs=succs,
+        needed=min_latency(dfg, latencies),
+    )
+
+
+def _frames(
+    ops: _Ops, lam: int, fixed: Mapping[int, int]
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Start-time bounds lo[v] <= hi[v] for every op, honoring fixed placements."""
+    lat, order = ops.lat, ops.order
     lo: dict[int, int] = {}
     for v in order:
-        op = dfg.op(v)
-        bound = max(
-            (lo[p] + latencies.get(dfg.op(p).type, 1) for p in op.operands if p in op_ids),
-            default=0,
+        lo[v] = fixed[v] if v in fixed else max(
+            (lo[p] + lat[p] for p in ops.preds[v]), default=0
         )
-        lo[v] = fixed.get(v, bound) if v in fixed else bound
-        if v in fixed and fixed[v] < bound:
-            raise SchedulingError(f"fixed placement of op {v} violates a dependence")
-    succ: dict[int, list[int]] = {i: [] for i in op_ids}
-    for op in dfg.ops:
-        for p in op.operands:
-            if p in op_ids:
-                succ[p].append(op.id)
     hi: dict[int, int] = {}
     for v in reversed(order):
-        op = dfg.op(v)
-        lat = latencies.get(op.type, 1)
-        bound = min((hi[s] for s in succ[v]), default=lam) - lat
-        hi[v] = fixed.get(v, bound) if v in fixed else bound
+        hi[v] = fixed[v] if v in fixed else min(
+            (hi[s] for s in ops.succs[v]), default=lam
+        ) - lat[v]
     for v in order:
         if lo[v] > hi[v]:
-            raise InfeasibleLatency(lam, min_latency(dfg, latencies), v)
-    return {v: (lo[v], hi[v]) for v in order}
+            raise InfeasibleLatency(lam, ops.needed, v)
+    return lo, hi
 
 
-def _mass(frame: tuple[int, int], lat: int) -> dict[int, float]:
-    """Expected per-step occupancy of one op over its start-time frame."""
-    lo, hi = frame
-    width = hi - lo + 1
-    mass: dict[int, float] = {}
-    for start in range(lo, hi + 1):
-        for t in range(start, start + lat):
-            mass[t] = mass.get(t, 0.0) + 1.0 / width
-    return mass
-
-
-def distribution_graphs(
-    dfg: Dfg, frames: Mapping[int, tuple[int, int]], latencies
-) -> dict[str, dict[int, float]]:
-    graphs: dict[str, dict[int, float]] = {}
-    for op in dfg.ops:
-        dg = graphs.setdefault(op.type, {})
-        for t, m in _mass(frames[op.id], latencies.get(op.type, 1)).items():
-            dg[t] = dg.get(t, 0.0) + m
-    return graphs
+def _distribution_graphs(
+    ops: _Ops, lam: int, lo: Mapping[int, int], hi: Mapping[int, int]
+) -> dict[str, list[float]]:
+    """Expected occupancy per type and control step 0..lam-1.  Each op spreads
+    its latency evenly over the starts in its frame; the resulting trapezoid
+    is added as four second differences and integrated twice."""
+    second = {kind: [0.0] * (lam + 2) for kind in sorted(set(ops.kind.values()))}
+    for v in ops.order:
+        d, lat, m = second[ops.kind[v]], ops.lat[v], 1.0 / (hi[v] - lo[v] + 1)
+        d[lo[v]] += m
+        d[lo[v] + lat] -= m
+        d[hi[v] + 1] -= m
+        d[hi[v] + 1 + lat] += m
+    return {kind: list(accumulate(accumulate(d)))[:lam] for kind, d in second.items()}
 
 
 Observer = Callable[[Mapping[int, tuple[int, int]], Mapping[str, Mapping[int, float]]], None]
@@ -152,106 +167,78 @@ def fds_schedule(
     Each round recomputes frames and distribution graphs, evaluates the self
     force plus depth-1 predecessor/successor forces for every unfixed
     (op, step) candidate, and fixes the minimum-force pair.
+
+    Per type, W[s] is the distribution-graph mass an op of that type covers
+    when it starts at s, and R is the prefix sum of W.  The self force of
+    (v, t) is W[t] - base[v]; the expected force of a frame [lo, hi] is
+    (R[hi+1] - R[lo]) / (hi - lo + 1), so every force term costs O(1).
+    (R equals the difference of two shifted second prefix sums of the
+    graph, but its values stay small, and so do its rounding errors.)
     """
     latencies = DEFAULT_LATENCIES if latencies is None else latencies
-    if lam < min_latency(dfg, latencies):
-        raise InfeasibleLatency(lam, min_latency(dfg, latencies))
-    op_ids = {op.id for op in dfg.ops}
-    preds: dict[int, list[int]] = {
-        op.id: [p for p in op.operands if p in op_ids] for op in dfg.ops
-    }
-    succs: dict[int, list[int]] = {i: [] for i in op_ids}
-    for v, ps in preds.items():
-        for p in ps:
-            succs[p].append(v)
-
+    ops = _index(dfg, latencies)
+    if lam < ops.needed:
+        raise InfeasibleLatency(lam, ops.needed)
+    kind, lat = ops.kind, ops.lat
+    unfixed = sorted(ops.order)
     fixed: dict[int, int] = {}
-    while len(fixed) < len(op_ids):
-        frames = _frames(dfg, lam, latencies, fixed)
-        graphs = distribution_graphs(dfg, frames, latencies)
+    while unfixed:
+        lo, hi = _frames(ops, lam, fixed)
+        graphs = _distribution_graphs(ops, lam, lo, hi)
         if observer is not None:
-            observer(frames, graphs)
-
-        # Per-round caches: each op's expected-occupancy force baseline, and
-        # memoized neighbor forces keyed by the implied tightened bound.
-        base: dict[int, float] = {}
-        for v in op_ids:
-            dg = graphs[dfg.op(v).type]
-            base[v] = sum(
-                dg.get(t, 0.0) * m
-                for t, m in _mass(frames[v], latencies.get(dfg.op(v).type, 1)).items()
+            observer(
+                {v: (lo[v], hi[v]) for v in ops.order},
+                {k: dict(enumerate(dg)) for k, dg in graphs.items()},
             )
-        tight_memo: dict[tuple[int, int, int], float | None] = {}
+        window: dict[str, list[float]] = {}
+        cum: dict[str, list[float]] = {}
+        for k, dg in graphs.items():
+            k_lat = latencies.get(k, 1)
+            window[k] = [sum(dg[s:s + k_lat]) for s in range(lam - k_lat + 1)]
+            cum[k] = [0.0, *accumulate(window[k])]
+        base = {
+            v: (cum[kind[v]][hi[v] + 1] - cum[kind[v]][lo[v]]) / (hi[v] - lo[v] + 1)
+            for v in unfixed
+        }
 
-        def tightened(n: int, new_lo: int, new_hi: int) -> float | None:
-            """Force change when neighbor n's frame shrinks to [new_lo, new_hi];
-            None marks an infeasible (empty) frame."""
-            key = (n, new_lo, new_hi)
-            if key not in tight_memo:
-                if new_lo > new_hi:
-                    tight_memo[key] = None
-                else:
-                    n_lat = latencies.get(dfg.op(n).type, 1)
-                    dg = graphs[dfg.op(n).type]
-                    val = sum(
-                        dg.get(t, 0.0) * m
-                        for t, m in _mass((new_lo, new_hi), n_lat).items()
-                    )
-                    tight_memo[key] = val - base[n]
-            return tight_memo[key]
-
-        best: tuple[float, int, int] | None = None  # (force, op id, step)
-        for v in sorted(op_ids - fixed.keys()):
-            op = dfg.op(v)
-            lat = latencies.get(op.type, 1)
-            lo, hi = frames[v]
-            dg = graphs[op.type]
-            for t in range(lo, hi + 1):
-                force = sum(dg.get(u, 0.0) for u in range(t, t + lat)) - base[v]
-                # Depth-1 neighbor forces from the implied frame tightenings.
-                for p in preds[v]:
-                    p_lat = latencies.get(dfg.op(p).type, 1)
-                    plo, phi = frames[p]
-                    new_hi = min(phi, t - p_lat)
-                    if new_hi == phi:
-                        continue
-                    delta = tightened(p, plo, new_hi)
-                    if delta is None:
-                        force = None
-                        break
-                    force += delta
-                if force is None:
-                    continue
-                for s in succs[v]:
-                    slo, shi = frames[s]
-                    new_lo = max(slo, t + lat)
-                    if new_lo == slo:
-                        continue
-                    delta = tightened(s, new_lo, shi)
-                    if delta is None:
-                        force = None
-                        break
-                    force += delta
-                if force is None:
-                    continue
-                key = (round(force, 9), v, t)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            raise SchedulingError("no feasible placement found")  # pragma: no cover
-        _, v, t = best
-        fixed[v] = t
+        # Minimum of (round(force, 9), op, step).  Candidates come in (op,
+        # step) order, so only a strictly smaller rounded force wins; and as
+        # rounding is monotone, a force not below the best raw one cannot.
+        best_key = best_force = float("inf")
+        best_v = best_t = -1
+        for v in unfixed:
+            # Fixed neighbors never tighten: their one start already
+            # satisfies every start in v's frame.  Frames are consistent, so
+            # a tightened frame is never empty.
+            before = [
+                (hi[p], lo[p], lat[p], cum[kind[p]], base[p])
+                for p in ops.preds[v] if p not in fixed
+            ]
+            after = [
+                (lo[s], hi[s], cum[kind[s]], base[s])
+                for s in ops.succs[v] if s not in fixed
+            ]
+            own, b, v_lat = window[kind[v]], base[v], lat[v]
+            for t in range(lo[v], hi[v] + 1):
+                force = own[t] - b
+                for phi, plo, p_lat, pcum, pbase in before:
+                    new_hi = t - p_lat
+                    if new_hi < phi:
+                        force += (pcum[new_hi + 1] - pcum[plo]) / (new_hi - plo + 1) - pbase
+                new_lo = t + v_lat
+                for slo, shi, scum, sbase in after:
+                    if new_lo > slo:
+                        force += (scum[shi + 1] - scum[new_lo]) / (shi - new_lo + 1) - sbase
+                if force < best_force:
+                    key = round(force, 9)
+                    if key < best_key:
+                        best_key, best_force, best_v, best_t = key, force, v, t
+        fixed[best_v] = best_t
+        unfixed.remove(best_v)
 
     schedule = Schedule(dict(fixed), lam)
     validate_schedule(dfg, schedule, latencies)
     return schedule
-
-
-def _force_delta(dg: Mapping[int, float], old: Mapping[int, float], new: Mapping[int, float]) -> float:
-    force = 0.0
-    for t in old.keys() | new.keys():
-        force += dg.get(t, 0.0) * (new.get(t, 0.0) - old.get(t, 0.0))
-    return force
 
 
 # --- Baseline and oracle -----------------------------------------------------
@@ -321,9 +308,9 @@ def brute_force_min_resources(
         raise SchedulingError(
             f"brute force limited to {BRUTE_FORCE_OP_LIMIT} ops, got {len(dfg.ops)}"
         )
-    frames = _frames(dfg, lam, latencies, {})
-    order = dfg.topo_order()
-    op_ids = set(order)
+    ops = _index(dfg, latencies)
+    lo, hi = _frames(ops, lam, {})
+    order = ops.order
 
     best_cost = float("inf")
     best: tuple[ResourceUsage, Schedule] | None = None
@@ -332,10 +319,8 @@ def brute_force_min_resources(
     def partial_usage() -> dict[str, int]:
         occupancy: dict[str, dict[int, int]] = {}
         for v, t in start.items():
-            op = dfg.op(v)
-            lat = latencies.get(op.type, 1)
-            slots = occupancy.setdefault(op.type, {})
-            for u in range(t, t + lat):
+            slots = occupancy.setdefault(ops.kind[v], {})
+            for u in range(t, t + ops.lat[v]):
                 slots[u] = slots.get(u, 0) + 1
         return {ty: max(s.values()) for ty, s in occupancy.items()}
 
@@ -349,13 +334,8 @@ def brute_force_min_resources(
                 best = (usage, Schedule(dict(start), lam))
             return
         v = order[idx]
-        op = dfg.op(v)
-        lo, hi = frames[v]
-        earliest = max(
-            (start[p] + latencies.get(dfg.op(p).type, 1) for p in op.operands if p in op_ids),
-            default=lo,
-        )
-        for t in range(max(lo, earliest), hi + 1):
+        earliest = max((start[p] + ops.lat[p] for p in ops.preds[v]), default=lo[v])
+        for t in range(max(lo[v], earliest), hi[v] + 1):
             start[v] = t
             usage = partial_usage()
             if ResourceUsage(usage).cost(table) < best_cost:
@@ -429,22 +409,25 @@ def format_schedule(dfg: Dfg, schedule: Schedule, latencies=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def explore_latencies(
-    dfg: Dfg, points: int = 4, latencies=None, table: CostTable | None = None
-) -> list[tuple[int, Schedule, ResourceUsage]]:
-    """Evenly spaced latency constraints between the minimum achievable
-    latency and the longest useful one, each scheduled with FDS."""
-    if points < 2 and points != 1:
+def latency_sweep(dfg: Dfg, points: int = 4, latencies=None) -> list[int]:
+    """Up to `points` evenly spaced latency constraints from the minimum
+    achievable latency to the longest useful one."""
+    if points < 1:
         raise SchedulingError(f"need at least one exploration point, got {points}")
-    latencies = DEFAULT_LATENCIES if latencies is None else latencies
     lo = min_latency(dfg, latencies)
     hi = max_useful_latency(dfg, latencies)
     if points == 1 or hi == lo:
-        lams = [lo]
-    else:
-        lams = sorted({round(lo + (hi - lo) * k / (points - 1)) for k in range(points)})
+        return [lo]
+    return sorted({round(lo + (hi - lo) * k / (points - 1)) for k in range(points)})
+
+
+def explore_latencies(
+    dfg: Dfg, points: int = 4, latencies=None, table: CostTable | None = None
+) -> list[tuple[int, Schedule, ResourceUsage]]:
+    """Each constraint of `latency_sweep`, scheduled with FDS."""
+    latencies = DEFAULT_LATENCIES if latencies is None else latencies
     results = []
-    for lam in lams:
+    for lam in latency_sweep(dfg, points, latencies):
         schedule = fds_schedule(dfg, lam, latencies)
         results.append((lam, schedule, resource_usage(dfg, schedule, latencies)))
     return results

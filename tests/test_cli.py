@@ -165,6 +165,32 @@ def test_schedule_default_sweep_covers_latency_range(fixtures, tmp_path, capsys)
     assert [r.latency_constraint for r in rows] == [1, 2, 3, 4]
 
 
+def test_schedule_rejects_fewer_than_one_point(fixtures, tmp_path, capsys):
+    for points in ("0", "-3"):
+        code, _, err = run(
+            ["schedule", fixtures / "adds4.dfg", "--points", points, "--out", tmp_path],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert points in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_schedule_unroll_sweeps_the_unrolled_body(fixtures, tmp_path, capsys):
+    # Two copies of the 64-op mhr body: the serialized makespan doubles, so
+    # the sweep must reach 126, not stop at the single body's 66.
+    code, out, _ = run(
+        ["schedule", fixtures / "mhr.dfg", "--unroll", "2", "--points", "2", "--out", tmp_path],
+        capsys,
+    )
+    assert code == 0
+    assert "wrote 2 alternative row(s)" in out
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["parameters"]["lambdas"] == [63, 126]
+    assert manifest["parameters"]["unroll"] == 2
+
+
 def test_schedule_infeasible_latency_exits_2(fixtures, tmp_path, capsys):
     code, _, err = run(
         ["schedule", fixtures / "mhr.dfg", "--latency", "1", "--out", tmp_path],

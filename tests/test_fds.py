@@ -1,5 +1,6 @@
 """Force-directed scheduling: validity, conservation, oracle comparisons."""
 
+import hashlib
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from psmsynth.dfg import (
     Dfg,
     InfeasibleLatency,
     Op,
+    max_useful_latency,
     min_latency,
     parse_nest,
     unroll,
@@ -71,6 +73,30 @@ def test_distribution_mass_is_conserved_every_round():
         assert rounds == len(d.ops)
 
 
+def test_distribution_graphs_match_direct_summation():
+    # The scheduler integrates second differences; summing each op's
+    # occupancy start by start over its frame must give the same graphs.
+    rng = random.Random(37)
+    for _ in range(50):
+        d = random_dfg(rng, 20)
+        kinds = {op.id: op.type for op in d.ops}
+
+        def check(frames, graphs):
+            direct: dict[str, dict[int, float]] = {}
+            for v, (lo, hi) in frames.items():
+                lat = DEFAULT_LATENCIES.get(kinds[v], 1)
+                dg = direct.setdefault(kinds[v], {})
+                for start in range(lo, hi + 1):
+                    for t in range(start, start + lat):
+                        dg[t] = dg.get(t, 0.0) + 1.0 / (hi - lo + 1)
+            assert set(graphs) == set(direct)
+            for kind, dg in graphs.items():
+                for t, mass in dg.items():
+                    assert mass == pytest.approx(direct[kind].get(t, 0.0), abs=1e-12)
+
+        fds_schedule(d, rng.randint(min_latency(d), max_useful_latency(d)), observer=check)
+
+
 def test_infeasible_latency_raises():
     with pytest.raises(InfeasibleLatency):
         fds_schedule(chain3(), 2)
@@ -81,6 +107,39 @@ def test_deterministic_output():
     d = random_dfg(rng, 25)
     lam = min_latency(d) + 3
     assert fds_schedule(d, lam) == fds_schedule(d, lam)
+
+
+# --- Golden schedules ---------------------------------------------------------
+# sha256 over `format_schedule` output.  Any change to the scheduler's
+# arithmetic, tie-breaking or frame handling that alters a single placement
+# changes these digests.
+
+FIXTURE_SWEEP_SHA256 = "2b2a30ce3ccf3f6173b495ee7ca1114e2b6cbb0e92b8a51b4c07a10e1c538b71"
+RANDOM_WIDE_SHA256 = "c9937d82aa6571ee8b513666fdcfc7e27cf80a4c2b05357418594e9e03b79994"
+
+
+def test_golden_schedules_of_fixture_sweeps(fixtures):
+    digest = hashlib.sha256()
+    for name in ("mhr", "spo2", "emg", "chain", "adds4"):
+        nest = parse_nest((fixtures / f"{name}.dfg").read_text())
+        for part in (nest.pre, *(loop.body for loop in nest.loops), nest.post):
+            if part is None or not part.ops:
+                continue
+            for _, sched, _ in explore_latencies(part):
+                digest.update(format_schedule(part, sched).encode())
+    assert digest.hexdigest() == FIXTURE_SWEEP_SHA256
+
+
+def test_golden_schedules_at_wide_mobility():
+    # Latency constraints drawn across the whole useful range, up to the fully
+    # serialized makespan, where frames are widest.
+    rng = random.Random(41)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        d = random_dfg(rng, 30)
+        lam = rng.randint(min_latency(d), max_useful_latency(d))
+        digest.update(format_schedule(d, fds_schedule(d, lam)).encode())
+    assert digest.hexdigest() == RANDOM_WIDE_SHA256
 
 
 # --- Against the exhaustive oracle --------------------------------------------
