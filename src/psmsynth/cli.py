@@ -134,7 +134,23 @@ def load_config(path: str) -> dict[str, str]:
     return values
 
 
+def _config_value(values: dict[str, str], key: str, parse, default: str):
+    text = values.get(key, default)
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError):
+        raise CliError(f"config key '{key}': invalid value {text!r}", EXIT_VALIDATION) from None
+
+
 def envelope_from_config(values: dict[str, str], mccs) -> dse.TimingEnvelope:
+    """Timing envelope of an explore config; a key explore does not read is
+    an error."""
+    unknown = sorted(
+        set(values) - {"window", "static_fraction"}
+        - {f"{prefix}.{mcc}" for prefix in ("period", "invocations", "reserved") for mcc in mccs}
+    )
+    if unknown:
+        raise CliError(f"unknown config key(s): {', '.join(unknown)}", EXIT_VALIDATION)
     entries = {}
     for mcc in mccs:
         period_key = f"period.{mcc}"
@@ -143,11 +159,14 @@ def envelope_from_config(values: dict[str, str], mccs) -> dse.TimingEnvelope:
                 f"config is missing '{period_key}' for computation '{mcc}'",
                 EXIT_VALIDATION,
             )
-        entries[mcc] = dse.EnvelopeEntry(
-            period=parse_scalar(values[period_key]),
-            invocations=int(values.get(f"invocations.{mcc}", "1")),
-            reserved_cycles=int(values.get(f"reserved.{mcc}", "0")),
-        )
+        try:
+            entries[mcc] = dse.EnvelopeEntry(
+                period=_config_value(values, period_key, parse_scalar, ""),
+                invocations=_config_value(values, f"invocations.{mcc}", int, "1"),
+                reserved_cycles=_config_value(values, f"reserved.{mcc}", int, "0"),
+            )
+        except dse.DseError as err:
+            raise CliError(f"config for computation '{mcc}': {err}", EXIT_VALIDATION) from None
     return dse.TimingEnvelope(entries)
 
 
@@ -360,15 +379,20 @@ def cmd_explore(args) -> int:
         groups.setdefault(alt.mcc, []).append(alt)
     values = load_config(args.config)
     env = envelope_from_config(values, groups)
-    window = parse_scalar(values.get("window", "0.1"))
-    static_fraction = float(values.get("static_fraction", "0"))
-    table = CostTable(static_fraction=static_fraction)
+    window = _config_value(values, "window", parse_scalar, "0.1")
+    static_fraction = _config_value(values, "static_fraction", float, "0")
+    try:
+        table = CostTable(static_fraction=static_fraction)
+    except cost.CostError as err:
+        raise CliError(str(err), EXIT_VALIDATION) from None
     try:
         report = dse.explore(
             groups, env, window, args.out, table, independent=args.independent
         )
     except dse.InfeasibleConfigError as err:
         raise CliError(str(err), EXIT_INFEASIBLE) from None
+    except dse.DseError as err:
+        raise CliError(str(err), EXIT_VALIDATION) from None
     except OSError as err:
         raise CliError(f"{args.out}: {err.strerror or err}", EXIT_IO) from None
     manifest = RunManifest("explore")

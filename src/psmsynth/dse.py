@@ -4,19 +4,21 @@ Given per-computation (MCC) hardware alternatives and each state machine's
 period, derive the minimum frequency at which every computation still meets
 its deadline, scale all alternatives to the common frequency, evaluate area
 and energy for every combination, and extract the non-dominated (area,
-energy) front.  Reports are written with fixed decimal formatting so repeated
-runs are byte-identical.
+energy) front.  The space is evaluated chunk by chunk on flat arrays by the
+`kernels` module.  Reports are written with fixed decimal formatting so
+repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import io
-import itertools
 import json
+import operator
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -66,46 +68,6 @@ def required_frequency(alt: MccAlternative, entry: EnvelopeEntry) -> float:
     return float(cycles / entry.period)
 
 
-def common_frequency(choices: Sequence[MccAlternative], env: TimingEnvelope) -> float:
-    """Single scaled frequency meeting every chosen alternative's deadline."""
-    if not choices:
-        raise DseError("empty configuration")
-    f_common = max(required_frequency(alt, env.entry(alt.mcc)) for alt in choices)
-    limit = min(alt.f_max for alt in choices)
-    if f_common > limit:
-        raise InfeasibleConfigError(
-            f"required frequency {f_common / MHZ:.6f} MHz exceeds the slowest "
-            f"alternative's maximum {limit / MHZ:.6f} MHz"
-        )
-    return f_common
-
-
-def config_area(choices: Sequence[MccAlternative]) -> float:
-    return sum(alt.area for alt in choices)
-
-
-def _scale(ratio: float, table: CostTable) -> float:
-    d = table.static_fraction
-    return d + (1.0 - d) * ratio
-
-
-def config_energy(
-    choices: Sequence[MccAlternative],
-    env: TimingEnvelope,
-    window: Fraction,
-    table: CostTable | None = None,
-    f_common: float | None = None,
-) -> float:
-    """Energy (mJ) over the accounting window with every alternative scaled
-    from its rated frequency down to the common frequency."""
-    table = table or CostTable()
-    if f_common is None:
-        f_common = common_frequency(choices, env)
-    return sum(
-        alt.power * _scale(f_common / alt.f_max, table) for alt in choices
-    ) * float(window)
-
-
 @dataclass(frozen=True)
 class SystemConfig:
     config_id: int
@@ -130,92 +92,6 @@ class ParetoPoint:
         return self.config.energy
 
 
-def enumerate_configs(
-    groups: Mapping[str, Sequence[MccAlternative]],
-    env: TimingEnvelope,
-    window: Fraction,
-    table: CostTable | None = None,
-    independent: bool = False,
-) -> Iterator[SystemConfig]:
-    """Plain cartesian product over the per-computation groups, in group and
-    row order as given; infeasible combinations are emitted with the feasible
-    flag down, never silently dropped.
-
-    With `independent=True` each computation runs at its own required
-    frequency (per-instance clock generics) instead of one shared clock.
-    """
-    table = table or CostTable()
-    names = list(groups)
-    if not names:
-        raise DseError("no computation groups to explore")
-    for name in names:
-        if not groups[name]:
-            raise DseError(f"computation '{name}' has no alternatives")
-        for alt in groups[name]:
-            if alt.mcc != name:
-                raise DseError(f"group '{name}' contains a row for '{alt.mcc}'")
-    config_id = 0
-    for combo in itertools.product(*(range(len(groups[n])) for n in names)):
-        choices = tuple(groups[n][i] for n, i in zip(names, combo))
-        f_reqs = [required_frequency(alt, env.entry(alt.mcc)) for alt in choices]
-        f_common = max(f_reqs)
-        if independent:
-            feasible = all(fr <= alt.f_max for fr, alt in zip(f_reqs, choices))
-            energy = sum(
-                alt.power * _scale(fr / alt.f_max, table)
-                for fr, alt in zip(f_reqs, choices)
-            ) * float(window)
-        else:
-            feasible = f_common <= min(alt.f_max for alt in choices)
-            energy = config_energy(choices, env, window, table, f_common=f_common)
-        yield SystemConfig(
-            config_id=config_id,
-            choices=choices,
-            indices=combo,
-            f_common=f_common,
-            area=config_area(choices),
-            energy=energy,
-            feasible=feasible,
-        )
-        config_id += 1
-
-
-class StreamingFront:
-    """Incremental non-dominated set on (area, energy), both minimized.
-    Strict dominance removes a point; exact coordinate ties are kept."""
-
-    def __init__(self):
-        self._points: list[ParetoPoint] = []
-
-    def offer(self, point: ParetoPoint) -> bool:
-        a, e = point.area, point.energy
-        for p in self._points:
-            if p.area <= a and p.energy <= e and (p.area < a or p.energy < e):
-                return False
-        self._points = [
-            p
-            for p in self._points
-            if not (a <= p.area and e <= p.energy and (a < p.area or e < p.energy))
-        ]
-        self._points.append(point)
-        return True
-
-    def result(self) -> list[ParetoPoint]:
-        return sorted(
-            self._points, key=lambda p: (p.area, p.energy, p.config.config_id)
-        )
-
-
-def pareto(configs: Iterable[SystemConfig]) -> list[ParetoPoint]:
-    """Streaming non-dominated filter over feasible configurations, sorted by
-    area ascending."""
-    front = StreamingFront()
-    for cfg in configs:
-        if cfg.feasible:
-            front.offer(ParetoPoint(cfg))
-    return front.result()
-
-
 # --- Reports ------------------------------------------------------------------
 
 def _fmt(x: float, places: int = 6) -> str:
@@ -226,9 +102,45 @@ def _fmt_area(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else _fmt(x)
 
 
+class ConfigTable(Sequence):
+    """Every explored configuration in enumeration order, read-only; each
+    `SystemConfig` is built from the evaluation arrays when it is accessed."""
+
+    def __init__(self, groups: Mapping[str, Sequence[MccAlternative]], f_common: np.ndarray,
+                 area: np.ndarray, energy: np.ndarray, feasible: np.ndarray):
+        self._groups = [tuple(rows) for rows in groups.values()]
+        self._f_common = f_common
+        self._area = area
+        self._energy = energy
+        self._feasible = feasible
+
+    def __len__(self) -> int:
+        return len(self._area)
+
+    def __getitem__(self, config_id) -> SystemConfig:
+        config_id = operator.index(config_id)
+        if not -len(self) <= config_id < len(self):
+            raise IndexError(f"no configuration {config_id}")
+        config_id %= len(self)
+        rest, indices = config_id, []
+        for rows in reversed(self._groups):
+            rest, i = divmod(rest, len(rows))
+            indices.append(i)
+        indices.reverse()
+        return SystemConfig(
+            config_id=config_id,
+            choices=tuple(rows[i] for rows, i in zip(self._groups, indices)),
+            indices=tuple(indices),
+            f_common=float(self._f_common[config_id]),
+            area=float(self._area[config_id]),
+            energy=float(self._energy[config_id]),
+            feasible=bool(self._feasible[config_id]),
+        )
+
+
 @dataclass
 class Report:
-    configs: list[SystemConfig]
+    configs: ConfigTable
     front: list[ParetoPoint]
     min_area: SystemConfig
     min_energy: SystemConfig
@@ -245,19 +157,25 @@ def explore(
     independent: bool = False,
 ) -> Report:
     """Enumerate, extract the front, and write the report files
-    (configs.csv, pareto.csv, pareto.json, scatter.svg, summary.txt)."""
-    table = table or CostTable()
-    configs = list(enumerate_configs(groups, env, window, table, independent))
-    front = pareto(configs)
-    feasible = [c for c in configs if c.feasible]
-    if not feasible:
-        raise InfeasibleConfigError("no feasible configuration in the design space")
-    min_area = min(feasible, key=lambda c: (c.area, c.energy, c.config_id))
-    min_energy = min(feasible, key=lambda c: (c.energy, c.area, c.config_id))
-    unscaled = sum(alt.power for alt in min_energy.choices) * float(window)
-    reduction = 1.0 - min_energy.energy / unscaled if unscaled > 0 else 0.0
+    (configs.csv, pareto.csv, pareto.json, scatter.svg, summary.txt).
 
+    With `independent=True` each computation runs at its own required
+    frequency (per-instance clock generics) instead of one shared clock.
+    Infeasible configurations are listed with the feasible flag down, never
+    silently dropped.
+    """
+    table = table or CostTable()
+    if window <= 0:
+        raise DseError(f"window must be positive, got {window}")
+    space = flatten_groups(groups, env)
     names = list(groups)
+    labels = np.array([f"{n}={i}" for n in names for i in range(len(groups[n]))], dtype=object)
+    total = space.total
+    f_common = np.empty(total)
+    area = np.empty(total)
+    energy = np.empty(total)
+    feasible = np.empty(total, dtype=np.bool_)
+
     os.makedirs(out_dir, exist_ok=True)
     files: dict[str, str] = {}
 
@@ -267,36 +185,43 @@ def explore(
             handle.write(content)
         files[name] = path
 
-    header = ["config_id"] + [f"{n}" for n in names] + [
-        "f_common_mhz", "area", "energy_mj", "feasible",
-    ]
-    lines = [",".join(header)]
-    for c in configs:
-        lines.append(
-            ",".join(
-                [str(c.config_id)]
-                + [f"{n}={i}" for n, i in zip(names, c.indices)]
-                + [
-                    _fmt(c.f_common / MHZ),
-                    _fmt_area(c.area),
-                    _fmt(c.energy),
-                    "yes" if c.feasible else "no",
-                ]
-            )
+    def rows_text(ids: np.ndarray) -> str:
+        """configs.csv / pareto.csv lines of the configurations `ids`."""
+        cells = zip(
+            map(str, ids.tolist()),
+            *(col.tolist() for col in labels[kernels.combo_rows(ids, space.offsets, space.sizes)]),
+            [_fmt(f / MHZ) for f in f_common[ids].tolist()],
+            [_fmt_area(a) for a in area[ids].tolist()],
+            [_fmt(e) for e in energy[ids].tolist()],
+            ["yes" if ok else "no" for ok in feasible[ids].tolist()],
         )
-    write("configs.csv", "\n".join(lines) + "\n")
+        return "".join(",".join(row) + "\n" for row in cells)
 
-    lines = [",".join(header)]
-    for p in front:
-        c = p.config
-        lines.append(
-            ",".join(
-                [str(c.config_id)]
-                + [f"{n}={i}" for n, i in zip(names, c.indices)]
-                + [_fmt(c.f_common / MHZ), _fmt_area(c.area), _fmt(c.energy), "yes"]
-            )
+    header = ",".join(["config_id", *names, "f_common_mhz", "area", "energy_mj", "feasible"]) + "\n"
+    configs_path = os.path.join(out_dir, "configs.csv")
+    with open(configs_path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(header)
+
+        def keep_chunk(ids, a, e, ok, fc):
+            f_common[ids], area[ids], energy[ids], feasible[ids] = fc, a, e, ok
+            handle.write(rows_text(ids))
+
+        _, _, front_ids, n_feasible = _sweep(
+            space, float(window), table.static_fraction, independent, sink=keep_chunk
         )
-    write("pareto.csv", "\n".join(lines) + "\n")
+    if not n_feasible:
+        os.remove(configs_path)
+        raise InfeasibleConfigError("no feasible configuration in the design space")
+    files["configs.csv"] = configs_path
+
+    configs = ConfigTable(groups, f_common, area, energy, feasible)
+    front = [ParetoPoint(configs[i]) for i in front_ids]
+    min_area = front[0].config  # the front is sorted by (area, energy, id)
+    min_energy = min(front, key=lambda p: (p.energy, p.area, p.config.config_id)).config
+    unscaled = sum(alt.power for alt in min_energy.choices) * float(window)
+    reduction = 1.0 - min_energy.energy / unscaled if unscaled > 0 else 0.0
+
+    write("pareto.csv", header + rows_text(front_ids))
 
     payload = [
         {
@@ -309,11 +234,11 @@ def explore(
     ]
     write("pareto.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
-    write("scatter.svg", render_scatter(configs, front))
+    write("scatter.svg", render_scatter(area[feasible], energy[feasible], front))
 
     summary = io.StringIO()
-    summary.write(f"configurations: {len(configs)}\n")
-    summary.write(f"feasible: {len(feasible)}\n")
+    summary.write(f"configurations: {total}\n")
+    summary.write(f"feasible: {n_feasible}\n")
     summary.write(f"pareto points: {len(front)}\n")
     summary.write(
         f"min-area config: id={min_area.config_id} area={_fmt_area(min_area.area)} "
@@ -331,26 +256,22 @@ def explore(
     return Report(configs, front, min_area, min_energy, reduction, files)
 
 
-def render_scatter(configs: Sequence[SystemConfig], front: Sequence[ParetoPoint]) -> str:
-    """Hand-written SVG scatter of area vs energy with the front as a
-    polyline; byte-deterministic."""
+def render_scatter(areas: np.ndarray, energies: np.ndarray, front: Sequence[ParetoPoint]) -> str:
+    """Hand-written SVG scatter of the feasible configurations' area vs
+    energy (at least one) with the front as a polyline; byte-deterministic."""
     width, height = 640, 480
     ml, mr, mt, mb = 70, 20, 20, 50
-    feasible = [c for c in configs if c.feasible]
-    xs = [c.area for c in feasible] or [0.0, 1.0]
-    ys = [c.energy for c in feasible] or [0.0, 1.0]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+    x0, x1 = float(areas.min()), float(areas.max())
+    y0, y1 = float(energies.min()), float(energies.max())
     if x1 == x0:
         x1 = x0 + 1.0
     if y1 == y0:
         y1 = y0 + 1.0
 
-    def sx(x: float) -> str:
-        return _fmt(ml + (x - x0) / (x1 - x0) * (width - ml - mr), 2)
-
-    def sy(y: float) -> str:
-        return _fmt(height - mb - (y - y0) / (y1 - y0) * (height - mt - mb), 2)
+    def coords(xs: np.ndarray, ys: np.ndarray):
+        cx = ml + (xs - x0) / (x1 - x0) * (width - ml - mr)
+        cy = height - mb - (ys - y0) / (y1 - y0) * (height - mt - mb)
+        return zip([_fmt(x, 2) for x in cx.tolist()], [_fmt(y, 2) for y in cy.tolist()])
 
     out = io.StringIO()
     out.write(
@@ -386,25 +307,23 @@ def render_scatter(configs: Sequence[SystemConfig], front: Sequence[ParetoPoint]
         f'<text x="{ml - 6}" y="{mt + 10}" text-anchor="end" font-size="11">'
         f"{_fmt(y1, 3)}</text>\n"
     )
-    for c in feasible:
-        out.write(
-            f'<circle cx="{sx(c.area)}" cy="{sy(c.energy)}" r="3" fill="steelblue" '
-            f'fill-opacity="0.6"/>\n'
-        )
+    out.write("".join(
+        f'<circle cx="{x}" cy="{y}" r="3" fill="steelblue" fill-opacity="0.6"/>\n'
+        for x, y in coords(areas, energies)
+    ))
     if front:
-        pts = " ".join(f"{sx(p.area)},{sy(p.energy)}" for p in front)
+        points = list(coords(np.array([p.area for p in front]), np.array([p.energy for p in front])))
+        pts = " ".join(f"{x},{y}" for x, y in points)
         out.write(
             f'<polyline points="{pts}" fill="none" stroke="crimson" stroke-width="1.5"/>\n'
         )
-        for p in front:
-            out.write(
-                f'<circle cx="{sx(p.area)}" cy="{sy(p.energy)}" r="4" fill="crimson"/>\n'
-            )
+        for x, y in points:
+            out.write(f'<circle cx="{x}" cy="{y}" r="4" fill="crimson"/>\n')
     out.write("</svg>\n")
     return out.getvalue()
 
 
-# --- Synthetic-scale streaming path ------------------------------------------
+# --- Flat-array exploration -----------------------------------------------------
 
 @dataclass(frozen=True)
 class FlatSpace:
@@ -426,6 +345,14 @@ class FlatSpace:
 def flatten_groups(
     groups: Mapping[str, Sequence[MccAlternative]], env: TimingEnvelope
 ) -> FlatSpace:
+    if not groups:
+        raise DseError("no computation groups to explore")
+    for name, rows in groups.items():
+        if not rows:
+            raise DseError(f"computation '{name}' has no alternatives")
+        for alt in rows:
+            if alt.mcc != name:
+                raise DseError(f"group '{name}' contains a row for '{alt.mcc}'")
     sizes = np.array([len(groups[n]) for n in groups], dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     rows = [alt for n in groups for alt in groups[n]]
@@ -468,17 +395,26 @@ def synthetic_space(
     )
 
 
-def explore_streaming(
-    space: FlatSpace,
-    window: float = 0.1,
-    chunk: int = 1 << 16,
-    order: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Chunked enumeration with an incremental front merge.
+CHUNK = 1 << 16  # configurations per kernel call
 
-    Returns (front areas, front energies in mJ, front config indices, number
-    of feasible configs).  `order` optionally permutes the enumeration for
-    order-invariance checks.
+
+def _sweep(
+    space: FlatSpace,
+    window: float,
+    static_fraction: float = 0.0,
+    independent: bool = False,
+    chunk: int = CHUNK,
+    order: np.ndarray | None = None,
+    sink: Callable | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The exploration loop of `explore` and `explore_streaming`: evaluate
+    the space chunk by chunk, hand each chunk's (ids, areas, energies in mJ,
+    feasible, common frequencies) to `sink`, and merge its feasible points
+    into the running front.
+
+    Returns (front areas, front energies in mJ, front config ids), sorted by
+    area, energy and id, and the number of feasible configs.  `order`
+    permutes the enumeration.
     """
     total = space.total
     front_a = np.empty(0)
@@ -488,25 +424,22 @@ def explore_streaming(
     for start in range(0, total, chunk):
         count = min(chunk, total - start)
         if order is None:
-            areas, energies, ok = kernels.evaluate_combos(
-                start, count, space.offsets, space.sizes,
-                space.f_req, space.f_max, space.power, space.area,
-            )
             ids = np.arange(start, start + count, dtype=np.int64)
+            areas, energies, ok, f_common = kernels.evaluate_combos(
+                start, count, space.offsets, space.sizes, space.f_req, space.f_max,
+                space.power, space.area, static_fraction, independent,
+            )
         else:
-            ids = order[start:start + count]
-            areas = np.empty(count)
-            energies = np.empty(count)
-            ok = np.empty(count, dtype=np.bool_)
-            # Permuted enumeration evaluates ids one contiguous run at a time.
-            for j, cid in enumerate(ids):
-                a, e, f = kernels.evaluate_combos(
-                    int(cid), 1, space.offsets, space.sizes,
-                    space.f_req, space.f_max, space.power, space.area,
-                )
-                areas[j], energies[j], ok[j] = a[0], e[0], f[0]
+            ids = np.asarray(order[start:start + count], dtype=np.int64)
+            areas, energies, ok, f_common = kernels.evaluate_rows(
+                kernels.combo_rows(ids, space.offsets, space.sizes), space.f_req,
+                space.f_max, space.power, space.area, static_fraction, independent,
+            )
+        energies = energies * window
+        if sink is not None:
+            sink(ids, areas, energies, ok, f_common)
         feasible_count += int(ok.sum())
-        areas, energies, ids = areas[ok], energies[ok] * window, ids[ok]
+        areas, energies, ids = areas[ok], energies[ok], ids[ok]
         if areas.size == 0:
             continue
         keep = kernels.pareto_mask(areas, energies)
@@ -517,3 +450,19 @@ def explore_streaming(
         front_a, front_e, front_i = cand_a[keep], cand_e[keep], cand_i[keep]
     order_idx = np.lexsort((front_i, front_e, front_a))
     return front_a[order_idx], front_e[order_idx], front_i[order_idx], feasible_count
+
+
+def explore_streaming(
+    space: FlatSpace,
+    window: float = 0.1,
+    chunk: int = CHUNK,
+    order: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Chunked enumeration with an incremental front merge, with a common
+    clock and no static power.
+
+    Returns (front areas, front energies in mJ, front config indices, number
+    of feasible configs).  `order` optionally permutes the enumeration for
+    order-invariance checks.
+    """
+    return _sweep(space, window, chunk=chunk, order=order)

@@ -1,10 +1,11 @@
 """Numerical hot paths for design-space exploration.
 
-Each kernel has a compiled implementation (numba ``@njit``) and a vectorized
-pure-numpy fallback.  Selection: the fallback is used when numba is not
-installed or when the ``PSMSYNTH_NO_NUMBA`` environment variable is set to a
-non-empty value.  Both paths are exported so benchmarks and tests can compare
-them directly regardless of the active default.
+The non-dominated masks have a compiled implementation (numba ``@njit``) and
+a vectorized pure-numpy fallback.  Selection: the fallback is used when numba
+is not installed or when the ``PSMSYNTH_NO_NUMBA`` environment variable is set
+to a non-empty value.  Both paths are exported so tests can compare them
+directly regardless of the active default.  Configuration evaluation is
+numpy only.
 """
 
 from __future__ import annotations
@@ -96,16 +97,23 @@ def _pareto_scan_jit(xs, ys, order):  # pragma: no cover - exercised via dispatc
 
 
 def _pareto_scan_numpy(xs, ys, order):
+    # Scanning in (x, y) order, a point is dropped iff its y exceeds the best
+    # y seen before it, or equals it while the point that set that best has
+    # a smaller x.  The best so far is a prefix minimum, and the point that
+    # set it is the last one to lower it.
     n = xs.shape[0]
     keep = np.ones(n, dtype=np.bool_)
-    best_y = np.inf
-    best_x = np.inf
-    for i in order:
-        if ys[i] > best_y or (ys[i] == best_y and best_x < xs[i]):
-            keep[i] = False
-        elif ys[i] < best_y:
-            best_y = ys[i]
-            best_x = xs[i]
+    if n == 0:
+        return keep
+    x = xs[order]
+    y = ys[order]
+    best = np.empty(n)
+    best[0] = np.inf
+    np.minimum.accumulate(y[:-1], out=best[1:])
+    setter = np.maximum.accumulate(np.where(y < best, np.arange(n), -1))
+    before = np.concatenate(([-1], setter[:-1]))
+    best_x = np.where(before >= 0, x[before], np.inf)
+    keep[order] = ~((y > best) | ((y == best) & (best_x < x)))
     return keep
 
 
@@ -126,68 +134,61 @@ def pareto_mask(xs, ys):
 # start of group g and `sizes[g]` its length.  A configuration index decodes
 # mixed-radix with the last group varying fastest (plain nested-loop order).
 
-@njit(cache=True)
-def _evaluate_combos_jit(start, count, offsets, sizes, f_req, f_max, power, area):
-    # pragma: no cover - exercised via dispatch
-    n_groups = sizes.shape[0]
-    out_area = np.empty(count, dtype=np.float64)
-    out_energy = np.empty(count, dtype=np.float64)
-    out_feasible = np.empty(count, dtype=np.bool_)
-    digits = np.empty(n_groups, dtype=np.int64)
-    for k in range(count):
-        idx = start + k
-        for g in range(n_groups - 1, -1, -1):
-            digits[g] = idx % sizes[g]
-            idx //= sizes[g]
-        fc = 0.0
-        fm = np.inf
-        a = 0.0
-        for g in range(n_groups):
-            row = offsets[g] + digits[g]
-            if f_req[row] > fc:
-                fc = f_req[row]
-            if f_max[row] < fm:
-                fm = f_max[row]
-            a += area[row]
-        e = 0.0
-        for g in range(n_groups):
-            row = offsets[g] + digits[g]
-            e += power[row] * (fc / f_max[row])
-        out_area[k] = a
-        out_energy[k] = e
-        out_feasible[k] = fc <= fm
-    return out_area, out_energy, out_feasible
-
-
-def _evaluate_combos_numpy(start, count, offsets, sizes, f_req, f_max, power, area):
-    n_groups = sizes.shape[0]
-    idx = np.arange(start, start + count, dtype=np.int64)
-    rows = np.empty((n_groups, count), dtype=np.int64)
-    for g in range(n_groups - 1, -1, -1):
+def combo_rows(ids, offsets, sizes):
+    """Flat row of each group's choice for every configuration id, as an
+    (n_groups, len(ids)) array."""
+    idx = np.array(ids, dtype=np.int64)
+    rows = np.empty((sizes.shape[0], idx.shape[0]), dtype=np.int64)
+    for g in range(sizes.shape[0] - 1, -1, -1):
         rows[g] = offsets[g] + idx % sizes[g]
         idx //= sizes[g]
-    fc = f_req[rows].max(axis=0)
-    fm = f_max[rows].min(axis=0)
-    out_area = area[rows].sum(axis=0)
-    out_energy = (power[rows] * (fc[None, :] / f_max[rows])).sum(axis=0)
-    return out_area, out_energy, fc <= fm
+    return rows
 
 
-def evaluate_combos(start, count, offsets, sizes, f_req, f_max, power, area):
-    """Evaluate configurations [start, start+count) of the cartesian product.
+def evaluate_rows(rows, f_req, f_max, power, area, static_fraction=0.0, independent=False):
+    """Evaluate the configurations whose choices are the columns of `rows`.
 
-    Returns (total area, energy-per-second at the common frequency, feasible)
-    arrays; multiply energy by the accounting window outside.
+    Power scales from each row's f_max down to its clock f as
+    ``power * (d + (1 - d) * f / f_max)``, d being the static fraction.  The
+    clock is the configuration's common frequency, the largest f_req of its
+    rows, which must not exceed any row's f_max; with `independent` each row
+    runs at its own f_req and must only meet its own f_max.  Sums run over
+    the groups in order, starting from 0.0, exactly like Python's `sum`.
+
+    Returns (total area, energy per second, feasible, common frequency).
     """
-    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-    sizes = np.ascontiguousarray(sizes, dtype=np.int64)
-    f_req = np.ascontiguousarray(f_req, dtype=np.float64)
-    f_max = np.ascontiguousarray(f_max, dtype=np.float64)
-    power = np.ascontiguousarray(power, dtype=np.float64)
-    area = np.ascontiguousarray(area, dtype=np.float64)
-    if HAVE_NUMBA:
-        return _evaluate_combos_jit(start, count, offsets, sizes, f_req, f_max, power, area)
-    return _evaluate_combos_numpy(start, count, offsets, sizes, f_req, f_max, power, area)
+    d = static_fraction
+    count = rows.shape[1]
+    f_common = np.zeros(count)
+    total_area = np.zeros(count)
+    energy = np.zeros(count)
+    feasible = np.ones(count, dtype=np.bool_)
+    for r in rows:
+        np.maximum(f_common, f_req[r], out=f_common)
+        total_area += area[r]
+    if independent:
+        scaled = power * (d + (1.0 - d) * (f_req / f_max))
+        meets = f_req <= f_max
+        for r in rows:
+            energy += scaled[r]
+            feasible &= meets[r]
+    else:
+        for r in rows:
+            energy += power[r] * (d + (1.0 - d) * (f_common / f_max[r]))
+            feasible &= f_common <= f_max[r]
+    return total_area, energy, feasible, f_common
+
+
+def evaluate_combos(start, count, offsets, sizes, f_req, f_max, power, area,
+                    static_fraction=0.0, independent=False):
+    """Evaluate configurations [start, start+count) of the cartesian product
+    with `evaluate_rows`; multiply the energy by the accounting window
+    outside."""
+    ids = np.arange(start, start + count, dtype=np.int64)
+    return evaluate_rows(
+        combo_rows(ids, offsets, sizes), f_req, f_max, power, area,
+        static_fraction, independent,
+    )
 
 
 IMPLEMENTATIONS = {
@@ -198,9 +199,5 @@ IMPLEMENTATIONS = {
     "pareto_mask": {
         "compiled": _pareto_scan_jit,
         "numpy": _pareto_scan_numpy,
-    },
-    "evaluate_combos": {
-        "compiled": _evaluate_combos_jit,
-        "numpy": _evaluate_combos_numpy,
     },
 }

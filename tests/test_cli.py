@@ -284,6 +284,33 @@ def test_explore_requires_period_entries(fixtures, tmp_path, capsys):
     assert "period.emg" in err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("static_fraction = abc", "'static_fraction': invalid value 'abc'"),
+    ("static_fraction = 1.5", "static fraction must be in [0, 1)"),
+    ("period.mhr = 0 ms", "'mhr': period must be positive"),
+    ("period.mhr = abc", "'period.mhr': invalid value 'abc'"),
+    ("invocations.mhr = x", "'invocations.mhr': invalid value 'x'"),
+    ("window = 0", "window must be positive"),
+    ("window = -1", "window must be positive"),
+    ("window = 1/0", "'window': invalid value '1/0'"),
+    ("static_fracton = 0.5", "unknown config key(s): static_fracton"),
+    ("period.hr = 100 ms", "unknown config key(s): period.hr"),
+])
+def test_explore_config_errors_end_in_one_line(fixtures, tmp_path, capsys, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text((fixtures / "wpm.cfg").read_text() + line + "\n")  # later keys win
+    code, _, err = run(
+        [
+            "explore", "--alts", fixtures / "wpm_lcfds.csv",
+            "--config", cfg, "--out", tmp_path / "out",
+        ],
+        capsys,
+    )
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert message in err
+
+
 def test_explore_missing_table_exits_3(fixtures, tmp_path, capsys):
     code, _, _ = run(
         [

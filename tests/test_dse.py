@@ -1,24 +1,26 @@
 """Timing-constrained design-space exploration."""
 
+import hashlib
+import itertools
+import random
+import tempfile
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from psmsynth import dse, kernels
 from psmsynth.cost import MHZ, CostTable, MccAlternative, load_alternatives
 from psmsynth.dse import (
     EnvelopeEntry,
+    FlatSpace,
     InfeasibleConfigError,
-    StreamingFront,
     TimingEnvelope,
-    common_frequency,
-    config_energy,
-    enumerate_configs,
     explore,
     explore_streaming,
     flatten_groups,
-    pareto,
     required_frequency,
     synthetic_space,
 )
@@ -43,6 +45,51 @@ def load_groups(path):
     return groups
 
 
+def load_groups_wpm():
+    from conftest import FIXTURES
+
+    return load_groups(FIXTURES / "wpm_lcfds.csv")
+
+
+def oracle_configs(groups, env, window, static_fraction=0.0, independent=False):
+    """Plain per-config loop with the formula and summation order of the
+    exploration: one (indices, f_common, area, energy in mJ, feasible) tuple
+    per configuration, last group varying fastest."""
+    d = static_fraction
+    names = list(groups)
+    out = []
+    for combo in itertools.product(*(range(len(groups[n])) for n in names)):
+        choices = [groups[n][i] for n, i in zip(names, combo)]
+        f_reqs = [required_frequency(a, env.entry(a.mcc)) for a in choices]
+        f_common = max(f_reqs)
+        clocks = f_reqs if independent else [f_common] * len(choices)
+        energy = sum(
+            a.power * (d + (1.0 - d) * (f / a.f_max)) for f, a in zip(clocks, choices)
+        ) * float(window)
+        if independent:
+            feasible = all(f <= a.f_max for f, a in zip(f_reqs, choices))
+        else:
+            feasible = f_common <= min(a.f_max for a in choices)
+        out.append((combo, f_common, sum(a.area for a in choices), energy, feasible))
+    return out
+
+
+def oracle_front(configs):
+    """Ids of the feasible configs no other feasible config dominates,
+    sorted by (area, energy, id); exact ties are kept."""
+    points = [(c[2], c[3], k) for k, c in enumerate(configs) if c[4]]
+    front = [
+        p for p in points
+        if not any(q[0] <= p[0] and q[1] <= p[1] and (q[0] < p[0] or q[1] < p[1]) for q in points)
+    ]
+    return [k for _, _, k in sorted(front)]
+
+
+def explore_in_temp(groups, env, window=WINDOW, **kwargs):
+    with tempfile.TemporaryDirectory() as out:
+        return explore(groups, env, window, out, **kwargs)
+
+
 # --- Frequency derivation -----------------------------------------------------
 
 def test_required_frequency_is_cycles_over_period():
@@ -58,36 +105,111 @@ def test_required_frequency_accounts_for_invocations_and_reserve():
 
 def test_common_frequency_takes_worst_requirement():
     groups = {"a": [alt("a", 1000, 100, 1, 1)], "b": [alt("b", 5000, 100, 1, 1)]}
-    env = env_for(groups)
-    f = common_frequency([groups["a"][0], groups["b"][0]], env)
-    assert f == pytest.approx(5000 / 0.1)
+    for independent in (False, True):
+        report = explore_in_temp(groups, env_for(groups), independent=independent)
+        assert report.configs[0].f_common == pytest.approx(5000 / 0.1)
 
 
 def test_common_frequency_infeasible_when_above_fmax():
-    choices = [alt("a", 20_000_000, 100, 1, 1)]  # needs 200 MHz, rated 100
-    with pytest.raises(InfeasibleConfigError):
-        common_frequency(choices, env_for({"a": None}))
+    # a needs 50 MHz (rated 100), b's first row 150 MHz (rated 200): each
+    # meets its own rating, but the common 150 MHz exceeds a's.
+    groups = {
+        "a": [alt("a", 5_000_000, 100, 1, 1)],
+        "b": [alt("b", 15_000_000, 200, 1, 1), alt("b", 2_000_000, 200, 1, 1)],
+    }
+    common = explore_in_temp(groups, env_for(groups))
+    assert [c.feasible for c in common.configs] == [False, True]
+    assert common.configs[0].f_common == pytest.approx(150 * MHZ)
+    independent = explore_in_temp(groups, env_for(groups), independent=True)
+    assert [c.feasible for c in independent.configs] == [True, True]
 
 
 # --- Energy model -------------------------------------------------------------
 
 def test_energy_scales_power_to_common_frequency():
-    a = alt("a", 1000, 100, 1.0, 40.0)  # needs 0.01 MHz
-    b = alt("b", 5_000_000, 100, 1.0, 60.0)  # needs 50 MHz
-    env = env_for({"a": None, "b": None})
-    energy = config_energy([a, b], env, WINDOW)
+    groups = {
+        "a": [alt("a", 1000, 100, 1.0, 40.0)],  # needs 0.01 MHz
+        "b": [alt("b", 5_000_000, 100, 1.0, 60.0)],  # needs 50 MHz
+    }
+    report = explore_in_temp(groups, env_for(groups))
     # Both scale to 50 MHz: (40 + 60) * 0.5 * 0.1 s = 5 mJ.
-    assert energy == pytest.approx(5.0)
+    assert report.configs[0].energy == pytest.approx(5.0)
 
 
 def test_static_fraction_limits_scaling_gain():
-    a = alt("a", 1000, 100, 1.0, 100.0)
-    env = env_for({"a": None})
-    full = config_energy([a], env, WINDOW, CostTable(static_fraction=0.0))
-    floored = config_energy([a], env, WINDOW, CostTable(static_fraction=0.5))
-    assert floored > full
+    groups = {"a": [alt("a", 1000, 100, 1.0, 100.0)]}
+    full, floored = (
+        explore_in_temp(groups, env_for(groups), table=CostTable(static_fraction=d)).configs[0]
+        for d in (0.0, 0.5)
+    )
+    assert floored.energy > full.energy
     # delta_s = 0.5 keeps at least half the unscaled power.
-    assert floored >= 0.5 * 100.0 * 0.1
+    assert floored.energy >= 0.5 * 100.0 * 0.1
+
+
+def test_independent_clocks_never_cost_more_energy():
+    groups = load_groups_wpm()
+    env = env_for(groups)
+    shared = explore_in_temp(groups, env).configs
+    per_clock = explore_in_temp(groups, env, independent=True).configs
+    for s, p in zip(shared, per_clock):
+        assert p.energy <= s.energy + 1e-12
+
+
+def _space_strategy():
+    f_max = st.sampled_from([50.0, 100.0, 150.0])
+    area = st.one_of(st.sampled_from([0.0, 100.0, 250.5]), st.floats(0.0, 1e4))
+    power = st.one_of(st.sampled_from([0.0, 10.0, 33.3]), st.floats(0.0, 500.0))
+    row = st.tuples(st.integers(1, 2_000_000), f_max, area, power)
+
+    @st.composite
+    def space(draw):
+        groups, entries = {}, {}
+        for g in range(draw(st.integers(1, 3))):
+            name = f"m{g}"
+            rows = draw(st.lists(row, min_size=1, max_size=4))
+            rows += draw(st.lists(st.sampled_from(rows), max_size=2))  # repeated rows
+            groups[name] = [alt(name, *r, unroll=k) for k, r in enumerate(rows)]
+            entries[name] = EnvelopeEntry(
+                draw(st.sampled_from([WINDOW, Fraction(1, 100), Fraction(3, 70)])),
+                invocations=draw(st.integers(1, 3)),
+                reserved_cycles=draw(st.integers(0, 50)),
+            )
+        return groups, TimingEnvelope(entries)
+
+    return space()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _space_strategy(),
+    st.sampled_from([0.0, 0.2, 0.5]),
+    st.booleans(),
+    st.sampled_from([WINDOW, Fraction(1, 3)]),
+)
+def test_kernel_and_explore_match_the_scalar_oracle(space, static_fraction, independent, window):
+    groups, env = space
+    expected = oracle_configs(groups, env, window, static_fraction, independent)
+    flat = flatten_groups(groups, env)
+    area, energy, feasible, f_common = kernels.evaluate_combos(
+        0, flat.total, flat.offsets, flat.sizes, flat.f_req, flat.f_max, flat.power,
+        flat.area, static_fraction, independent,
+    )
+    assert f_common.tolist() == [c[1] for c in expected]
+    assert area.tolist() == [c[2] for c in expected]
+    assert (energy * float(window)).tolist() == [c[3] for c in expected]
+    assert feasible.tolist() == [c[4] for c in expected]
+
+    table = CostTable(static_fraction=static_fraction)
+    if not any(c[4] for c in expected):
+        with pytest.raises(InfeasibleConfigError):
+            explore_in_temp(groups, env, window, table=table, independent=independent)
+        return
+    report = explore_in_temp(groups, env, window, table=table, independent=independent)
+    got = [(c.indices, c.f_common, c.area, c.energy, c.feasible) for c in report.configs]
+    assert got == expected
+    assert [c.config_id for c in report.configs] == list(range(len(expected)))
+    assert [p.config.config_id for p in report.front] == oracle_front(expected)
 
 
 # --- Enumeration --------------------------------------------------------------
@@ -98,7 +220,7 @@ def test_enumeration_covers_cartesian_product_in_order():
         "b": [alt("b", 1000, 100, 3, 3, lam=1), alt("b", 900, 100, 4, 4, lam=2),
               alt("b", 800, 100, 5, 5, lam=3)],
     }
-    configs = list(enumerate_configs(groups, env_for(groups), WINDOW))
+    configs = explore_in_temp(groups, env_for(groups)).configs
     assert len(configs) == 6
     assert [c.config_id for c in configs] == list(range(6))
     # Last group varies fastest.
@@ -108,84 +230,83 @@ def test_enumeration_covers_cartesian_product_in_order():
     assert all(c.area == c.choices[0].area + c.choices[1].area for c in configs)
 
 
-def test_infeasible_configs_emitted_not_dropped():
+def test_report_configs_is_a_read_only_sequence():
+    groups = {"a": [alt("a", 1000, 100, 1, 1), alt("a", 900, 100, 2, 2)]}
+    configs = explore_in_temp(groups, env_for(groups)).configs
+    assert configs[-1] == configs[1] and configs[np.int64(0)].config_id == 0
+    with pytest.raises(IndexError):
+        configs[2]
+    with pytest.raises(TypeError):
+        configs[0] = configs[1]
+
+
+def test_infeasible_configs_emitted_not_dropped(tmp_path):
     groups = {
         "a": [alt("a", 1000, 100, 1, 1), alt("a", 50_000_000, 100, 2, 2)],
     }
-    configs = list(enumerate_configs(groups, env_for(groups), WINDOW))
+    configs = explore(groups, env_for(groups), WINDOW, tmp_path).configs
     assert [c.feasible for c in configs] == [True, False]
     assert configs[1].f_common == pytest.approx(500 * MHZ)
+    rows = (tmp_path / "configs.csv").read_text().splitlines()
+    assert [r.rsplit(",", 1)[1] for r in rows[1:]] == ["yes", "no"]
 
 
-def test_group_membership_validated():
-    groups = {"a": [alt("b", 1000, 100, 1, 1)]}
-    with pytest.raises(dse.DseError):
-        list(enumerate_configs(groups, env_for(groups), WINDOW))
-
-
-def test_independent_clocks_never_cost_more_energy():
-    groups = load_groups_wpm()
-    env = env_for(groups)
-    shared = list(enumerate_configs(groups, env, WINDOW))
-    per_clock = list(enumerate_configs(groups, env, WINDOW, independent=True))
-    for s, p in zip(shared, per_clock):
-        assert p.energy <= s.energy + 1e-12
-
-
-def load_groups_wpm():
-    from conftest import FIXTURES
-
-    return load_groups(FIXTURES / "wpm_lcfds.csv")
+def test_group_membership_validated(tmp_path):
+    for groups in ({"a": [alt("b", 1000, 100, 1, 1)]}, {"a": []}, {}):
+        with pytest.raises(dse.DseError):
+            explore(groups, env_for(groups), WINDOW, tmp_path)
 
 
 # --- Front extraction ---------------------------------------------------------
 
 def test_streaming_front_keeps_ties_and_removes_dominated():
-    def point(cid, area, energy):
-        cfg = dse.SystemConfig(cid, (), (), 1.0, area, energy, True)
-        return dse.ParetoPoint(cfg)
+    # One group whose rows run at their rated clock, so a config's energy
+    # over a 1 s window is its row's power; one config per chunk exercises
+    # the incremental merge.
+    def front_of(points):
+        n = len(points)
+        space = FlatSpace(
+            offsets=np.array([0]), sizes=np.array([n]), f_req=np.full(n, 1e6),
+            f_max=np.full(n, 1e6), power=np.array([e for _, e in points]),
+            area=np.array([a for a, _ in points]),
+        )
+        fa, fe, _, _ = explore_streaming(space, window=1.0, chunk=1)
+        return list(zip(fa.tolist(), fe.tolist()))
 
-    front = StreamingFront()
-    assert front.offer(point(0, 5.0, 5.0))
-    assert front.offer(point(1, 5.0, 5.0))  # exact tie kept
-    assert not front.offer(point(2, 6.0, 6.0))  # dominated by the ties
-    assert front.offer(point(3, 4.0, 6.0))
-    assert front.offer(point(4, 3.0, 7.0))
-    result = [(p.area, p.energy) for p in front.result()]
-    assert result == [(3.0, 7.0), (4.0, 6.0), (5.0, 5.0), (5.0, 5.0)]
+    # Exact ties are kept; (6, 6) is dominated by them.
+    points = [(5.0, 5.0), (5.0, 5.0), (6.0, 6.0), (4.0, 6.0), (3.0, 7.0)]
+    assert front_of(points) == [(3.0, 7.0), (4.0, 6.0), (5.0, 5.0), (5.0, 5.0)]
     # A strictly better arrival evicts the dominated survivors.
-    assert front.offer(point(5, 3.0, 5.0))
-    assert [(p.area, p.energy) for p in front.result()] == [(3.0, 5.0)]
+    assert front_of(points + [(3.0, 5.0)]) == [(3.0, 5.0)]
 
 
 def test_pareto_ignores_infeasible_configs():
     groups = {
         "a": [alt("a", 1000, 100, 1, 1), alt("a", 50_000_000, 100, 0.5, 0.5)],
     }
-    configs = list(enumerate_configs(groups, env_for(groups), WINDOW))
-    front = pareto(configs)
+    front = explore_in_temp(groups, env_for(groups)).front
     assert [p.config.config_id for p in front] == [0]
 
 
 def test_streaming_matches_offline_on_fixture_tables(fixtures):
     groups = load_groups(fixtures / "wpm_lcfds.csv")
     env = env_for(groups)
-    configs = list(enumerate_configs(groups, env, WINDOW))
-    offline = {(p.area, round(p.energy, 9)) for p in pareto(configs)}
+    report = explore_in_temp(groups, env)
+    offline = {(p.area, round(p.energy, 9)) for p in report.front}
     space = flatten_groups(groups, env)
     fa, fe, _, nfeas = explore_streaming(space, window=float(WINDOW), chunk=5)
     assert {(a, round(e, 9)) for a, e in zip(fa, fe)} == offline
-    assert nfeas == sum(c.feasible for c in configs)
+    assert nfeas == sum(c.feasible for c in report.configs)
 
 
 def test_streaming_front_invariant_under_enumeration_order():
     space = synthetic_space(n_groups=3, group_size=8, seed=5)
-    fa1, fe1, _, n1 = explore_streaming(space, chunk=64)
+    fa1, fe1, fi1, n1 = explore_streaming(space, chunk=64)
     perm = np.random.default_rng(9).permutation(space.total)
-    fa2, fe2, _, n2 = explore_streaming(space, chunk=64, order=perm)
+    fa2, fe2, fi2, n2 = explore_streaming(space, chunk=64, order=perm)
     assert n1 == n2
-    assert np.array_equal(np.sort(fa1), np.sort(fa2))
-    assert np.array_equal(np.sort(fe1), np.sort(fe2))
+    assert np.array_equal(fa1, fa2) and np.array_equal(fe1, fe2)
+    assert np.array_equal(fi1, fi2)
 
 
 # --- Reports ------------------------------------------------------------------
@@ -211,6 +332,14 @@ def test_explore_requires_a_feasible_config(tmp_path):
     groups = {"a": [alt("a", 50_000_000, 100, 1, 1)]}
     with pytest.raises(InfeasibleConfigError):
         explore(groups, env_for(groups), WINDOW, tmp_path)
+    assert not (tmp_path / "configs.csv").exists()
+
+
+def test_explore_requires_a_positive_window(tmp_path):
+    groups = {"a": [alt("a", 1000, 100, 1, 1)]}
+    for window in (Fraction(0), Fraction(-1)):
+        with pytest.raises(dse.DseError, match="window"):
+            explore(groups, env_for(groups), window, tmp_path)
 
 
 def test_scatter_svg_is_well_formed(fixtures, tmp_path):
@@ -220,3 +349,100 @@ def test_scatter_svg_is_well_formed(fixtures, tmp_path):
     assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
     assert "Area (LUT+FF)" in svg and "Energy (mJ)" in svg
     assert svg.count("<circle") >= len(report.configs)
+
+
+# --- Golden reports -------------------------------------------------------------
+
+REPORT_FILES = ("configs.csv", "pareto.csv", "pareto.json", "scatter.svg", "summary.txt")
+
+# (table, mode) -> sha256 over the five report files, names included.
+GOLDEN_REPORTS = {
+    ('wpm_lcfds', 'common'):
+        "ca464ab6bdcb6ca6963190efb0fabb540691d92fda1ad95b0b34588c8b7b1d00",
+    ('wpm_lcfds', 'indep'):
+        "e1e72e7095ee0cf23f656bb4ffe03929514f2cad3855947a2625903e535d4e49",
+    ('wpm_lcfds', 'common_sf0.2'):
+        "d54a5a45958618e2b683880bcd40512bf6d23cc911bed9528622ff5d2a7a2673",
+    ('wpm_lcfds', 'indep_sf0.2'):
+        "be9123c45b7ead4351b19a3e465f4ed6f37267010a76776947028cea82ea249f",
+    ('wpm_legup', 'common'):
+        "b9606ff7c3dde58307aba0ef9e58538f4095ccbd7c479fe4c097363c3d66fc02",
+    ('wpm_legup', 'indep'):
+        "f3d2eed53f48e8d0517dcd28d21ebb9c5ad878c80fae1a0089450a04fd11562e",
+    ('wpm_legup', 'common_sf0.2'):
+        "ace6529354fc7bea8bcb9a27062a908b6a4136dab437b4e22603d609962f7d8f",
+    ('wpm_legup', 'indep_sf0.2'):
+        "4fb1c1a379f374514f71fd8f5e6b551e3e6da03f29d598b784254a34ff98c740",
+    ('eba_lcfds', 'common'):
+        "c87de56ee8f31719b94fa8338083ecc6e690f2ff9e07c11b6574e76f9ee4f793",
+    ('eba_lcfds', 'indep'):
+        "dc4b344b1c1f915f0a587695e3587fc3fcd62e2e91b961cfc3128f8df3b032f2",
+    ('eba_lcfds', 'common_sf0.2'):
+        "9df97bfe31ba5a0efe2d3aab437aa9c78b9c841c3fa865035a3b6853ae49a992",
+    ('eba_lcfds', 'indep_sf0.2'):
+        "aff1acf7555ae0f4e6732d074fb3acfad49b9e62b18dff5824e6c0b5edf67a9a",
+    ('tie_heavy', 'common'):
+        "295bd79a11cf45f63ecf7df6b59e3167c0d53ce243f94ac5de1fb546d50cb178",
+    ('tie_heavy', 'indep_sf0.2'):
+        "46bea7b165f1033be8a11b9cf8493fe128a0ce0eb28cdd95963793e9382e4c30",
+}
+
+MODES = {
+    "common": (False, 0.0),
+    "indep": (True, 0.0),
+    "common_sf0.2": (False, 0.2),
+    "indep_sf0.2": (True, 0.2),
+}
+
+
+def tie_heavy_groups(seed=1, n_groups=4, rows=12):
+    """Seeded alternatives table: quantized area, scattered power and rated
+    clocks of 90-120 MHz, so some rows miss their period; the last four rows
+    of each group repeat earlier rows, so configurations tie on (area, energy)."""
+    rng = random.Random(seed)
+    groups = {}
+    for g in range(n_groups):
+        name = f"c{g}"
+        rows_g = []
+        for k in range(rows):
+            if k >= 8:
+                rows_g.append(replace(rows_g[rng.randrange(8)], unroll=k))
+                continue
+            cycles = rng.randrange(500_000, 13_000_000)
+            f_max = float(rng.choice((90, 100, 110, 120)) * MHZ)
+            area = float(rng.randrange(10, 60) * 100)
+            power = round(area * 0.03 * rng.uniform(0.8, 1.2), 2)
+            rows_g.append(MccAlternative(name, "measured", k, None, cycles, f_max, area, power))
+        groups[name] = rows_g
+    return groups
+
+
+def report_digest(out_dir):
+    h = hashlib.sha256()
+    for name in REPORT_FILES:
+        h.update(name.encode() + b"\0" + (out_dir / name).read_bytes())
+    return h.hexdigest()
+
+
+def golden_runs(fixtures):
+    for table in ("wpm_lcfds", "wpm_legup", "eba_lcfds"):
+        for mode in MODES:
+            yield table, mode, load_groups(fixtures / f"{table}.csv")
+    for mode in ("common", "indep_sf0.2"):
+        yield "tie_heavy", mode, tie_heavy_groups()
+
+
+def test_golden_report_digests(fixtures, tmp_path):
+    digests = {}
+    for table, mode, groups in golden_runs(fixtures):
+        independent, static_fraction = MODES[mode]
+        out = tmp_path / f"{table}-{mode}"
+        report = explore(groups, env_for(groups), WINDOW, out,
+                         CostTable(static_fraction=static_fraction), independent)
+        assert sorted(report.files) == sorted(REPORT_FILES)
+        digests[(table, mode)] = report_digest(out)
+        if table == "tie_heavy":
+            front = [(p.area, p.energy) for p in report.front]
+            assert len(set(front)) < len(front), "front has no exact ties"
+            assert not all(c.feasible for c in report.configs)
+    assert digests == GOLDEN_REPORTS
