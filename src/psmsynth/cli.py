@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__, cost, dfg, dse, fds, fsm
-from .cost import MHZ, CostTable
+from .cost import CostTable
 from .dsl import ParseError, parse_text
 from .model import (
     PsmComponent,
@@ -134,12 +134,21 @@ def load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _config_value(values: dict[str, str], key: str, parse, default: str):
-    text = values.get(key, default)
+def _value(what: str, text: str, parse, positive: bool = False):
+    """`parse(text)` for the flag, stimulus field or config key `what`; a
+    value that does not parse, or is not positive where it must be, ends the
+    run in one error line."""
     try:
-        return parse(text)
+        value = parse(text)
     except (ValueError, ZeroDivisionError):
-        raise CliError(f"config key '{key}': invalid value {text!r}", EXIT_VALIDATION) from None
+        raise CliError(f"{what}: invalid value {text!r}", EXIT_VALIDATION) from None
+    if positive and not value > 0:
+        raise CliError(f"{what}: must be positive, got {text!r}", EXIT_VALIDATION)
+    return value
+
+
+def _config_value(values: dict[str, str], key: str, parse, default: str):
+    return _value(f"config key '{key}'", values.get(key, default), parse)
 
 
 def envelope_from_config(values: dict[str, str], mccs) -> dse.TimingEnvelope:
@@ -206,8 +215,10 @@ def _load_stimulus(path: str | None) -> list[TraceEvent]:
                 f"{path}:{lineno}: expected 'time instance event [payload]'",
                 EXIT_VALIDATION,
             )
-        payload = int(parts[3]) if len(parts) == 4 else None
-        events.append(TraceEvent(parse_scalar(parts[0]), parts[1], parts[2], payload))
+        where = f"{path}:{lineno}"
+        at = _value(f"{where}: time", parts[0], parse_scalar)
+        payload = _value(f"{where}: payload", parts[3], int) if len(parts) == 4 else None
+        events.append(TraceEvent(at, parts[1], parts[2], payload))
     return events
 
 
@@ -220,8 +231,8 @@ def cmd_sim(args) -> int:
         system = single_component_system(comp)
     else:
         raise CliError("sim needs one system or exactly one component", EXIT_VALIDATION)
+    horizon = _value("--horizon", args.horizon, parse_scalar, positive=True)
     stimulus = _load_stimulus(args.stimulus)
-    horizon = parse_scalar(args.horizon)
     try:
         trace = simulate(system, components, stimulus, horizon)
     except Exception as err:
@@ -244,7 +255,9 @@ def cmd_schedule(args) -> int:
         raise CliError(f"{args.dfg}: {err}", EXIT_VALIDATION) from None
     table = CostTable()
     name = args.mcc or os.path.splitext(os.path.basename(args.dfg))[0]
-    f_max = parse_frequency(args.fmax)
+    f_max = _value("--fmax", args.fmax, parse_frequency, positive=True)
+    if args.unroll < 0:
+        raise CliError(f"--unroll: must be >= 0, got {args.unroll}", EXIT_VALIDATION)
 
     worklist = nest
     if args.unroll:
@@ -277,6 +290,7 @@ def cmd_schedule(args) -> int:
         "unroll": args.unroll,
     }
 
+    parts = dfg.nest_parts(worklist)
     rows = []
     for lam in lams:
         try:
@@ -290,28 +304,14 @@ def cmd_schedule(args) -> int:
         )
         for key, sched in schedules.items():
             part = key if isinstance(key, str) else "loop_" + "_".join(map(str, key))
-            part_dfg = _part_dfg(worklist, key)
             sched_path = os.path.join(args.out, f"{name}_l{lam}_{part}.sched")
             with open(sched_path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(fds.format_schedule(part_dfg, sched))
+                handle.write(fds.format_schedule(parts[key], sched))
     alt_path = os.path.join(args.out, f"{name}_alternatives.csv")
     cost.save_alternatives(rows, alt_path)
     manifest.write(args.out)
     print(f"wrote {len(rows)} alternative row(s) to {alt_path}")
     return EXIT_OK
-
-
-def _part_dfg(nest, key):
-    if key == "pre":
-        return nest.pre
-    if key == "post":
-        return nest.post
-    loops = nest.loops
-    node = None
-    for i in key:
-        node = loops[i]
-        loops = node.children
-    return node.body
 
 
 def cmd_synth(args) -> int:
@@ -327,12 +327,10 @@ def cmd_synth(args) -> int:
         if "=" not in spec:
             raise CliError(f"--freq expects name=value, got '{spec}'", EXIT_VALIDATION)
         inst, value = spec.split("=", 1)
-        freq = parse_frequency(value)
-        if freq <= 0:
-            raise CliError(f"--freq {inst}: frequency must be positive", EXIT_VALIDATION)
-        freqs[inst.strip()] = freq
+        freqs[inst.strip()] = _value(f"--freq {inst}", value, parse_frequency, positive=True)
+    default_freq = _value("--default-freq", args.default_freq, parse_frequency, positive=True)
     for inst in system.instances:
-        freqs.setdefault(inst.name, parse_frequency(args.default_freq))
+        freqs.setdefault(inst.name, default_freq)
     try:
         sys_ir = fsm.synthesize_system(system, components, freqs)
     except fsm.SynthesisError as err:

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .dfg import DEFAULT_LATENCIES, LoopNest, Loop
@@ -83,18 +82,17 @@ def estimate_power(area: float, freq: float, table: CostTable | None = None) -> 
     return p_ref * power_scale(freq, table)
 
 
-def exec_latency(nest: LoopNest, body_makespans: Mapping[int, int],
+def exec_latency(nest: LoopNest, body_makespans: Mapping[tuple[int, ...], int],
                  pre_makespan: int = 0, post_makespan: int = 0) -> int:
     """Total cycles for one activation: pre + sum(trip * body) + post, with
     nested loop totals folded into their parent body.
 
-    `body_makespans` maps id(loop-position) keys produced by `loop_keys`.
+    `body_makespans` is keyed by loop position, as in `dfg.nest_parts`.
     """
-    keys = loop_keys(nest)
 
     def total(loop: Loop, key: tuple[int, ...]) -> int:
         try:
-            makespan = body_makespans[keys[key]]
+            makespan = body_makespans[key]
         except KeyError:
             raise CostError(f"loop at position {key} has no schedule") from None
         inner = sum(total(c, key + (i,)) for i, c in enumerate(loop.children))
@@ -105,20 +103,6 @@ def exec_latency(nest: LoopNest, body_makespans: Mapping[int, int],
         + sum(total(l, (i,)) for i, l in enumerate(nest.loops))
         + post_makespan
     )
-
-
-def loop_keys(nest: LoopNest) -> dict[tuple[int, ...], int]:
-    """Stable integer ids for loop positions, outer-to-inner, declaration order."""
-    keys: dict[tuple[int, ...], int] = {}
-
-    def walk(loop: Loop, key: tuple[int, ...]):
-        keys[key] = len(keys)
-        for i, c in enumerate(loop.children):
-            walk(c, key + (i,))
-
-    for i, l in enumerate(nest.loops):
-        walk(l, (i,))
-    return keys
 
 
 # --- Alternative tables ------------------------------------------------------

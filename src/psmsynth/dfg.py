@@ -118,6 +118,21 @@ class LoopNest:
     post: Dfg | None = None
 
 
+def nest_parts(nest: LoopNest) -> dict[str | tuple[int, ...], Dfg | None]:
+    """The graphs of a nest by part: 'pre', 'post', and each loop body keyed
+    by its position, the tuple of loop indices from the outermost loop in,
+    in declaration order (outer loops before the loops they contain)."""
+    parts: dict[str | tuple[int, ...], Dfg | None] = {"pre": nest.pre, "post": nest.post}
+
+    def walk(loops: tuple[Loop, ...], key: tuple[int, ...]) -> None:
+        for i, loop in enumerate(loops):
+            parts[key + (i,)] = loop.body
+            walk(loop.children, key + (i,))
+
+    walk(nest.loops, ())
+    return parts
+
+
 def total_iterations(nest: LoopNest) -> int:
     def walk(loop: Loop) -> int:
         return loop.trip + sum(walk(c) for c in loop.children)
@@ -209,12 +224,6 @@ def unroll(nest: LoopNest, factor: int) -> LoopNest:
 
 # --- Scheduling analyses -----------------------------------------------------
 
-@dataclass
-class TimeBounds:
-    asap: dict[int, int] = field(default_factory=dict)
-    alap: dict[int, int] = field(default_factory=dict)
-
-
 def _latency(latencies, op: Op) -> int:
     lat = latencies.get(op.type, 1)
     if lat < 1:
@@ -268,10 +277,6 @@ def alap(dfg: Dfg, lam: int, latencies=None) -> dict[int, int]:
         if early[v] > start[v]:
             raise InfeasibleLatency(lam, min_latency(dfg, latencies), v)
     return start
-
-
-def time_bounds(dfg: Dfg, lam: int, latencies=None) -> TimeBounds:
-    return TimeBounds(asap=asap(dfg, latencies), alap=alap(dfg, lam, latencies))
 
 
 def max_useful_latency(dfg: Dfg, latencies=None) -> int:

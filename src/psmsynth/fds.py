@@ -14,16 +14,16 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Mapping
 
-from .cost import CostTable, exec_latency, loop_keys
+from .cost import CostTable, exec_latency
 from .dfg import (
     DEFAULT_LATENCIES,
     Dfg,
     InfeasibleLatency,
-    Loop,
     LoopNest,
     asap,
     min_latency,
     max_useful_latency,
+    nest_parts,
 )
 
 BRUTE_FORCE_OP_LIMIT = 12
@@ -358,39 +358,21 @@ def schedule_nest(
     the individual schedules keyed 'pre'/'post'/loop position.
     """
     latencies = DEFAULT_LATENCIES if latencies is None else latencies
-    keys = loop_keys(nest)
-    by_key: dict[tuple[int, ...], Loop] = {}
-
-    def walk(loop: Loop, key: tuple[int, ...]):
-        by_key[key] = loop
-        for i, c in enumerate(loop.children):
-            walk(c, key + (i,))
-
-    for i, loop in enumerate(nest.loops):
-        walk(loop, (i,))
-
     schedules: dict = {}
     combined: dict[str, int] = {}
-    body_makespans: dict[int, int] = {}
-
-    def merge(usage: ResourceUsage) -> None:
-        for t, r in usage.per_type.items():
+    spans: dict = {}
+    for key, part in nest_parts(nest).items():
+        spans[key] = 0
+        if part is None or not part.ops:
+            continue
+        constraint = min_latency(part, latencies) if isinstance(key, str) else lam
+        sched = fds_schedule(part, constraint, latencies)
+        schedules[key] = sched
+        for t, r in resource_usage(part, sched, latencies).per_type.items():
             combined[t] = max(combined.get(t, 0), r)
-
-    def do_part(part_key, dfg: Dfg | None, constraint: int | None) -> int:
-        if dfg is None or not dfg.ops:
-            return 0
-        lo = min_latency(dfg, latencies)
-        sched = fds_schedule(dfg, constraint if constraint is not None else lo, latencies)
-        schedules[part_key] = sched
-        merge(resource_usage(dfg, sched, latencies))
-        return sched.makespan(dfg, latencies)
-
-    pre_span = do_part("pre", nest.pre, None)
-    post_span = do_part("post", nest.post, None)
-    for key, loop in by_key.items():
-        body_makespans[keys[key]] = do_part(key, loop.body, lam)
-    cycles = exec_latency(nest, body_makespans, pre_span, post_span)
+        spans[key] = sched.makespan(part, latencies)
+    pre_span, post_span = spans.pop("pre"), spans.pop("post")
+    cycles = exec_latency(nest, spans, pre_span, post_span)
     return max(1, cycles), ResourceUsage(combined), schedules
 
 

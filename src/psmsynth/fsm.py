@@ -16,7 +16,7 @@ Conventions (documented, checked by tests):
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -26,12 +26,10 @@ from .model import (
     Direction,
     EventTrace,
     Export,
-    Instance,
     InvokeMcc,
     Notify,
     PsmComponent,
     PsmSystem,
-    StateEntry,
     TimingKind,
     TraceEvent,
     validate_component,
@@ -587,10 +585,6 @@ def _emit_sync_module(out) -> None:
     )
 
 
-def _verilog_frac(x: Fraction) -> tuple[int, int]:
-    return x.numerator, x.denominator
-
-
 def _emit_component_module(out, ir: FsmIr) -> None:
     comp = ir.component
     ports = ["  input wire clk", "  input wire rst"]
@@ -634,7 +628,7 @@ def _emit_component_module(out, ir: FsmIr) -> None:
 
     # Timer cycle counts from the frequency generic: round-half-up, minimum 1.
     for t in ir.timers:
-        num, den = _verilog_frac(Fraction(t.duration))
+        num, den = Fraction(t.duration).as_integer_ratio()
         raw = f"(2 * CLK_FREQ_HZ * {num} + {den}) / (2 * {den})"
         out.write(
             f"  localparam integer {t.generic} = ({raw}) < 1 ? 1 : ({raw});\n"

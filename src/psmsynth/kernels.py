@@ -1,61 +1,31 @@
-"""Numerical hot paths for design-space exploration.
+"""Numerical hot paths for design-space exploration, in numpy.
 
-The non-dominated masks have a compiled implementation (numba ``@njit``) and
-a vectorized pure-numpy fallback.  Selection: the fallback is used when numba
-is not installed or when the ``PSMSYNTH_NO_NUMBA`` environment variable is set
-to a non-empty value.  Both paths are exported so tests can compare them
-directly regardless of the active default.  Configuration evaluation is
-numpy only.
+`pareto_mask` extracts the non-dominated (area, energy) points by one
+lexicographic sort and a prefix-minimum scan; `pareto_mask_brute` is the
+quadratic pairwise definition it must agree with, kept as the oracle for the
+tests.  `evaluate_combos` evaluates a contiguous range of configurations of a
+cartesian product of per-computation alternatives.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-NUMBA_DISABLED = bool(os.environ.get("PSMSYNTH_NO_NUMBA"))
-HAVE_NUMBA = False
-if not NUMBA_DISABLED:
-    try:
-        from numba import njit
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - depends on environment
-        pass
-if not HAVE_NUMBA:
-    def njit(*args, **kwargs):  # no-op decorator fallback
-        if args and callable(args[0]):
-            return args[0]
+HAVE_NUMBA = False  # numpy is the only path; perfbench still reports this flag
 
-        def wrap(fn):
-            return fn
-
-        return wrap
+BRUTE_CHUNK = 512  # rows of the pairwise comparison per step
 
 
-# --- Brute-force non-dominated mask (the O(n^2) oracle) ----------------------
-
-@njit(cache=True)
-def _pareto_mask_brute_jit(xs, ys):  # pragma: no cover - exercised via dispatch
+def pareto_mask_brute(xs, ys):
+    """Exact non-dominated mask by pairwise comparison: a point is removed iff
+    another point is <= in both coordinates and < in at least one (exact ties
+    are kept).  Quadratic; used as the oracle."""
+    xs = np.ascontiguousarray(xs, dtype=np.float64)
+    ys = np.ascontiguousarray(ys, dtype=np.float64)
     n = xs.shape[0]
     keep = np.ones(n, dtype=np.bool_)
-    for i in range(n):
-        for j in range(n):
-            if (
-                xs[j] <= xs[i]
-                and ys[j] <= ys[i]
-                and (xs[j] < xs[i] or ys[j] < ys[i])
-            ):
-                keep[i] = False
-                break
-    return keep
-
-
-def _pareto_mask_brute_numpy(xs, ys, chunk: int = 512):
-    n = xs.shape[0]
-    keep = np.ones(n, dtype=np.bool_)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+    for lo in range(0, n, BRUTE_CHUNK):
+        hi = min(lo + BRUTE_CHUNK, n)
         cx = xs[lo:hi, None]
         cy = ys[lo:hi, None]
         dominated = (
@@ -67,36 +37,11 @@ def _pareto_mask_brute_numpy(xs, ys, chunk: int = 512):
     return keep
 
 
-def pareto_mask_brute(xs, ys):
-    """Exact non-dominated mask by pairwise comparison: a point is removed iff
-    another point is <= in both coordinates and < in at least one (exact ties
-    are kept).  Quadratic; used as the oracle."""
+def pareto_mask(xs, ys):
+    """Non-dominated mask via lexicographic sort and a single min-scan.
+    Identical semantics to `pareto_mask_brute` in O(n log n)."""
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     ys = np.ascontiguousarray(ys, dtype=np.float64)
-    if HAVE_NUMBA:
-        return _pareto_mask_brute_jit(xs, ys)
-    return _pareto_mask_brute_numpy(xs, ys)
-
-
-# --- Sort-and-scan non-dominated mask ----------------------------------------
-
-@njit(cache=True)
-def _pareto_scan_jit(xs, ys, order):  # pragma: no cover - exercised via dispatch
-    n = xs.shape[0]
-    keep = np.ones(n, dtype=np.bool_)
-    best_y = np.inf
-    best_x = np.inf
-    for k in range(n):
-        i = order[k]
-        if ys[i] > best_y or (ys[i] == best_y and best_x < xs[i]):
-            keep[i] = False
-        elif ys[i] < best_y:
-            best_y = ys[i]
-            best_x = xs[i]
-    return keep
-
-
-def _pareto_scan_numpy(xs, ys, order):
     # Scanning in (x, y) order, a point is dropped iff its y exceeds the best
     # y seen before it, or equals it while the point that set that best has
     # a smaller x.  The best so far is a prefix minimum, and the point that
@@ -105,6 +50,7 @@ def _pareto_scan_numpy(xs, ys, order):
     keep = np.ones(n, dtype=np.bool_)
     if n == 0:
         return keep
+    order = np.lexsort((ys, xs))
     x = xs[order]
     y = ys[order]
     best = np.empty(n)
@@ -115,17 +61,6 @@ def _pareto_scan_numpy(xs, ys, order):
     best_x = np.where(before >= 0, x[before], np.inf)
     keep[order] = ~((y > best) | ((y == best) & (best_x < x)))
     return keep
-
-
-def pareto_mask(xs, ys):
-    """Non-dominated mask via lexicographic sort and a single min-scan.
-    Identical semantics to `pareto_mask_brute` in O(n log n)."""
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    ys = np.ascontiguousarray(ys, dtype=np.float64)
-    order = np.lexsort((ys, xs))
-    if HAVE_NUMBA:
-        return _pareto_scan_jit(xs, ys, order)
-    return _pareto_scan_numpy(xs, ys, order)
 
 
 # --- Cartesian-product configuration evaluation ------------------------------
@@ -189,15 +124,3 @@ def evaluate_combos(start, count, offsets, sizes, f_req, f_max, power, area,
         combo_rows(ids, offsets, sizes), f_req, f_max, power, area,
         static_fraction, independent,
     )
-
-
-IMPLEMENTATIONS = {
-    "pareto_mask_brute": {
-        "compiled": _pareto_mask_brute_jit,
-        "numpy": _pareto_mask_brute_numpy,
-    },
-    "pareto_mask": {
-        "compiled": _pareto_scan_jit,
-        "numpy": _pareto_scan_numpy,
-    },
-}

@@ -14,6 +14,7 @@ from psmsynth.cli import (
     parse_scalar,
 )
 from psmsynth.cost import load_alternatives
+from psmsynth.dfg import DEFAULT_LATENCIES
 
 ALL_MODELS = [
     "sensor.psm", "mhr.psm", "spo2.psm", "emg.psm", "monitor.psm", "wpm_system.psm",
@@ -191,6 +192,88 @@ def test_schedule_unroll_sweeps_the_unrolled_body(fixtures, tmp_path, capsys):
     assert manifest["parameters"]["unroll"] == 2
 
 
+NESTED_DFG = """\
+pre {
+  in 0
+  op 1 load 0
+  op 2 add 1 1
+  out 2
+}
+loop 4 {
+  in 0
+  in 1
+  op 2 mul 0 1
+  op 3 add 2 0
+  op 4 add 0 1
+  op 5 mul 4 4
+  op 6 sub 3 5
+  out 6
+  loop 3 {
+    in 0
+    op 1 add 0 0
+    op 2 sub 1 0
+    op 3 add 0 0
+    op 4 mul 3 2
+    out 4
+  }
+}
+post {
+  in 0
+  op 1 store 0
+}
+"""
+
+# Op types of each part of NESTED_DFG, for makespans read off the .sched files.
+NESTED_TYPES = {
+    "pre": {1: "load", 2: "add"},
+    "loop_0": {2: "mul", 3: "add", 4: "add", 5: "mul", 6: "sub"},
+    "loop_0_0": {1: "add", 2: "sub", 3: "add", 4: "mul"},
+    "post": {1: "store"},
+}
+
+NESTED_GOLDEN = {
+    "nest_alternatives.csv": "b65ecbfd14c73d9bdc4ebe052f935db2de832c995ef674f548de6654c11e4e88",
+    "nest_l3_loop_0.sched": "5ebaaa4cb7049ff71a49b32bfb2ca0e38ca9149c0251ccf7a91ebd1b97c5fdb6",
+    "nest_l3_loop_0_0.sched": "1f9aee36f253a4a437db85ec1bc471db3ca655720dc6fcba4aede64bed273b7f",
+    "nest_l3_post.sched": "dd26a5925f37f88d6f6171deb3979b4f2215012a62edceb2ca4f0c05fa93308b",
+    "nest_l3_pre.sched": "f757f7826d32935c12df76b05d74de3b22ef8c4761efd367f05f42122fd2cbcf",
+    "nest_l4_loop_0.sched": "6ea5f7af8e2fc3421a7e6d3a7b766c1e68746a81f01124fb5da7d9d309974448",
+    "nest_l4_loop_0_0.sched": "c2ed31dba02d8da78a325feb9e1cefcb43ca522683bb8b1326aae94b57585771",
+    "nest_l4_post.sched": "dd26a5925f37f88d6f6171deb3979b4f2215012a62edceb2ca4f0c05fa93308b",
+    "nest_l4_pre.sched": "f757f7826d32935c12df76b05d74de3b22ef8c4761efd367f05f42122fd2cbcf",
+    "nest_l5_loop_0.sched": "c481ff752fee8d7823df9ce4311170e83c2c3b8b76d0c036feca661082886454",
+    "nest_l5_loop_0_0.sched": "e2ab61e7498271d56c1ed92980604dc80b267c7e0b131da3854e14452b9d144d",
+    "nest_l5_post.sched": "dd26a5925f37f88d6f6171deb3979b4f2215012a62edceb2ca4f0c05fa93308b",
+    "nest_l5_pre.sched": "f757f7826d32935c12df76b05d74de3b22ef8c4761efd367f05f42122fd2cbcf",
+}
+
+
+def test_schedule_nested_nest_folds_inner_loops(tmp_path, capsys):
+    src = tmp_path / "nest.dfg"
+    src.write_text(NESTED_DFG)
+    out = tmp_path / "out"
+    code, _, _ = run(["schedule", src, "--points", "3", "--out", out], capsys)
+    assert code == 0
+    rows = load_alternatives(out / "nest_alternatives.csv")
+    assert len(rows) == 3
+    for row in rows:
+        span = {}
+        for part, types in NESTED_TYPES.items():
+            lines = (out / f"nest_l{row.latency_constraint}_{part}.sched").read_text().splitlines()
+            starts = {int(w[1]): int(w[3]) for w in map(str.split, lines) if w[0] == "op"}
+            assert set(starts) == set(types)
+            span[part] = max(s + DEFAULT_LATENCIES[types[op]] for op, s in starts.items())
+        # pre + trip_outer * (outer + trip_inner * inner) + post
+        assert row.exec_cycles == (
+            span["pre"] + 4 * (span["loop_0"] + 3 * span["loop_0_0"]) + span["post"]
+        )
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.iterdir()) if p.name != "manifest.json"
+    }
+    assert digests == NESTED_GOLDEN
+
+
 def test_schedule_infeasible_latency_exits_2(fixtures, tmp_path, capsys):
     code, _, err = run(
         ["schedule", fixtures / "mhr.dfg", "--latency", "1", "--out", tmp_path],
@@ -309,6 +392,36 @@ def test_explore_config_errors_end_in_one_line(fixtures, tmp_path, capsys, line,
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert message in err
+
+
+@pytest.mark.parametrize("argv, stim, message", [
+    (["sim", "sensor.psm", "--horizon", "abc"], None, "--horizon: invalid value 'abc'"),
+    (["sim", "sensor.psm", "--horizon", "-1"], None, "--horizon: must be positive, got '-1'"),
+    (["sim", "sensor.psm", "--horizon", "1 s"], "abc StartMeasure Start\n",
+     "bad.stim:1: time: invalid value 'abc'"),
+    (["sim", "sensor.psm", "--horizon", "1 s"], "0 StartMeasure Start x\n",
+     "bad.stim:1: payload: invalid value 'x'"),
+    (["schedule", "adds4.dfg", "--fmax", "0"], None, "--fmax: must be positive, got '0'"),
+    (["schedule", "adds4.dfg", "--fmax", "abc"], None, "--fmax: invalid value 'abc'"),
+    (["schedule", "adds4.dfg", "--unroll", "-1"], None, "--unroll: must be >= 0, got -1"),
+    (["synth", "mhr.psm", "--default-freq", "abc"], None, "--default-freq: invalid value 'abc'"),
+    (["synth", "mhr.psm", "--freq", "dut=abc"], None, "--freq dut: invalid value 'abc'"),
+], ids=[
+    "horizon-abc", "horizon-negative", "stimulus-time", "stimulus-payload", "fmax-zero",
+    "fmax-abc", "unroll-negative", "default-freq-abc", "freq-abc",
+])
+def test_flag_and_stimulus_values_end_in_one_line(fixtures, tmp_path, capsys, argv, stim, message):
+    argv = [fixtures / a if a.endswith((".psm", ".dfg")) else a for a in argv]
+    if stim is not None:
+        (tmp_path / "bad.stim").write_text(stim)
+        argv += ["--stimulus", tmp_path / "bad.stim"]
+    if argv[0] == "schedule":
+        argv += ["--out", tmp_path / "out"]
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert message in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_explore_missing_table_exits_3(fixtures, tmp_path, capsys):

@@ -17,7 +17,6 @@ from psmsynth.cost import (
     exec_latency,
     load_alternatives,
     loads_alternatives,
-    loop_keys,
     pareto_filter_alternatives,
     power_scale,
     save_alternatives,
@@ -66,8 +65,7 @@ def test_exec_latency_folds_nested_loops():
     inner = Loop(body=body, trip=10)
     outer = Loop(body=body, trip=5, children=(inner,))
     nest = LoopNest(loops=(outer,))
-    keys = loop_keys(nest)
-    spans = {keys[(0,)]: 3, keys[(0, 0)]: 2}
+    spans = {(0,): 3, (0, 0): 2}
     # 5 * (3 + 10 * 2) = 115, plus pre/post.
     assert exec_latency(nest, spans, pre_makespan=4, post_makespan=1) == 120
 

@@ -22,7 +22,6 @@ from psmsynth.dfg import (
     max_useful_latency,
     min_latency,
     parse_nest,
-    time_bounds,
     total_iterations,
     unroll,
 )
@@ -100,7 +99,8 @@ def test_alap_bounds_and_tightness():
     for _ in range(200):
         d = random_dfg(rng, 15)
         lam = min_latency(d) + rng.randint(0, 4)
-        bounds = time_bounds(d, lam)
+        early = asap(d)
+        late = alap(d, lam)
         op_ids = {op.id for op in d.ops}
         succ: dict[int, list[int]] = {i: [] for i in op_ids}
         for op in d.ops:
@@ -109,12 +109,12 @@ def test_alap_bounds_and_tightness():
                     succ[p].append(op.id)
         for op in d.ops:
             lat = DEFAULT_LATENCIES.get(op.type, 1)
-            assert bounds.asap[op.id] <= bounds.alap[op.id]
-            assert bounds.alap[op.id] + lat <= lam
+            assert early[op.id] <= late[op.id]
+            assert late[op.id] + lat <= lam
             # ALAP is tight: either the makespan bound or a successor binds.
-            a = bounds.alap[op.id]
+            a = late[op.id]
             if succ[op.id]:
-                assert a + lat == min(bounds.alap[s] for s in succ[op.id])
+                assert a + lat == min(late[s] for s in succ[op.id])
             else:
                 assert a + lat == lam
 

@@ -1,4 +1,5 @@
-"""Numeric kernels: compiled and pure-numpy paths must agree exactly."""
+"""Numeric kernels: the sort-and-scan mask must agree exactly with the
+pairwise oracle, and configuration evaluation with a nested-loop reference."""
 
 import itertools
 
@@ -73,24 +74,7 @@ def test_scan_mask_matches_brute_mask_on_tie_heavy_sets(points):
     xs = np.array([x for x, _ in points], dtype=np.float64)
     ys = np.array([y for _, y in points], dtype=np.float64)
     assert np.array_equal(kernels.pareto_mask(xs, ys), kernels.pareto_mask_brute(xs, ys))
-    scan = kernels.IMPLEMENTATIONS["pareto_mask"]["numpy"]
-    assert np.array_equal(scan(xs, ys, np.lexsort((ys, xs))), reference_mask(xs, ys))
-
-
-def _mask_impl_pairs(name):
-    impls = kernels.IMPLEMENTATIONS[name]
-    return impls["compiled"], impls["numpy"]
-
-
-def test_both_mask_implementations_agree():
-    brute_jit, brute_np = _mask_impl_pairs("pareto_mask_brute")
-    scan_jit, scan_np = _mask_impl_pairs("pareto_mask")
-    for xs, ys in clouds(seed=3, count=20):
-        xs = np.ascontiguousarray(xs)
-        ys = np.ascontiguousarray(ys)
-        assert np.array_equal(brute_jit(xs, ys), brute_np(xs, ys))
-        order = np.lexsort((ys, xs))
-        assert np.array_equal(scan_jit(xs, ys, order), scan_np(xs, ys, order))
+    assert np.array_equal(kernels.pareto_mask(xs, ys), reference_mask(xs, ys))
 
 
 def _random_space(seed, n_groups=3, group_size=4):
@@ -155,20 +139,3 @@ def test_combo_evaluation_chunking_is_seamless():
     for k in range(4):
         np.testing.assert_array_equal(np.concatenate([p[k] for p in parts]), whole[k])
 
-
-def test_fallback_selection_honors_environment():
-    # The env flag is read at import time; a subprocess sees the numpy path.
-    import subprocess
-    import sys
-
-    code = (
-        "import psmsynth.kernels as k; "
-        "assert not k.HAVE_NUMBA and k.NUMBA_DISABLED; "
-        "import numpy as np; "
-        "xs = np.array([1.0, 2.0]); ys = np.array([2.0, 1.0]); "
-        "assert k.pareto_mask(xs, ys).all()"
-    )
-    import os
-
-    env = {**os.environ, "PSMSYNTH_NO_NUMBA": "1"}
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
