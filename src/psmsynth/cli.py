@@ -266,13 +266,16 @@ def cmd_schedule(args) -> int:
         except dfg.UnrollError as err:
             raise CliError(f"{args.dfg}: {err}", EXIT_VALIDATION) from None
 
+    # The constraint binds the hottest loop body as scheduled, that is after
+    # unrolling (or the whole graph when there are no loops).
+    probe = worklist.loops[0].body if worklist.loops else (worklist.pre or dfg.Dfg())
     if args.latency is not None:
+        needed = dfg.min_latency(probe)
+        if args.latency < needed:
+            raise CliError(str(dfg.InfeasibleLatency(args.latency, needed)), EXIT_INFEASIBLE)
         lams = [args.latency]
     else:
-        # Evenly spaced constraints over the useful latency range of the
-        # hottest loop body as scheduled, that is after unrolling (or of the
-        # whole graph when there are no loops).
-        probe = worklist.loops[0].body if worklist.loops else (worklist.pre or dfg.Dfg())
+        # Evenly spaced constraints over the probe's useful latency range.
         if not probe.ops:
             raise CliError(f"{args.dfg}: nothing to schedule", EXIT_VALIDATION)
         try:
@@ -412,15 +415,23 @@ def cmd_explore(args) -> int:
 def cmd_report(args) -> int:
     summary = os.path.join(args.dir, "summary.txt")
     pareto_json = os.path.join(args.dir, "pareto.json")
-    sys.stdout.write(_read_text(summary))
-    points = json.loads(_read_text(pareto_json))
+    text = _read_text(summary)
+    try:
+        front = [
+            f"  id={p['config_id']} area={p['area']:.0f} energy_mj={p['energy_mj']:.6f} "
+            + " ".join(f"{k}={v}" for k, v in sorted(p["choices"].items()))
+            for p in json.loads(_read_text(pareto_json))
+        ]
+    except json.JSONDecodeError as err:
+        raise CliError(f"{pareto_json}: not JSON: {err}", EXIT_VALIDATION) from None
+    except KeyError as err:
+        raise CliError(f"{pareto_json}: a point has no {err}", EXIT_VALIDATION) from None
+    except (TypeError, ValueError, AttributeError):
+        raise CliError(f"{pareto_json}: not a list of front points", EXIT_VALIDATION) from None
+    sys.stdout.write(text)
     print("pareto front:")
-    for p in points:
-        choices = " ".join(f"{k}={v}" for k, v in sorted(p["choices"].items()))
-        print(
-            f"  id={p['config_id']} area={p['area']:.0f} "
-            f"energy_mj={p['energy_mj']:.6f} {choices}"
-        )
+    for line in front:
+        print(line)
     return EXIT_OK
 
 

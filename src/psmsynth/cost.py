@@ -13,7 +13,7 @@ import io
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .dfg import DEFAULT_LATENCIES, LoopNest, Loop
+from .dfg import LoopNest, Loop
 
 MHZ = 10**6
 
@@ -41,7 +41,6 @@ class CostTable:
             "load": 60.0, "store": 60.0, "select": 40.0,
         }
     )
-    latency: Mapping[str, int] = field(default_factory=lambda: dict(DEFAULT_LATENCIES))
     power_per_area: float = 0.03  # mW per area unit at f_ref
     overhead: float = 0.2  # register/mux overhead fraction
     static_fraction: float = 0.0  # delta_s in [0, 1)
@@ -52,10 +51,9 @@ class CostTable:
             raise CostError(f"static fraction must be in [0, 1), got {self.static_fraction}")
         if self.overhead < 0:
             raise CostError("overhead fraction must be >= 0")
-        for table_name, table in (("area", self.area), ("latency", self.latency)):
-            for k, v in table.items():
-                if v < 0:
-                    raise CostError(f"{table_name} coefficient for '{k}' must be >= 0")
+        for k, v in self.area.items():
+            if v < 0:
+                raise CostError(f"area coefficient for '{k}' must be >= 0")
 
 
 def estimate_area(usage: Mapping[str, int], table: CostTable | None = None) -> float:

@@ -1,14 +1,17 @@
 """Typed dataflow-graph IR for multi-cycle computations.
 
 Graphs are acyclic over a dense shared id space covering input ports and
-operations.  Loop nests carry trip counts and optional distance-1 carried
-dependences; unrolling replicates loop bodies by even factors only, so no
-pre-amble or post-amble code is ever required.
+operations, and an operation's latency is fixed by its type
+(`DEFAULT_LATENCIES`).  Loop nests carry trip counts and optional distance-1
+carried dependences; unrolling replicates loop bodies by even factors only,
+so no pre-amble or post-amble code is ever required.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
+from typing import Mapping
 
 OP_TYPES = frozenset(
     {"add", "sub", "mul", "div", "cmp", "shift", "logic", "load", "store", "select"}
@@ -38,10 +41,19 @@ class Op:
 
 @dataclass(frozen=True)
 class Dfg:
+    """A graph, indexed once when built: `preds` holds each op's operands
+    that are ops (an operand used twice is listed twice), `succs` the ops
+    reading each op in `ops` order, `lat` each op's latency, and `order` the
+    ops in dependence order, lowest ready id first."""
+
     ops: tuple[Op, ...] = ()
     inputs: tuple[int, ...] = ()
     outputs: tuple[int, ...] = ()
     _by_id: dict[int, Op] = field(init=False, repr=False, compare=False)
+    preds: dict[int, list[int]] = field(init=False, repr=False, compare=False)
+    succs: dict[int, list[int]] = field(init=False, repr=False, compare=False)
+    lat: dict[int, int] = field(init=False, repr=False, compare=False)
+    order: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = sorted(self.inputs) + sorted(o.id for o in self.ops)
@@ -57,41 +69,62 @@ class Dfg:
         for out in self.outputs:
             if out not in known:
                 raise DfgError(f"output references undeclared id {out}")
-        object.__setattr__(self, "_by_id", {op.id: op for op in self.ops})
+        by_id = {op.id: op for op in self.ops}
+        preds = {op.id: [p for p in op.operands if p in by_id] for op in self.ops}
+        succs: dict[int, list[int]] = {v: [] for v in by_id}
+        for v, ps in preds.items():
+            for p in ps:
+                succs[p].append(v)
+        indeg = {v: len(ps) for v, ps in preds.items()}
+        ready = [v for v, d in indeg.items() if d == 0]
+        heapq.heapify(ready)
+        order: list[int] = []
+        while ready:
+            v = heapq.heappop(ready)
+            order.append(v)
+            for s in succs[v]:
+                indeg[s] -= 1
+                if indeg[s] == 0:
+                    heapq.heappush(ready, s)
+        if len(order) != len(self.ops):
+            stuck = sorted(i for i, d in indeg.items() if d > 0)
+            raise CycleError(f"dependence cycle through ops {stuck}")
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "preds", preds)
+        object.__setattr__(self, "succs", succs)
+        object.__setattr__(self, "lat", {op.id: DEFAULT_LATENCIES[op.type] for op in self.ops})
+        object.__setattr__(self, "order", tuple(order))
 
     def op(self, op_id: int) -> Op:
         return self._by_id[op_id]
 
-    def successors(self) -> dict[int, list[int]]:
-        succ: dict[int, list[int]] = {op.id: [] for op in self.ops}
-        for i in self.inputs:
-            succ[i] = []
-        for op in self.ops:
-            for operand in op.operands:
-                succ[operand].append(op.id)
-        return succ
+    def topo_order(self) -> tuple[int, ...]:
+        """Operation ids in dependence order, lowest ready id first."""
+        return self.order
 
-    def topo_order(self) -> list[int]:
-        """Operation ids in dependence order; raises CycleError on a cycle."""
-        indeg = {op.id: 0 for op in self.ops}
-        op_ids = set(indeg)
-        for op in self.ops:
-            indeg[op.id] = sum(1 for x in op.operands if x in op_ids)
-        ready = sorted(i for i, d in indeg.items() if d == 0)
-        succ = self.successors()
-        order: list[int] = []
-        while ready:
-            v = ready.pop(0)
-            order.append(v)
-            for s in succ[v]:
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    ready.append(s)
-            ready.sort()
-        if len(order) != len(self.ops):
-            stuck = sorted(i for i, d in indeg.items() if d > 0)
-            raise CycleError(f"dependence cycle through ops {stuck}")
-        return order
+    def frames(
+        self, lam: int, fixed: Mapping[int, int] | None = None
+    ) -> tuple[dict[int, int], dict[int, int]]:
+        """Start-time bounds lo[v] <= hi[v] for every op under the latency
+        constraint `lam`, honoring fixed placements: with nothing fixed, the
+        ASAP and ALAP starts.  Raises InfeasibleLatency when a frame is
+        empty."""
+        fixed = fixed or {}
+        lat, order, preds, succs = self.lat, self.order, self.preds, self.succs
+        lo: dict[int, int] = {}
+        for v in order:
+            lo[v] = fixed[v] if v in fixed else max(
+                (lo[p] + lat[p] for p in preds[v]), default=0
+            )
+        hi: dict[int, int] = {}
+        for v in reversed(order):
+            hi[v] = fixed[v] if v in fixed else min(
+                (hi[s] for s in succs[v]), default=lam
+            ) - lat[v]
+        for v in order:
+            if lo[v] > hi[v]:
+                raise InfeasibleLatency(lam, min_latency(self), v)
+        return lo, hi
 
 
 @dataclass(frozen=True)
@@ -224,30 +257,16 @@ def unroll(nest: LoopNest, factor: int) -> LoopNest:
 
 # --- Scheduling analyses -----------------------------------------------------
 
-def _latency(latencies, op: Op) -> int:
-    lat = latencies.get(op.type, 1)
-    if lat < 1:
-        raise DfgError(f"latency for '{op.type}' must be >= 1")
-    return lat
-
-
-def asap(dfg: Dfg, latencies=None) -> dict[int, int]:
-    latencies = DEFAULT_LATENCIES if latencies is None else latencies
+def asap(dfg: Dfg) -> dict[int, int]:
     start: dict[int, int] = {}
-    op_ids = {op.id for op in dfg.ops}
-    for v in dfg.topo_order():
-        op = dfg.op(v)
-        start[v] = max(
-            (start[p] + _latency(latencies, dfg.op(p)) for p in op.operands if p in op_ids),
-            default=0,
-        )
+    for v in dfg.order:
+        start[v] = max((start[p] + dfg.lat[p] for p in dfg.preds[v]), default=0)
     return start
 
 
-def min_latency(dfg: Dfg, latencies=None) -> int:
-    latencies = DEFAULT_LATENCIES if latencies is None else latencies
-    start = asap(dfg, latencies)
-    return max((start[op.id] + _latency(latencies, op) for op in dfg.ops), default=0)
+def min_latency(dfg: Dfg) -> int:
+    start = asap(dfg)
+    return max((start[v] + dfg.lat[v] for v in start), default=0)
 
 
 class InfeasibleLatency(DfgError):
@@ -259,41 +278,16 @@ class InfeasibleLatency(DfgError):
         super().__init__(f"latency constraint {lam} below minimum {needed}{at}")
 
 
-def alap(dfg: Dfg, lam: int, latencies=None) -> dict[int, int]:
-    latencies = DEFAULT_LATENCIES if latencies is None else latencies
-    op_ids = {op.id for op in dfg.ops}
-    succ = {i: [] for i in op_ids}
-    for op in dfg.ops:
-        for p in op.operands:
-            if p in op_ids:
-                succ[p].append(op.id)
-    start: dict[int, int] = {}
-    for v in reversed(dfg.topo_order()):
-        op = dfg.op(v)
-        lat = _latency(latencies, op)
-        start[v] = min((start[s] for s in succ[v]), default=lam) - lat
-    early = asap(dfg, latencies)
-    for v in sorted(start):
-        if early[v] > start[v]:
-            raise InfeasibleLatency(lam, min_latency(dfg, latencies), v)
-    return start
-
-
-def max_useful_latency(dfg: Dfg, latencies=None) -> int:
+def max_useful_latency(dfg: Dfg) -> int:
     """Makespan of a fully serialized schedule with one resource instance per
     operation type (list order: ready ops by ascending id).  Longer latency
     constraints only add idle cycles, so this bounds the worthwhile range."""
-    latencies = DEFAULT_LATENCIES if latencies is None else latencies
-    op_ids = {op.id for op in dfg.ops}
     done: dict[int, int] = {}
     free_at: dict[str, int] = {}
-    for v in dfg.topo_order():  # lowest id first among ready ops
-        op = dfg.op(v)
-        lat = _latency(latencies, op)
-        ready = max((done[p] for p in op.operands if p in op_ids), default=0)
-        begin = max(ready, free_at.get(op.type, 0))
-        done[v] = begin + lat
-        free_at[op.type] = begin + lat
+    for v in dfg.order:
+        kind = dfg.op(v).type
+        begin = max(max((done[p] for p in dfg.preds[v]), default=0), free_at.get(kind, 0))
+        done[v] = free_at[kind] = begin + dfg.lat[v]
     return max(done.values(), default=0)
 
 
@@ -362,8 +356,9 @@ def parse_dfg_lines(lines: list[str]) -> Dfg:
 
 
 def parse_nest(text: str) -> LoopNest:
-    """Parse the line-oriented `.dfg` format (pre/post segments and nested
-    `loop <trip> [nounroll] { ... }` blocks with `carry` lines)."""
+    """Parse the line-oriented `.dfg` format (pre/post segments of
+    `in`/`op`/`out` lines and nested `loop <trip> [nounroll] { ... }` blocks
+    with `carry` lines)."""
     lines = [ln.rstrip() for ln in text.splitlines()]
     pos = 0
 
@@ -424,24 +419,27 @@ def parse_nest(text: str) -> LoopNest:
             children=tuple(children),
         )
 
-    pre: Dfg | None = None
-    post: Dfg | None = None
+    segments: dict[str, Dfg] = {}
     loops: list[Loop] = []
     loose: list[str] = []
     while (line := peek()) is not None:
-        if line.startswith("pre"):
+        name = next((n for n in ("pre", "post") if line.startswith(n)), None)
+        if name is not None:
+            if name in segments:
+                raise DfgError(f"second '{name}' block")
             take()
-            plain, _carried, _loops = block_body()
-            pre = parse_dfg_lines(plain)
-        elif line.startswith("post"):
-            take()
-            plain, _carried, _loops = block_body()
-            post = parse_dfg_lines(plain)
+            plain, carried, inner = block_body()
+            if carried or inner:
+                raise DfgError(f"'{name}' block holds only in/op/out lines, got a "
+                               + ("loop" if inner else "carry"))
+            segments[name] = parse_dfg_lines(plain)
         elif line.startswith("loop "):
             loops.append(loop_block())
         else:
             loose.append(take())
     if loose:
         # A bare op listing with no loop structure: a straight-line computation.
-        pre = parse_dfg_lines(loose)
-    return LoopNest(loops=tuple(loops), pre=pre, post=post)
+        if "pre" in segments:
+            raise DfgError("op listing outside any block next to a 'pre' block")
+        segments["pre"] = parse_dfg_lines(loose)
+    return LoopNest(loops=tuple(loops), pre=segments.get("pre"), post=segments.get("post"))

@@ -6,6 +6,11 @@ The force-directed scheduler fixes one operation per round at the
 measured against per-type distribution graphs.  Ties break on lowest total
 force, then lowest op id, then earliest step, which makes results
 byte-for-byte reproducible.
+
+Every routine here reads the dependence index each `Dfg` builds once, when
+it is constructed: operation predecessors and successors, dependence order,
+and the latency of each op, which is fixed by its type
+(`dfg.DEFAULT_LATENCIES`).  Time frames come from `Dfg.frames`.
 """
 
 from __future__ import annotations
@@ -38,12 +43,8 @@ class Schedule:
     start: Mapping[int, int]  # op id -> control step
     lam: int
 
-    def makespan(self, dfg: Dfg, latencies=None) -> int:
-        latencies = DEFAULT_LATENCIES if latencies is None else latencies
-        return max(
-            (self.start[op.id] + latencies.get(op.type, 1) for op in dfg.ops),
-            default=0,
-        )
+    def makespan(self, dfg: Dfg) -> int:
+        return max((self.start[v] + dfg.lat[v] for v in dfg.order), default=0)
 
 
 @dataclass(frozen=True)
@@ -55,97 +56,48 @@ class ResourceUsage:
         return sum(table.area.get(t, 1.0) * r for t, r in self.per_type.items())
 
 
-def resource_usage(dfg: Dfg, schedule: Schedule, latencies=None) -> ResourceUsage:
-    latencies = DEFAULT_LATENCIES if latencies is None else latencies
+def _peak_usage(dfg: Dfg, start: Mapping[int, int]) -> dict[str, int]:
+    """Most ops of each type busy in one step, over the placed ops of `start`;
+    types appear in the order of their first op in `dfg.ops`."""
     occupancy: dict[str, dict[int, int]] = {}
     for op in dfg.ops:
-        lat = latencies.get(op.type, 1)
-        slots = occupancy.setdefault(op.type, {})
-        for t in range(schedule.start[op.id], schedule.start[op.id] + lat):
-            slots[t] = slots.get(t, 0) + 1
-    return ResourceUsage({t: max(slots.values()) for t, slots in occupancy.items()})
+        if op.id in start:
+            slots = occupancy.setdefault(op.type, {})
+            for t in range(start[op.id], start[op.id] + dfg.lat[op.id]):
+                slots[t] = slots.get(t, 0) + 1
+    return {t: max(slots.values()) for t, slots in occupancy.items()}
 
 
-def validate_schedule(dfg: Dfg, schedule: Schedule, latencies=None) -> None:
+def resource_usage(dfg: Dfg, schedule: Schedule) -> ResourceUsage:
+    return ResourceUsage(_peak_usage(dfg, schedule.start))
+
+
+def validate_schedule(dfg: Dfg, schedule: Schedule) -> None:
     """Raise if frame containment, dependences, or the makespan bound fail."""
-    latencies = DEFAULT_LATENCIES if latencies is None else latencies
-    op_ids = {op.id for op in dfg.ops}
-    early = asap(dfg, latencies)
+    early, lat = asap(dfg), dfg.lat
     for op in dfg.ops:
         t = schedule.start[op.id]
         if t < early[op.id]:
             raise SchedulingError(f"op {op.id} scheduled before its earliest start")
-        for p in op.operands:
-            if p in op_ids:
-                if t < schedule.start[p] + latencies.get(dfg.op(p).type, 1):
-                    raise SchedulingError(f"dependence {p} -> {op.id} violated")
-        if t + latencies.get(op.type, 1) > schedule.lam:
+        for p in dfg.preds[op.id]:
+            if t < schedule.start[p] + lat[p]:
+                raise SchedulingError(f"dependence {p} -> {op.id} violated")
+        if t + lat[op.id] > schedule.lam:
             raise SchedulingError(f"op {op.id} finishes after the latency constraint")
 
 
-# --- Frames and distribution graphs ------------------------------------------
-
-@dataclass(frozen=True)
-class _Ops:
-    """The operations of one graph, indexed once per call: dependence order,
-    type and latency per op, and operation predecessors/successors (an operand
-    used twice is listed twice, so its force counts twice)."""
-
-    order: list[int]
-    kind: dict[int, str]
-    lat: dict[int, int]
-    preds: dict[int, list[int]]
-    succs: dict[int, list[int]]
-    needed: int  # minimum achievable latency
-
-
-def _index(dfg: Dfg, latencies) -> _Ops:
-    op_ids = {op.id for op in dfg.ops}
-    preds = {op.id: [p for p in op.operands if p in op_ids] for op in dfg.ops}
-    succs: dict[int, list[int]] = {v: [] for v in op_ids}
-    for v, ps in preds.items():
-        for p in ps:
-            succs[p].append(v)
-    return _Ops(
-        order=dfg.topo_order(),
-        kind={op.id: op.type for op in dfg.ops},
-        lat={op.id: latencies.get(op.type, 1) for op in dfg.ops},
-        preds=preds,
-        succs=succs,
-        needed=min_latency(dfg, latencies),
-    )
-
-
-def _frames(
-    ops: _Ops, lam: int, fixed: Mapping[int, int]
-) -> tuple[dict[int, int], dict[int, int]]:
-    """Start-time bounds lo[v] <= hi[v] for every op, honoring fixed placements."""
-    lat, order = ops.lat, ops.order
-    lo: dict[int, int] = {}
-    for v in order:
-        lo[v] = fixed[v] if v in fixed else max(
-            (lo[p] + lat[p] for p in ops.preds[v]), default=0
-        )
-    hi: dict[int, int] = {}
-    for v in reversed(order):
-        hi[v] = fixed[v] if v in fixed else min(
-            (hi[s] for s in ops.succs[v]), default=lam
-        ) - lat[v]
-    for v in order:
-        if lo[v] > hi[v]:
-            raise InfeasibleLatency(lam, ops.needed, v)
-    return lo, hi
-
+# --- Distribution graphs -----------------------------------------------------
 
 def _distribution_graphs(
-    ops: _Ops, lam: int, lo: Mapping[int, int], hi: Mapping[int, int]
+    dfg: Dfg, kind: Mapping[int, str], lam: int, lo: Mapping[int, int], hi: Mapping[int, int]
 ) -> dict[str, list[float]]:
-    """Expected occupancy per type and control step 0..lam-1.  Each op spreads
-    its latency evenly over the starts in its frame; the resulting trapezoid
-    is added as four second differences and integrated twice."""
-    second = {kind: [0.0] * (lam + 2) for kind in sorted(set(ops.kind.values()))}
-    for v in ops.order:
-        d, lat, m = second[ops.kind[v]], ops.lat[v], 1.0 / (hi[v] - lo[v] + 1)
+    """Expected occupancy per type (`kind` maps op to type) and control step
+    0..lam-1.  Each op spreads its latency evenly over the starts in its
+    frame; the resulting trapezoid is added as four second differences and
+    integrated twice."""
+    second = {k: [0.0] * (lam + 2) for k in sorted(set(kind.values()))}
+    for v in dfg.order:
+        d, lat, m = second[kind[v]], dfg.lat[v], 1.0 / (hi[v] - lo[v] + 1)
         d[lo[v]] += m
         d[lo[v] + lat] -= m
         d[hi[v] + 1] -= m
@@ -159,7 +111,6 @@ Observer = Callable[[Mapping[int, tuple[int, int]], Mapping[str, Mapping[int, fl
 def fds_schedule(
     dfg: Dfg,
     lam: int,
-    latencies=None,
     observer: Observer | None = None,
 ) -> Schedule:
     """Minimum-resource schedule under the latency constraint `lam`.
@@ -175,25 +126,24 @@ def fds_schedule(
     (R equals the difference of two shifted second prefix sums of the
     graph, but its values stay small, and so do its rounding errors.)
     """
-    latencies = DEFAULT_LATENCIES if latencies is None else latencies
-    ops = _index(dfg, latencies)
-    if lam < ops.needed:
-        raise InfeasibleLatency(lam, ops.needed)
-    kind, lat = ops.kind, ops.lat
-    unfixed = sorted(ops.order)
+    needed = min_latency(dfg)
+    if lam < needed:
+        raise InfeasibleLatency(lam, needed)
+    kind, lat = {op.id: op.type for op in dfg.ops}, dfg.lat
+    unfixed = sorted(dfg.order)
     fixed: dict[int, int] = {}
     while unfixed:
-        lo, hi = _frames(ops, lam, fixed)
-        graphs = _distribution_graphs(ops, lam, lo, hi)
+        lo, hi = dfg.frames(lam, fixed)
+        graphs = _distribution_graphs(dfg, kind, lam, lo, hi)
         if observer is not None:
             observer(
-                {v: (lo[v], hi[v]) for v in ops.order},
+                {v: (lo[v], hi[v]) for v in dfg.order},
                 {k: dict(enumerate(dg)) for k, dg in graphs.items()},
             )
         window: dict[str, list[float]] = {}
         cum: dict[str, list[float]] = {}
         for k, dg in graphs.items():
-            k_lat = latencies.get(k, 1)
+            k_lat = DEFAULT_LATENCIES[k]
             window[k] = [sum(dg[s:s + k_lat]) for s in range(lam - k_lat + 1)]
             cum[k] = [0.0, *accumulate(window[k])]
         base = {
@@ -212,11 +162,11 @@ def fds_schedule(
             # a tightened frame is never empty.
             before = [
                 (hi[p], lo[p], lat[p], cum[kind[p]], base[p])
-                for p in ops.preds[v] if p not in fixed
+                for p in dfg.preds[v] if p not in fixed
             ]
             after = [
                 (lo[s], hi[s], cum[kind[s]], base[s])
-                for s in ops.succs[v] if s not in fixed
+                for s in dfg.succs[v] if s not in fixed
             ]
             own, b, v_lat = window[kind[v]], base[v], lat[v]
             for t in range(lo[v], hi[v] + 1):
@@ -237,33 +187,25 @@ def fds_schedule(
         unfixed.remove(best_v)
 
     schedule = Schedule(dict(fixed), lam)
-    validate_schedule(dfg, schedule, latencies)
+    validate_schedule(dfg, schedule)
     return schedule
 
 
 # --- Baseline and oracle -----------------------------------------------------
 
-def list_schedule(dfg: Dfg, resources: Mapping[str, int], latencies=None) -> Schedule:
+def list_schedule(dfg: Dfg, resources: Mapping[str, int]) -> Schedule:
     """Resource-constrained list schedule, priority = longest path to a sink,
     ties by lowest op id."""
-    latencies = DEFAULT_LATENCIES if latencies is None else latencies
-    op_ids = {op.id for op in dfg.ops}
     for op in dfg.ops:
         if resources.get(op.type, 0) < 1:
             raise SchedulingError(f"need at least one '{op.type}' resource")
-
-    succ: dict[int, list[int]] = {i: [] for i in op_ids}
-    for op in dfg.ops:
-        for p in op.operands:
-            if p in op_ids:
-                succ[p].append(op.id)
+    lat = dfg.lat
     height: dict[int, int] = {}
-    for v in reversed(dfg.topo_order()):
-        lat = latencies.get(dfg.op(v).type, 1)
-        height[v] = lat + max((height[s] for s in succ[v]), default=0)
+    for v in reversed(dfg.order):
+        height[v] = lat[v] + max((height[s] for s in dfg.succs[v]), default=0)
 
     start: dict[int, int] = {}
-    unscheduled = set(op_ids)
+    unscheduled = set(dfg.order)
     busy: dict[str, dict[int, int]] = {}
     t = 0
     while unscheduled:
@@ -271,74 +213,55 @@ def list_schedule(dfg: Dfg, resources: Mapping[str, int], latencies=None) -> Sch
             (
                 v
                 for v in unscheduled
-                if all(
-                    p in start and start[p] + latencies.get(dfg.op(p).type, 1) <= t
-                    for p in dfg.op(v).operands
-                    if p in op_ids
-                )
+                if all(p in start and start[p] + lat[p] <= t for p in dfg.preds[v])
             ),
             key=lambda v: (-height[v], v),
         )
         for v in ready:
-            op = dfg.op(v)
-            lat = latencies.get(op.type, 1)
-            slots = busy.setdefault(op.type, {})
-            if all(slots.get(u, 0) < resources[op.type] for u in range(t, t + lat)):
-                for u in range(t, t + lat):
+            kind = dfg.op(v).type
+            slots = busy.setdefault(kind, {})
+            if all(slots.get(u, 0) < resources[kind] for u in range(t, t + lat[v])):
+                for u in range(t, t + lat[v]):
                     slots[u] = slots.get(u, 0) + 1
                 start[v] = t
                 unscheduled.remove(v)
         t += 1
-    makespan = max(
-        (start[op.id] + latencies.get(op.type, 1) for op in dfg.ops), default=0
-    )
-    return Schedule(start, makespan)
+    return Schedule(start, max((start[v] + lat[v] for v in start), default=0))
 
 
 def brute_force_min_resources(
-    dfg: Dfg, lam: int, latencies=None, table: CostTable | None = None
+    dfg: Dfg, lam: int, table: CostTable | None = None
 ) -> tuple[ResourceUsage, Schedule]:
     """Exact minimum weighted resource usage over all feasible schedules.
 
     Exhaustive over the ops' time frames; guarded to small graphs.
     """
-    latencies = DEFAULT_LATENCIES if latencies is None else latencies
     table = table or CostTable()
     if len(dfg.ops) > BRUTE_FORCE_OP_LIMIT:
         raise SchedulingError(
             f"brute force limited to {BRUTE_FORCE_OP_LIMIT} ops, got {len(dfg.ops)}"
         )
-    ops = _index(dfg, latencies)
-    lo, hi = _frames(ops, lam, {})
-    order = ops.order
+    lo, hi = dfg.frames(lam)
+    order = dfg.order
 
     best_cost = float("inf")
     best: tuple[ResourceUsage, Schedule] | None = None
     start: dict[int, int] = {}
 
-    def partial_usage() -> dict[str, int]:
-        occupancy: dict[str, dict[int, int]] = {}
-        for v, t in start.items():
-            slots = occupancy.setdefault(ops.kind[v], {})
-            for u in range(t, t + ops.lat[v]):
-                slots[u] = slots.get(u, 0) + 1
-        return {ty: max(s.values()) for ty, s in occupancy.items()}
-
     def walk(idx: int):
         nonlocal best_cost, best
         if idx == len(order):
-            usage = ResourceUsage(partial_usage())
+            usage = ResourceUsage(_peak_usage(dfg, start))
             cost = usage.cost(table)
             if cost < best_cost:
                 best_cost = cost
                 best = (usage, Schedule(dict(start), lam))
             return
         v = order[idx]
-        earliest = max((start[p] + ops.lat[p] for p in ops.preds[v]), default=lo[v])
+        earliest = max((start[p] + dfg.lat[p] for p in dfg.preds[v]), default=lo[v])
         for t in range(max(lo[v], earliest), hi[v] + 1):
             start[v] = t
-            usage = partial_usage()
-            if ResourceUsage(usage).cost(table) < best_cost:
+            if ResourceUsage(_peak_usage(dfg, start)).cost(table) < best_cost:
                 walk(idx + 1)
             del start[v]
 
@@ -347,9 +270,7 @@ def brute_force_min_resources(
     return best
 
 
-def schedule_nest(
-    nest: LoopNest, lam: int, latencies=None
-) -> tuple[int, ResourceUsage, dict]:
+def schedule_nest(nest: LoopNest, lam: int) -> tuple[int, ResourceUsage, dict]:
     """Schedule a whole loop nest: each loop body under the per-iteration
     latency constraint `lam`, the pre/post segments at their minimum latency.
 
@@ -357,7 +278,6 @@ def schedule_nest(
     usage (per-type maximum across parts — parts never run concurrently), and
     the individual schedules keyed 'pre'/'post'/loop position.
     """
-    latencies = DEFAULT_LATENCIES if latencies is None else latencies
     schedules: dict = {}
     combined: dict[str, int] = {}
     spans: dict = {}
@@ -365,25 +285,24 @@ def schedule_nest(
         spans[key] = 0
         if part is None or not part.ops:
             continue
-        constraint = min_latency(part, latencies) if isinstance(key, str) else lam
-        sched = fds_schedule(part, constraint, latencies)
+        constraint = min_latency(part) if isinstance(key, str) else lam
+        sched = fds_schedule(part, constraint)
         schedules[key] = sched
-        for t, r in resource_usage(part, sched, latencies).per_type.items():
+        for t, r in resource_usage(part, sched).per_type.items():
             combined[t] = max(combined.get(t, 0), r)
-        spans[key] = sched.makespan(part, latencies)
+        spans[key] = sched.makespan(part)
     pre_span, post_span = spans.pop("pre"), spans.pop("post")
     cycles = exec_latency(nest, spans, pre_span, post_span)
     return max(1, cycles), ResourceUsage(combined), schedules
 
 
-def format_schedule(dfg: Dfg, schedule: Schedule, latencies=None) -> str:
+def format_schedule(dfg: Dfg, schedule: Schedule) -> str:
     """Textual `.sched` form: one `op <id> @ <cstep>` line per operation plus
     a resource summary block."""
-    latencies = DEFAULT_LATENCIES if latencies is None else latencies
     lines = [f"latency {schedule.lam}"]
     for op in dfg.ops:
         lines.append(f"op {op.id} @ {schedule.start[op.id]}")
-    usage = resource_usage(dfg, schedule, latencies)
+    usage = resource_usage(dfg, schedule)
     lines.append("resources {")
     for t in sorted(usage.per_type):
         lines.append(f"  {t} {usage.per_type[t]}")
@@ -391,25 +310,22 @@ def format_schedule(dfg: Dfg, schedule: Schedule, latencies=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def latency_sweep(dfg: Dfg, points: int = 4, latencies=None) -> list[int]:
+def latency_sweep(dfg: Dfg, points: int = 4) -> list[int]:
     """Up to `points` evenly spaced latency constraints from the minimum
     achievable latency to the longest useful one."""
     if points < 1:
         raise SchedulingError(f"need at least one exploration point, got {points}")
-    lo = min_latency(dfg, latencies)
-    hi = max_useful_latency(dfg, latencies)
+    lo = min_latency(dfg)
+    hi = max_useful_latency(dfg)
     if points == 1 or hi == lo:
         return [lo]
     return sorted({round(lo + (hi - lo) * k / (points - 1)) for k in range(points)})
 
 
-def explore_latencies(
-    dfg: Dfg, points: int = 4, latencies=None, table: CostTable | None = None
-) -> list[tuple[int, Schedule, ResourceUsage]]:
+def explore_latencies(dfg: Dfg, points: int = 4) -> list[tuple[int, Schedule, ResourceUsage]]:
     """Each constraint of `latency_sweep`, scheduled with FDS."""
-    latencies = DEFAULT_LATENCIES if latencies is None else latencies
     results = []
-    for lam in latency_sweep(dfg, points, latencies):
-        schedule = fds_schedule(dfg, lam, latencies)
-        results.append((lam, schedule, resource_usage(dfg, schedule, latencies)))
+    for lam in latency_sweep(dfg, points):
+        schedule = fds_schedule(dfg, lam)
+        results.append((lam, schedule, resource_usage(dfg, schedule)))
     return results

@@ -275,20 +275,34 @@ def test_schedule_nested_nest_folds_inner_loops(tmp_path, capsys):
 
 
 def test_schedule_infeasible_latency_exits_2(fixtures, tmp_path, capsys):
-    code, _, err = run(
-        ["schedule", fixtures / "mhr.dfg", "--latency", "1", "--out", tmp_path],
-        capsys,
-    )
-    assert code == 2
-    assert "error:" in err
+    # A graph without loops is bound by the constraint as a whole.
+    for graph, lam, needed in (("mhr.dfg", 1, 63), ("adds4.dfg", -5, 1), ("adds4.dfg", 0, 1)):
+        code, out, err = run(
+            ["schedule", fixtures / graph, "--latency", lam, "--out", tmp_path / "out"],
+            capsys,
+        )
+        assert code == 2
+        assert out == "" and err == f"error: latency constraint {lam} below minimum {needed}\n"
+        assert not (tmp_path / "out").exists()
 
 
-def test_schedule_malformed_graph_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize("text, message", [
+    ("op zero add\n", "malformed dfg line: 'op zero add'"),
+    ("in 0\nop 1 add 0 2\nop 2 add 1\nout 2\n", "dependence cycle through ops [1, 2]"),
+    ("pre {\n  in 0\n  loop 2 {\n    in 0\n    op 1 add 0\n  }\n}\n",
+     "'pre' block holds only in/op/out lines, got a loop"),
+    ("loop 2 {\n  in 0\n  op 1 add 0\n}\npost {\n  in 0\n  op 1 add 0\n  carry 1 1\n}\n",
+     "'post' block holds only in/op/out lines, got a carry"),
+    ("pre {\n  in 0\n  op 1 add 0\n}\nin 0\nop 1 mul 0\n",
+     "op listing outside any block next to a 'pre' block"),
+    ("pre {\n  in 0\n  op 1 add 0\n}\npre {\n  in 0\n  op 1 mul 0\n}\n", "second 'pre' block"),
+], ids=["bad-line", "cycle", "loop-in-pre", "carry-in-post", "listing-next-to-pre", "second-pre"])
+def test_schedule_malformed_graph_exits_1(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.dfg"
-    bad.write_text("op zero add\n")
-    code, _, err = run(["schedule", bad, "--out", tmp_path], capsys)
+    bad.write_text(text)
+    code, out, err = run(["schedule", bad, "--out", tmp_path / "out"], capsys)
     assert code == 1
-    assert "bad.dfg" in err
+    assert out == "" and err == f"error: {bad}: {message}\n"
 
 
 # --- synth --------------------------------------------------------------------
@@ -351,6 +365,24 @@ def test_explore_reruns_are_reproducible(fixtures, tmp_path, capsys):
     assert code == 0
     assert "pareto front:" in out
     assert "id=" in out and "energy_mj=" in out
+
+
+@pytest.mark.parametrize("mangle, message", [
+    (lambda points: "{", "not JSON: Expecting property name"),
+    (lambda points: json.dumps([{k: v for k, v in p.items() if k != "choices"} for p in points]),
+     "a point has no 'choices'"),
+    (lambda points: json.dumps({"front": points}), "not a list of front points"),
+], ids=["not-json", "no-choices", "not-a-list"])
+def test_report_on_a_malformed_front_ends_in_one_line(fixtures, tmp_path, capsys, mangle, message):
+    out_dir = tmp_path / "dse"
+    argv = ["explore", "--alts", fixtures / "wpm_lcfds.csv", "--config", fixtures / "wpm.cfg"]
+    assert run(argv + ["--out", out_dir], capsys)[0] == 0
+    pareto = out_dir / "pareto.json"
+    pareto.write_text(mangle(json.loads(pareto.read_text())))
+    code, out, err = run(["report", out_dir], capsys)
+    assert code == 1
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"error: {pareto}: {message}")
 
 
 def test_explore_requires_period_entries(fixtures, tmp_path, capsys):

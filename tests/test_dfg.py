@@ -15,7 +15,6 @@ from psmsynth.dfg import (
     LoopNest,
     Op,
     UnrollError,
-    alap,
     asap,
     dynamic_op_count,
     format_nest,
@@ -48,9 +47,8 @@ def test_unknown_op_type_rejected():
 
 
 def test_cycle_detected():
-    d = Dfg(ops=(Op(0, "add", (1,)), Op(1, "add", (0,))), inputs=(), outputs=(1,))
     with pytest.raises(CycleError):
-        d.topo_order()
+        Dfg(ops=(Op(0, "add", (1,)), Op(1, "add", (0,))), inputs=(), outputs=(1,))
 
 
 def test_topo_order_respects_dependences():
@@ -100,7 +98,7 @@ def test_alap_bounds_and_tightness():
         d = random_dfg(rng, 15)
         lam = min_latency(d) + rng.randint(0, 4)
         early = asap(d)
-        late = alap(d, lam)
+        late = d.frames(lam)[1]
         op_ids = {op.id for op in d.ops}
         succ: dict[int, list[int]] = {i: [] for i in op_ids}
         for op in d.ops:
@@ -123,7 +121,7 @@ def test_alap_infeasible_below_min_latency():
     d = chain3()
     assert min_latency(d) == 3
     with pytest.raises(InfeasibleLatency) as err:
-        alap(d, 2)
+        d.frames(2)
     assert err.value.needed == 3
 
 
