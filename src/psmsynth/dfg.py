@@ -98,10 +98,6 @@ class Dfg:
     def op(self, op_id: int) -> Op:
         return self._by_id[op_id]
 
-    def topo_order(self) -> tuple[int, ...]:
-        """Operation ids in dependence order, lowest ready id first."""
-        return self.order
-
     def frames(
         self, lam: int, fixed: Mapping[int, int] | None = None
     ) -> tuple[dict[int, int], dict[int, int]]:
@@ -423,7 +419,7 @@ def parse_nest(text: str) -> LoopNest:
     loops: list[Loop] = []
     loose: list[str] = []
     while (line := peek()) is not None:
-        name = next((n for n in ("pre", "post") if line.startswith(n)), None)
+        name = next((n for n in ("pre", "post") if line.split() == [n, "{"]), None)
         if name is not None:
             if name in segments:
                 raise DfgError(f"second '{name}' block")

@@ -321,11 +321,3 @@ def latency_sweep(dfg: Dfg, points: int = 4) -> list[int]:
         return [lo]
     return sorted({round(lo + (hi - lo) * k / (points - 1)) for k in range(points)})
 
-
-def explore_latencies(dfg: Dfg, points: int = 4) -> list[tuple[int, Schedule, ResourceUsage]]:
-    """Each constraint of `latency_sweep`, scheduled with FDS."""
-    results = []
-    for lam in latency_sweep(dfg, points):
-        schedule = fds_schedule(dfg, lam)
-        results.append((lam, schedule, resource_usage(dfg, schedule)))
-    return results

@@ -15,6 +15,7 @@ Conventions (documented, checked by tests):
 
 from __future__ import annotations
 
+import heapq
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,6 +33,9 @@ from .model import (
     PsmSystem,
     TimingKind,
     TraceEvent,
+    _call_mcc,
+    _fanout,
+    _route_stimulus,
     validate_component,
     validate_system,
 )
@@ -206,28 +210,35 @@ class CycleTrace:
 
 
 class _Rt:
-    """Mutable per-instance interpreter state."""
+    """Mutable per-instance interpreter state.  `done_at` is the edge at which
+    the running call ends, `fire_at` the edge at which the pending transition
+    to `target` fires; `queue` is a heap of (arrival, seq, event, payload)."""
 
     __slots__ = (
-        "spec", "cycle", "state", "vars", "queue",
-        "busy", "staged", "countdown", "target", "pending_followup",
+        "spec", "tick", "cycle", "state", "vars", "queue", "staged", "done_at", "fire_at", "target",
     )
 
     def __init__(self, spec: FsmInstance):
         self.spec = spec
+        self.tick = 1 / spec.freq
         self.cycle = 0
         self.state = spec.ir.component.initial
         self.vars = {v.name: ex.wrap_signed(v.init, v.width) for v in spec.ir.component.variables}
         self.queue: list[tuple[Fraction, int, str, int | None]] = []
-        self.busy = 0
         self.staged: list[tuple[str, int]] = []
-        self.countdown: int | None = None
+        self.done_at: int | None = None
+        self.fire_at: int | None = None
         self.target: str | None = None
-        self.pending_followup = False
 
-    @property
-    def tick(self) -> Fraction:
-        return 1 / self.spec.freq
+    def wake(self) -> int | None:
+        """The next edge with work: the end of the running call; else the
+        pending transition or the first edge strictly after the head arrival."""
+        if self.done_at is not None:
+            return self.done_at
+        edges = [] if self.fire_at is None else [self.fire_at]
+        if self.queue:
+            edges.append(max(self.cycle + 1, int(self.queue[0][0] * self.spec.freq) + 1))
+        return min(edges, default=None)
 
 
 def interpret(
@@ -241,162 +252,103 @@ def interpret(
     run `max_cycles` clock edges or gone permanently idle.
 
     Stimulus timestamps are seconds; an event at time t is sampled at the
-    target's first clock edge strictly after t.
+    target's first clock edge strictly after t.  Stimulus and MCC results are
+    checked as `model.simulate` checks them, with a SimulationError.
     """
     mcc_latencies = dict(mcc_latencies or {})
     mcc_impls = dict(mcc_impls or {})
     rts = [_Rt(spec) for spec in sys_ir.instances]
     by_name = {rt.spec.name: rt for rt in rts}
-    fanout: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for c in sys_ir.system.connections:
-        fanout.setdefault((c.src_instance, c.src_event), []).append(
-            (c.dst_instance, c.dst_event)
-        )
-    in_ports = {
-        p.name: (p.instance, p.event)
-        for p in sys_ir.system.ports
-        if p.direction is Direction.INPUT
-    }
-
+    fanout = _fanout(sys_ir.system)
     trace = CycleTrace()
     seq = 0
 
     def deliver(time: Fraction, inst_name: str, event: str, payload: int | None) -> None:
         nonlocal seq
-        by_name[inst_name].queue.append((time, seq, event, payload))
+        heapq.heappush(by_name[inst_name].queue, (time, seq, event, payload))
         seq += 1
 
-    for evt in sorted(stimulus, key=lambda e: (e.time,)):
-        inst_name, event_name = evt.instance, evt.event
-        if inst_name in in_ports and inst_name not in by_name:
-            inst_name, event_name = in_ports[inst_name]
-        if inst_name not in by_name:
-            raise SynthesisError(f"stimulus targets unknown instance or port '{evt.instance}'")
-        deliver(Fraction(evt.time), inst_name, event_name, evt.payload)
+    comps = {rt.spec.name: rt.spec.ir.component for rt in rts}
+    for time, inst_name, event, payload in _route_stimulus(sys_ir.system, comps, stimulus):
+        deliver(Fraction(time), inst_name, event, payload)
 
-    def emit(rt: _Rt, event: str, payload: int | None) -> None:
-        now = rt.cycle * rt.tick
+    def emit(rt: _Rt, now: Fraction, event: str, payload: int | None) -> None:
         trace.events.append(CycleEventRecord(rt.spec.name, rt.cycle, now, event, payload))
         for dst_inst, dst_event in fanout.get((rt.spec.name, event), []):
             deliver(now, dst_inst, dst_event, payload)
 
-    def decide_followup(rt: _Rt) -> None:
-        rt.countdown = None
-        rt.target = None
+    def arm(rt: _Rt) -> None:
+        """Schedule the state's transition: a true guard or a delta spec fires
+        on the next edge, a finite spec when its timer runs out."""
         state = rt.spec.ir.component.state(rt.state)
+        rt.fire_at = rt.target = None
         for g in state.guards:
             if ex.evaluate(g.guard, rt.vars):
-                rt.countdown, rt.target = 1, g.target
+                rt.fire_at, rt.target = rt.cycle + 1, g.target
                 return
-        if state.timed is not None:
-            if state.timed.spec.kind is TimingKind.DELTA:
-                rt.countdown, rt.target = 1, state.timed.target
-            elif state.timed.spec.kind is TimingKind.FINITE:
-                rt.countdown = rt.spec.timer_cycles[rt.state]
-                rt.target = state.timed.target
+        if state.timed is not None and state.timed.spec.kind is TimingKind.DELTA:
+            rt.fire_at, rt.target = rt.cycle + 1, state.timed.target
+        elif state.timed is not None and state.timed.spec.kind is TimingKind.FINITE:
+            rt.fire_at, rt.target = rt.cycle + rt.spec.timer_cycles[rt.state], state.timed.target
 
     def enter(rt: _Rt, state_name: str) -> None:
         rt.state = state_name
-        rt.countdown = None
-        rt.target = None
-        trace.entries.append(
-            CycleStateEntry(rt.spec.name, rt.cycle, rt.cycle * rt.tick, state_name)
-        )
-        state = rt.spec.ir.component.state(state_name)
-        for action in state.entry:
+        now = rt.cycle * rt.tick
+        trace.entries.append(CycleStateEntry(rt.spec.name, rt.cycle, now, state_name))
+        busy = 0
+        for action in rt.spec.ir.component.state(state_name).entry:
             if isinstance(action, Notify):
-                emit(rt, action.event, None)
+                emit(rt, now, action.event, None)
             elif isinstance(action, Export):
-                emit(rt, action.event, ex.evaluate(action.value, rt.vars))
+                emit(rt, now, action.event, ex.evaluate(action.value, rt.vars))
             elif isinstance(action, Assign):
                 rt.vars[action.var] = ex.evaluate(action.value, rt.vars)
             elif isinstance(action, InvokeMcc):
-                impl = mcc_impls.get(action.mcc)
-                args = tuple(rt.vars[a] for a in action.args)
-                results = impl(args) if impl else tuple(0 for _ in action.results)
-                rt.busy += HANDSHAKE_CYCLES + mcc_latencies.get(action.mcc, 1)
-                rt.staged.extend(
-                    (name, ex.wrap_signed(v)) for name, v in zip(action.results, results)
-                )
-        if rt.busy > 0:
-            rt.pending_followup = True
+                rt.staged += _call_mcc(mcc_impls, action, rt.vars)
+                busy += HANDSHAKE_CYCLES + mcc_latencies.get(action.mcc, 1)
+        if busy:
+            rt.done_at = rt.cycle + busy
         else:
-            decide_followup(rt)
+            arm(rt)
 
-    def step(rt: _Rt, elapsed: int) -> None:
-        """Process the clock edge an instance just advanced to; `elapsed` is
-        the number of edges since its last processed one (idle edges between
-        carry no activity, so counters advance in bulk)."""
-        now = rt.cycle * rt.tick
-        if rt.busy == 0:
-            # Sample pending handshakes; drop non-imported arrivals, consume
-            # the first imported one (external beats timer at the same edge).
-            state = rt.spec.ir.component.state(rt.state)
-            imported = {imp.event: imp.target for imp in state.imports}
-            while rt.queue and rt.queue[0][0] < now:
-                avail, s, event, payload = rt.queue[0]
-                if event in imported:
-                    rt.queue.pop(0)
-                    decl = rt.spec.ir.component.event(event)
-                    if decl.is_data:
-                        rt.vars[event] = ex.wrap_signed(payload if payload is not None else 0)
-                    enter(rt, imported[event])
-                    return
-                rt.queue.pop(0)
-                trace.dropped.append(
-                    CycleEventRecord(rt.spec.name, rt.cycle, now, event, payload)
-                )
-        if rt.busy > 0:
-            rt.busy -= elapsed
-            if rt.busy == 0:
-                for name, value in rt.staged:
-                    rt.vars[name] = value
-                rt.staged.clear()
-                rt.pending_followup = False
-                decide_followup(rt)
+    def step(rt: _Rt) -> None:
+        """Process the clock edge an instance just advanced to."""
+        if rt.done_at is not None:  # the running call completes
+            rt.done_at = None
+            rt.vars.update(rt.staged)
+            rt.staged.clear()
+            arm(rt)
             return
-        if rt.countdown is not None:
-            rt.countdown -= elapsed
-            if rt.countdown == 0:
-                enter(rt, rt.target)
-
-    def next_active_cycle(rt: _Rt) -> int | None:
-        candidates = []
-        if rt.busy > 0:
-            candidates.append(rt.cycle + rt.busy)
-        else:
-            if rt.countdown is not None:
-                candidates.append(rt.cycle + rt.countdown)
-            if rt.queue:
-                rt.queue.sort(key=lambda item: (item[0], item[1]))
-                avail = rt.queue[0][0]
-                # First edge strictly after the arrival time.
-                k = int(avail / rt.tick) + 1
-                candidates.append(max(rt.cycle + 1, k))
-        live = [k for k in candidates if k <= max_cycles]
-        return min(live) if live else None
+        # Sample pending handshakes; drop non-imported arrivals, consume the
+        # first imported one (external beats timer at the same edge).
+        now = rt.cycle * rt.tick
+        imports = rt.spec.ir.component.state(rt.state).imports
+        while rt.queue and rt.queue[0][0] < now:
+            _, _, event, payload = heapq.heappop(rt.queue)
+            imp = next((i for i in imports if i.event == event), None)
+            if imp is not None:
+                if payload is not None:
+                    rt.vars[event] = ex.wrap_signed(payload)
+                enter(rt, imp.target)
+                return
+            trace.dropped.append(CycleEventRecord(rt.spec.name, rt.cycle, now, event, payload))
+        if rt.fire_at == rt.cycle:
+            enter(rt, rt.target)
 
     for rt in rts:  # reset: all instances enter their initial state at cycle 0
         enter(rt, rt.spec.ir.component.initial)
 
     while True:
-        best: tuple[Fraction, int] | None = None
+        due = []
         for i, rt in enumerate(rts):
-            k = next_active_cycle(rt)
-            if k is not None:
-                key = (k * rt.tick, i)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            break
-        _, i = best
-        rt = rts[i]
-        k = next_active_cycle(rt)
-        elapsed = k - rt.cycle
-        rt.cycle = k
-        step(rt, elapsed)
-
-    return trace
+            k = rt.wake()
+            if k is not None and k <= max_cycles:
+                due.append((k * rt.tick, i, k))
+        if not due:
+            return trace
+        _, i, k = min(due)
+        rts[i].cycle = k
+        step(rts[i])
 
 
 # --- Reference comparison ----------------------------------------------------
@@ -405,7 +357,6 @@ def compare_with_reference(
     ref: EventTrace,
     cyc: CycleTrace,
     sys_ir: SystemIr,
-    handshake_cycles: int = HANDSHAKE_CYCLES,
 ) -> list[str]:
     """Check that the cycle-level trace matches the reference semantics.
 
@@ -431,7 +382,7 @@ def compare_with_reference(
                 zero_steps += 1
             else:
                 zero_steps = 0
-            tolerance = spec.period + (1 + zero_steps + handshake_cycles) * tick
+            tolerance = spec.period + (1 + zero_steps + HANDSHAKE_CYCLES) * tick
             dev = abs(Fraction(c.time) - Fraction(r.time))
             if dev > tolerance:
                 problems.append(
@@ -674,7 +625,7 @@ def _emit_component_module(out, ir: FsmIr) -> None:
         out.write(f"      mcc_{m.name}_start <= 1'b0;\n")
     out.write("      case (state)\n")
     for s in comp.states:
-        _emit_state_case(out, ir, s, wait_states, width)
+        _emit_state_case(out, ir, s)
     out.write("        default: begin\n")
     out.write(f"          state <= S_{comp.initial.upper()};\n")
     out.write("          do_entry <= 1'b1;\n")
@@ -685,8 +636,7 @@ def _emit_component_module(out, ir: FsmIr) -> None:
     out.write("endmodule\n\n")
 
 
-def _emit_state_case(out, ir: FsmIr, s, wait_states, width) -> None:
-    comp = ir.component
+def _emit_state_case(out, ir: FsmIr, s) -> None:
     invokes = [a for a in s.entry if isinstance(a, InvokeMcc)]
     has_timer = s.timed is not None and s.timed.spec.kind is TimingKind.FINITE
     ind = "          "
@@ -768,8 +718,6 @@ def _emit_dwell(out, ir: FsmIr, s, ind) -> None:
 def _emit_top_module(out, sys_ir: SystemIr) -> None:
     system = sys_ir.system
     ports = ["  input wire clk", "  input wire rst"]
-    port_decls: list[str] = []
-    comps = {spec.ir.component.name: spec.ir.component for spec in sys_ir.instances}
     inst_comp = {spec.name: spec.ir.component for spec in sys_ir.instances}
     for p in system.ports:
         decl = inst_comp[p.instance].event(p.event)

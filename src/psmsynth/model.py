@@ -485,6 +485,61 @@ def single_component_system(comp: PsmComponent, instance_name: str = "dut") -> P
 McImpl = Callable[[tuple[int, ...]], tuple[int, ...]]
 
 
+# Stimulus routing, event fanout and MCC calls are shared with the cycle-level
+# interpreter; they resolve inputs and leave timing and state semantics to
+# each simulator.
+
+def _route_stimulus(
+    system: PsmSystem, comps: Mapping[str, PsmComponent], stimulus: Iterable[TraceEvent]
+) -> list[tuple[Fraction, str, str, int | None]]:
+    """Stimulus in time order as (time, instance, input event, payload), with
+    external input ports resolved to the instance input they drive.  `comps`
+    maps instance names to their components."""
+    in_ports = {p.name: (p.instance, p.event) for p in system.ports if p.direction is Direction.INPUT}
+    routed = []
+    for evt in sorted(stimulus, key=lambda e: e.time):
+        if evt.time < 0:
+            raise SimulationError(f"stimulus at t={evt.time} is before time 0")
+        inst_name, event_name = evt.instance, evt.event
+        if inst_name in in_ports and inst_name not in comps:
+            inst_name, event_name = in_ports[inst_name]
+        if inst_name not in comps:
+            raise SimulationError(f"stimulus targets unknown instance or port '{evt.instance}'")
+        decl = next((e for e in comps[inst_name].events if e.name == event_name), None)
+        if decl is None or decl.direction is not Direction.INPUT:
+            raise SimulationError(f"stimulus targets unconnected input '{inst_name}.{event_name}'")
+        if decl.is_data != (evt.payload is not None):
+            raise SimulationError(
+                f"payload mismatch for '{inst_name}.{event_name}': "
+                f"{'expected' if decl.is_data else 'unexpected'} data value"
+            )
+        routed.append((evt.time, inst_name, event_name, evt.payload))
+    return routed
+
+
+def _fanout(system: PsmSystem) -> dict[tuple[str, str], list[tuple[str, str]]]:
+    """The (instance, input) receivers of each (instance, output) event."""
+    fanout: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    for c in system.connections:
+        fanout.setdefault((c.src_instance, c.src_event), []).append((c.dst_instance, c.dst_event))
+    return fanout
+
+
+def _call_mcc(
+    mcc_impls: Mapping[str, McImpl], action: InvokeMcc, variables: Mapping[str, int]
+) -> list[tuple[str, int]]:
+    """(result variable, wrapped value) pairs of one invocation; a computation
+    without an implementation returns zeros."""
+    impl = mcc_impls.get(action.mcc)
+    args = tuple(variables[a] for a in action.args)
+    results = impl(args) if impl else tuple(0 for _ in action.results)
+    if len(results) != len(action.results):
+        raise SimulationError(
+            f"mcc '{action.mcc}' returned {len(results)} values, expected {len(action.results)}"
+        )
+    return [(name, ex.wrap_signed(value)) for name, value in zip(action.results, results)]
+
+
 class _InstanceState:
     __slots__ = ("index", "name", "comp", "state", "vars", "timer_deadline", "inbox")
 
@@ -523,34 +578,19 @@ def simulate(
         for i, inst in enumerate(system.instances)
     ]
     by_name = {st.name: st for st in insts}
-    fanout: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for c in system.connections:
-        fanout.setdefault((c.src_instance, c.src_event), []).append((c.dst_instance, c.dst_event))
-    in_ports = {p.name: (p.instance, p.event) for p in system.ports if p.direction is Direction.INPUT}
+    fanout = _fanout(system)
 
     trace = EventTrace()
     seq = 0
     # Pending deliveries across time: time -> handled through a sorted agenda.
     agenda: list[tuple[Fraction, int, str, str, int | None]] = []
 
-    for evt in sorted(stimulus, key=lambda e: (e.time,)):
-        if evt.time >= horizon:
-            raise SimulationError(f"stimulus at t={evt.time} is not before the horizon {horizon}")
-        inst_name, event_name = evt.instance, evt.event
-        if inst_name in in_ports and inst_name not in by_name:
-            inst_name, event_name = in_ports[inst_name]
-        if inst_name not in by_name:
-            raise SimulationError(f"stimulus targets unknown instance or port '{evt.instance}'")
-        target = by_name[inst_name]
-        decl = next((e for e in target.comp.events if e.name == event_name), None)
-        if decl is None or decl.direction is not Direction.INPUT:
-            raise SimulationError(f"stimulus targets unconnected input '{inst_name}.{event_name}'")
-        if decl.is_data != (evt.payload is not None):
-            raise SimulationError(
-                f"payload mismatch for '{inst_name}.{event_name}': "
-                f"{'expected' if decl.is_data else 'unexpected'} data value"
-            )
-        agenda.append((evt.time, seq, inst_name, event_name, evt.payload))
+    for time, inst_name, event_name, payload in _route_stimulus(
+        system, {st.name: st.comp for st in insts}, stimulus
+    ):
+        if time >= horizon:
+            raise SimulationError(f"stimulus at t={time} is not before the horizon {horizon}")
+        agenda.append((time, seq, inst_name, event_name, payload))
         seq += 1
 
     delta_budget = DELTA_CYCLE_LIMIT
@@ -577,15 +617,7 @@ def simulate(
                 elif isinstance(action, Assign):
                     st.vars[action.var] = ex.evaluate(action.value, st.vars)
                 elif isinstance(action, InvokeMcc):
-                    impl = mcc_impls.get(action.mcc)
-                    args = tuple(st.vars[a] for a in action.args)
-                    results = impl(args) if impl else tuple(0 for _ in action.results)
-                    if len(results) != len(action.results):
-                        raise SimulationError(
-                            f"mcc '{action.mcc}' returned {len(results)} values, expected {len(action.results)}"
-                        )
-                    for name, value in zip(action.results, results):
-                        st.vars[name] = ex.wrap_signed(value)
+                    st.vars.update(_call_mcc(mcc_impls, action, st.vars))
             # Zero-time follow-ups: a delta spec or an already-true guard.
             follow = _zero_time_target(st)
             if follow is None:

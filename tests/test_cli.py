@@ -296,7 +296,12 @@ def test_schedule_infeasible_latency_exits_2(fixtures, tmp_path, capsys):
     ("pre {\n  in 0\n  op 1 add 0\n}\nin 0\nop 1 mul 0\n",
      "op listing outside any block next to a 'pre' block"),
     ("pre {\n  in 0\n  op 1 add 0\n}\npre {\n  in 0\n  op 1 mul 0\n}\n", "second 'pre' block"),
-], ids=["bad-line", "cycle", "loop-in-pre", "carry-in-post", "listing-next-to-pre", "second-pre"])
+    ("prefix junk\n  in 0\n  op 1 add 0\n}\n", "unknown dfg line: 'prefix junk'"),
+    ("pre{\n  in 0\n  op 1 add 0\n}\n", "unknown dfg line: 'pre{'"),
+], ids=[
+    "bad-line", "cycle", "loop-in-pre", "carry-in-post", "listing-next-to-pre", "second-pre",
+    "prefix-junk", "header-without-space",
+])
 def test_schedule_malformed_graph_exits_1(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.dfg"
     bad.write_text(text)
@@ -438,9 +443,11 @@ def test_explore_config_errors_end_in_one_line(fixtures, tmp_path, capsys, line,
     (["schedule", "adds4.dfg", "--unroll", "-1"], None, "--unroll: must be >= 0, got -1"),
     (["synth", "mhr.psm", "--default-freq", "abc"], None, "--default-freq: invalid value 'abc'"),
     (["synth", "mhr.psm", "--freq", "dut=abc"], None, "--freq dut: invalid value 'abc'"),
+    (["sim", *ALL_MODELS, "--horizon", "1 s"], "-5ms StartMeasure Start\n",
+     "stimulus at t=-1/200 is before time 0"),
 ], ids=[
     "horizon-abc", "horizon-negative", "stimulus-time", "stimulus-payload", "fmax-zero",
-    "fmax-abc", "unroll-negative", "default-freq-abc", "freq-abc",
+    "fmax-abc", "unroll-negative", "default-freq-abc", "freq-abc", "stimulus-negative-time",
 ])
 def test_flag_and_stimulus_values_end_in_one_line(fixtures, tmp_path, capsys, argv, stim, message):
     argv = [fixtures / a if a.endswith((".psm", ".dfg")) else a for a in argv]

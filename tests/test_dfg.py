@@ -55,7 +55,7 @@ def test_topo_order_respects_dependences():
     rng = random.Random(1)
     for _ in range(50):
         d = random_dfg(rng, 20)
-        order = d.topo_order()
+        order = d.order
         pos = {v: i for i, v in enumerate(order)}
         op_ids = set(pos)
         for op in d.ops:

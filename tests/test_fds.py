@@ -19,9 +19,9 @@ from psmsynth.dfg import (
 from psmsynth.fds import (
     SchedulingError,
     brute_force_min_resources,
-    explore_latencies,
     fds_schedule,
     format_schedule,
+    latency_sweep,
     list_schedule,
     resource_usage,
     schedule_nest,
@@ -125,8 +125,8 @@ def test_golden_schedules_of_fixture_sweeps(fixtures):
         for part in (nest.pre, *(loop.body for loop in nest.loops), nest.post):
             if part is None or not part.ops:
                 continue
-            for _, sched, _ in explore_latencies(part):
-                digest.update(format_schedule(part, sched).encode())
+            for lam in latency_sweep(part):
+                digest.update(format_schedule(part, fds_schedule(part, lam)).encode())
     assert digest.hexdigest() == FIXTURE_SWEEP_SHA256
 
 
@@ -256,10 +256,10 @@ def test_format_schedule_shape():
 
 def test_explore_latencies_spacing():
     d = adds4()
-    points = explore_latencies(d, points=4)
-    lams = [lam for lam, _, _ in points]
+    lams = latency_sweep(d, points=4)
     assert lams == [1, 2, 3, 4]
-    costs = [usage.cost() for _, _, usage in points]
+    schedules = [fds_schedule(d, lam) for lam in lams]
+    costs = [resource_usage(d, sched).cost() for sched in schedules]
     assert costs[0] >= costs[-1]
-    for lam, sched, _ in points:
+    for sched in schedules:
         validate_schedule(d, sched)

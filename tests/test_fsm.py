@@ -1,14 +1,16 @@
 """Cycle-accurate FSM synthesis: timing conversion, interpretation against the
 reference simulator, and hardware text emission."""
 
+import hashlib
 import io
+import re
 from fractions import Fraction
 
 import pytest
 
 from psmsynth import fsm
 from psmsynth.dsl import parse_component, parse_file
-from psmsynth.model import TraceEvent, simulate, simulate_component
+from psmsynth.model import SimulationError, TraceEvent, simulate, simulate_component
 from psmsynth.fsm import (
     SynthesisError,
     compare_with_reference,
@@ -279,6 +281,90 @@ def test_interpretation_deterministic(fixtures):
     ]
     assert runs[0].entries == runs[1].entries
     assert runs[0].events == runs[1].events
+
+
+# --- Golden traces --------------------------------------------------------------
+# sha256 over the interpreter's entries, events and dropped records, the VCD
+# text and the comparison with the reference simulator, for the WPM system.
+# Any change to when an instance wakes, samples, drops or fires changes them.
+
+# StartMeasure times of the acceptance stimulus: the first starts the heart-rate
+# component, the later ones arrive while it runs.
+WPM_STARTS = [
+    Fraction(3, 2500), Fraction(313589, 8000), Fraction(52256047, 10**6),
+    Fraction(6854887, 125000), Fraction(11574063, 200000),
+]
+# Instances on 1/2/1.5/3 MHz, round-robin in declaration order.
+MIXED_FREQS = [1 * MHZ, 2 * MHZ, Fraction(3 * MHZ, 2), 3 * MHZ]
+
+
+@pytest.fixture(scope="module")
+def wpm(fixtures):
+    comps = {}
+    for name in ["mhr", "spo2", "emg", "sensor", "monitor"]:
+        c = parse_file(fixtures / f"{name}.psm")
+        comps[c.name] = c
+    return parse_file(fixtures / "wpm_system.psm"), comps
+
+
+def _sha(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("mixed, max_cycles, horizon, digests", [
+    (False, 3 * 10**6 - 1, Fraction(3), {
+        "entries": "5e7c33d8da3d03a4c1edb486dff9090aa85ed4e5f0dc05a7650af79a94badd29",
+        "events": "3c8344c610da2c2eddd7f1ba27d032fea5d8b285b17ed95af9a36b30f423cc41",
+        "dropped": "510c383aa7151918ef7264e6117fd8931f3eff2b4c9d80c0b728d8a8e8c00ae9",
+        "vcd": "c4c19b84f547518acba8c893975dc1c681116e2dbc1ae842f4404c0d33e90356",
+        "compare": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    (True, 5 * 10**6, Fraction(5), {
+        "entries": "6a58fd6b3c9249bafd0e05947b1a7b92904e57ac450cc71b258d48befa27c6e5",
+        "events": "a0f8f98dde30b37ce307d096b33528790ba04be07ebfb4b6797c268528b89549",
+        "dropped": "25e1952c0d7c0c84178de742bb019f7e1784e9dac2fe665a48ea886aedd05d7f",
+        "vcd": "29ad8d5c43453d08d78ff1a141aa5f3bdf9e33be53aa47107f397d84697d049a",
+        "compare": "be06665e5a4249b3c3df3ca212e31cc15e05c10a3395eb4a3cea1afb6c988e52",
+    }),
+], ids=["one-clock", "mixed-clocks"])
+def test_golden_wpm_traces(wpm, mixed, max_cycles, horizon, digests):
+    system, comps = wpm
+    names = [inst.name for inst in system.instances]
+    freqs = {n: MIXED_FREQS[i % 4] if mixed else 1 * MHZ for i, n in enumerate(names)}
+    stim = [TraceEvent(t, "StartMeasure", "Start", None) for t in WPM_STARTS]
+    ref = simulate(system, comps, [e for e in stim if e.time < horizon], horizon, ALL_IMPLS)
+    sys_ir = synthesize_system(system, comps, freqs)
+    cyc = interpret(sys_ir, stim, max_cycles, ALL_LATENCIES, ALL_IMPLS)
+    vcd = io.StringIO()
+    write_vcd(cyc, sys_ir, vcd)
+    assert {
+        "entries": _sha(f"{e.instance} {e.cycle} {e.time} {e.state}" for e in cyc.entries),
+        "events": _sha(f"{e.instance} {e.cycle} {e.time} {e.event} {e.payload}" for e in cyc.events),
+        "dropped": _sha(f"{e.instance} {e.cycle} {e.time} {e.event} {e.payload}" for e in cyc.dropped),
+        "vcd": _sha([vcd.getvalue()]),
+        "compare": _sha(compare_with_reference(ref, cyc, sys_ir)),
+    } == digests
+
+
+# --- Malformed stimulus and MCC results ------------------------------------------
+
+@pytest.mark.parametrize("stim, impls, message", [
+    ([TraceEvent(MS, "StartMeasure", "Start", 5)], ALL_IMPLS,
+     "payload mismatch for 'mhr.Start': unexpected data value"),
+    ([TraceEvent(MS, "mhr", "Alarm", None)], ALL_IMPLS,
+     "stimulus targets unconnected input 'mhr.Alarm'"),
+    ([TraceEvent(MS, "StartMeasure", "Start", None)], {**ALL_IMPLS, "ComputeHR": lambda a: ()},
+     "mcc 'ComputeHR' returned 0 values, expected 1"),
+    ([TraceEvent(-5 * MS, "StartMeasure", "Start", None)], ALL_IMPLS,
+     "stimulus at t=-1/200 is before time 0"),
+], ids=["payload-on-pure-event", "output-target", "mcc-result-count", "negative-time"])
+def test_simulator_and_interpreter_reject_the_same_inputs(wpm, stim, impls, message):
+    system, comps = wpm
+    sys_ir = synthesize_system(system, comps, {inst.name: 1 * MHZ for inst in system.instances})
+    with pytest.raises(SimulationError, match=re.escape(message)):
+        simulate(system, comps, stim, Fraction(1), impls)
+    with pytest.raises(SimulationError, match=re.escape(message)):
+        interpret(sys_ir, stim, 10**6, ALL_LATENCIES, impls)
 
 
 # --- Mismatch reporting -------------------------------------------------------
