@@ -2,6 +2,7 @@
 
 Commands: check, sim, schedule, synth, explore, report.
 Exit codes: 0 success, 1 validation failure, 2 infeasibility, 3 I/O error.
+`main` is the one place that maps an error to its exit code (`_EXIT_CODES`).
 Every output-writing run also writes a run manifest with input digests and
 all resolved parameters so reported numbers are reproducible.
 """
@@ -14,11 +15,9 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import __version__, cost, dfg, dse, fds, fsm
-from .cost import CostTable
+from . import __version__, cost, dfg, dse, expr, fds, fsm, model
 from .dsl import ParseError, parse_text
 from .model import (
     PsmComponent,
@@ -43,62 +42,65 @@ class CliError(Exception):
         self.code = code
 
 
-# --- Run manifest -------------------------------------------------------------
-
-@dataclass
-class RunManifest:
-    command: str
-    version: str = __version__
-    inputs: dict[str, str] = field(default_factory=dict)  # path -> sha256
-    parameters: dict[str, object] = field(default_factory=dict)
-    timestamp: str = ""
-
-    def digest_input(self, path: str) -> None:
-        with open(path, "rb") as handle:
-            self.inputs[path] = hashlib.sha256(handle.read()).hexdigest()
-
-    def write(self, out_dir: str) -> str:
-        self.timestamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-        path = os.path.join(out_dir, "manifest.json")
-        payload = {
-            "command": self.command,
-            "version": self.version,
-            "inputs": self.inputs,
-            "parameters": self.parameters,
-            "timestamp": self.timestamp,
-        }
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        return path
-
-
 # --- Shared helpers -----------------------------------------------------------
 
+def write_manifest(out_dir: str, command: str, inputs, parameters: dict) -> None:
+    """`out_dir/manifest.json`: the sha256 of each input file and every
+    resolved parameter, so reported numbers are reproducible."""
+    digests = {}
+    for path in inputs:
+        with open(path, "rb") as handle:
+            digests[path] = hashlib.sha256(handle.read()).hexdigest()
+    payload = {
+        "command": command,
+        "version": __version__,
+        "inputs": digests,
+        "parameters": parameters,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    }
+    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8", newline="") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
 def _read_text(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as err:
-        raise CliError(f"{path}: {err.strerror or err}", EXIT_IO) from None
+    with open(path, "r", encoding="utf-8") as handle:
+        return handle.read()
 
 
-def _parse_models(paths) -> tuple[dict[str, PsmComponent], list[tuple[str, PsmSystem]]]:
+def _parse_models(paths) -> tuple[dict[str, PsmComponent], list[PsmSystem]]:
     components: dict[str, PsmComponent] = {}
-    systems: list[tuple[str, PsmSystem]] = []
+    sources: dict[str, str] = {}  # component name -> the file declaring it
+    systems: list[PsmSystem] = []
     for path in paths:
-        text = _read_text(path)
         try:
-            parsed = parse_text(text, path)
+            parsed = parse_text(_read_text(path), path)
         except ParseError as err:
             for d in err.diagnostics:
                 print(d, file=sys.stderr)
             raise CliError(f"{path}: parse failed", EXIT_VALIDATION) from None
-        if isinstance(parsed, PsmComponent):
-            components[parsed.name] = parsed
+        if isinstance(parsed, PsmSystem):
+            systems.append(parsed)
+        elif parsed.name in sources:
+            raise CliError(
+                f"component {parsed.name} is declared in both {sources[parsed.name]} and {path}",
+                EXIT_VALIDATION,
+            )
         else:
-            systems.append((path, parsed))
+            components[parsed.name] = parsed
+            sources[parsed.name] = path
     return components, systems
+
+
+def _one_system(args) -> tuple[dict[str, PsmComponent], PsmSystem]:
+    """The components of `args.paths` and the system to run: the one system
+    file, or, with no system file, the one component on its own."""
+    components, systems = _parse_models(args.paths)
+    if len(systems) == 1:
+        return components, systems[0]
+    if not systems and len(components) == 1:
+        return components, single_component_system(next(iter(components.values())))
+    raise CliError(f"{args.command} needs one system or exactly one component", EXIT_VALIDATION)
 
 
 def parse_scalar(text: str) -> Fraction:
@@ -183,21 +185,14 @@ def envelope_from_config(values: dict[str, str], mccs) -> dse.TimingEnvelope:
 
 def cmd_check(args) -> int:
     components, systems = _parse_models(args.paths)
-    failed = False
-    for comp in components.values():
-        report = validate_component(comp)
+    reports = [validate_component(comp) for comp in components.values()]
+    reports += [validate_system(system, components) for system in systems]
+    for report in reports:
         for f in report.findings:
             print(f, file=sys.stderr)
-        failed = failed or not report.ok
-    for path, system in systems:
-        report = validate_system(system, components)
-        for f in report.findings:
-            print(f, file=sys.stderr)
-        failed = failed or not report.ok
-    if failed:
+    if not all(report.ok for report in reports):
         return EXIT_VALIDATION
-    total = len(components) + len(systems)
-    print(f"ok: {total} model(s) validated")
+    print(f"ok: {len(reports)} model(s) validated")
     return EXIT_OK
 
 
@@ -210,12 +205,9 @@ def _load_stimulus(path: str | None) -> list[TraceEvent]:
         if not line:
             continue
         parts = line.split()
-        if len(parts) not in (3, 4):
-            raise CliError(
-                f"{path}:{lineno}: expected 'time instance event [payload]'",
-                EXIT_VALIDATION,
-            )
         where = f"{path}:{lineno}"
+        if len(parts) not in (3, 4):
+            raise CliError(f"{where}: expected 'time instance event [payload]'", EXIT_VALIDATION)
         at = _value(f"{where}: time", parts[0], parse_scalar)
         payload = _value(f"{where}: payload", parts[3], int) if len(parts) == 4 else None
         events.append(TraceEvent(at, parts[1], parts[2], payload))
@@ -223,20 +215,9 @@ def _load_stimulus(path: str | None) -> list[TraceEvent]:
 
 
 def cmd_sim(args) -> int:
-    components, systems = _parse_models(args.paths)
-    if systems:
-        path, system = systems[0]
-    elif len(components) == 1:
-        comp = next(iter(components.values()))
-        system = single_component_system(comp)
-    else:
-        raise CliError("sim needs one system or exactly one component", EXIT_VALIDATION)
+    components, system = _one_system(args)
     horizon = _value("--horizon", args.horizon, parse_scalar, positive=True)
-    stimulus = _load_stimulus(args.stimulus)
-    try:
-        trace = simulate(system, components, stimulus, horizon)
-    except Exception as err:
-        raise CliError(str(err), EXIT_VALIDATION) from None
+    trace = simulate(system, components, _load_stimulus(args.stimulus), horizon)
     for entry in trace.state_entries:
         print(f"t={float(entry.time):.9f} {entry.instance} state {entry.state}")
     for evt in trace.events:
@@ -248,23 +229,16 @@ def cmd_sim(args) -> int:
 
 
 def cmd_schedule(args) -> int:
-    text = _read_text(args.dfg)
-    try:
-        nest = dfg.parse_nest(text)
-    except dfg.DfgError as err:
-        raise CliError(f"{args.dfg}: {err}", EXIT_VALIDATION) from None
-    table = CostTable()
     name = args.mcc or os.path.splitext(os.path.basename(args.dfg))[0]
     f_max = _value("--fmax", args.fmax, parse_frequency, positive=True)
     if args.unroll < 0:
         raise CliError(f"--unroll: must be >= 0, got {args.unroll}", EXIT_VALIDATION)
-
-    worklist = nest
-    if args.unroll:
-        try:
-            worklist = dfg.unroll(nest, args.unroll)
-        except dfg.UnrollError as err:
-            raise CliError(f"{args.dfg}: {err}", EXIT_VALIDATION) from None
+    try:
+        worklist = dfg.parse_nest(_read_text(args.dfg))
+        if args.unroll:
+            worklist = dfg.unroll(worklist, args.unroll)
+    except dfg.DfgError as err:
+        raise CliError(f"{args.dfg}: {err}", EXIT_VALIDATION) from None
 
     # The constraint binds the hottest loop body as scheduled, that is after
     # unrolling (or the whole graph when there are no loops).
@@ -272,7 +246,7 @@ def cmd_schedule(args) -> int:
     if args.latency is not None:
         needed = dfg.min_latency(probe)
         if args.latency < needed:
-            raise CliError(str(dfg.InfeasibleLatency(args.latency, needed)), EXIT_INFEASIBLE)
+            raise dfg.InfeasibleLatency(args.latency, needed)
         lams = [args.latency]
     else:
         # Evenly spaced constraints over the probe's useful latency range.
@@ -284,25 +258,13 @@ def cmd_schedule(args) -> int:
             raise CliError(f"--points: {err}", EXIT_VALIDATION) from None
 
     os.makedirs(args.out, exist_ok=True)
-    manifest = RunManifest("schedule")
-    manifest.digest_input(args.dfg)
-    manifest.parameters = {
-        "mcc": name,
-        "lambdas": lams,
-        "f_max_hz": str(f_max),
-        "unroll": args.unroll,
-    }
-
     parts = dfg.nest_parts(worklist)
     rows = []
     for lam in lams:
-        try:
-            cycles, usage, schedules = fds.schedule_nest(worklist, lam)
-        except dfg.InfeasibleLatency as err:
-            raise CliError(str(err), EXIT_INFEASIBLE) from None
+        cycles, usage, schedules = fds.schedule_nest(worklist, lam)
         rows.append(
             cost.alternative_from_schedule(
-                name, args.unroll, lam, cycles, usage.per_type, float(f_max), table
+                name, args.unroll, lam, cycles, usage.per_type, float(f_max)
             )
         )
         for key, sched in schedules.items():
@@ -312,49 +274,45 @@ def cmd_schedule(args) -> int:
                 handle.write(fds.format_schedule(parts[key], sched))
     alt_path = os.path.join(args.out, f"{name}_alternatives.csv")
     cost.save_alternatives(rows, alt_path)
-    manifest.write(args.out)
+    write_manifest(args.out, "schedule", [args.dfg], {
+        "mcc": name,
+        "lambdas": lams,
+        "f_max_hz": str(f_max),
+        "unroll": args.unroll,
+    })
     print(f"wrote {len(rows)} alternative row(s) to {alt_path}")
     return EXIT_OK
 
 
 def cmd_synth(args) -> int:
-    components, systems = _parse_models(args.paths)
-    if systems:
-        _, system = systems[0]
-    elif len(components) == 1:
-        system = single_component_system(next(iter(components.values())))
-    else:
-        raise CliError("synth needs one system or exactly one component", EXIT_VALIDATION)
+    components, system = _one_system(args)
+    names = [inst.name for inst in system.instances]
     freqs = {}
     for spec in args.freq or []:
         if "=" not in spec:
             raise CliError(f"--freq expects name=value, got '{spec}'", EXIT_VALIDATION)
         inst, value = spec.split("=", 1)
-        freqs[inst.strip()] = _value(f"--freq {inst}", value, parse_frequency, positive=True)
+        inst = inst.strip()
+        if inst not in names:
+            raise CliError(
+                f"--freq {inst}: no such instance (instances: {', '.join(names)})",
+                EXIT_VALIDATION,
+            )
+        freqs[inst] = _value(f"--freq {inst}", value, parse_frequency, positive=True)
     default_freq = _value("--default-freq", args.default_freq, parse_frequency, positive=True)
-    for inst in system.instances:
-        freqs.setdefault(inst.name, default_freq)
-    try:
-        sys_ir = fsm.synthesize_system(system, components, freqs)
-    except fsm.SynthesisError as err:
-        raise CliError(str(err), EXIT_VALIDATION) from None
+    for inst in names:
+        freqs.setdefault(inst, default_freq)
+    sys_ir = fsm.synthesize_system(system, components, freqs)
     rtl = fsm.emit_rtl(sys_ir)
     if args.out:
         out_dir = os.path.dirname(os.path.abspath(args.out))
         os.makedirs(out_dir, exist_ok=True)
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as handle:
-                handle.write(rtl)
-        except OSError as err:
-            raise CliError(f"{args.out}: {err.strerror or err}", EXIT_IO) from None
-        manifest = RunManifest("synth")
-        for path in args.paths:
-            manifest.digest_input(path)
-        manifest.parameters = {
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+            handle.write(rtl)
+        write_manifest(out_dir, "synth", args.paths, {
             "frequencies_hz": {k: str(v) for k, v in sorted(freqs.items())},
             "output": os.path.basename(args.out),
-        }
-        manifest.write(out_dir)
+        })
         for spec in sys_ir.instances:
             timers = ", ".join(
                 f"{s}={n}" for s, n in sorted(spec.timer_cycles.items())
@@ -369,43 +327,21 @@ def cmd_synth(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    try:
-        alternatives = cost.load_alternatives(args.alts)
-    except OSError as err:
-        raise CliError(f"{args.alts}: {err.strerror or err}", EXIT_IO) from None
-    except cost.TableFormatError as err:
-        raise CliError(str(err), EXIT_VALIDATION) from None
     groups: dict[str, list[cost.MccAlternative]] = {}
-    for alt in alternatives:
+    for alt in cost.load_alternatives(args.alts):
         groups.setdefault(alt.mcc, []).append(alt)
     values = load_config(args.config)
     env = envelope_from_config(values, groups)
     window = _config_value(values, "window", parse_scalar, "0.1")
     static_fraction = _config_value(values, "static_fraction", float, "0")
-    try:
-        table = CostTable(static_fraction=static_fraction)
-    except cost.CostError as err:
-        raise CliError(str(err), EXIT_VALIDATION) from None
-    try:
-        report = dse.explore(
-            groups, env, window, args.out, table, independent=args.independent
-        )
-    except dse.InfeasibleConfigError as err:
-        raise CliError(str(err), EXIT_INFEASIBLE) from None
-    except dse.DseError as err:
-        raise CliError(str(err), EXIT_VALIDATION) from None
-    except OSError as err:
-        raise CliError(f"{args.out}: {err.strerror or err}", EXIT_IO) from None
-    manifest = RunManifest("explore")
-    manifest.digest_input(args.alts)
-    manifest.digest_input(args.config)
-    manifest.parameters = {
+    table = cost.CostTable(static_fraction=static_fraction)
+    report = dse.explore(groups, env, window, args.out, table, independent=args.independent)
+    write_manifest(args.out, "explore", [args.alts, args.config], {
         "window_s": str(window),
         "static_fraction": static_fraction,
         "independent": args.independent,
         "periods_s": {m: str(e.period) for m, e in sorted(env.entries.items())},
-    }
-    manifest.write(args.out)
+    })
     print(f"configurations: {len(report.configs)}")
     print(f"pareto points: {len(report.front)}")
     print(f"reports in {args.out}")
@@ -437,8 +373,16 @@ def cmd_report(args) -> int:
 
 # --- Entry point --------------------------------------------------------------
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A malformed command line ends in one error line, like any other
+    malformed input; subcommand parsers inherit this class."""
+
+    def error(self, message):
+        raise CliError(message, EXIT_VALIDATION)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="psmsynth",
         description="Hybrid synthesis toolchain for periodic state machines.",
     )
@@ -490,14 +434,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of each library error that reaches `main`; the first entry
+# that matches wins.
+_EXIT_CODES = (
+    ((dfg.InfeasibleLatency, dse.InfeasibleConfigError), EXIT_INFEASIBLE),
+    ((dfg.DfgError, fds.SchedulingError, cost.CostError, dse.DseError, fsm.SynthesisError,
+      model.SimulationError, expr.EvalError), EXIT_VALIDATION),
+    ((OSError,), EXIT_IO),
+)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        args = build_parser().parse_args(argv)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe fails here, not after `main` returns
+        return code
     except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return err.code
+        code, message = err.code, str(err)
+    except tuple(cls for classes, _ in _EXIT_CODES for cls in classes) as err:
+        code = next(code for classes, code in _EXIT_CODES if isinstance(err, classes))
+        message = str(err)
+        if isinstance(err, OSError):
+            message = err.strerror or message
+            if err.filename is not None:
+                message = f"{err.filename}: {message}"
+            if isinstance(err, BrokenPipeError) and sys.stdout is sys.__stdout__:
+                # Python flushes stdout once more at exit, and the unwritten
+                # bytes would fail again (exit status 120): send them nowhere.
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -475,10 +475,15 @@ class _Parser:
         return inst.text, ev
 
 
-def _parse(source: str, filename: str, entry: str):
+def _parse(source: str, filename: str, entry: str | None = None):
+    """Parse `source` as `entry` ("component" or "system"); None takes the
+    one that the first keyword names."""
     tokens, diagnostics = _tokenize(source, filename)
     if diagnostics:
         raise ParseError(diagnostics)
+    if entry is None:
+        first = next((t for t in tokens if t.kind == "keyword"), None)
+        entry = "system" if first is not None and first.text == "system" else "component"
     parser = _Parser(tokens, diagnostics)
     result = getattr(parser, entry)()
     parser.expect("eof")
@@ -495,13 +500,7 @@ def parse_system(source: str, filename: str = "<system>") -> m.PsmSystem:
 
 def parse_text(source: str, filename: str = "<model>") -> m.PsmComponent | m.PsmSystem:
     """Dispatch on the leading keyword: `component` or `system`."""
-    tokens, diagnostics = _tokenize(source, filename)
-    first = next((t for t in tokens if t.kind == "keyword"), None)
-    if diagnostics:
-        raise ParseError(diagnostics)
-    if first is not None and first.text == "system":
-        return parse_system(source, filename)
-    return parse_component(source, filename)
+    return _parse(source, filename)
 
 
 def parse_file(path) -> m.PsmComponent | m.PsmSystem:

@@ -370,10 +370,11 @@ def compare_with_reference(
         tick = 1 / spec.freq
         ref_entries = ref.entries_for(spec.name)
         cyc_entries = cyc.entries_for(spec.name)
-        if [e.state for e in ref_entries] != [e.state for e in cyc_entries]:
+        ref_states = [e.state for e in ref_entries]
+        cyc_states = [e.state for e in cyc_entries]
+        if ref_states != cyc_states:
             problems.append(
-                f"{spec.name}: state sequence differs: "
-                f"{[e.state for e in ref_entries]} vs {[e.state for e in cyc_entries]}"
+                f"{spec.name}: state sequence differs{_divergence(ref_states, cyc_states)}"
             )
             continue
         zero_steps = 0
@@ -394,9 +395,17 @@ def compare_with_reference(
         cyc_events = [(e.event, e.payload) for e in cyc.events_for(spec.name)]
         if ref_events != cyc_events:
             problems.append(
-                f"{spec.name}: output event sequence differs: {ref_events} vs {cyc_events}"
+                f"{spec.name}: output event sequence differs{_divergence(ref_events, cyc_events)}"
             )
     return problems
+
+
+def _divergence(ref: list, cyc: list) -> str:
+    """Where two different sequences first differ: the index, the item on
+    each side there ('end' past a sequence's end) and both lengths."""
+    i = next((i for i, (r, c) in enumerate(zip(ref, cyc)) if r != c), min(len(ref), len(cyc)))
+    ref_item, cyc_item = (repr(seq[i]) if i < len(seq) else "end" for seq in (ref, cyc))
+    return f" at #{i}: {ref_item} vs {cyc_item} (lengths {len(ref)} vs {len(cyc)})"
 
 
 # --- VCD export --------------------------------------------------------------

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import psmsynth
 from psmsynth.cli import (
     CliError,
     load_config,
@@ -472,3 +477,95 @@ def test_explore_missing_table_exits_3(fixtures, tmp_path, capsys):
         capsys,
     )
     assert code == 3
+
+
+# --- One error line per malformed input -----------------------------------------
+
+DIVIDE_BY_ZERO = """\
+component Div {
+  period 10 ms;
+  var x: int32 = 0;
+  initial Go;
+  state Go {
+    entry {
+      x = 1 / x;
+    }
+    ts(10 ms) -> Go;
+  }
+}
+"""
+WPM = [f"{{fx}}/{n}" for n in ALL_MODELS]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["schedule", "{fx}/adds4.dfg", "--out", "{tmp}/taken"], 3, "taken: File exists"),
+    (["synth", "{fx}/mhr.psm", "--out", "{tmp}/taken/y.v"], 3, "taken: File exists"),
+    (["explore", "--alts", "{fx}/wpm_lcfds.csv", "--config", "{fx}/wpm.cfg",
+      "--out", "{tmp}/taken"], 3, "taken: File exists"),
+    (["schedule", "{fx}/adds4.dfg", "--latency", "abc"], 1,
+     "argument --latency: invalid int value: 'abc'"),
+    (["frob"], 1, "invalid choice: 'frob'"),
+    (["synth", "{fx}/mhr.psm", "--freq", "nope=1 MHz"], 1, "--freq nope: no such instance"),
+    (["check", "{fx}/mhr.psm", "{tmp}/copy.psm"], 1,
+     "component MHR is declared in both {fx}/mhr.psm and {tmp}/copy.psm"),
+    (["sim", *WPM, "{tmp}/copy_system.psm", "--horizon", "1 s"], 1,
+     "sim needs one system or exactly one component"),
+    (["synth", *WPM, "{tmp}/copy_system.psm"], 1,
+     "synth needs one system or exactly one component"),
+    (["sim", "{tmp}/div.psm", "--horizon", "1 s"], 1, "division by zero"),
+], ids=[
+    "schedule-out-is-a-file", "synth-out-below-a-file", "explore-out-is-a-file",
+    "latency-not-an-int", "unknown-command", "freq-unknown-instance", "duplicate-component",
+    "sim-two-systems", "synth-two-systems", "division-by-zero",
+])
+def test_malformed_input_ends_in_one_error_line(fixtures, tmp_path, capsys, argv, code, message):
+    (tmp_path / "taken").write_text("")
+    (tmp_path / "copy.psm").write_text((fixtures / "mhr.psm").read_text())
+    (tmp_path / "copy_system.psm").write_text((fixtures / "wpm_system.psm").read_text())
+    (tmp_path / "div.psm").write_text(DIVIDE_BY_ZERO)
+    fill = {"fx": fixtures, "tmp": tmp_path}
+    got, _, err = run([a.format(**fill) for a in argv], capsys)
+    assert got == code
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert message.format(**fill) in err
+    assert "Traceback" not in err
+
+
+def _buffered_child_env() -> dict:
+    """The child's environment: this checkout's package, and stdout block
+    buffered as a user's shell gives it."""
+    src = pathlib.Path(psmsynth.__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": str(src)}
+
+
+def test_sim_into_a_closed_pipe_exits_3(fixtures):
+    argv = [
+        sys.executable, "-m", "psmsynth.cli", "sim", *(str(fixtures / n) for n in ALL_MODELS),
+        "--stimulus", str(fixtures / "wpm_start.stim"), "--horizon", "20 s",
+    ]
+    # ~860 KB of trace: far more than a pipe holds, so the writer meets the
+    # closed end.
+    proc = subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_buffered_child_env()
+    )
+    assert proc.stdout.readline().startswith(b"t=0.000000000 ")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 3
+    assert err.decode() == "error: Broken pipe\n"
+
+
+def test_short_output_into_a_closed_pipe_exits_3(fixtures):
+    # One buffered line, so nothing is written until stdout is flushed.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "psmsynth.cli", "check", str(fixtures / "sensor.psm")],
+            stdout=write_end, stderr=subprocess.PIPE, env=_buffered_child_env(), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert proc.stderr.decode() == "error: Broken pipe\n"

@@ -311,23 +311,23 @@ def _sha(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("mixed, max_cycles, horizon, digests", [
+@pytest.mark.parametrize("mixed, max_cycles, horizon, digests, diverging", [
     (False, 3 * 10**6 - 1, Fraction(3), {
         "entries": "5e7c33d8da3d03a4c1edb486dff9090aa85ed4e5f0dc05a7650af79a94badd29",
         "events": "3c8344c610da2c2eddd7f1ba27d032fea5d8b285b17ed95af9a36b30f423cc41",
         "dropped": "510c383aa7151918ef7264e6117fd8931f3eff2b4c9d80c0b728d8a8e8c00ae9",
         "vcd": "c4c19b84f547518acba8c893975dc1c681116e2dbc1ae842f4404c0d33e90356",
         "compare": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    }),
+    }, []),
     (True, 5 * 10**6, Fraction(5), {
         "entries": "6a58fd6b3c9249bafd0e05947b1a7b92904e57ac450cc71b258d48befa27c6e5",
         "events": "a0f8f98dde30b37ce307d096b33528790ba04be07ebfb4b6797c268528b89549",
         "dropped": "25e1952c0d7c0c84178de742bb019f7e1784e9dac2fe665a48ea886aedd05d7f",
         "vcd": "29ad8d5c43453d08d78ff1a141aa5f3bdf9e33be53aa47107f397d84697d049a",
-        "compare": "be06665e5a4249b3c3df3ca212e31cc15e05c10a3395eb4a3cea1afb6c988e52",
-    }),
+        "compare": "b9cbb7541ae4f60767f0d780f2aa6ca478f20c96278f21588e6e9a1e460cf817",
+    }, ["mhr_sensor", "spo2_sensor", "emg_sensor", "mhr", "spo2", "emg", "monitor"]),
 ], ids=["one-clock", "mixed-clocks"])
-def test_golden_wpm_traces(wpm, mixed, max_cycles, horizon, digests):
+def test_golden_wpm_traces(wpm, mixed, max_cycles, horizon, digests, diverging):
     system, comps = wpm
     names = [inst.name for inst in system.instances]
     freqs = {n: MIXED_FREQS[i % 4] if mixed else 1 * MHZ for i, n in enumerate(names)}
@@ -337,12 +337,16 @@ def test_golden_wpm_traces(wpm, mixed, max_cycles, horizon, digests):
     cyc = interpret(sys_ir, stim, max_cycles, ALL_LATENCIES, ALL_IMPLS)
     vcd = io.StringIO()
     write_vcd(cyc, sys_ir, vcd)
+    problems = compare_with_reference(ref, cyc, sys_ir)
+    # One line per diverging instance, naming where it first diverges.
+    assert [p.split(":")[0] for p in problems] == diverging
+    assert all(len(p) < 300 for p in problems)
     assert {
         "entries": _sha(f"{e.instance} {e.cycle} {e.time} {e.state}" for e in cyc.entries),
         "events": _sha(f"{e.instance} {e.cycle} {e.time} {e.event} {e.payload}" for e in cyc.events),
         "dropped": _sha(f"{e.instance} {e.cycle} {e.time} {e.event} {e.payload}" for e in cyc.dropped),
         "vcd": _sha([vcd.getvalue()]),
-        "compare": _sha(compare_with_reference(ref, cyc, sys_ir)),
+        "compare": _sha(problems),
     } == digests
 
 
@@ -376,6 +380,20 @@ def test_comparison_reports_sequence_divergence(fixtures):
     cyc = interpret(sys_ir, [], 30_000)  # shorter run: fewer entries
     problems = compare_with_reference(ref, cyc, sys_ir)
     assert problems and "state sequence differs" in problems[0]
+
+
+def test_comparison_names_the_first_divergence(fixtures):
+    comp = parse_file(fixtures / "sensor.psm")
+    ref = simulate_component(comp, [], Fraction(45, 1000))
+    sys_ir = synthesize_single(comp, 1 * MHZ)
+    assert compare_with_reference(ref, interpret(sys_ir, [], 30_000), sys_ir) == [
+        "dut: state sequence differs at #4: 'Emit' vs end (lengths 5 vs 4)"
+    ]
+    cyc = interpret(sys_ir, [], 45_000 - 1)
+    cyc.events[2] = fsm.CycleEventRecord("dut", cyc.events[2].cycle, cyc.events[2].time, "Out", 0)
+    assert compare_with_reference(ref, cyc, sys_ir) == [
+        "dut: output event sequence differs at #2: ('Out', 3) vs ('Out', 0) (lengths 5 vs 5)"
+    ]
 
 
 # --- Artifacts ----------------------------------------------------------------
