@@ -65,7 +65,12 @@ def write_manifest(out_dir: str, command: str, inputs, parameters: dict) -> None
 
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as err:
+            raise CliError(
+                f"{path}: not UTF-8 text (byte {err.start}: {err.reason})", EXIT_VALIDATION
+            ) from None
 
 
 def _parse_models(paths) -> tuple[dict[str, PsmComponent], list[PsmSystem]]:
@@ -153,7 +158,7 @@ def _config_value(values: dict[str, str], key: str, parse, default: str):
     return _value(f"config key '{key}'", values.get(key, default), parse)
 
 
-def envelope_from_config(values: dict[str, str], mccs) -> dse.TimingEnvelope:
+def envelope_from_config(values: dict[str, str], mccs) -> dict[str, dse.EnvelopeEntry]:
     """Timing envelope of an explore config; a key explore does not read is
     an error."""
     unknown = sorted(
@@ -178,21 +183,22 @@ def envelope_from_config(values: dict[str, str], mccs) -> dse.TimingEnvelope:
             )
         except dse.DseError as err:
             raise CliError(f"config for computation '{mcc}': {err}", EXIT_VALIDATION) from None
-    return dse.TimingEnvelope(entries)
+    return entries
 
 
 # --- Commands -----------------------------------------------------------------
 
 def cmd_check(args) -> int:
     components, systems = _parse_models(args.paths)
-    reports = [validate_component(comp) for comp in components.values()]
+    # A system validates the components it instantiates.
+    used = {inst.component for system in systems for inst in system.instances}
+    reports = [validate_component(c) for name, c in components.items() if name not in used]
     reports += [validate_system(system, components) for system in systems]
-    for report in reports:
-        for f in report.findings:
-            print(f, file=sys.stderr)
+    for f in dict.fromkeys(f for report in reports for f in report.findings):
+        print(f, file=sys.stderr)
     if not all(report.ok for report in reports):
         return EXIT_VALIDATION
-    print(f"ok: {len(reports)} model(s) validated")
+    print(f"ok: {len(components) + len(systems)} model(s) validated")
     return EXIT_OK
 
 
@@ -334,13 +340,12 @@ def cmd_explore(args) -> int:
     env = envelope_from_config(values, groups)
     window = _config_value(values, "window", parse_scalar, "0.1")
     static_fraction = _config_value(values, "static_fraction", float, "0")
-    table = cost.CostTable(static_fraction=static_fraction)
-    report = dse.explore(groups, env, window, args.out, table, independent=args.independent)
+    report = dse.explore(groups, env, window, args.out, static_fraction, args.independent)
     write_manifest(args.out, "explore", [args.alts, args.config], {
         "window_s": str(window),
         "static_fraction": static_fraction,
         "independent": args.independent,
-        "periods_s": {m: str(e.period) for m, e in sorted(env.entries.items())},
+        "periods_s": {m: str(e.period) for m, e in sorted(env.items())},
     })
     print(f"configurations: {len(report.configs)}")
     print(f"pareto points: {len(report.front)}")

@@ -1,9 +1,11 @@
 """Area/power/latency cost modeling and ingestion of measured alternative tables.
 
 The parametric model is a stand-in for vendor-tool measurements: area is a
-weighted resource sum with a register/mux overhead factor, and power scales
-with frequency around a reference point with an optional static fraction.
-Externally measured rows load from CSV and flow through exploration unchanged.
+weighted resource sum with a fixed register/mux overhead factor, and power is
+proportional to area and to frequency around a reference point.  Static
+power belongs to exploration, which scales each row's power to its clock
+(`dse.explore`).  Externally measured rows load from CSV and flow through
+exploration unchanged.
 """
 
 from __future__ import annotations
@@ -26,13 +28,14 @@ class TableFormatError(CostError):
     pass
 
 
+POWER_PER_AREA = 0.03  # mW per area unit at F_REF
+OVERHEAD = 0.2  # register/mux overhead fraction of the weighted area
+F_REF = 100.0 * MHZ
+
+
 @dataclass(frozen=True)
 class CostTable:
-    """Per-operation-type coefficients plus global model parameters.
-
-    Area units are a dimensionless LUT+FF proxy; power coefficients are mW per
-    area unit at the reference frequency.
-    """
+    """Per-operation-type area weights, in a dimensionless LUT+FF proxy."""
 
     area: Mapping[str, float] = field(
         default_factory=lambda: {
@@ -41,16 +44,8 @@ class CostTable:
             "load": 60.0, "store": 60.0, "select": 40.0,
         }
     )
-    power_per_area: float = 0.03  # mW per area unit at f_ref
-    overhead: float = 0.2  # register/mux overhead fraction
-    static_fraction: float = 0.0  # delta_s in [0, 1)
-    f_ref: float = 100.0 * MHZ
 
     def __post_init__(self):
-        if not 0.0 <= self.static_fraction < 1.0:
-            raise CostError(f"static fraction must be in [0, 1), got {self.static_fraction}")
-        if self.overhead < 0:
-            raise CostError("overhead fraction must be >= 0")
         for k, v in self.area.items():
             if v < 0:
                 raise CostError(f"area coefficient for '{k}' must be >= 0")
@@ -63,21 +58,14 @@ def estimate_area(usage: Mapping[str, int], table: CostTable | None = None) -> f
         if op_type not in table.area:
             raise CostError(f"no area coefficient for op type '{op_type}'")
         total += count * table.area[op_type]
-    return (1.0 + table.overhead) * total
+    return (1.0 + OVERHEAD) * total
 
 
-def power_scale(freq: float, table: CostTable) -> float:
-    """Relative dynamic+static power at `freq` vs the reference frequency."""
-    d = table.static_fraction
-    return d + (1.0 - d) * freq / table.f_ref
-
-
-def estimate_power(area: float, freq: float, table: CostTable | None = None) -> float:
-    table = table or CostTable()
+def estimate_power(area: float, freq: float) -> float:
+    """Power (mW) at `freq`: proportional to area and to frequency."""
     if freq <= 0:
         raise CostError(f"frequency must be positive, got {freq}")
-    p_ref = area * table.power_per_area
-    return p_ref * power_scale(freq, table)
+    return area * POWER_PER_AREA * (freq / F_REF)
 
 
 def exec_latency(nest: LoopNest, body_makespans: Mapping[tuple[int, ...], int],
@@ -134,19 +122,16 @@ class MccAlternative:
             raise CostError(f"unroll factor must be >= 0, got {self.unroll}")
 
 
-def load_alternatives(path_or_file) -> list[MccAlternative]:
-    if hasattr(path_or_file, "read"):
-        return _load(path_or_file, "<stream>")
-    with open(path_or_file, "r", encoding="utf-8", newline="") as handle:
-        return _load(handle, str(path_or_file))
-
-
-def loads_alternatives(text: str) -> list[MccAlternative]:
-    return _load(io.StringIO(text), "<string>")
-
-
-def _load(handle, name: str) -> list[MccAlternative]:
-    reader = csv.reader(handle)
+def load_alternatives(path) -> list[MccAlternative]:
+    name = str(path)
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as err:
+            raise TableFormatError(
+                f"{name}: not UTF-8 text (byte {err.start}: {err.reason})"
+            ) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
     except StopIteration:
@@ -184,34 +169,27 @@ def _load(handle, name: str) -> list[MccAlternative]:
     return rows
 
 
-def save_alternatives(rows: Iterable[MccAlternative], path_or_file) -> None:
-    if hasattr(path_or_file, "write"):
-        _save(rows, path_or_file)
-    else:
-        with open(path_or_file, "w", encoding="utf-8", newline="") as handle:
-            _save(rows, handle)
+def save_alternatives(rows: Iterable[MccAlternative], path) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for r in rows:
+            writer.writerow(
+                [
+                    r.mcc,
+                    r.source,
+                    r.unroll,
+                    "" if r.latency_constraint is None else r.latency_constraint,
+                    _format_num(r.f_max / MHZ),
+                    r.exec_cycles,
+                    _format_num(r.area),
+                    _format_num(r.power),
+                ]
+            )
 
 
 def _format_num(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else repr(float(x))
-
-
-def _save(rows, handle) -> None:
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for r in rows:
-        writer.writerow(
-            [
-                r.mcc,
-                r.source,
-                r.unroll,
-                "" if r.latency_constraint is None else r.latency_constraint,
-                _format_num(r.f_max / MHZ),
-                r.exec_cycles,
-                _format_num(r.area),
-                _format_num(r.power),
-            ]
-        )
 
 
 def dominates(a: MccAlternative, b: MccAlternative) -> bool:
@@ -241,9 +219,8 @@ def alternative_from_schedule(
     table: CostTable | None = None,
 ) -> MccAlternative:
     """Build a modeled alternative row from a scheduled computation."""
-    table = table or CostTable()
     area = estimate_area(usage, table)
-    power = estimate_power(area, f_max, table)
+    power = estimate_power(area, f_max)
     return MccAlternative(
         mcc=mcc,
         source="modeled",

@@ -2,11 +2,11 @@
 
 Given per-computation (MCC) hardware alternatives and each state machine's
 period, derive the minimum frequency at which every computation still meets
-its deadline, scale all alternatives to the common frequency, evaluate area
-and energy for every combination, and extract the non-dominated (area,
-energy) front.  The space is evaluated chunk by chunk on flat arrays by the
-`kernels` module.  Reports are written with fixed decimal formatting so
-repeated runs are byte-identical.
+its deadline, scale all alternatives' power to the common frequency above a
+static fraction that does not scale, evaluate area and energy for every
+combination, and extract the non-dominated (area, energy) front.  The space
+is evaluated chunk by chunk on flat arrays by the `kernels` module.  Reports
+are written with fixed decimal formatting so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import kernels
-from .cost import MHZ, CostTable, MccAlternative
+from .cost import MHZ, MccAlternative
 
 
 class DseError(Exception):
@@ -49,17 +49,6 @@ class EnvelopeEntry:
             raise DseError("reserved cycles must be >= 0")
 
 
-@dataclass(frozen=True)
-class TimingEnvelope:
-    entries: Mapping[str, EnvelopeEntry]
-
-    def entry(self, mcc: str) -> EnvelopeEntry:
-        try:
-            return self.entries[mcc]
-        except KeyError:
-            raise DseError(f"no timing envelope entry for computation '{mcc}'") from None
-
-
 def required_frequency(alt: MccAlternative, entry: EnvelopeEntry) -> float:
     """Minimum clock frequency (Hz) at which the alternative finishes all its
     invocations within the period.  May exceed f_max — that marks the
@@ -77,19 +66,6 @@ class SystemConfig:
     area: float
     energy: float  # mJ over the window; meaningless when infeasible
     feasible: bool
-
-
-@dataclass(frozen=True)
-class ParetoPoint:
-    config: SystemConfig
-
-    @property
-    def area(self) -> float:
-        return self.config.area
-
-    @property
-    def energy(self) -> float:
-        return self.config.energy
 
 
 # --- Reports ------------------------------------------------------------------
@@ -141,7 +117,7 @@ class ConfigTable(Sequence):
 @dataclass
 class Report:
     configs: ConfigTable
-    front: list[ParetoPoint]
+    front: list[SystemConfig]  # sorted by (area, energy, config id)
     min_area: SystemConfig
     min_energy: SystemConfig
     energy_reduction_vs_unscaled: float  # of the min-energy config
@@ -150,21 +126,24 @@ class Report:
 
 def explore(
     groups: Mapping[str, Sequence[MccAlternative]],
-    env: TimingEnvelope,
+    env: Mapping[str, EnvelopeEntry],
     window: Fraction,
     out_dir: str | os.PathLike,
-    table: CostTable | None = None,
+    static_fraction: float = 0.0,
     independent: bool = False,
 ) -> Report:
     """Enumerate, extract the front, and write the report files
     (configs.csv, pareto.csv, pareto.json, scatter.svg, summary.txt).
 
-    With `independent=True` each computation runs at its own required
-    frequency (per-instance clock generics) instead of one shared clock.
-    Infeasible configurations are listed with the feasible flag down, never
-    silently dropped.
+    A row's power scales from its f_max to its clock f as
+    ``power * (d + (1 - d) * f / f_max)``, d being `static_fraction`.  With
+    `independent=True` each computation runs at its own required frequency
+    (per-instance clock generics) instead of one shared clock.  Infeasible
+    configurations are listed with the feasible flag down, never silently
+    dropped.
     """
-    table = table or CostTable()
+    if not 0.0 <= static_fraction < 1.0:
+        raise DseError(f"static fraction must be in [0, 1), got {static_fraction}")
     if window <= 0:
         raise DseError(f"window must be positive, got {window}")
     space = flatten_groups(groups, env)
@@ -207,7 +186,7 @@ def explore(
             handle.write(rows_text(ids))
 
         _, _, front_ids, n_feasible = _sweep(
-            space, float(window), table.static_fraction, independent, sink=keep_chunk
+            space, float(window), static_fraction, independent, sink=keep_chunk
         )
     if not n_feasible:
         os.remove(configs_path)
@@ -215,9 +194,9 @@ def explore(
     files["configs.csv"] = configs_path
 
     configs = ConfigTable(groups, f_common, area, energy, feasible)
-    front = [ParetoPoint(configs[i]) for i in front_ids]
-    min_area = front[0].config  # the front is sorted by (area, energy, id)
-    min_energy = min(front, key=lambda p: (p.energy, p.area, p.config.config_id)).config
+    front = [configs[i] for i in front_ids]
+    min_area = front[0]
+    min_energy = min(front, key=lambda c: (c.energy, c.area, c.config_id))
     unscaled = sum(alt.power for alt in min_energy.choices) * float(window)
     reduction = 1.0 - min_energy.energy / unscaled if unscaled > 0 else 0.0
 
@@ -225,12 +204,12 @@ def explore(
 
     payload = [
         {
-            "config_id": p.config.config_id,
-            "area": p.config.area,
-            "energy_mj": round(p.config.energy, 9),
-            "choices": {n: i for n, i in zip(names, p.config.indices)},
+            "config_id": c.config_id,
+            "area": c.area,
+            "energy_mj": round(c.energy, 9),
+            "choices": {n: i for n, i in zip(names, c.indices)},
         }
-        for p in front
+        for c in front
     ]
     write("pareto.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -256,7 +235,7 @@ def explore(
     return Report(configs, front, min_area, min_energy, reduction, files)
 
 
-def render_scatter(areas: np.ndarray, energies: np.ndarray, front: Sequence[ParetoPoint]) -> str:
+def render_scatter(areas: np.ndarray, energies: np.ndarray, front: Sequence[SystemConfig]) -> str:
     """Hand-written SVG scatter of the feasible configurations' area vs
     energy (at least one) with the front as a polyline; byte-deterministic."""
     width, height = 640, 480
@@ -312,7 +291,7 @@ def render_scatter(areas: np.ndarray, energies: np.ndarray, front: Sequence[Pare
         for x, y in coords(areas, energies)
     ))
     if front:
-        points = list(coords(np.array([p.area for p in front]), np.array([p.energy for p in front])))
+        points = list(coords(np.array([c.area for c in front]), np.array([c.energy for c in front])))
         pts = " ".join(f"{x},{y}" for x, y in points)
         out.write(
             f'<polyline points="{pts}" fill="none" stroke="crimson" stroke-width="1.5"/>\n'
@@ -343,7 +322,7 @@ class FlatSpace:
 
 
 def flatten_groups(
-    groups: Mapping[str, Sequence[MccAlternative]], env: TimingEnvelope
+    groups: Mapping[str, Sequence[MccAlternative]], env: Mapping[str, EnvelopeEntry]
 ) -> FlatSpace:
     if not groups:
         raise DseError("no computation groups to explore")
@@ -355,10 +334,11 @@ def flatten_groups(
                 raise DseError(f"group '{name}' contains a row for '{alt.mcc}'")
     sizes = np.array([len(groups[n]) for n in groups], dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    missing = [n for n in groups if n not in env]
+    if missing:
+        raise DseError(f"no timing envelope entry for computation '{missing[0]}'")
     rows = [alt for n in groups for alt in groups[n]]
-    f_req = np.array(
-        [required_frequency(alt, env.entry(alt.mcc)) for alt in rows], dtype=np.float64
-    )
+    f_req = np.array([required_frequency(alt, env[alt.mcc]) for alt in rows], dtype=np.float64)
     return FlatSpace(
         offsets=offsets,
         sizes=sizes,
@@ -373,10 +353,10 @@ def synthetic_space(
     n_groups: int = 4,
     group_size: int = 32,
     seed: int = 0,
-    period: float = 0.1,
 ) -> FlatSpace:
-    """Randomly generated but reproducible exploration space for scale tests;
-    shaped like the real tables (cycles/f_max/area/power correlated)."""
+    """Randomly generated but reproducible exploration space for scale tests,
+    every computation with a 100 ms period; shaped like the real tables
+    (cycles/f_max/area/power correlated)."""
     rng = np.random.default_rng(seed)
     n = n_groups * group_size
     cycles = rng.integers(1_000, 2_000_000, size=n).astype(np.float64)
@@ -388,7 +368,7 @@ def synthetic_space(
     return FlatSpace(
         offsets=offsets,
         sizes=sizes,
-        f_req=cycles / period,
+        f_req=cycles / 0.1,
         f_max=f_max,
         power=power,
         area=area,

@@ -1,9 +1,10 @@
 """Textual format for component and system models.
 
-`.psm` files are UTF-8 (LF or CRLF) with `//` comments.  The grammar covers
-exactly the model constructs: period declarations, event/variable/mcc
-declarations, state blocks with import transitions, timing specifications,
-guards, and entry actions.  Diagnostics carry 1-based source spans and print
+`.psm` files are UTF-8 (LF or CRLF) with `//` comments; numbers and `intN`
+widths are written in ASCII digits.  The grammar covers exactly the model
+constructs: period declarations, event/variable/mcc declarations, state
+blocks with import transitions, timing specifications, guards, and entry
+actions.  Diagnostics carry 1-based source spans and print
 as `file:line:col: severity: message`.
 """
 
@@ -56,6 +57,12 @@ _PUNCT = [
 ]
 
 
+def _digits(text: str) -> bool:
+    """A nonempty run of ASCII 0-9; `str.isdigit` alone also accepts
+    characters such as '²' that `int` cannot read."""
+    return text.isascii() and text.isdigit()
+
+
 @dataclass(frozen=True)
 class _Token:
     kind: str  # 'ident', 'keyword', 'number', 'string', punctuation text, 'eof'
@@ -100,13 +107,13 @@ def _tokenize(source: str, filename: str) -> tuple[list[_Token], list[Diagnostic
             col += j - i
             i = j
             continue
-        if c.isdigit():
+        if _digits(c):
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and _digits(source[j]):
                 j += 1
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
+            if j < n and source[j] == "." and j + 1 < n and _digits(source[j + 1]):
                 j += 1
-                while j < n and source[j].isdigit():
+                while j < n and _digits(source[j]):
                     j += 1
             tokens.append(_Token("number", source[i:j], span(j - i)))
             col += j - i
@@ -190,7 +197,7 @@ class _Parser:
 
     def payload_width(self) -> int:
         tok = self.ident("a payload type like int32")
-        if not tok.text.startswith("int") or not tok.text[3:].isdigit():
+        if not tok.text.startswith("int") or not _digits(tok.text[3:]):
             self.fail(f"unknown payload type '{tok.text}'", tok.span)
         return int(tok.text[3:])
 

@@ -126,12 +126,38 @@ def _reject_delta_cycles(comp: PsmComponent) -> None:
             visit(s.name)
 
 
+def _reject_early_result_use(comp: PsmComponent) -> None:
+    """The reference simulator applies a call's results at once, the FSM only
+    when the call is done, after the state's other entry actions: an action
+    after an invoke that reads or writes one of its results means two things."""
+    for s in comp.states:
+        returned_by: dict[str, str] = {}  # result variable -> computation
+        for action in s.entry:
+            if isinstance(action, Export):
+                used = ex.free_vars(action.value)
+            elif isinstance(action, Assign):
+                used = {action.var} | ex.free_vars(action.value)
+            elif isinstance(action, InvokeMcc):
+                used = {*action.args, *action.results}
+            else:
+                used = set()
+            early = sorted(used & returned_by.keys())
+            if early:
+                raise SynthesisError(
+                    f"component {comp.name}: state '{s.name}' uses '{early[0]}' after "
+                    f"invoke {returned_by[early[0]]}, which returns it only when the call is done"
+                )
+            if isinstance(action, InvokeMcc):
+                returned_by.update((r, action.mcc) for r in action.results)
+
+
 def synthesize_component(comp: PsmComponent) -> FsmIr:
     report = validate_component(comp)
     if not report.ok:
         msgs = "; ".join(str(f) for f in report.errors)
         raise SynthesisError(f"component does not validate: {msgs}")
     _reject_delta_cycles(comp)
+    _reject_early_result_use(comp)
     codes = {s.name: i for i, s in enumerate(comp.states)}
     timers = tuple(
         TimerDecl(s.name, s.timed.spec.duration, f"CYCLES_{s.name.upper()}")

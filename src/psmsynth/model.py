@@ -427,12 +427,10 @@ def validate_system(system: PsmSystem, components: Mapping[str, PsmComponent]) -
                 report.error(loc, f"input '{p.instance}.{p.event}' is driven by two sources")
             driven.add(key)
 
-    for inst in system.instances:
-        comp = components.get(inst.component)
-        if comp is not None:
-            sub = validate_component(comp)
-            for f in sub.errors:
-                report.error(f"{where}, instance {inst.name}", f.message)
+    # Each instantiated component once, however many instances share it.
+    for name in dict.fromkeys(inst.component for inst in system.instances):
+        if name in components:
+            report.extend(validate_component(components[name]))
 
     return report
 

@@ -1,9 +1,12 @@
 """Command-line driver: exit codes, outputs, and run manifests."""
 
 import hashlib
+import importlib
+import inspect
 import json
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 import psmsynth
+from psmsynth import cli, dsl
 from psmsynth.cli import (
     CliError,
     load_config,
@@ -83,6 +87,36 @@ def test_check_semantic_error_exits_1(fixtures, tmp_path, capsys):
     code, _, err = run(["check", bad], capsys)
     assert code == 1
     assert "Gone" in err
+
+
+NOPE = """\
+component C {
+  period 10 ms;
+  initial S;
+  state S {
+    entry {
+      notify Nope;
+    }
+    ts(10 ms) -> S;
+  }
+  state Lost {
+    ts(10 ms) -> S;
+  }
+}
+"""
+
+
+def test_check_prints_each_finding_once(tmp_path, capsys):
+    # One finding, however many instances share the component; the warning
+    # still prints.
+    (tmp_path / "c.psm").write_text(NOPE)
+    (tmp_path / "sys.psm").write_text("system Sys {\n  instance a: C;\n  instance b: C;\n}\n")
+    code, out, err = run(["check", tmp_path / "c.psm", tmp_path / "sys.psm"], capsys)
+    assert code == 1 and out == ""
+    assert err == (
+        "component C, state S: error: notify of undeclared event 'Nope'\n"
+        "component C: warning: state 'Lost' is unreachable from 'S'\n"
+    )
 
 
 def test_check_missing_file_exits_3(tmp_path, capsys):
@@ -494,6 +528,26 @@ component Div {
   }
 }
 """
+# The simulator applies Inc's results at once and exports Out(2); the FSM
+# applies them when the call is done and would export Out(0).
+EARLY_RESULT = """\
+component P {
+  period 10 ms;
+  output event Out(int32);
+  var a: int32 = 0;
+  var b: int32 = 0;
+  mcc Inc(1 -> 1) dfg "inc.dfg";
+  initial S;
+  state S {
+    entry {
+      invoke Inc(a -> a);
+      invoke Inc(a -> b);
+      export Out(b);
+    }
+    ts(10 ms) -> S;
+  }
+}
+"""
 WPM = [f"{{fx}}/{n}" for n in ALL_MODELS]
 
 
@@ -513,16 +567,27 @@ WPM = [f"{{fx}}/{n}" for n in ALL_MODELS]
     (["synth", *WPM, "{tmp}/copy_system.psm"], 1,
      "synth needs one system or exactly one component"),
     (["sim", "{tmp}/div.psm", "--horizon", "1 s"], 1, "division by zero"),
+    (["check", "{tmp}/bin.psm"], 1, "{tmp}/bin.psm: not UTF-8 text (byte 10: invalid start byte)"),
+    (["schedule", "{tmp}/bin.dfg", "--out", "{tmp}/out"], 1,
+     "{tmp}/bin.dfg: not UTF-8 text (byte 10: invalid start byte)"),
+    (["explore", "--alts", "{tmp}/bin.csv", "--config", "{fx}/wpm.cfg", "--out", "{tmp}/out"], 1,
+     "{tmp}/bin.csv: not UTF-8 text (byte 10: invalid start byte)"),
+    (["synth", "{tmp}/early.psm"], 1,
+     "component P: state 'S' uses 'a' after invoke Inc, which returns it only when the call is done"),
 ], ids=[
     "schedule-out-is-a-file", "synth-out-below-a-file", "explore-out-is-a-file",
     "latency-not-an-int", "unknown-command", "freq-unknown-instance", "duplicate-component",
-    "sim-two-systems", "synth-two-systems", "division-by-zero",
+    "sim-two-systems", "synth-two-systems", "division-by-zero", "psm-not-utf8", "dfg-not-utf8",
+    "csv-not-utf8", "result-read-before-the-call-is-done",
 ])
 def test_malformed_input_ends_in_one_error_line(fixtures, tmp_path, capsys, argv, code, message):
     (tmp_path / "taken").write_text("")
     (tmp_path / "copy.psm").write_text((fixtures / "mhr.psm").read_text())
     (tmp_path / "copy_system.psm").write_text((fixtures / "wpm_system.psm").read_text())
     (tmp_path / "div.psm").write_text(DIVIDE_BY_ZERO)
+    (tmp_path / "early.psm").write_text(EARLY_RESULT)
+    for name in ("bin.psm", "bin.dfg", "bin.csv"):
+        (tmp_path / name).write_bytes(b"component \xff\n")
     fill = {"fx": fixtures, "tmp": tmp_path}
     got, _, err = run([a.format(**fill) for a in argv], capsys)
     assert got == code
@@ -569,3 +634,45 @@ def test_short_output_into_a_closed_pipe_exits_3(fixtures):
         os.close(write_end)
     assert proc.returncode == 3
     assert proc.stderr.decode() == "error: Broken pipe\n"
+
+
+@pytest.mark.parametrize("line, diagnostic", [
+    ("period ² s;", ":2:10: error: unexpected character '²'"),
+    ("period 10 ms; var x: int²;", ":2:24: error: unknown payload type 'int²'"),
+], ids=["superscript-period", "superscript-width"])
+def test_non_ascii_digits_end_in_a_diagnostic(tmp_path, capsys, line, diagnostic):
+    path = tmp_path / "p.psm"
+    path.write_text(
+        f"component P {{\n  {line}\n  initial S;\n  state S {{ ts(10 ms) -> S; }}\n}}\n",
+        encoding="utf-8",
+    )
+    code, _, err = run(["check", path], capsys)
+    assert code == 1
+    assert err.splitlines()[0] == f"{path}{diagnostic}"
+    assert "Traceback" not in err
+
+
+# --- Tooling guards ---------------------------------------------------------------
+
+PACKAGE = pathlib.Path(psmsynth.__file__).resolve().parent
+
+
+def test_every_library_error_has_an_exit_code():
+    covered = tuple(cls for classes, _ in cli._EXIT_CODES for cls in classes)
+    handled_where_raised = (cli.CliError, dsl.ParseError)
+    uncovered = []
+    for info in pkgutil.iter_modules([str(PACKAGE)]):
+        module = importlib.import_module(f"psmsynth.{info.name}")
+        for name, obj in vars(module).items():
+            if (
+                inspect.isclass(obj) and issubclass(obj, BaseException)
+                and obj.__module__ == module.__name__
+                and not issubclass(obj, covered) and obj not in handled_where_raised
+            ):
+                uncovered.append(f"{info.name}.{name}")
+    assert uncovered == []
+
+
+def test_no_source_file_catches_every_exception():
+    offenders = [p.name for p in sorted(PACKAGE.glob("*.py")) if "except Exception" in p.read_text()]
+    assert offenders == []

@@ -1,11 +1,11 @@
 """Cost model arithmetic and the measured-alternatives table format."""
 
-import io
-
 import pytest
 
 from psmsynth.cost import (
+    F_REF,
     MHZ,
+    POWER_PER_AREA,
     CostError,
     CostTable,
     MccAlternative,
@@ -16,9 +16,7 @@ from psmsynth.cost import (
     estimate_power,
     exec_latency,
     load_alternatives,
-    loads_alternatives,
     pareto_filter_alternatives,
-    power_scale,
     save_alternatives,
 )
 from psmsynth.dfg import Dfg, Loop, LoopNest, Op
@@ -40,24 +38,11 @@ def test_area_is_weighted_sum_with_overhead():
 
 
 def test_power_scales_linearly_with_frequency():
-    table = CostTable()
-    p_ref = estimate_power(1000.0, table.f_ref, table)
-    assert estimate_power(1000.0, table.f_ref / 2, table) == pytest.approx(p_ref / 2)
-    assert p_ref == pytest.approx(1000.0 * table.power_per_area)
-
-
-def test_static_fraction_sets_power_floor():
-    table = CostTable(static_fraction=0.25)
-    assert power_scale(0.0, table) == pytest.approx(0.25)
-    assert power_scale(table.f_ref, table) == pytest.approx(1.0)
-    assert power_scale(table.f_ref / 2, table) == pytest.approx(0.625)
-
-
-def test_static_fraction_bounds_enforced():
+    p_ref = estimate_power(1000.0, F_REF)
+    assert estimate_power(1000.0, F_REF / 2) == pytest.approx(p_ref / 2)
+    assert p_ref == pytest.approx(1000.0 * POWER_PER_AREA)
     with pytest.raises(CostError):
-        CostTable(static_fraction=1.0)
-    with pytest.raises(CostError):
-        CostTable(static_fraction=-0.1)
+        estimate_power(1000.0, 0.0)
 
 
 def test_exec_latency_folds_nested_loops():
@@ -81,22 +66,32 @@ def test_exec_latency_missing_schedule_diagnosed():
 HEADER = "mcc,source,unroll,lambda,freq_mhz,exec_cycles,area,power_mw"
 
 
-def test_save_load_identity():
+@pytest.fixture
+def loads(tmp_path):
+    """`load_alternatives` of a table given as text."""
+
+    def load(text):
+        path = tmp_path / "table.csv"
+        path.write_text(text)
+        return load_alternatives(path)
+
+    return load
+
+
+def test_save_load_identity(tmp_path):
     rows = [
         alt("f", power=17.25, area=1048.0, cycles=72613, unroll=0, lam=65, fmax=107 * MHZ),
         alt("f", power=19.5, area=1393.0, cycles=41068, unroll=4, lam=260, fmax=106 * MHZ),
         MccAlternative("g", "modeled", 2, 10, 100, 99.5 * MHZ, 123.25, 4.75),
     ]
-    buf = io.StringIO()
-    save_alternatives(rows, buf)
-    again = loads_alternatives(buf.getvalue())
+    save_alternatives(rows, tmp_path / "a.csv")
+    again = load_alternatives(tmp_path / "a.csv")
     assert again == rows
-    buf2 = io.StringIO()
-    save_alternatives(again, buf2)
-    assert buf2.getvalue() == buf.getvalue()
+    save_alternatives(again, tmp_path / "b.csv")
+    assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
 
 
-def test_fixture_tables_round_trip_byte_identical(fixtures):
+def test_fixture_tables_round_trip_byte_identical(fixtures, tmp_path):
     for name in [
         "wpm_lcfds.csv",
         "wpm_legup.csv",
@@ -104,34 +99,31 @@ def test_fixture_tables_round_trip_byte_identical(fixtures):
         "eba_lcfds_pareto.csv",
         "eba_legup.csv",
     ]:
-        original = (fixtures / name).read_text()
-        rows = load_alternatives(fixtures / name)
-        buf = io.StringIO()
-        save_alternatives(rows, buf)
-        assert buf.getvalue() == original, name
+        save_alternatives(load_alternatives(fixtures / name), tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (fixtures / name).read_bytes(), name
 
 
-def test_bad_header_rejected():
+def test_bad_header_rejected(loads):
     with pytest.raises(TableFormatError):
-        loads_alternatives("a,b,c\n")
+        loads("a,b,c\n")
     with pytest.raises(TableFormatError):
-        loads_alternatives("")
+        loads("")
 
 
-def test_wrong_field_count_rejected():
+def test_wrong_field_count_rejected(loads):
     with pytest.raises(TableFormatError) as err:
-        loads_alternatives(HEADER + "\nm,measured,0,,100\n")
+        loads(HEADER + "\nm,measured,0,,100\n")
     assert ":2:" in str(err.value)
 
 
-def test_duplicate_row_key_rejected():
+def test_duplicate_row_key_rejected(loads):
     text = HEADER + "\nm,measured,0,5,100,10,1,1\nm,measured,0,5,90,20,2,2\n"
     with pytest.raises(TableFormatError) as err:
-        loads_alternatives(text)
+        loads(text)
     assert "duplicate" in str(err.value)
 
 
-def test_invalid_values_rejected_with_location():
+def test_invalid_values_rejected_with_location(loads):
     for bad_row in [
         "m,guessed,0,,100,10,1,1",  # unknown source
         "m,measured,0,,100,0,1,1",  # zero cycles
@@ -140,17 +132,17 @@ def test_invalid_values_rejected_with_location():
         "m,measured,0,,100,10,-1,1",  # negative area
     ]:
         with pytest.raises(TableFormatError) as err:
-            loads_alternatives(HEADER + "\n" + bad_row + "\n")
+            loads(HEADER + "\n" + bad_row + "\n")
         assert ":2:" in str(err.value)
 
 
-def test_blank_lines_skipped():
-    rows = loads_alternatives(HEADER + "\n\nm,measured,0,,100,10,1,1\n\n")
+def test_blank_lines_skipped(loads):
+    rows = loads(HEADER + "\n\nm,measured,0,,100,10,1,1\n\n")
     assert len(rows) == 1
 
 
-def test_empty_lambda_means_unconstrained():
-    rows = loads_alternatives(HEADER + "\nm,measured,0,,100,10,1,1\n")
+def test_empty_lambda_means_unconstrained(loads):
+    rows = loads(HEADER + "\nm,measured,0,,100,10,1,1\n")
     assert rows[0].latency_constraint is None
 
 
@@ -210,5 +202,5 @@ def test_alternative_from_schedule_uses_model():
     row = alternative_from_schedule("m", 2, 6, 100, {"add": 2}, 50 * MHZ, table)
     assert row.source == "modeled"
     assert row.area == pytest.approx(estimate_area({"add": 2}, table))
-    assert row.power == pytest.approx(estimate_power(row.area, 50 * MHZ, table))
+    assert row.power == pytest.approx(estimate_power(row.area, 50 * MHZ))
     assert (row.unroll, row.latency_constraint, row.exec_cycles) == (2, 6, 100)

@@ -12,12 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psmsynth import dse, kernels
-from psmsynth.cost import MHZ, CostTable, MccAlternative, load_alternatives
+from psmsynth.cost import MHZ, MccAlternative, load_alternatives
 from psmsynth.dse import (
     EnvelopeEntry,
     FlatSpace,
     InfeasibleConfigError,
-    TimingEnvelope,
     explore,
     explore_streaming,
     flatten_groups,
@@ -35,7 +34,7 @@ def alt(mcc, cycles, fmax_mhz, area, power, unroll=0, lam=None):
 
 
 def env_for(groups, period=WINDOW, **kwargs):
-    return TimingEnvelope({n: EnvelopeEntry(period, **kwargs) for n in groups})
+    return {n: EnvelopeEntry(period, **kwargs) for n in groups}
 
 
 def load_groups(path):
@@ -60,7 +59,7 @@ def oracle_configs(groups, env, window, static_fraction=0.0, independent=False):
     out = []
     for combo in itertools.product(*(range(len(groups[n])) for n in names)):
         choices = [groups[n][i] for n, i in zip(names, combo)]
-        f_reqs = [required_frequency(a, env.entry(a.mcc)) for a in choices]
+        f_reqs = [required_frequency(a, env[a.mcc]) for a in choices]
         f_common = max(f_reqs)
         clocks = f_reqs if independent else [f_common] * len(choices)
         energy = sum(
@@ -85,9 +84,9 @@ def oracle_front(configs):
     return [k for _, _, k in sorted(front)]
 
 
-def explore_in_temp(groups, env, window=WINDOW, **kwargs):
+def explore_in_temp(groups, env, window=WINDOW, *args, **kwargs):
     with tempfile.TemporaryDirectory() as out:
-        return explore(groups, env, window, out, **kwargs)
+        return explore(groups, env, window, out, *args, **kwargs)
 
 
 # --- Frequency derivation -----------------------------------------------------
@@ -139,7 +138,7 @@ def test_energy_scales_power_to_common_frequency():
 def test_static_fraction_limits_scaling_gain():
     groups = {"a": [alt("a", 1000, 100, 1.0, 100.0)]}
     full, floored = (
-        explore_in_temp(groups, env_for(groups), table=CostTable(static_fraction=d)).configs[0]
+        explore_in_temp(groups, env_for(groups), static_fraction=d).configs[0]
         for d in (0.0, 0.5)
     )
     assert floored.energy > full.energy
@@ -175,7 +174,7 @@ def _space_strategy():
                 invocations=draw(st.integers(1, 3)),
                 reserved_cycles=draw(st.integers(0, 50)),
             )
-        return groups, TimingEnvelope(entries)
+        return groups, entries
 
     return space()
 
@@ -200,16 +199,15 @@ def test_kernel_and_explore_match_the_scalar_oracle(space, static_fraction, inde
     assert (energy * float(window)).tolist() == [c[3] for c in expected]
     assert feasible.tolist() == [c[4] for c in expected]
 
-    table = CostTable(static_fraction=static_fraction)
     if not any(c[4] for c in expected):
         with pytest.raises(InfeasibleConfigError):
-            explore_in_temp(groups, env, window, table=table, independent=independent)
+            explore_in_temp(groups, env, window, static_fraction, independent)
         return
-    report = explore_in_temp(groups, env, window, table=table, independent=independent)
+    report = explore_in_temp(groups, env, window, static_fraction, independent)
     got = [(c.indices, c.f_common, c.area, c.energy, c.feasible) for c in report.configs]
     assert got == expected
     assert [c.config_id for c in report.configs] == list(range(len(expected)))
-    assert [p.config.config_id for p in report.front] == oracle_front(expected)
+    assert [c.config_id for c in report.front] == oracle_front(expected)
 
 
 # --- Enumeration --------------------------------------------------------------
@@ -285,14 +283,14 @@ def test_pareto_ignores_infeasible_configs():
         "a": [alt("a", 1000, 100, 1, 1), alt("a", 50_000_000, 100, 0.5, 0.5)],
     }
     front = explore_in_temp(groups, env_for(groups)).front
-    assert [p.config.config_id for p in front] == [0]
+    assert [c.config_id for c in front] == [0]
 
 
 def test_streaming_matches_offline_on_fixture_tables(fixtures):
     groups = load_groups(fixtures / "wpm_lcfds.csv")
     env = env_for(groups)
     report = explore_in_temp(groups, env)
-    offline = {(p.area, round(p.energy, 9)) for p in report.front}
+    offline = {(c.area, round(c.energy, 9)) for c in report.front}
     space = flatten_groups(groups, env)
     fa, fe, _, nfeas = explore_streaming(space, window=float(WINDOW), chunk=5)
     assert {(a, round(e, 9)) for a, e in zip(fa, fe)} == offline
@@ -340,6 +338,20 @@ def test_explore_requires_a_positive_window(tmp_path):
     for window in (Fraction(0), Fraction(-1)):
         with pytest.raises(dse.DseError, match="window"):
             explore(groups, env_for(groups), window, tmp_path)
+
+
+def test_explore_requires_a_static_fraction_in_0_1(tmp_path):
+    groups = {"a": [alt("a", 1000, 100, 1, 1)]}
+    for d in (1.0, -0.1, 1.5, float("nan")):
+        with pytest.raises(dse.DseError, match=r"static fraction must be in \[0, 1\)"):
+            explore(groups, env_for(groups), WINDOW, tmp_path / "out", d)
+    assert not (tmp_path / "out").exists()
+
+
+def test_explore_requires_an_envelope_entry_per_computation(tmp_path):
+    groups = {"a": [alt("a", 1000, 100, 1, 1)], "b": [alt("b", 1000, 100, 1, 1)]}
+    with pytest.raises(dse.DseError, match="no timing envelope entry for computation 'b'"):
+        explore(groups, env_for({"a": None}), WINDOW, tmp_path)
 
 
 def test_scatter_svg_is_well_formed(fixtures, tmp_path):
@@ -437,12 +449,11 @@ def test_golden_report_digests(fixtures, tmp_path):
     for table, mode, groups in golden_runs(fixtures):
         independent, static_fraction = MODES[mode]
         out = tmp_path / f"{table}-{mode}"
-        report = explore(groups, env_for(groups), WINDOW, out,
-                         CostTable(static_fraction=static_fraction), independent)
+        report = explore(groups, env_for(groups), WINDOW, out, static_fraction, independent)
         assert sorted(report.files) == sorted(REPORT_FILES)
         digests[(table, mode)] = report_digest(out)
         if table == "tie_heavy":
-            front = [(p.area, p.energy) for p in report.front]
+            front = [(c.area, c.energy) for c in report.front]
             assert len(set(front)) < len(front), "front has no exact ties"
             assert not all(c.feasible for c in report.configs)
     assert digests == GOLDEN_REPORTS
