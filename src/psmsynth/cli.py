@@ -277,7 +277,7 @@ def cmd_schedule(args) -> int:
             part = key if isinstance(key, str) else "loop_" + "_".join(map(str, key))
             sched_path = os.path.join(args.out, f"{name}_l{lam}_{part}.sched")
             with open(sched_path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(fds.format_schedule(parts[key], sched))
+                handle.write(fds.format_schedule(parts[key][0], sched))
     alt_path = os.path.join(args.out, f"{name}_alternatives.csv")
     cost.save_alternatives(rows, alt_path)
     write_manifest(args.out, "schedule", [args.dfg], {

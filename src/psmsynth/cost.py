@@ -1,11 +1,12 @@
-"""Area/power/latency cost modeling and ingestion of measured alternative tables.
+"""Area/power cost modeling and ingestion of measured alternative tables.
 
 The parametric model is a stand-in for vendor-tool measurements: area is a
 weighted resource sum with a fixed register/mux overhead factor, and power is
 proportional to area and to frequency around a reference point.  Static
 power belongs to exploration, which scales each row's power to its clock
-(`dse.explore`).  Externally measured rows load from CSV and flow through
-exploration unchanged.
+(`dse.explore`).  A modeled row's execution cycles come from the scheduler
+(`fds.schedule_nest`).  Externally measured rows load from CSV and flow
+through exploration unchanged.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import csv
 import io
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
-
-from .dfg import LoopNest, Loop
 
 MHZ = 10**6
 
@@ -66,29 +65,6 @@ def estimate_power(area: float, freq: float) -> float:
     if freq <= 0:
         raise CostError(f"frequency must be positive, got {freq}")
     return area * POWER_PER_AREA * (freq / F_REF)
-
-
-def exec_latency(nest: LoopNest, body_makespans: Mapping[tuple[int, ...], int],
-                 pre_makespan: int = 0, post_makespan: int = 0) -> int:
-    """Total cycles for one activation: pre + sum(trip * body) + post, with
-    nested loop totals folded into their parent body.
-
-    `body_makespans` is keyed by loop position, as in `dfg.nest_parts`.
-    """
-
-    def total(loop: Loop, key: tuple[int, ...]) -> int:
-        try:
-            makespan = body_makespans[key]
-        except KeyError:
-            raise CostError(f"loop at position {key} has no schedule") from None
-        inner = sum(total(c, key + (i,)) for i, c in enumerate(loop.children))
-        return loop.trip * (makespan + inner)
-
-    return (
-        pre_makespan
-        + sum(total(l, (i,)) for i, l in enumerate(nest.loops))
-        + post_makespan
-    )
 
 
 # --- Alternative tables ------------------------------------------------------

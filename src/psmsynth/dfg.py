@@ -4,7 +4,9 @@ Graphs are acyclic over a dense shared id space covering input ports and
 operations, and an operation's latency is fixed by its type
 (`DEFAULT_LATENCIES`).  Loop nests carry trip counts and optional distance-1
 carried dependences; unrolling replicates loop bodies by even factors only,
-so no pre-amble or post-amble code is ever required.
+so no pre-amble or post-amble code is ever required.  `nest_parts` is the one
+walk over a nest: it gives each part with its runs per activation.  In the
+`.dfg` text format every line is exactly one token form (`parse_nest`).
 """
 
 from __future__ import annotations
@@ -147,39 +149,23 @@ class LoopNest:
     post: Dfg | None = None
 
 
-def nest_parts(nest: LoopNest) -> dict[str | tuple[int, ...], Dfg | None]:
-    """The graphs of a nest by part: 'pre', 'post', and each loop body keyed
-    by its position, the tuple of loop indices from the outermost loop in,
-    in declaration order (outer loops before the loops they contain)."""
-    parts: dict[str | tuple[int, ...], Dfg | None] = {"pre": nest.pre, "post": nest.post}
+def nest_parts(nest: LoopNest) -> dict[str | tuple[int, ...], tuple[Dfg | None, int]]:
+    """Each graph of a nest with its runs per activation of the nest, by part:
+    'pre' and 'post' run once; each loop body, keyed by its position (the
+    tuple of loop indices from the outermost loop in), runs the product of
+    its own trip count and those of the loops around it.  Parts come in
+    declaration order (outer loops before the loops they contain)."""
+    parts: dict[str | tuple[int, ...], tuple[Dfg | None, int]] = {
+        "pre": (nest.pre, 1), "post": (nest.post, 1),
+    }
 
-    def walk(loops: tuple[Loop, ...], key: tuple[int, ...]) -> None:
+    def walk(loops: tuple[Loop, ...], key: tuple[int, ...], runs: int) -> None:
         for i, loop in enumerate(loops):
-            parts[key + (i,)] = loop.body
-            walk(loop.children, key + (i,))
+            parts[key + (i,)] = (loop.body, runs * loop.trip)
+            walk(loop.children, key + (i,), runs * loop.trip)
 
-    walk(nest.loops, ())
+    walk(nest.loops, (), 1)
     return parts
-
-
-def total_iterations(nest: LoopNest) -> int:
-    def walk(loop: Loop) -> int:
-        return loop.trip + sum(walk(c) for c in loop.children)
-
-    return sum(walk(l) for l in nest.loops)
-
-
-def dynamic_op_count(nest: LoopNest) -> int:
-    """Total executed operations; invariant under unrolling."""
-
-    def walk(loop: Loop) -> int:
-        return loop.trip * (len(loop.body.ops) + sum(walk(c) for c in loop.children))
-
-    count = sum(walk(l) for l in nest.loops)
-    for seg in (nest.pre, nest.post):
-        if seg is not None:
-            count += len(seg.ops)
-    return count
 
 
 def unroll_loop(loop: Loop, factor: int) -> Loop:
@@ -338,10 +324,9 @@ def parse_dfg_lines(lines: list[str]) -> Dfg:
             continue
         parts = text.split()
         try:
-            if parts[0] == "in":
-                inputs.append(int(parts[1]))
-            elif parts[0] == "out":
-                outputs.append(int(parts[1]))
+            if parts[0] in ("in", "out"):
+                _, value = parts
+                (inputs if parts[0] == "in" else outputs).append(int(value))
             elif parts[0] == "op":
                 ops.append(Op(int(parts[1]), parts[2], tuple(int(x) for x in parts[3:])))
             else:
@@ -352,9 +337,10 @@ def parse_dfg_lines(lines: list[str]) -> Dfg:
 
 
 def parse_nest(text: str) -> LoopNest:
-    """Parse the line-oriented `.dfg` format (pre/post segments of
-    `in`/`op`/`out` lines and nested `loop <trip> [nounroll] { ... }` blocks
-    with `carry` lines)."""
+    """Parse the line-oriented `.dfg` format: `pre {`/`post {` segments of
+    `in N`, `op ID TYPE [OPERAND...]` and `out N` lines, and nested
+    `loop TRIP {` / `loop TRIP nounroll {` blocks that also hold `carry P C`
+    lines.  A line with other tokens is malformed."""
     lines = [ln.rstrip() for ln in text.splitlines()]
     pos = 0
 
@@ -389,29 +375,28 @@ def parse_nest(text: str) -> LoopNest:
             if line.startswith("loop "):
                 loops.append(loop_block())
             elif line.startswith("carry "):
-                parts = take().split()
                 try:
-                    carried.append((int(parts[1]), int(parts[2])))
-                except (ValueError, IndexError):
+                    _, src, dst = take().split()
+                    carried.append((int(src), int(dst)))
+                except ValueError:
                     raise DfgError(f"malformed carry line: {line!r}") from None
             else:
                 plain.append(take())
 
     def loop_block() -> Loop:
         header = take().split()
-        if header[-1] != "{":
-            raise DfgError(f"malformed loop header: {' '.join(header)!r}")
         try:
+            if header[-1] != "{" or header[2:-1] not in ([], ["nounroll"]):
+                raise ValueError
             trip = int(header[1])
-        except (ValueError, IndexError):
+        except ValueError:
             raise DfgError(f"malformed loop header: {' '.join(header)!r}") from None
-        unrollable = "nounroll" not in header
         plain, carried, children = block_body()
         return Loop(
             body=parse_dfg_lines(plain),
             trip=trip,
             carried=tuple(carried),
-            unrollable=unrollable,
+            unrollable=len(header) == 3,
             children=tuple(children),
         )
 

@@ -1,5 +1,5 @@
-"""Latency-constrained force-directed scheduling, a list-scheduling baseline,
-and an exhaustive minimum-resource oracle for small graphs.
+"""Latency-constrained force-directed scheduling, whole-nest scheduling, and
+an exhaustive minimum-resource oracle for small graphs.
 
 The force-directed scheduler fixes one operation per round at the
 (operation, control step) pair with the lowest total force, where force is
@@ -10,7 +10,9 @@ byte-for-byte reproducible.
 Every routine here reads the dependence index each `Dfg` builds once, when
 it is constructed: operation predecessors and successors, dependence order,
 and the latency of each op, which is fixed by its type
-(`dfg.DEFAULT_LATENCIES`).  Time frames come from `Dfg.frames`.
+(`dfg.DEFAULT_LATENCIES`).  Time frames come from `Dfg.frames`.  A loop
+nest is scheduled part by part over `dfg.nest_parts`, and its execution
+cycles are the sum over its parts of runs x makespan.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Mapping
 
-from .cost import CostTable, exec_latency
+from .cost import CostTable
 from .dfg import (
     DEFAULT_LATENCIES,
     Dfg,
@@ -191,43 +193,7 @@ def fds_schedule(
     return schedule
 
 
-# --- Baseline and oracle -----------------------------------------------------
-
-def list_schedule(dfg: Dfg, resources: Mapping[str, int]) -> Schedule:
-    """Resource-constrained list schedule, priority = longest path to a sink,
-    ties by lowest op id."""
-    for op in dfg.ops:
-        if resources.get(op.type, 0) < 1:
-            raise SchedulingError(f"need at least one '{op.type}' resource")
-    lat = dfg.lat
-    height: dict[int, int] = {}
-    for v in reversed(dfg.order):
-        height[v] = lat[v] + max((height[s] for s in dfg.succs[v]), default=0)
-
-    start: dict[int, int] = {}
-    unscheduled = set(dfg.order)
-    busy: dict[str, dict[int, int]] = {}
-    t = 0
-    while unscheduled:
-        ready = sorted(
-            (
-                v
-                for v in unscheduled
-                if all(p in start and start[p] + lat[p] <= t for p in dfg.preds[v])
-            ),
-            key=lambda v: (-height[v], v),
-        )
-        for v in ready:
-            kind = dfg.op(v).type
-            slots = busy.setdefault(kind, {})
-            if all(slots.get(u, 0) < resources[kind] for u in range(t, t + lat[v])):
-                for u in range(t, t + lat[v]):
-                    slots[u] = slots.get(u, 0) + 1
-                start[v] = t
-                unscheduled.remove(v)
-        t += 1
-    return Schedule(start, max((start[v] + lat[v] for v in start), default=0))
-
+# --- Oracle ------------------------------------------------------------------
 
 def brute_force_min_resources(
     dfg: Dfg, lam: int, table: CostTable | None = None
@@ -274,15 +240,15 @@ def schedule_nest(nest: LoopNest, lam: int) -> tuple[int, ResourceUsage, dict]:
     """Schedule a whole loop nest: each loop body under the per-iteration
     latency constraint `lam`, the pre/post segments at their minimum latency.
 
-    Returns total execution cycles for one activation, the combined resource
-    usage (per-type maximum across parts — parts never run concurrently), and
-    the individual schedules keyed 'pre'/'post'/loop position.
+    Returns the execution cycles of one activation (the sum over the parts
+    of runs x makespan), the combined resource usage (per-type maximum
+    across parts — parts never run concurrently), and the individual
+    schedules keyed 'pre'/'post'/loop position.
     """
     schedules: dict = {}
     combined: dict[str, int] = {}
-    spans: dict = {}
-    for key, part in nest_parts(nest).items():
-        spans[key] = 0
+    cycles = 0
+    for key, (part, runs) in nest_parts(nest).items():
         if part is None or not part.ops:
             continue
         constraint = min_latency(part) if isinstance(key, str) else lam
@@ -290,9 +256,7 @@ def schedule_nest(nest: LoopNest, lam: int) -> tuple[int, ResourceUsage, dict]:
         schedules[key] = sched
         for t, r in resource_usage(part, sched).per_type.items():
             combined[t] = max(combined.get(t, 0), r)
-        spans[key] = sched.makespan(part)
-    pre_span, post_span = spans.pop("pre"), spans.pop("post")
-    cycles = exec_latency(nest, spans, pre_span, post_span)
+        cycles += runs * sched.makespan(part)
     return max(1, cycles), ResourceUsage(combined), schedules
 
 

@@ -436,15 +436,6 @@ def _divergence(ref: list, cyc: list) -> str:
 
 # --- VCD export --------------------------------------------------------------
 
-def write_vcd(trace: CycleTrace, sys_ir: SystemIr, path_or_file) -> None:
-    """Dump state changes and event strobes as a VCD waveform (1 ns timescale)."""
-    if hasattr(path_or_file, "write"):
-        _write_vcd(trace, sys_ir, path_or_file)
-    else:
-        with open(path_or_file, "w", encoding="utf-8", newline="") as handle:
-            _write_vcd(trace, sys_ir, handle)
-
-
 def _vcd_id(index: int) -> str:
     chars = "".join(chr(c) for c in range(33, 127))
     out = ""
@@ -455,7 +446,9 @@ def _vcd_id(index: int) -> str:
     return out
 
 
-def _write_vcd(trace: CycleTrace, sys_ir: SystemIr, handle) -> None:
+def write_vcd(trace: CycleTrace, sys_ir: SystemIr, handle) -> None:
+    """Write state changes and event strobes to the text handle as a VCD
+    waveform (1 ns timescale)."""
     handle.write("$timescale 1ns $end\n")
     ids: dict[tuple[str, str], str] = {}
     counter = 0

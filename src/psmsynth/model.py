@@ -264,6 +264,8 @@ def validate_component(comp: PsmComponent) -> ValidationReport:
         if v.name in seen_vars:
             report.error(where, f"duplicate variable '{v.name}'")
         seen_vars.add(v.name)
+        if v.width < 1:
+            report.error(where, f"variable '{v.name}' has non-positive width")
 
     seen_mccs: set[str] = set()
     for m in comp.mccs:

@@ -313,6 +313,54 @@ def test_schedule_nested_nest_folds_inner_loops(tmp_path, capsys):
     assert digests == NESTED_GOLDEN
 
 
+# `psmsynth schedule` on each fixture graph at --unroll 0 and 2: the exit code,
+# stdout or stderr ({out}/{fx} stand for the paths), and the sha256 of the
+# output listing, one `<file> <sha256 of the file>` line per output file in
+# name order, manifest.json aside (None: no output directory is made).
+FIXTURE_SCHEDULE_GOLDEN = {
+    ("adds4", 0): (0, "wrote 4 alternative row(s) to {out}/adds4_alternatives.csv\n",
+                   "aec9f950b7aec909e01da99282669fa1dbf8dbbf24da6e7d0a59bbd127b56bf0"),
+    ("adds4", 2): (0, "wrote 4 alternative row(s) to {out}/adds4_alternatives.csv\n",
+                   "8c8244360e841a6113631985dc0b9675be0d20c67662e8333551588e72c06ea8"),
+    ("chain", 0): (0, "wrote 1 alternative row(s) to {out}/chain_alternatives.csv\n",
+                   "da9e3de024f2e6258e1c8d2de90504258702819f16021044a60f956adcfcde04"),
+    ("chain", 2): (0, "wrote 1 alternative row(s) to {out}/chain_alternatives.csv\n",
+                   "1f716a81d5be08dea4b662e4d64d6387df581c1a5b30b556b25afd31021e5bdb"),
+    ("emg", 0): (0, "wrote 1 alternative row(s) to {out}/emg_alternatives.csv\n",
+                 "334f980b2ae4e52cd143e18fbf6b730f4018111b80bbc1900946cb23f03c4cc4"),
+    ("emg", 2): (0, "wrote 3 alternative row(s) to {out}/emg_alternatives.csv\n",
+                 "7034d375aac46051430401daa0908d1bb3b79d632dd766951a49873d97217d8e"),
+    ("mhr", 0): (0, "wrote 4 alternative row(s) to {out}/mhr_alternatives.csv\n",
+                 "425a74c97009df2f105f603bfc36dfe538520f46731f58ce708aad84160c3822"),
+    ("mhr", 2): (0, "wrote 4 alternative row(s) to {out}/mhr_alternatives.csv\n",
+                 "2c40345322cd46cab646f7aa8c262a070cca3cddcac13b81f423529051cd8a01"),
+    ("spo2", 0): (0, "wrote 1 alternative row(s) to {out}/spo2_alternatives.csv\n",
+                  "5c0094ebc9ae5fe9797d5f6ac2e4a5f2e8e41fec5a7e3988bb292aa3b07df726"),
+    ("spo2", 2): (1, "error: {fx}/spo2.dfg: factor 2 does not divide trip count 25\n", None),
+}
+
+
+@pytest.mark.parametrize("graph, unroll", FIXTURE_SCHEDULE_GOLDEN,
+                         ids=[f"{g}-u{u}" for g, u in FIXTURE_SCHEDULE_GOLDEN])
+def test_golden_schedules_of_fixture_graphs(fixtures, tmp_path, capsys, graph, unroll):
+    code, text, digest = FIXTURE_SCHEDULE_GOLDEN[(graph, unroll)]
+    out = tmp_path / "out"
+    got, stdout, stderr = run(
+        ["schedule", fixtures / f"{graph}.dfg", "--unroll", unroll, "--out", out], capsys
+    )
+    assert got == code
+    assert (stdout if code == 0 else stderr) == text.format(out=out, fx=fixtures)
+    assert (stderr if code == 0 else stdout) == ""
+    if digest is None:
+        assert not out.exists()
+        return
+    listing = "".join(
+        f"{p.name} {hashlib.sha256(p.read_bytes()).hexdigest()}\n"
+        for p in sorted(out.iterdir()) if p.name != "manifest.json"
+    )
+    assert hashlib.sha256(listing.encode()).hexdigest() == digest
+
+
 def test_schedule_infeasible_latency_exits_2(fixtures, tmp_path, capsys):
     # A graph without loops is bound by the constraint as a whole.
     for graph, lam, needed in (("mhr.dfg", 1, 63), ("adds4.dfg", -5, 1), ("adds4.dfg", 0, 1)):
@@ -337,9 +385,15 @@ def test_schedule_infeasible_latency_exits_2(fixtures, tmp_path, capsys):
     ("pre {\n  in 0\n  op 1 add 0\n}\npre {\n  in 0\n  op 1 mul 0\n}\n", "second 'pre' block"),
     ("prefix junk\n  in 0\n  op 1 add 0\n}\n", "unknown dfg line: 'prefix junk'"),
     ("pre{\n  in 0\n  op 1 add 0\n}\n", "unknown dfg line: 'pre{'"),
+    ("loop 4 nounrol {\n  in 0\n  op 1 add 0\n}\n", "malformed loop header: 'loop 4 nounrol {'"),
+    ("loop 2 {\n  in 0\n  op 1 add 0\n  op 2 add 1\n  carry 2 1 junk\n}\n",
+     "malformed carry line: 'carry 2 1 junk'"),
+    ("in 0\nin 1 7\nop 2 add 0 1\nout 2\n", "malformed dfg line: 'in 1 7'"),
+    ("in 0\nin 1\nop 2 add 0 1\nout 2 9\n", "malformed dfg line: 'out 2 9'"),
 ], ids=[
     "bad-line", "cycle", "loop-in-pre", "carry-in-post", "listing-next-to-pre", "second-pre",
-    "prefix-junk", "header-without-space",
+    "prefix-junk", "header-without-space", "misspelt-loop-flag", "carry-extra-token",
+    "in-extra-token", "out-extra-token",
 ])
 def test_schedule_malformed_graph_exits_1(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.dfg"
@@ -548,6 +602,20 @@ component P {
   }
 }
 """
+ZERO_WIDTH = """\
+component Z {
+  period 10 ms;
+  var x: int0;
+  initial S;
+  state S {
+    entry {
+      x = 1;
+    }
+    ts(10 ms) -> S;
+  }
+}
+"""
+ZERO_WIDTH_FINDING = "component Z: error: variable 'x' has non-positive width"
 WPM = [f"{{fx}}/{n}" for n in ALL_MODELS]
 
 
@@ -574,11 +642,14 @@ WPM = [f"{{fx}}/{n}" for n in ALL_MODELS]
      "{tmp}/bin.csv: not UTF-8 text (byte 10: invalid start byte)"),
     (["synth", "{tmp}/early.psm"], 1,
      "component P: state 'S' uses 'a' after invoke Inc, which returns it only when the call is done"),
+    (["sim", "{tmp}/zero.psm", "--horizon", "50 ms"], 1, ZERO_WIDTH_FINDING),
+    (["synth", "{tmp}/zero.psm"], 1, ZERO_WIDTH_FINDING),
 ], ids=[
     "schedule-out-is-a-file", "synth-out-below-a-file", "explore-out-is-a-file",
     "latency-not-an-int", "unknown-command", "freq-unknown-instance", "duplicate-component",
     "sim-two-systems", "synth-two-systems", "division-by-zero", "psm-not-utf8", "dfg-not-utf8",
-    "csv-not-utf8", "result-read-before-the-call-is-done",
+    "csv-not-utf8", "result-read-before-the-call-is-done", "sim-zero-width-variable",
+    "synth-zero-width-variable",
 ])
 def test_malformed_input_ends_in_one_error_line(fixtures, tmp_path, capsys, argv, code, message):
     (tmp_path / "taken").write_text("")
@@ -586,6 +657,7 @@ def test_malformed_input_ends_in_one_error_line(fixtures, tmp_path, capsys, argv
     (tmp_path / "copy_system.psm").write_text((fixtures / "wpm_system.psm").read_text())
     (tmp_path / "div.psm").write_text(DIVIDE_BY_ZERO)
     (tmp_path / "early.psm").write_text(EARLY_RESULT)
+    (tmp_path / "zero.psm").write_text(ZERO_WIDTH)
     for name in ("bin.psm", "bin.dfg", "bin.csv"):
         (tmp_path / name).write_bytes(b"component \xff\n")
     fill = {"fx": fixtures, "tmp": tmp_path}
@@ -594,6 +666,13 @@ def test_malformed_input_ends_in_one_error_line(fixtures, tmp_path, capsys, argv
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert message.format(**fill) in err
     assert "Traceback" not in err
+
+
+def test_check_reports_a_zero_width_variable(tmp_path, capsys):
+    # `check` prints findings, not an `error:` line.
+    (tmp_path / "zero.psm").write_text(ZERO_WIDTH)
+    code, out, err = run(["check", tmp_path / "zero.psm"], capsys)
+    assert (code, out, err) == (1, "", ZERO_WIDTH_FINDING + "\n")
 
 
 def _buffered_child_env() -> dict:

@@ -14,12 +14,10 @@ from psmsynth.cost import (
     dominates,
     estimate_area,
     estimate_power,
-    exec_latency,
     load_alternatives,
     pareto_filter_alternatives,
     save_alternatives,
 )
-from psmsynth.dfg import Dfg, Loop, LoopNest, Op
 
 
 def alt(mcc="m", power=1.0, area=1.0, cycles=1, unroll=0, lam=None, fmax=100 * MHZ):
@@ -43,22 +41,6 @@ def test_power_scales_linearly_with_frequency():
     assert p_ref == pytest.approx(1000.0 * POWER_PER_AREA)
     with pytest.raises(CostError):
         estimate_power(1000.0, 0.0)
-
-
-def test_exec_latency_folds_nested_loops():
-    body = Dfg((Op(0, "add", ()),), (), (0,))
-    inner = Loop(body=body, trip=10)
-    outer = Loop(body=body, trip=5, children=(inner,))
-    nest = LoopNest(loops=(outer,))
-    spans = {(0,): 3, (0, 0): 2}
-    # 5 * (3 + 10 * 2) = 115, plus pre/post.
-    assert exec_latency(nest, spans, pre_makespan=4, post_makespan=1) == 120
-
-
-def test_exec_latency_missing_schedule_diagnosed():
-    nest = LoopNest(loops=(Loop(body=Dfg((Op(0, "add", ()),), (), (0,)), trip=2),))
-    with pytest.raises(CostError):
-        exec_latency(nest, {})
 
 
 # --- CSV ingestion ------------------------------------------------------------

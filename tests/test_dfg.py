@@ -16,12 +16,11 @@ from psmsynth.dfg import (
     Op,
     UnrollError,
     asap,
-    dynamic_op_count,
     format_nest,
     max_useful_latency,
     min_latency,
+    nest_parts,
     parse_nest,
-    total_iterations,
     unroll,
 )
 
@@ -146,13 +145,29 @@ def accumulator_loop() -> Loop:
     return Loop(body=body, trip=8, carried=((1, 2),))
 
 
+def executed_ops(nest: LoopNest) -> int:
+    parts = nest_parts(nest).values()
+    return sum(runs * len(part.ops) for part, runs in parts if part is not None)
+
+
+def test_nest_parts_count_runs_of_nested_loops():
+    body = Dfg((Op(0, "add", ()),), (), (0,))
+    inner = Loop(body=body, trip=10)
+    nest = LoopNest(loops=(Loop(body=body, trip=5, children=(inner,)),), pre=body, post=body)
+    runs = {key: n for key, (_, n) in nest_parts(nest).items()}
+    assert runs == {"pre": 1, "post": 1, (0,): 5, (0, 0): 50}
+    # Makespans 4 (pre), 3 (outer), 2 (inner), 1 (post): 4 + 5 * (3 + 10 * 2) + 1.
+    spans = {"pre": 4, (0,): 3, (0, 0): 2, "post": 1}
+    assert sum(n * spans[key] for key, n in runs.items()) == 120
+
+
 def test_unroll_preserves_dynamic_op_count():
     nest = LoopNest(loops=(accumulator_loop(),))
-    base = dynamic_op_count(nest)
+    assert executed_ops(nest) == 16
     for factor in (1, 2, 4, 8):
         un = unroll(nest, factor)
-        assert dynamic_op_count(un) == base
-        assert total_iterations(un) == 8 // factor
+        assert executed_ops(un) == 16
+        assert un.loops[0].trip == 8 // factor
 
 
 def test_unroll_factor_must_divide_trip():
@@ -216,7 +231,7 @@ def test_fixture_dfgs_parse_and_round_trip(fixtures):
     for name in ["mhr.dfg", "spo2.dfg", "emg.dfg", "chain.dfg", "adds4.dfg"]:
         text = (fixtures / name).read_text()
         nest = parse_nest(text)
-        assert dynamic_op_count(nest) > 0
+        assert executed_ops(nest) > 0
         assert parse_nest(format_nest(nest)) == nest
 
 

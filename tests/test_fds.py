@@ -22,7 +22,6 @@ from psmsynth.fds import (
     fds_schedule,
     format_schedule,
     latency_sweep,
-    list_schedule,
     resource_usage,
     schedule_nest,
     validate_schedule,
@@ -183,25 +182,6 @@ def test_brute_force_guards_instance_size():
         d = random_dfg(rng, 30)
     with pytest.raises(SchedulingError):
         brute_force_min_resources(d, min_latency(d))
-
-
-# --- List-scheduling baseline -------------------------------------------------
-
-def test_list_schedule_respects_resource_limits():
-    rng = random.Random(31)
-    for _ in range(100):
-        d = random_dfg(rng, 20)
-        resources = {t: rng.randint(1, 2) for t in {op.type for op in d.ops}}
-        s = list_schedule(d, resources)
-        usage = resource_usage(d, s)
-        for op_type, count in usage.per_type.items():
-            assert count <= resources[op_type]
-        validate_schedule(d, s)  # lam is the achieved makespan
-
-
-def test_list_schedule_needs_one_of_each_resource():
-    with pytest.raises(SchedulingError):
-        list_schedule(chain3(), {"add": 0})
 
 
 # --- Whole-nest scheduling ----------------------------------------------------
