@@ -11,12 +11,20 @@ Conventions (documented, checked by tests):
   * Each computation-call (MCC) invocation occupies its start/done handshake
     (2 cycles) plus the configured execution latency; incoming events stall
     (are back-pressured) while an instance is mid-call.
+  * The interpreter puts every clock edge and stimulus arrival of a run on
+    one integer time base: `base` is the lcm of the clock numerators (a tick
+    is q/p s) and of the stimulus times' denominators, and edge k of an
+    instance lies at k * base*q/p.  Edges are ordered and arrivals sampled
+    in integers; a Fraction time is built only for a recorded entry, event
+    or dropped event.  A run is bounded by an edge count, by a time horizon
+    (edges strictly before it, as the reference simulator stops), or both.
 """
 
 from __future__ import annotations
 
 import heapq
 import io
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -228,29 +236,28 @@ class CycleTrace:
     events: list[CycleEventRecord] = field(default_factory=list)
     dropped: list[CycleEventRecord] = field(default_factory=list)
 
-    def entries_for(self, instance: str) -> list[CycleStateEntry]:
-        return [e for e in self.entries if e.instance == instance]
-
-    def events_for(self, instance: str) -> list[CycleEventRecord]:
-        return [e for e in self.events if e.instance == instance]
-
 
 class _Rt:
-    """Mutable per-instance interpreter state.  `done_at` is the edge at which
-    the running call ends, `fire_at` the edge at which the pending transition
-    to `target` fires; `queue` is a heap of (arrival, seq, event, payload)."""
+    """Mutable per-instance interpreter state.  Times are integers on the
+    run's time base: edge k of this instance lies at `k * unit`, and `last`
+    is the last edge it runs.  `done_at` is the edge at which the running
+    call ends, `fire_at` the edge at which the pending transition to
+    `target` fires; `queue` is a heap of (arrival, seq, event, payload)."""
 
     __slots__ = (
-        "spec", "tick", "cycle", "state", "vars", "queue", "staged", "done_at", "fire_at", "target",
+        "spec", "states", "unit", "last", "cycle", "state", "vars", "queue", "staged", "done_at",
+        "fire_at", "target",
     )
 
-    def __init__(self, spec: FsmInstance):
+    def __init__(self, spec: FsmInstance, unit: int, last: int):
         self.spec = spec
-        self.tick = 1 / spec.freq
+        self.states = {s.name: s for s in spec.ir.component.states}
+        self.unit = unit
+        self.last = last
         self.cycle = 0
         self.state = spec.ir.component.initial
         self.vars = {v.name: ex.wrap_signed(v.init, v.width) for v in spec.ir.component.variables}
-        self.queue: list[tuple[Fraction, int, str, int | None]] = []
+        self.queue: list[tuple[int, int, str, int | None]] = []
         self.staged: list[tuple[str, int]] = []
         self.done_at: int | None = None
         self.fire_at: int | None = None
@@ -261,52 +268,75 @@ class _Rt:
         pending transition or the first edge strictly after the head arrival."""
         if self.done_at is not None:
             return self.done_at
-        edges = [] if self.fire_at is None else [self.fire_at]
+        k = self.fire_at
         if self.queue:
-            edges.append(max(self.cycle + 1, int(self.queue[0][0] * self.spec.freq) + 1))
-        return min(edges, default=None)
+            arrival = max(self.cycle + 1, self.queue[0][0] // self.unit + 1)
+            if k is None or arrival < k:
+                k = arrival
+        return k
 
 
 def interpret(
     sys_ir: SystemIr,
     stimulus: Iterable[TraceEvent],
-    max_cycles: int,
+    max_cycles: int | None = None,
     mcc_latencies: Mapping[str, int] | None = None,
     mcc_impls: Mapping[str, object] | None = None,
+    *,
+    horizon: Fraction | None = None,
 ) -> CycleTrace:
     """Execute the synthesized FSMs cycle-accurately until every instance has
-    run `max_cycles` clock edges or gone permanently idle.
+    run its last clock edge or gone permanently idle.  An instance runs the
+    edges up to `max_cycles`, and those strictly before `horizon` seconds, as
+    `model.simulate` stops before its horizon; at least one bound is needed.
 
     Stimulus timestamps are seconds; an event at time t is sampled at the
     target's first clock edge strictly after t.  Stimulus and MCC results are
     checked as `model.simulate` checks them, with a SimulationError.
     """
+    if max_cycles is None and horizon is None:
+        raise TypeError("interpret needs max_cycles or horizon")
     mcc_latencies = dict(mcc_latencies or {})
     mcc_impls = dict(mcc_impls or {})
-    rts = [_Rt(spec) for spec in sys_ir.instances]
+    comps = {spec.name: spec.ir.component for spec in sys_ir.instances}
+    routed = [
+        (Fraction(time), inst_name, event, payload)
+        for time, inst_name, event, payload in _route_stimulus(sys_ir.system, comps, stimulus)
+    ]
+    # One integer time base for every clock edge and stimulus arrival.
+    base = math.lcm(
+        *(spec.freq.numerator for spec in sys_ir.instances), *(t.denominator for t, *_ in routed)
+    )
+    rts = []
+    for spec in sys_ir.instances:
+        last = max_cycles
+        if horizon is not None:
+            x = Fraction(horizon) * spec.freq
+            before = (x.numerator - 1) // x.denominator  # the last edge k with k < x
+            last = before if last is None else min(last, before)
+        rts.append(_Rt(spec, base * spec.freq.denominator // spec.freq.numerator, last))
     by_name = {rt.spec.name: rt for rt in rts}
     fanout = _fanout(sys_ir.system)
     trace = CycleTrace()
     seq = 0
 
-    def deliver(time: Fraction, inst_name: str, event: str, payload: int | None) -> None:
+    def deliver(arrival: int, inst_name: str, event: str, payload: int | None) -> None:
         nonlocal seq
-        heapq.heappush(by_name[inst_name].queue, (time, seq, event, payload))
+        heapq.heappush(by_name[inst_name].queue, (arrival, seq, event, payload))
         seq += 1
 
-    comps = {rt.spec.name: rt.spec.ir.component for rt in rts}
-    for time, inst_name, event, payload in _route_stimulus(sys_ir.system, comps, stimulus):
-        deliver(Fraction(time), inst_name, event, payload)
+    for time, inst_name, event, payload in routed:
+        deliver(time.numerator * (base // time.denominator), inst_name, event, payload)
 
-    def emit(rt: _Rt, now: Fraction, event: str, payload: int | None) -> None:
-        trace.events.append(CycleEventRecord(rt.spec.name, rt.cycle, now, event, payload))
+    def emit(rt: _Rt, now: int, time: Fraction, event: str, payload: int | None) -> None:
+        trace.events.append(CycleEventRecord(rt.spec.name, rt.cycle, time, event, payload))
         for dst_inst, dst_event in fanout.get((rt.spec.name, event), []):
             deliver(now, dst_inst, dst_event, payload)
 
     def arm(rt: _Rt) -> None:
         """Schedule the state's transition: a true guard or a delta spec fires
         on the next edge, a finite spec when its timer runs out."""
-        state = rt.spec.ir.component.state(rt.state)
+        state = rt.states[rt.state]
         rt.fire_at = rt.target = None
         for g in state.guards:
             if ex.evaluate(g.guard, rt.vars):
@@ -319,14 +349,15 @@ def interpret(
 
     def enter(rt: _Rt, state_name: str) -> None:
         rt.state = state_name
-        now = rt.cycle * rt.tick
-        trace.entries.append(CycleStateEntry(rt.spec.name, rt.cycle, now, state_name))
+        now = rt.cycle * rt.unit
+        time = Fraction(now, base)
+        trace.entries.append(CycleStateEntry(rt.spec.name, rt.cycle, time, state_name))
         busy = 0
-        for action in rt.spec.ir.component.state(state_name).entry:
+        for action in rt.states[state_name].entry:
             if isinstance(action, Notify):
-                emit(rt, now, action.event, None)
+                emit(rt, now, time, action.event, None)
             elif isinstance(action, Export):
-                emit(rt, now, action.event, ex.evaluate(action.value, rt.vars))
+                emit(rt, now, time, action.event, ex.evaluate(action.value, rt.vars))
             elif isinstance(action, Assign):
                 rt.vars[action.var] = ex.evaluate(action.value, rt.vars)
             elif isinstance(action, InvokeMcc):
@@ -347,8 +378,8 @@ def interpret(
             return
         # Sample pending handshakes; drop non-imported arrivals, consume the
         # first imported one (external beats timer at the same edge).
-        now = rt.cycle * rt.tick
-        imports = rt.spec.ir.component.state(rt.state).imports
+        now = rt.cycle * rt.unit
+        imports = rt.states[rt.state].imports
         while rt.queue and rt.queue[0][0] < now:
             _, _, event, payload = heapq.heappop(rt.queue)
             imp = next((i for i in imports if i.event == event), None)
@@ -357,7 +388,8 @@ def interpret(
                     rt.vars[event] = ex.wrap_signed(payload)
                 enter(rt, imp.target)
                 return
-            trace.dropped.append(CycleEventRecord(rt.spec.name, rt.cycle, now, event, payload))
+            time = Fraction(now, base)
+            trace.dropped.append(CycleEventRecord(rt.spec.name, rt.cycle, time, event, payload))
         if rt.fire_at == rt.cycle:
             enter(rt, rt.target)
 
@@ -368,8 +400,8 @@ def interpret(
         due = []
         for i, rt in enumerate(rts):
             k = rt.wake()
-            if k is not None and k <= max_cycles:
-                due.append((k * rt.tick, i, k))
+            if k is not None and k <= rt.last:
+                due.append((k * rt.unit, i, k))
         if not due:
             return trace
         _, i, k = min(due)
@@ -392,38 +424,52 @@ def compare_with_reference(
     handshake overhead.
     """
     problems: list[str] = []
+    ref_entries, ref_events = _by_instance(ref.state_entries), _by_instance(ref.events)
+    cyc_entries, cyc_events = _by_instance(cyc.entries), _by_instance(cyc.events)
     for spec in sys_ir.instances:
-        tick = 1 / spec.freq
-        ref_entries = ref.entries_for(spec.name)
-        cyc_entries = cyc.entries_for(spec.name)
-        ref_states = [e.state for e in ref_entries]
-        cyc_states = [e.state for e in cyc_entries]
+        refs, cycs = ref_entries.get(spec.name, []), cyc_entries.get(spec.name, [])
+        ref_states = [e.state for e in refs]
+        cyc_states = [e.state for e in cycs]
         if ref_states != cyc_states:
             problems.append(
                 f"{spec.name}: state sequence differs{_divergence(ref_states, cyc_states)}"
             )
             continue
+        tolerances: dict[int, tuple[int, int]] = {}  # zero-time steps -> tolerance ratio
         zero_steps = 0
-        for i, (r, c) in enumerate(zip(ref_entries, cyc_entries)):
-            if i > 0 and ref_entries[i - 1].time == r.time:
-                zero_steps += 1
-            else:
-                zero_steps = 0
-            tolerance = spec.period + (1 + zero_steps + HANDSHAKE_CYCLES) * tick
-            dev = abs(Fraction(c.time) - Fraction(r.time))
-            if dev > tolerance:
+        previous = None
+        for i, (r, c) in enumerate(zip(refs, cycs)):
+            rn, rd = r.time.as_integer_ratio()
+            zero_steps = zero_steps + 1 if (rn, rd) == previous else 0
+            previous = rn, rd
+            if zero_steps not in tolerances:
+                tolerances[zero_steps] = (
+                    spec.period + Fraction(1 + zero_steps + HANDSHAKE_CYCLES) / spec.freq
+                ).as_integer_ratio()
+            tn, td = tolerances[zero_steps]
+            cn, cd = c.time.as_integer_ratio()
+            if abs(cn * rd - rn * cd) * td > tn * cd * rd:  # |c - r| > tolerance
+                dev, tolerance = abs(c.time - r.time), Fraction(tn, td)
                 problems.append(
                     f"{spec.name}: entry #{i} ({r.state}) at {float(c.time):.9f}s "
                     f"vs reference {float(r.time):.9f}s (deviation {float(dev):.9f}s "
                     f"> tolerance {float(tolerance):.9f}s)"
                 )
-        ref_events = [(e.event, e.payload) for e in ref.events_for(spec.name)]
-        cyc_events = [(e.event, e.payload) for e in cyc.events_for(spec.name)]
-        if ref_events != cyc_events:
+        ref_out = [(e.event, e.payload) for e in ref_events.get(spec.name, [])]
+        cyc_out = [(e.event, e.payload) for e in cyc_events.get(spec.name, [])]
+        if ref_out != cyc_out:
             problems.append(
-                f"{spec.name}: output event sequence differs{_divergence(ref_events, cyc_events)}"
+                f"{spec.name}: output event sequence differs{_divergence(ref_out, cyc_out)}"
             )
     return problems
+
+
+def _by_instance(records: Iterable) -> dict[str, list]:
+    """Records grouped by their instance, each group in record order."""
+    groups: dict[str, list] = {}
+    for record in records:
+        groups.setdefault(record.instance, []).append(record)
+    return groups
 
 
 def _divergence(ref: list, cyc: list) -> str:
@@ -466,18 +512,30 @@ def write_vcd(trace: CycleTrace, sys_ir: SystemIr, handle) -> None:
 
     changes: dict[int, list[str]] = {}
 
-    def at(time: Fraction) -> list[str]:
-        ns = round(time * 10**9)
+    def at(num: int, den: int) -> list[str]:
+        """The change list at time num/den seconds, in ns rounded half to
+        even, as round() rounds a Fraction."""
+        ns, rem = divmod(num * 10**9, den)
+        if 2 * rem > den or (2 * rem == den and ns % 2):
+            ns += 1
         return changes.setdefault(ns, [])
 
+    # Each change line is built once and shared by all the records it stands for.
+    set_state = {
+        (spec.name, state): f"b{code:b} {ids[(spec.name, '__state')]}"
+        for spec in sys_ir.instances
+        for state, code in spec.ir.state_codes.items()
+    }
+    strobe = {key: ("1" + wire, "0" + wire) for key, wire in ids.items()}
+    ticks = {spec.name: spec.freq.as_integer_ratio() for spec in sys_ir.instances}
     for entry in trace.entries:
-        spec = sys_ir.instance(entry.instance)
-        code = spec.ir.state_codes[entry.state]
-        at(entry.time).append(f"b{code:b} {ids[(entry.instance, '__state')]}")
+        at(*entry.time.as_integer_ratio()).append(set_state[(entry.instance, entry.state)])
     for evt in trace.events:
-        at(evt.time).append(f"1{ids[(evt.instance, evt.event)]}")
-        spec = sys_ir.instance(evt.instance)
-        at(evt.time + 1 / spec.freq).append(f"0{ids[(evt.instance, evt.event)]}")
+        num, den = evt.time.as_integer_ratio()
+        p, q = ticks[evt.instance]  # the strobe ends one tick, q/p s, later
+        rise, fall = strobe[(evt.instance, evt.event)]
+        at(num, den).append(rise)
+        at(num * p + den * q, den * p).append(fall)
 
     for ns in sorted(changes):
         handle.write(f"#{ns}\n")

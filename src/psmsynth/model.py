@@ -460,12 +460,6 @@ class EventTrace:
     state_entries: list[StateEntry] = field(default_factory=list)
     dropped: list[TraceEvent] = field(default_factory=list)
 
-    def entries_for(self, instance: str) -> list[StateEntry]:
-        return [s for s in self.state_entries if s.instance == instance]
-
-    def events_for(self, instance: str) -> list[TraceEvent]:
-        return [e for e in self.events if e.instance == instance]
-
 
 def single_component_system(comp: PsmComponent, instance_name: str = "dut") -> PsmSystem:
     """Wrap one component for direct simulation; every input/output becomes a port."""

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from psmsynth import fsm
-from psmsynth.dsl import parse_component, parse_file
+from psmsynth.dsl import parse_component, parse_file, parse_system
 from psmsynth.model import SimulationError, TraceEvent, simulate, simulate_component
 from psmsynth.fsm import (
     SynthesisError,
@@ -348,6 +348,114 @@ def test_golden_wpm_traces(wpm, mixed, max_cycles, horizon, digests, diverging):
         "vcd": _sha([vcd.getvalue()]),
         "compare": _sha(problems),
     } == digests
+
+
+def test_golden_wpm_traces_at_off_grid_clocks(wpm):
+    # Clocks whose ticks are not whole nanoseconds, stimulus off every grid:
+    # the 4/3 GHz edges fall on .5 ns, so the VCD pins how ties are rounded.
+    system, comps = wpm
+    clocks = [Fraction(4 * 10**9, 3), Fraction(10**7, 7), 999_983, Fraction(3 * MHZ, 2)]
+    freqs = {inst.name: clocks[i % 4] for i, inst in enumerate(system.instances)}
+    shift = Fraction(1, 7 * 10**7)
+    stim = [TraceEvent(t + shift, "StartMeasure", "Start", None) for t in WPM_STARTS]
+    sys_ir = synthesize_system(system, comps, freqs)
+    cyc = interpret(sys_ir, stim, 5 * 10**6, ALL_LATENCIES, ALL_IMPLS)
+    vcd = io.StringIO()
+    write_vcd(cyc, sys_ir, vcd)
+    assert {
+        "entries": _sha(f"{e.instance} {e.cycle} {e.time} {e.state}" for e in cyc.entries),
+        "events": _sha(f"{e.instance} {e.cycle} {e.time} {e.event} {e.payload}" for e in cyc.events),
+        "dropped": _sha(f"{e.instance} {e.cycle} {e.time} {e.event} {e.payload}" for e in cyc.dropped),
+        "vcd": _sha([vcd.getvalue()]),
+    } == {
+        "entries": "bcb3566de8fd3940daded99bf427237df02faafc36c2a402dc73a7f96f96116a",
+        "events": "c007947134f45c1e52e58617f5a9185baece29d2215e3b0eb6314c6c31e548fd",
+        "dropped": "6f295b4e487026588cd4f3a7bce2147223691a3f4fef2695977697dcde03a0a1",
+        "vcd": "779a1b0bdeb1fe1fcc0c2ed2719351999bfd60fbf0d48e41c00c96589a152df8",
+    }
+
+
+def test_horizon_bounds_mixed_clocks_like_the_simulator(wpm):
+    # A time horizon stops every instance strictly before it, as simulate()
+    # does, so the mixed-clock system matches the reference.
+    system, comps = wpm
+    names = [inst.name for inst in system.instances]
+    sys_ir = synthesize_system(system, comps, {n: MIXED_FREQS[i % 4] for i, n in enumerate(names)})
+    stim = [TraceEvent(t, "StartMeasure", "Start", None) for t in WPM_STARTS]
+    horizon = Fraction(5)
+    ref = simulate(system, comps, [e for e in stim if e.time < horizon], horizon, ALL_IMPLS)
+    cyc = interpret(sys_ir, stim, mcc_latencies=ALL_LATENCIES, mcc_impls=ALL_IMPLS, horizon=horizon)
+    assert compare_with_reference(ref, cyc, sys_ir) == []
+    assert max(e.time for e in cyc.entries) < horizon
+    for spec in sys_ir.instances:  # no edge at or after the horizon runs
+        assert max(e.cycle for e in cyc.entries if e.instance == spec.name) < horizon * spec.freq
+
+
+def test_interpret_needs_a_bound(wpm):
+    system, comps = wpm
+    sys_ir = synthesize_system(system, comps, {inst.name: 1 * MHZ for inst in system.instances})
+    with pytest.raises(TypeError, match="max_cycles or horizon"):
+        interpret(sys_ir, [])
+
+
+def test_interpret_makes_few_fraction_calls_per_record(wpm):
+    # Work-count guard: edges are ordered on an integer time base, and a
+    # Fraction is built only for a recorded time.  Deterministic: counts calls
+    # into the fractions module, not time.
+    import cProfile
+    import pstats
+
+    system, comps = wpm
+    sys_ir = synthesize_system(system, comps, {inst.name: 1 * MHZ for inst in system.instances})
+    stim = [TraceEvent(t, "StartMeasure", "Start", None) for t in WPM_STARTS]
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        cyc = interpret(sys_ir, stim, 3 * 10**6 - 1, ALL_LATENCIES, ALL_IMPLS)
+    finally:
+        profile.disable()
+    calls = sum(
+        stat[1] for key, stat in pstats.Stats(profile).stats.items() if key[0].endswith("fractions.py")
+    )
+    records = len(cyc.entries) + len(cyc.events) + len(cyc.dropped)
+    assert records == 3679
+    assert calls <= 2 * records, f"{calls} calls into fractions for {records} records"
+
+
+PINGER = """
+component Pinger { period 1 s; output event Ping; initial Idle;
+  state Idle { ts(1 ms) -> Step; }
+  state Step { ts(delta) -> Send; }
+  state Send { entry { notify Ping; } ts(inf); } }
+"""
+RECEIVER = """
+component Receiver { period 1 s; input event Go; input event Ping; initial Wait;
+  state Wait { import Go -> GotGo; import Ping -> GotPing; }
+  state GotGo { ts(inf); }
+  state GotPing { ts(inf); } }
+"""
+PAIR = """
+system Pair { instance p: Pinger; instance r: Receiver;
+  connect p.Ping -> r.Ping; port input Go -> r.Go; }
+"""
+
+
+def test_arrivals_within_one_clock_interval_are_taken_in_time_order():
+    # The stimulus Go is routed before the run starts, so it is queued first,
+    # but it arrives at 10/7 ms, after Ping (emitted at 4/3 ms on the 3 kHz
+    # clock).  Both arrive before the receiver's 2 ms edge: Ping is consumed
+    # there, and Go is dropped at the next edge by a state that does not
+    # import it.
+    comps = {"Pinger": parse_component(PINGER), "Receiver": parse_component(RECEIVER)}
+    sys_ir = synthesize_system(parse_system(PAIR), comps, {"p": 3000, "r": 1000})
+    go = Fraction(10, 7) * MS
+    cyc = interpret(sys_ir, [TraceEvent(go, "Go", "Go", None)], 10)
+    assert [(e.instance, e.state, e.cycle, e.time) for e in cyc.entries] == [
+        ("p", "Idle", 0, 0), ("r", "Wait", 0, 0),
+        ("p", "Step", 3, MS), ("p", "Send", 4, Fraction(4, 3) * MS),
+        ("r", "GotPing", 2, 2 * MS),
+    ]
+    assert [(d.instance, d.event, d.cycle, d.time) for d in cyc.dropped] == [("r", "Go", 3, 3 * MS)]
 
 
 # --- Malformed stimulus and MCC results ------------------------------------------
