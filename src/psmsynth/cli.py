@@ -249,6 +249,8 @@ def cmd_schedule(args) -> int:
     # The constraint binds the hottest loop body as scheduled, that is after
     # unrolling (or the whole graph when there are no loops).
     probe = worklist.loops[0].body if worklist.loops else (worklist.pre or dfg.Dfg())
+    if not probe.ops:
+        raise CliError(f"{args.dfg}: nothing to schedule", EXIT_VALIDATION)
     if args.latency is not None:
         needed = dfg.min_latency(probe)
         if args.latency < needed:
@@ -256,8 +258,6 @@ def cmd_schedule(args) -> int:
         lams = [args.latency]
     else:
         # Evenly spaced constraints over the probe's useful latency range.
-        if not probe.ops:
-            raise CliError(f"{args.dfg}: nothing to schedule", EXIT_VALIDATION)
         try:
             lams = fds.latency_sweep(probe, args.points)
         except fds.SchedulingError as err:

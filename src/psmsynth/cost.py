@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -88,6 +89,10 @@ class MccAlternative:
     def __post_init__(self):
         if self.source not in SOURCES:
             raise CostError(f"source must be one of {SOURCES}, got '{self.source}'")
+        finite = {"max frequency": self.f_max, "area": self.area, "power": self.power}
+        for label, value in finite.items():
+            if not math.isfinite(value):
+                raise CostError(f"{label} must be finite, got {value}")
         if self.exec_cycles < 1:
             raise CostError(f"exec cycles must be >= 1, got {self.exec_cycles}")
         if self.f_max <= 0:
@@ -166,23 +171,6 @@ def save_alternatives(rows: Iterable[MccAlternative], path) -> None:
 
 def _format_num(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else repr(float(x))
-
-
-def dominates(a: MccAlternative, b: MccAlternative) -> bool:
-    """Strict dominance on (power, area, exec latency), all minimized."""
-    le = a.power <= b.power and a.area <= b.area and a.exec_cycles <= b.exec_cycles
-    lt = a.power < b.power or a.area < b.area or a.exec_cycles < b.exec_cycles
-    return le and lt
-
-
-def pareto_filter_alternatives(rows: Iterable[MccAlternative]) -> list[MccAlternative]:
-    """Per-MCC non-dominated rows; ties (including duplicates) are kept."""
-    rows = list(rows)
-    kept: list[MccAlternative] = []
-    for r in rows:
-        if not any(other.mcc == r.mcc and dominates(other, r) for other in rows):
-            kept.append(r)
-    return kept
 
 
 def alternative_from_schedule(

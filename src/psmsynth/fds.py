@@ -1,5 +1,4 @@
-"""Latency-constrained force-directed scheduling, whole-nest scheduling, and
-an exhaustive minimum-resource oracle for small graphs.
+"""Latency-constrained force-directed scheduling and whole-nest scheduling.
 
 The force-directed scheduler fixes one operation per round at the
 (operation, control step) pair with the lowest total force, where force is
@@ -21,7 +20,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Mapping
 
-from .cost import CostTable
 from .dfg import (
     DEFAULT_LATENCIES,
     Dfg,
@@ -32,8 +30,6 @@ from .dfg import (
     max_useful_latency,
     nest_parts,
 )
-
-BRUTE_FORCE_OP_LIMIT = 12
 
 
 class SchedulingError(Exception):
@@ -53,25 +49,17 @@ class Schedule:
 class ResourceUsage:
     per_type: Mapping[str, int]
 
-    def cost(self, table: CostTable | None = None) -> float:
-        table = table or CostTable()
-        return sum(table.area.get(t, 1.0) * r for t, r in self.per_type.items())
-
-
-def _peak_usage(dfg: Dfg, start: Mapping[int, int]) -> dict[str, int]:
-    """Most ops of each type busy in one step, over the placed ops of `start`;
-    types appear in the order of their first op in `dfg.ops`."""
-    occupancy: dict[str, dict[int, int]] = {}
-    for op in dfg.ops:
-        if op.id in start:
-            slots = occupancy.setdefault(op.type, {})
-            for t in range(start[op.id], start[op.id] + dfg.lat[op.id]):
-                slots[t] = slots.get(t, 0) + 1
-    return {t: max(slots.values()) for t, slots in occupancy.items()}
-
 
 def resource_usage(dfg: Dfg, schedule: Schedule) -> ResourceUsage:
-    return ResourceUsage(_peak_usage(dfg, schedule.start))
+    """Most ops of each type busy in one step; types appear in the order of
+    their first op in `dfg.ops`."""
+    occupancy: dict[str, dict[int, int]] = {}
+    for op in dfg.ops:
+        slots = occupancy.setdefault(op.type, {})
+        start = schedule.start[op.id]
+        for t in range(start, start + dfg.lat[op.id]):
+            slots[t] = slots.get(t, 0) + 1
+    return ResourceUsage({t: max(slots.values()) for t, slots in occupancy.items()})
 
 
 def validate_schedule(dfg: Dfg, schedule: Schedule) -> None:
@@ -191,49 +179,6 @@ def fds_schedule(
     schedule = Schedule(dict(fixed), lam)
     validate_schedule(dfg, schedule)
     return schedule
-
-
-# --- Oracle ------------------------------------------------------------------
-
-def brute_force_min_resources(
-    dfg: Dfg, lam: int, table: CostTable | None = None
-) -> tuple[ResourceUsage, Schedule]:
-    """Exact minimum weighted resource usage over all feasible schedules.
-
-    Exhaustive over the ops' time frames; guarded to small graphs.
-    """
-    table = table or CostTable()
-    if len(dfg.ops) > BRUTE_FORCE_OP_LIMIT:
-        raise SchedulingError(
-            f"brute force limited to {BRUTE_FORCE_OP_LIMIT} ops, got {len(dfg.ops)}"
-        )
-    lo, hi = dfg.frames(lam)
-    order = dfg.order
-
-    best_cost = float("inf")
-    best: tuple[ResourceUsage, Schedule] | None = None
-    start: dict[int, int] = {}
-
-    def walk(idx: int):
-        nonlocal best_cost, best
-        if idx == len(order):
-            usage = ResourceUsage(_peak_usage(dfg, start))
-            cost = usage.cost(table)
-            if cost < best_cost:
-                best_cost = cost
-                best = (usage, Schedule(dict(start), lam))
-            return
-        v = order[idx]
-        earliest = max((start[p] + dfg.lat[p] for p in dfg.preds[v]), default=lo[v])
-        for t in range(max(lo[v], earliest), hi[v] + 1):
-            start[v] = t
-            if ResourceUsage(_peak_usage(dfg, start)).cost(table) < best_cost:
-                walk(idx + 1)
-            del start[v]
-
-    walk(0)
-    assert best is not None
-    return best
 
 
 def schedule_nest(nest: LoopNest, lam: int) -> tuple[int, ResourceUsage, dict]:

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from conftest import random_dfg
+from ilp import area, min_area_schedule
 from psmsynth import dse, fds, fsm, kernels
 from psmsynth.cli import main as cli_main
 from psmsynth.cost import MHZ, load_alternatives, save_alternatives
@@ -241,14 +242,13 @@ def test_acceptance_scheduler_validity_and_optimality_bounds():
     for _ in range(150):
         d = random_dfg(rng, 8)
         lam = min_latency(d) + rng.randint(0, 3)
-        heuristic = fds.resource_usage(d, fds.fds_schedule(d, lam)).cost()
-        optimum, _ = fds.brute_force_min_resources(d, lam)
-        never_better = never_better and heuristic >= optimum.cost() - 1e-9
+        heuristic = area(d, fds.fds_schedule(d, lam))
+        never_better = never_better and heuristic >= area(d, min_area_schedule(d, lam)) - 1e-9
     elapsed = time.perf_counter() - started
     check_all(
         {
             "all schedules valid": all_valid,
-            "never beats exhaustive optimum": never_better,
+            "never beats the ILP optimum": never_better,
             "under 120 s": elapsed < 120.0,
         }
     )

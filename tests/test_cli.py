@@ -644,12 +644,16 @@ WPM = [f"{{fx}}/{n}" for n in ALL_MODELS]
      "component P: state 'S' uses 'a' after invoke Inc, which returns it only when the call is done"),
     (["sim", "{tmp}/zero.psm", "--horizon", "50 ms"], 1, ZERO_WIDTH_FINDING),
     (["synth", "{tmp}/zero.psm"], 1, ZERO_WIDTH_FINDING),
+    (["schedule", "{tmp}/e.dfg", "--latency", "3", "--out", "{tmp}/out"], 1,
+     "{tmp}/e.dfg: nothing to schedule"),
+    (["explore", "--alts", "{tmp}/nan.csv", "--config", "{fx}/wpm.cfg", "--out", "{tmp}/out"], 1,
+     "{tmp}/nan.csv:2: max frequency must be finite, got nan"),
 ], ids=[
     "schedule-out-is-a-file", "synth-out-below-a-file", "explore-out-is-a-file",
     "latency-not-an-int", "unknown-command", "freq-unknown-instance", "duplicate-component",
     "sim-two-systems", "synth-two-systems", "division-by-zero", "psm-not-utf8", "dfg-not-utf8",
     "csv-not-utf8", "result-read-before-the-call-is-done", "sim-zero-width-variable",
-    "synth-zero-width-variable",
+    "synth-zero-width-variable", "schedule-empty-graph-at-a-latency", "csv-not-finite",
 ])
 def test_malformed_input_ends_in_one_error_line(fixtures, tmp_path, capsys, argv, code, message):
     (tmp_path / "taken").write_text("")
@@ -660,6 +664,11 @@ def test_malformed_input_ends_in_one_error_line(fixtures, tmp_path, capsys, argv
     (tmp_path / "zero.psm").write_text(ZERO_WIDTH)
     for name in ("bin.psm", "bin.dfg", "bin.csv"):
         (tmp_path / name).write_bytes(b"component \xff\n")
+    (tmp_path / "e.dfg").write_text("")
+    (tmp_path / "nan.csv").write_text(
+        "mcc,source,unroll,lambda,freq_mhz,exec_cycles,area,power_mw\n"
+        "mhr,measured,0,63,nan,4056,nan,135\n"
+    )
     fill = {"fx": fixtures, "tmp": tmp_path}
     got, _, err = run([a.format(**fill) for a in argv], capsys)
     assert got == code

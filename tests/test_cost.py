@@ -11,11 +11,9 @@ from psmsynth.cost import (
     MccAlternative,
     TableFormatError,
     alternative_from_schedule,
-    dominates,
     estimate_area,
     estimate_power,
     load_alternatives,
-    pareto_filter_alternatives,
     save_alternatives,
 )
 
@@ -112,6 +110,10 @@ def test_invalid_values_rejected_with_location(loads):
         "m,measured,0,,0,10,1,1",  # zero frequency
         "m,measured,-1,,100,10,1,1",  # negative unroll
         "m,measured,0,,100,10,-1,1",  # negative area
+        "m,measured,0,,nan,10,nan,1",  # not-a-number frequency and area
+        "m,measured,0,,inf,10,1,1",  # infinite frequency
+        "m,measured,0,,100,10,inf,1",  # infinite area
+        "m,measured,0,,100,10,1,nan",  # not-a-number power
     ]:
         with pytest.raises(TableFormatError) as err:
             loads(HEADER + "\n" + bad_row + "\n")
@@ -126,55 +128,6 @@ def test_blank_lines_skipped(loads):
 def test_empty_lambda_means_unconstrained(loads):
     rows = loads(HEADER + "\nm,measured,0,,100,10,1,1\n")
     assert rows[0].latency_constraint is None
-
-
-# --- Dominance ----------------------------------------------------------------
-
-def test_dominance_is_strict():
-    a = alt(power=1.0, area=1.0, cycles=10)
-    b = alt(power=2.0, area=1.0, cycles=10)
-    c = alt(power=1.0, area=1.0, cycles=10)
-    assert dominates(a, b)
-    assert not dominates(b, a)
-    assert not dominates(a, c) and not dominates(c, a)  # exact tie
-
-
-def test_filter_keeps_non_dominated_and_ties():
-    rows = [
-        alt(power=1.0, area=3.0, cycles=10),
-        alt(power=3.0, area=1.0, cycles=10),
-        alt(power=2.0, area=2.0, cycles=20),  # dominated in no single objective pair
-        alt(power=3.0, area=3.0, cycles=30),  # dominated by the first row
-    ]
-    kept = pareto_filter_alternatives(rows)
-    assert kept == rows[:3]
-
-
-def test_filter_is_scoped_per_mcc():
-    rows = [alt("a", power=1.0), alt("b", power=9.0, area=9.0, cycles=99)]
-    assert pareto_filter_alternatives(rows) == rows
-
-
-def test_filter_idempotent_on_measured_rows(fixtures):
-    rows = [r for r in load_alternatives(fixtures / "wpm_lcfds.csv") if r.mcc == "spo2"]
-    once = pareto_filter_alternatives(rows)
-    assert once == rows
-    assert pareto_filter_alternatives(once) == once
-
-
-def test_padded_table_reduces_to_survivor_table(fixtures):
-    # The survivor table is measured data kept verbatim, so it may retain a
-    # few rows that strict dominance would drop; but every padding row added
-    # on top of it must be filtered out, and nothing new may survive.
-    full = load_alternatives(fixtures / "eba_lcfds.csv")
-    survivors = load_alternatives(fixtures / "eba_lcfds_pareto.csv")
-    key = lambda r: (r.mcc, r.unroll, r.latency_constraint)
-    filtered = {key(r) for r in pareto_filter_alternatives(full)}
-    survivor_keys = {key(r) for r in survivors}
-    padding = {key(r) for r in full} - survivor_keys
-    assert filtered <= survivor_keys
-    assert not filtered & padding
-    assert len(filtered) >= len(survivor_keys) - 3
 
 
 # --- Modeled rows -------------------------------------------------------------

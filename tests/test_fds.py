@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import random_dfg
+from ilp import area, min_area_schedule
 from psmsynth.dfg import (
     DEFAULT_LATENCIES,
     Dfg,
@@ -17,8 +18,6 @@ from psmsynth.dfg import (
     unroll,
 )
 from psmsynth.fds import (
-    SchedulingError,
-    brute_force_min_resources,
     fds_schedule,
     format_schedule,
     latency_sweep,
@@ -141,26 +140,45 @@ def test_golden_schedules_at_wide_mobility():
     assert digest.hexdigest() == RANDOM_WIDE_SHA256
 
 
-# --- Against the exhaustive oracle --------------------------------------------
+# --- Against the exact ILP optimum -------------------------------------------
+# FDS is a heuristic.  On the first 100 graphs of the seed-7 generator it is
+# above the optimum on ABOVE_OPTIMUM of them, by at most MAX_GAP of the
+# optimal area; a scheduler change that moves either number updates it here.
 
-def test_never_beats_the_brute_force_optimum():
-    rng = random.Random(11)
-    for _ in range(150):
-        d = random_dfg(rng, 8)
-        lam = min_latency(d) + rng.randint(0, 3)
-        fds_cost = resource_usage(d, fds_schedule(d, lam)).cost()
-        optimum, sched = brute_force_min_resources(d, lam)
-        validate_schedule(d, sched)
-        assert fds_cost >= optimum.cost() - 1e-9
+ABOVE_OPTIMUM = 11
+MAX_GAP = 0.4698
+
+
+def test_never_beats_the_ilp_optimum():
+    rng = random.Random(7)
+    gaps = []
+    for _ in range(100):
+        d = random_dfg(rng, 30)
+        lo = min_latency(d)
+        lam = lo + rng.randint(0, max(1, lo // 2))
+        gaps.append(area(d, fds_schedule(d, lam)) / area(d, min_area_schedule(d, lam)) - 1)
+    assert min(gaps) >= -1e-9
+    assert sum(gap > 1e-9 for gap in gaps) == ABOVE_OPTIMUM
+    assert max(gaps) == pytest.approx(MAX_GAP, abs=5e-5)
 
 
 def test_matches_optimum_on_symmetric_graphs():
     for d, lam in [(adds4(), 4), (adds4(), 2), (chain3(), 3)]:
-        fds_cost = resource_usage(d, fds_schedule(d, lam)).cost()
-        assert fds_cost == pytest.approx(brute_force_min_resources(d, lam)[0].cost())
+        assert area(d, fds_schedule(d, lam)) == pytest.approx(area(d, min_area_schedule(d, lam)))
     # Four independent adds relaxed over four steps share a single adder.
     usage = resource_usage(adds4(), fds_schedule(adds4(), 4))
     assert usage.per_type == {"add": 1}
+
+
+def test_matches_optimum_on_every_fixture_part(fixtures):
+    for name in ("mhr", "spo2", "emg", "chain", "adds4"):
+        nest = parse_nest((fixtures / f"{name}.dfg").read_text())
+        for part in (nest.pre, *(loop.body for loop in nest.loops), nest.post):
+            if part is None or not part.ops:
+                continue
+            for lam in latency_sweep(part):
+                optimum = area(part, min_area_schedule(part, lam))
+                assert area(part, fds_schedule(part, lam)) == pytest.approx(optimum), (name, lam)
 
 
 def test_oracle_cost_monotone_in_latency():
@@ -168,20 +186,8 @@ def test_oracle_cost_monotone_in_latency():
     for _ in range(30):
         d = random_dfg(rng, 7)
         lo = min_latency(d)
-        costs = [
-            brute_force_min_resources(d, lam)[0].cost()
-            for lam in range(lo, lo + 4)
-        ]
+        costs = [area(d, min_area_schedule(d, lam)) for lam in range(lo, lo + 4)]
         assert all(a >= b - 1e-9 for a, b in zip(costs, costs[1:]))
-
-
-def test_brute_force_guards_instance_size():
-    rng = random.Random(29)
-    d = random_dfg(rng, 30)
-    while len(d.ops) <= 12:
-        d = random_dfg(rng, 30)
-    with pytest.raises(SchedulingError):
-        brute_force_min_resources(d, min_latency(d))
 
 
 # --- Whole-nest scheduling ----------------------------------------------------
@@ -239,7 +245,7 @@ def test_explore_latencies_spacing():
     lams = latency_sweep(d, points=4)
     assert lams == [1, 2, 3, 4]
     schedules = [fds_schedule(d, lam) for lam in lams]
-    costs = [resource_usage(d, sched).cost() for sched in schedules]
+    costs = [area(d, sched) for sched in schedules]
     assert costs[0] >= costs[-1]
     for sched in schedules:
         validate_schedule(d, sched)
