@@ -101,6 +101,8 @@ class MccAlternative:
             raise CostError("area and power must be >= 0")
         if self.unroll < 0:
             raise CostError(f"unroll factor must be >= 0, got {self.unroll}")
+        if self.latency_constraint is not None and self.latency_constraint < 1:
+            raise CostError(f"latency constraint must be >= 1, got {self.latency_constraint}")
 
 
 def load_alternatives(path) -> list[MccAlternative]:

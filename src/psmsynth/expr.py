@@ -1,8 +1,9 @@
 """Tiny integer expression language shared by the model, the DSL, and the FSM back end.
 
-Expressions cover integer arithmetic, comparison, and boolean operators over
-32-bit signed variables.  Evaluation wraps to the declared width so the
-reference simulator and the cycle-level interpreter agree bit-for-bit.
+Expressions cover integer arithmetic, comparison, and boolean operators.
+Evaluation wraps each result to 32-bit signed, and both the reference
+simulator and the cycle-level interpreter wrap each stored value to its
+declared width, so the two engines agree bit-for-bit.
 """
 
 from __future__ import annotations
@@ -61,42 +62,42 @@ def wrap_signed(value: int, width: int = 32) -> int:
     return value
 
 
-def evaluate(expr: Expr, env: dict[str, int], width: int = 32) -> int:
+def evaluate(expr: Expr, env: dict[str, int]) -> int:
     if isinstance(expr, Num):
-        return wrap_signed(expr.value, width)
+        return wrap_signed(expr.value)
     if isinstance(expr, Var):
         try:
             return env[expr.name]
         except KeyError:
             raise EvalError(f"undefined variable '{expr.name}'") from None
     if isinstance(expr, UnOp):
-        v = evaluate(expr.operand, env, width)
+        v = evaluate(expr.operand, env)
         if expr.op == "-":
-            return wrap_signed(-v, width)
+            return wrap_signed(-v)
         if expr.op == "!":
             return 0 if v else 1
         raise EvalError(f"unknown unary operator '{expr.op}'")
     if isinstance(expr, BinOp):
-        a = evaluate(expr.left, env, width)
+        a = evaluate(expr.left, env)
         if expr.op == "&&":
-            return 1 if (a and evaluate(expr.right, env, width)) else 0
+            return 1 if (a and evaluate(expr.right, env)) else 0
         if expr.op == "||":
-            return 1 if (a or evaluate(expr.right, env, width)) else 0
-        b = evaluate(expr.right, env, width)
+            return 1 if (a or evaluate(expr.right, env)) else 0
+        b = evaluate(expr.right, env)
         if expr.op == "+":
-            return wrap_signed(a + b, width)
+            return wrap_signed(a + b)
         if expr.op == "-":
-            return wrap_signed(a - b, width)
+            return wrap_signed(a - b)
         if expr.op == "*":
-            return wrap_signed(a * b, width)
+            return wrap_signed(a * b)
         if expr.op == "/":
             if b == 0:
                 raise EvalError("division by zero")
-            return wrap_signed(int(a / b), width)  # C-style truncation
+            return wrap_signed(int(a / b))  # C-style truncation
         if expr.op == "%":
             if b == 0:
                 raise EvalError("modulo by zero")
-            return wrap_signed(a - int(a / b) * b, width)
+            return wrap_signed(a - int(a / b) * b)
         if expr.op == "==":
             return 1 if a == b else 0
         if expr.op == "!=":

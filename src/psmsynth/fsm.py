@@ -98,12 +98,6 @@ class SystemIr:
     system: PsmSystem
     instances: tuple[FsmInstance, ...]
 
-    def instance(self, name: str) -> FsmInstance:
-        for inst in self.instances:
-            if inst.name == name:
-                return inst
-        raise KeyError(name)
-
 
 def _reject_delta_cycles(comp: PsmComponent) -> None:
     """A cycle of unconditional zero-time transitions can never settle."""
@@ -245,13 +239,15 @@ class _Rt:
     `target` fires; `queue` is a heap of (arrival, seq, event, payload)."""
 
     __slots__ = (
-        "spec", "states", "unit", "last", "cycle", "state", "vars", "queue", "staged", "done_at",
-        "fire_at", "target",
+        "spec", "states", "widths", "payload_widths", "unit", "last", "cycle", "state", "vars",
+        "queue", "staged", "done_at", "fire_at", "target",
     )
 
     def __init__(self, spec: FsmInstance, unit: int, last: int):
         self.spec = spec
         self.states = {s.name: s for s in spec.ir.component.states}
+        self.widths = {v.name: v.width for v in spec.ir.component.variables}
+        self.payload_widths = {e.name: e.payload_width for e in spec.ir.component.events}
         self.unit = unit
         self.last = last
         self.cycle = 0
@@ -357,11 +353,13 @@ def interpret(
             if isinstance(action, Notify):
                 emit(rt, now, time, action.event, None)
             elif isinstance(action, Export):
-                emit(rt, now, time, action.event, ex.evaluate(action.value, rt.vars))
+                value = ex.evaluate(action.value, rt.vars)
+                emit(rt, now, time, action.event, ex.wrap_signed(value, rt.payload_widths[action.event]))
             elif isinstance(action, Assign):
-                rt.vars[action.var] = ex.evaluate(action.value, rt.vars)
+                value = ex.evaluate(action.value, rt.vars)
+                rt.vars[action.var] = ex.wrap_signed(value, rt.widths[action.var])
             elif isinstance(action, InvokeMcc):
-                rt.staged += _call_mcc(mcc_impls, action, rt.vars)
+                rt.staged += _call_mcc(mcc_impls, action, rt.vars, rt.widths)
                 busy += HANDSHAKE_CYCLES + mcc_latencies.get(action.mcc, 1)
         if busy:
             rt.done_at = rt.cycle + busy
@@ -385,7 +383,7 @@ def interpret(
             imp = next((i for i in imports if i.event == event), None)
             if imp is not None:
                 if payload is not None:
-                    rt.vars[event] = ex.wrap_signed(payload)
+                    rt.vars[event] = payload
                 enter(rt, imp.target)
                 return
             time = Fraction(now, base)

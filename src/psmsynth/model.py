@@ -11,6 +11,8 @@ against.
 from __future__ import annotations
 
 import enum
+import heapq
+import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
@@ -152,12 +154,6 @@ class PsmComponent:
     mccs: tuple[MccSignature, ...] = ()
     initial: str = ""
     states: tuple[State, ...] = ()
-
-    def state(self, name: str) -> State:
-        for s in self.states:
-            if s.name == name:
-                return s
-        raise KeyError(name)
 
     def event(self, name: str) -> EventDecl:
         for e in self.events:
@@ -507,6 +503,11 @@ def _route_stimulus(
                 f"payload mismatch for '{inst_name}.{event_name}': "
                 f"{'expected' if decl.is_data else 'unexpected'} data value"
             )
+        if decl.is_data and ex.wrap_signed(evt.payload, decl.payload_width) != evt.payload:
+            raise SimulationError(
+                f"payload {evt.payload} for '{inst_name}.{event_name}' "
+                f"does not fit int{decl.payload_width}"
+            )
         routed.append((evt.time, inst_name, event_name, evt.payload))
     return routed
 
@@ -520,10 +521,11 @@ def _fanout(system: PsmSystem) -> dict[tuple[str, str], list[tuple[str, str]]]:
 
 
 def _call_mcc(
-    mcc_impls: Mapping[str, McImpl], action: InvokeMcc, variables: Mapping[str, int]
+    mcc_impls: Mapping[str, McImpl], action: InvokeMcc,
+    variables: Mapping[str, int], widths: Mapping[str, int],
 ) -> list[tuple[str, int]]:
-    """(result variable, wrapped value) pairs of one invocation; a computation
-    without an implementation returns zeros."""
+    """(result variable, value wrapped to the variable's width) pairs of one
+    invocation; a computation without an implementation returns zeros."""
     impl = mcc_impls.get(action.mcc)
     args = tuple(variables[a] for a in action.args)
     results = impl(args) if impl else tuple(0 for _ in action.results)
@@ -531,20 +533,21 @@ def _call_mcc(
         raise SimulationError(
             f"mcc '{action.mcc}' returned {len(results)} values, expected {len(action.results)}"
         )
-    return [(name, ex.wrap_signed(value)) for name, value in zip(action.results, results)]
+    return [(name, ex.wrap_signed(value, widths[name])) for name, value in zip(action.results, results)]
 
 
 class _InstanceState:
-    __slots__ = ("index", "name", "comp", "state", "vars", "timer_deadline", "inbox")
+    __slots__ = ("name", "states", "widths", "payload_widths", "state", "vars", "timer_deadline", "inbox")
 
-    def __init__(self, index: int, name: str, comp: PsmComponent):
-        self.index = index
+    def __init__(self, name: str, comp: PsmComponent):
         self.name = name
-        self.comp = comp
-        self.state = comp.initial
+        self.states = {s.name: s for s in comp.states}
+        self.widths = {v.name: v.width for v in comp.variables}
+        self.payload_widths = {e.name: e.payload_width for e in comp.events}
+        self.state = self.states[comp.initial]
         self.vars: dict[str, int] = {v.name: ex.wrap_signed(v.init, v.width) for v in comp.variables}
         self.timer_deadline: Fraction | None = None
-        self.inbox: list[tuple[int, str, int | None]] = []  # (seq, event, payload)
+        self.inbox: list[tuple[str, int | None]] = []  # (event, payload) in delivery order
 
 
 def simulate(
@@ -559,7 +562,8 @@ def simulate(
     Stimulus events name instance inputs directly or external input ports.
     Simultaneous work is processed in instance declaration order, external
     events before timer expirations, and zero-time transitions run to
-    quiescence before time advances.
+    quiescence before time advances.  Stored values wrap to the declared
+    width of their variable or event.
     """
     report = validate_system(system, components)
     if not report.ok:
@@ -567,132 +571,93 @@ def simulate(
         raise SimulationError(f"system does not validate: {msgs}")
 
     mcc_impls = dict(mcc_impls or {})
-    insts = [
-        _InstanceState(i, inst.name, components[inst.component])
-        for i, inst in enumerate(system.instances)
-    ]
-    by_name = {st.name: st for st in insts}
+    comps = {inst.name: components[inst.component] for inst in system.instances}
+    insts = {name: _InstanceState(name, comp) for name, comp in comps.items()}
     fanout = _fanout(system)
-
     trace = EventTrace()
-    seq = 0
-    # Pending deliveries across time: time -> handled through a sorted agenda.
-    agenda: list[tuple[Fraction, int, str, str, int | None]] = []
-
-    for time, inst_name, event_name, payload in _route_stimulus(
-        system, {st.name: st.comp for st in insts}, stimulus
-    ):
+    # Pending deliveries, a heap of (time, seq, instance, event, payload):
+    # simultaneous deliveries are taken in the order they were made.
+    agenda: list[tuple[Fraction, int, _InstanceState, str, int | None]] = []
+    seq = itertools.count()
+    for time, inst_name, event, payload in _route_stimulus(system, comps, stimulus):
         if time >= horizon:
             raise SimulationError(f"stimulus at t={time} is not before the horizon {horizon}")
-        agenda.append((time, seq, inst_name, event_name, payload))
-        seq += 1
+        heapq.heappush(agenda, (time, next(seq), insts[inst_name], event, payload))
 
-    delta_budget = DELTA_CYCLE_LIMIT
+    def emit(now: Fraction, st: _InstanceState, event: str, payload: int | None) -> None:
+        trace.events.append(TraceEvent(now, st.name, event, payload))
+        for dst_inst, dst_event in fanout.get((st.name, event), []):
+            heapq.heappush(agenda, (now, next(seq), insts[dst_inst], dst_event, payload))
 
-    def emit(now: Fraction, src: _InstanceState, event: str, payload: int | None) -> None:
-        nonlocal seq
-        trace.events.append(TraceEvent(now, src.name, event, payload))
-        for dst_inst, dst_event in fanout.get((src.name, event), []):
-            agenda.append((now, seq, dst_inst, dst_event, payload))
-            seq += 1
-
-    def enter(now: Fraction, st: _InstanceState, state_name: str) -> None:
-        nonlocal delta_budget
-        while True:
-            st.state = state_name
-            st.timer_deadline = None
-            trace.state_entries.append(StateEntry(now, st.name, state_name))
-            state = st.comp.state(state_name)
+    def enter(now: Fraction, st: _InstanceState, target: str) -> None:
+        """Enter `target`, then follow zero-time transitions (a true guard,
+        else a delta spec) until a state waits."""
+        for _ in range(DELTA_CYCLE_LIMIT):
+            state = st.state = st.states[target]
+            trace.state_entries.append(StateEntry(now, st.name, target))
             for action in state.entry:
                 if isinstance(action, Notify):
                     emit(now, st, action.event, None)
                 elif isinstance(action, Export):
-                    emit(now, st, action.event, ex.evaluate(action.value, st.vars))
+                    value = ex.evaluate(action.value, st.vars)
+                    emit(now, st, action.event, ex.wrap_signed(value, st.payload_widths[action.event]))
                 elif isinstance(action, Assign):
-                    st.vars[action.var] = ex.evaluate(action.value, st.vars)
+                    value = ex.evaluate(action.value, st.vars)
+                    st.vars[action.var] = ex.wrap_signed(value, st.widths[action.var])
                 elif isinstance(action, InvokeMcc):
-                    st.vars.update(_call_mcc(mcc_impls, action, st.vars))
-            # Zero-time follow-ups: a delta spec or an already-true guard.
-            follow = _zero_time_target(st)
-            if follow is None:
-                if state.timed is not None and state.timed.spec.kind is TimingKind.FINITE:
-                    st.timer_deadline = now + state.timed.spec.duration
+                    st.vars.update(_call_mcc(mcc_impls, action, st.vars, st.widths))
+            timed = state.timed
+            target = next((g.target for g in state.guards if ex.evaluate(g.guard, st.vars)), None)
+            if target is None and timed is not None and timed.spec.kind is TimingKind.DELTA:
+                target = timed.target
+            if target is None:
+                finite = timed is not None and timed.spec.kind is TimingKind.FINITE
+                st.timer_deadline = now + timed.spec.duration if finite else None
                 return
-            delta_budget -= 1
-            if delta_budget <= 0:
-                raise DeltaCycleError(
-                    f"instance '{st.name}' made {DELTA_CYCLE_LIMIT} consecutive "
-                    f"zero-time transitions at t={now} (last state '{state_name}')"
-                )
-            state_name = follow
+        raise DeltaCycleError(
+            f"instance '{st.name}' made {DELTA_CYCLE_LIMIT} consecutive "
+            f"zero-time transitions at t={now} (last state '{state.name}')"
+        )
 
-    def _zero_time_target(st: _InstanceState) -> str | None:
-        state = st.comp.state(st.state)
-        for g in state.guards:
-            if ex.evaluate(g.guard, st.vars):
-                return g.target
-        if state.timed is not None and state.timed.spec.kind is TimingKind.DELTA:
-            return state.timed.target
-        return None
-
-    now = Fraction(0)
-    for st in insts:
-        enter(now, st, st.comp.initial)
-    delta_budget = DELTA_CYCLE_LIMIT
+    for st in insts.values():
+        enter(Fraction(0), st, st.state.name)
 
     while True:
-        times = [t for (t, *_rest) in agenda]
-        times += [st.timer_deadline for st in insts if st.timer_deadline is not None]
-        times = [t for t in times if t < horizon]
-        if not times:
-            break
-        now = min(times)
-
-        # Move due deliveries into per-instance inboxes, then drain in
-        # declaration order until the instant is quiescent.
-        rounds = 0
-        while True:
-            rounds += 1
-            if rounds > DELTA_CYCLE_LIMIT:
-                raise DeltaCycleError(
-                    f"system never became quiescent at t={now}: "
-                    f"{DELTA_CYCLE_LIMIT} zero-time delivery rounds"
-                )
-            progressed = False
-            remaining = []
-            for item in agenda:
-                if item[0] == now:
-                    t, s, inst_name, event_name, payload = item
-                    by_name[inst_name].inbox.append((s, event_name, payload))
-                else:
-                    remaining.append(item)
-            agenda[:] = remaining
-            for st in insts:
-                if st.inbox:
-                    st.inbox.sort()
-                    inbox, st.inbox = st.inbox, []
-                    for _s, event_name, payload in inbox:
-                        state = st.comp.state(st.state)
-                        imp = next((i for i in state.imports if i.event == event_name), None)
-                        if imp is None:
-                            trace.dropped.append(TraceEvent(now, st.name, event_name, payload))
-                            continue
-                        decl = st.comp.event(event_name)
-                        if decl.is_data:
-                            st.vars[event_name] = ex.wrap_signed(payload if payload is not None else 0)
-                        enter(now, st, imp.target)
-                    progressed = True
+        times = [st.timer_deadline for st in insts.values() if st.timer_deadline is not None]
+        if agenda:
+            times.append(agenda[0][0])
+        now = min(times, default=horizon)
+        if now >= horizon:
+            return trace
+        # Each pass moves the due deliveries into inboxes; then each instance,
+        # in declaration order, takes its inbox and then its due timer.  The
+        # instant ends with the first pass that finds nothing to do.
+        for _ in range(DELTA_CYCLE_LIMIT):
+            busy = False
+            while agenda and agenda[0][0] == now:
+                _, _, st, event, payload = heapq.heappop(agenda)
+                st.inbox.append((event, payload))
+                busy = True
+            for st in insts.values():
+                for event, payload in st.inbox:
+                    imp = next((i for i in st.state.imports if i.event == event), None)
+                    if imp is None:
+                        trace.dropped.append(TraceEvent(now, st.name, event, payload))
+                        continue
+                    if payload is not None:
+                        st.vars[event] = payload
+                    enter(now, st, imp.target)
+                st.inbox.clear()
                 if st.timer_deadline is not None and st.timer_deadline == now:
-                    state = st.comp.state(st.state)
-                    assert state.timed is not None and state.timed.target is not None
-                    st.timer_deadline = None
-                    enter(now, st, state.timed.target)
-                    progressed = True
-            delta_budget = DELTA_CYCLE_LIMIT
-            if not progressed and not any(item[0] == now for item in agenda):
+                    busy = True
+                    enter(now, st, st.state.timed.target)
+            if not busy:
                 break
-
-    return trace
+        else:
+            raise DeltaCycleError(
+                f"system never became quiescent at t={now}: "
+                f"{DELTA_CYCLE_LIMIT} zero-time delivery rounds"
+            )
 
 
 def simulate_component(

@@ -615,6 +615,16 @@ component Z {
   }
 }
 """
+NARROW = """\
+component N {
+  period 10 ms;
+  input event In(int8);
+  initial S;
+  state S {
+    import In -> S;
+  }
+}
+"""
 ZERO_WIDTH_FINDING = "component Z: error: variable 'x' has non-positive width"
 WPM = [f"{{fx}}/{n}" for n in ALL_MODELS]
 
@@ -648,12 +658,17 @@ WPM = [f"{{fx}}/{n}" for n in ALL_MODELS]
      "{tmp}/e.dfg: nothing to schedule"),
     (["explore", "--alts", "{tmp}/nan.csv", "--config", "{fx}/wpm.cfg", "--out", "{tmp}/out"], 1,
      "{tmp}/nan.csv:2: max frequency must be finite, got nan"),
+    (["explore", "--alts", "{tmp}/lam.csv", "--config", "{fx}/wpm.cfg", "--out", "{tmp}/out"], 1,
+     "{tmp}/lam.csv:2: latency constraint must be >= 1, got -5"),
+    (["sim", "{tmp}/narrow.psm", "--stimulus", "{tmp}/narrow.stim", "--horizon", "50 ms"], 1,
+     "payload 200 for 'dut.In' does not fit int8"),
 ], ids=[
     "schedule-out-is-a-file", "synth-out-below-a-file", "explore-out-is-a-file",
     "latency-not-an-int", "unknown-command", "freq-unknown-instance", "duplicate-component",
     "sim-two-systems", "synth-two-systems", "division-by-zero", "psm-not-utf8", "dfg-not-utf8",
     "csv-not-utf8", "result-read-before-the-call-is-done", "sim-zero-width-variable",
     "synth-zero-width-variable", "schedule-empty-graph-at-a-latency", "csv-not-finite",
+    "csv-latency-below-1", "stimulus-payload-out-of-range",
 ])
 def test_malformed_input_ends_in_one_error_line(fixtures, tmp_path, capsys, argv, code, message):
     (tmp_path / "taken").write_text("")
@@ -669,6 +684,13 @@ def test_malformed_input_ends_in_one_error_line(fixtures, tmp_path, capsys, argv
         "mcc,source,unroll,lambda,freq_mhz,exec_cycles,area,power_mw\n"
         "mhr,measured,0,63,nan,4056,nan,135\n"
     )
+    (tmp_path / "lam.csv").write_text(
+        "mcc,source,unroll,lambda,freq_mhz,exec_cycles,area,power_mw\n"
+        "mhr,measured,0,-5,100,4056,1,1\n"
+        "mhr,measured,0,0,100,4057,2,1\n"
+    )
+    (tmp_path / "narrow.psm").write_text(NARROW)
+    (tmp_path / "narrow.stim").write_text("0.001 dut In 200\n")
     fill = {"fx": fixtures, "tmp": tmp_path}
     got, _, err = run([a.format(**fill) for a in argv], capsys)
     assert got == code

@@ -114,6 +114,8 @@ def test_invalid_values_rejected_with_location(loads):
         "m,measured,0,,inf,10,1,1",  # infinite frequency
         "m,measured,0,,100,10,inf,1",  # infinite area
         "m,measured,0,,100,10,1,nan",  # not-a-number power
+        "m,measured,0,0,100,10,1,1",  # zero latency constraint
+        "m,measured,0,-5,100,10,1,1",  # negative latency constraint
     ]:
         with pytest.raises(TableFormatError) as err:
             loads(HEADER + "\n" + bad_row + "\n")

@@ -100,9 +100,9 @@ def test_timer_cycles_resolved_per_instance_frequency():
     )
     # Self-timer cycle through a delta state is fine: the delta edge breaks
     # only zero-time cycles, and A -> A2 is a real 10 ms dwell.
-    ir = synthesize_single(comp, 1 * MHZ).instance("dut")
+    ir = synthesize_single(comp, 1 * MHZ).instances[0]
     assert ir.timer_cycles == {"A": 10_000}
-    ir2 = synthesize_single(comp, 2 * MHZ).instance("dut")
+    ir2 = synthesize_single(comp, 2 * MHZ).instances[0]
     assert ir2.timer_cycles == {"A": 20_000}
 
 
@@ -257,7 +257,7 @@ def test_watchdog_fires_after_exact_timer_dwell(fixtures):
     # 51,000,000 cycles at 102 MHz, within the bounded FSM entry overhead.
     comp = parse_file(fixtures / "mhr.psm")
     sys_ir = synthesize_single(comp, 102 * MHZ)
-    assert sys_ir.instance("dut").timer_cycles["WaitSample"] == 51_000_000
+    assert sys_ir.instances[0].timer_cycles["WaitSample"] == 51_000_000
     cyc = interpret(
         sys_ir,
         [TraceEvent(Fraction(0), "dut", "Start", None)],
@@ -477,6 +477,33 @@ def test_simulator_and_interpreter_reject_the_same_inputs(wpm, stim, impls, mess
         simulate(system, comps, stim, Fraction(1), impls)
     with pytest.raises(SimulationError, match=re.escape(message)):
         interpret(sys_ir, stim, 10**6, ALL_LATENCIES, impls)
+
+
+WIDTHS = """
+component W { period 1 s;
+  output event Out(int8); output event Wide(int8); output event Res(int8);
+  var x: int8 = 0; var y: int32 = 0; var r: int8 = 0;
+  mcc Id(1 -> 1) dfg "id.dfg";
+  initial S;
+  state S {
+    entry { export Res(r); x = x + 100; y = y + 100; export Out(x); export Wide(y); invoke Id(y -> r); }
+    ts(1 s) -> S;
+  }
+}
+"""
+
+
+def test_both_engines_wrap_stored_values_to_the_declared_width():
+    # Assignments and MCC results wrap to their variable's width and exports
+    # to their event's payload width, as the int8 registers of the RTL do.
+    comp = parse_component(WIDTHS)
+    impls = {"Id": lambda a: a}
+    ref = simulate_component(comp, [], Fraction(3), impls)
+    cyc = interpret(synthesize_single(comp, 1 * MHZ), [], mcc_impls=impls, horizon=Fraction(3))
+    for events in (ref.events, cyc.events):
+        assert {name: [e.payload for e in events if e.event == name] for name in ("Out", "Wide", "Res")} == {
+            "Out": [100, -56, 44], "Wide": [100, -56, 44], "Res": [0, 100, -56],
+        }
 
 
 # --- Mismatch reporting -------------------------------------------------------

@@ -1,10 +1,11 @@
 """Model validation rules and the reference discrete-event simulator."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from psmsynth.dsl import parse_component, parse_system
+from psmsynth.dsl import parse_component, parse_file, parse_system
 from psmsynth.model import (
     DeltaCycleError,
     SimulationError,
@@ -15,6 +16,7 @@ from psmsynth.model import (
     validate_component,
     validate_system,
 )
+from test_fsm import ALL_IMPLS, WPM_STARTS
 
 MS = Fraction(1, 1000)
 
@@ -217,8 +219,11 @@ def test_divergent_delta_loop_diagnosed():
           state A { ts(delta) -> B; } state B { ts(delta) -> A; } }
         """
     )
-    with pytest.raises(DeltaCycleError):
+    with pytest.raises(DeltaCycleError) as err:
         simulate_component(c, [], Fraction(1))
+    assert str(err.value) == (
+        "instance 'dut' made 10000 consecutive zero-time transitions at t=0 (last state 'B')"
+    )
 
 
 def test_guard_fires_after_entry_assignments():
@@ -330,3 +335,53 @@ def test_simulation_is_deterministic():
     t2 = simulate_component(c, [], Fraction(5, 2))
     assert t1.state_entries == t2.state_entries
     assert t1.events == t2.events
+
+
+def test_endless_zero_time_exchange_diagnosed():
+    # Each delivery re-enters a state that notifies the other instance, so
+    # t=0 never settles: the round limit ends it, not the per-chain limit.
+    a = comp(
+        """
+        component A { period 1 s; input event Pong; output event Ping;
+          initial S; state S { entry { notify Ping; } import Pong -> S; } }
+        """
+    )
+    b = comp(
+        """
+        component B { period 1 s; input event Ping; output event Pong;
+          initial S; state S { entry { notify Pong; } import Ping -> S; } }
+        """
+    )
+    system = parse_system(
+        "system S { instance a: A; instance b: B; connect a.Ping -> b.Ping; connect b.Pong -> a.Pong; }"
+    )
+    with pytest.raises(DeltaCycleError) as err:
+        simulate(system, {"A": a, "B": b}, [], Fraction(1))
+    assert str(err.value) == "system never became quiescent at t=0: 10000 zero-time delivery rounds"
+
+
+# sha256 over the reference trace of the WPM system for 60 s: state entries,
+# events and dropped records.  Any change to the order in which simultaneous
+# deliveries, timers and zero-time transitions are taken changes it.
+def test_golden_wpm_reference_trace(fixtures):
+    comps = {}
+    for name in ["mhr", "spo2", "emg", "sensor", "monitor"]:
+        c = parse_file(fixtures / f"{name}.psm")
+        comps[c.name] = c
+    system = parse_file(fixtures / "wpm_system.psm")
+    stim = [TraceEvent(t, "StartMeasure", "Start", None) for t in WPM_STARTS]
+    ref = simulate(system, comps, stim, Fraction(60), ALL_IMPLS)
+
+    def sha(lines):
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+    assert (len(ref.state_entries), len(ref.events), len(ref.dropped)) == (55611, 19072, 5)
+    assert {
+        "entries": sha(f"{e.instance} {e.time} {e.state}" for e in ref.state_entries),
+        "events": sha(f"{e.instance} {e.time} {e.event} {e.payload}" for e in ref.events),
+        "dropped": sha(f"{e.instance} {e.time} {e.event} {e.payload}" for e in ref.dropped),
+    } == {
+        "entries": "2cdd14ba9a1501730e2005b589e5ed1b0569706edbe7fadd3951d6b3e7b427d7",
+        "events": "4c36a10cdf7eade22be7ae4691920cfef47083cc1d4d040287770c079e602fcb",
+        "dropped": "05393e360e91041374ba5e2ebdda8fefdf792564939bcf30d37d52c042d58a5f",
+    }
