@@ -6,19 +6,20 @@ its deadline, scale all alternatives' power to the common frequency above a
 static fraction that does not scale, evaluate area and energy for every
 combination, and extract the non-dominated (area, energy) front.  The space
 is evaluated chunk by chunk on flat arrays by the `kernels` module.  Reports
-are written with fixed decimal formatting so repeated runs are byte-identical.
+are written with fixed decimal formatting so repeated runs are byte-identical;
+the rows of each chunk are formatted at once from one `%` row template, and
+`scatter.svg` is streamed to its file a chunk of circles at a time.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import operator
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -76,6 +77,36 @@ def _fmt(x: float, places: int = 6) -> str:
 
 def _fmt_area(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else _fmt(x)
+
+
+_YES_NO = np.array(["no", "yes"], dtype=object)
+
+
+def _csv_rows(ids: np.ndarray, choices: np.ndarray, f_mhz: np.ndarray, areas: np.ndarray,
+              energies: np.ndarray, feasible: np.ndarray) -> str:
+    """configs.csv / pareto.csv lines of a chunk, filled into one `%` row
+    template from whole columns: ids, the (groups, rows) choice labels,
+    f_common in MHz, areas, energies in mJ and feasible flags.  `'%.6f' % x`
+    is `_fmt(x)` and `'%d' % i` is `str(i)`; `_fmt_area` runs once per
+    distinct area."""
+    n_groups, n = choices.shape
+    cells = np.empty((n, n_groups + 5), dtype=object)
+    cells[:, 0] = ids
+    cells[:, 1:-4] = choices.T
+    cells[:, -4] = f_mhz
+    distinct, inverse = np.unique(areas, return_inverse=True)
+    cells[:, -3] = np.array([_fmt_area(a) for a in distinct.tolist()], dtype=object)[inverse]
+    cells[:, -2] = energies
+    cells[:, -1] = _YES_NO[feasible.astype(np.intp)]
+    row = "%d" + ",%s" * n_groups + ",%.6f,%s,%.6f,%s\n"
+    return (row * n) % tuple(cells.ravel().tolist())
+
+
+def _circles(cx: np.ndarray, cy: np.ndarray) -> str:
+    """scatter.svg circles of a chunk of feasible points, centres at two
+    decimals (`'%.2f' % x` is `_fmt(x, 2)`)."""
+    row = '<circle cx="%.2f" cy="%.2f" r="3" fill="steelblue" fill-opacity="0.6"/>\n'
+    return (row * len(cx)) % tuple(np.column_stack((cx, cy)).ravel().tolist())
 
 
 class ConfigTable(Sequence):
@@ -158,23 +189,18 @@ def explore(
     os.makedirs(out_dir, exist_ok=True)
     files: dict[str, str] = {}
 
-    def write(name: str, content: str) -> None:
+    def write(name: str, parts: Iterable[str]) -> None:
         path = os.path.join(out_dir, name)
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(content)
+            handle.writelines(parts)
         files[name] = path
 
     def rows_text(ids: np.ndarray) -> str:
         """configs.csv / pareto.csv lines of the configurations `ids`."""
-        cells = zip(
-            map(str, ids.tolist()),
-            *(col.tolist() for col in labels[kernels.combo_rows(ids, space.offsets, space.sizes)]),
-            [_fmt(f / MHZ) for f in f_common[ids].tolist()],
-            [_fmt_area(a) for a in area[ids].tolist()],
-            [_fmt(e) for e in energy[ids].tolist()],
-            ["yes" if ok else "no" for ok in feasible[ids].tolist()],
+        return _csv_rows(
+            ids, labels[kernels.combo_rows(ids, space.offsets, space.sizes)],
+            f_common[ids] / MHZ, area[ids], energy[ids], feasible[ids],
         )
-        return "".join(",".join(row) + "\n" for row in cells)
 
     header = ",".join(["config_id", *names, "f_common_mhz", "area", "energy_mj", "feasible"]) + "\n"
     configs_path = os.path.join(out_dir, "configs.csv")
@@ -200,7 +226,7 @@ def explore(
     unscaled = sum(alt.power for alt in min_energy.choices) * float(window)
     reduction = 1.0 - min_energy.energy / unscaled if unscaled > 0 else 0.0
 
-    write("pareto.csv", header + rows_text(front_ids))
+    write("pareto.csv", (header, rows_text(front_ids)))
 
     payload = [
         {
@@ -211,33 +237,31 @@ def explore(
         }
         for c in front
     ]
-    write("pareto.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write("pareto.json", (json.dumps(payload, indent=2, sort_keys=True), "\n"))
 
     write("scatter.svg", render_scatter(area[feasible], energy[feasible], front))
 
-    summary = io.StringIO()
-    summary.write(f"configurations: {total}\n")
-    summary.write(f"feasible: {n_feasible}\n")
-    summary.write(f"pareto points: {len(front)}\n")
-    summary.write(
+    write("summary.txt", (
+        f"configurations: {total}\n",
+        f"feasible: {n_feasible}\n",
+        f"pareto points: {len(front)}\n",
         f"min-area config: id={min_area.config_id} area={_fmt_area(min_area.area)} "
-        f"energy_mj={_fmt(min_area.energy)} f_common_mhz={_fmt(min_area.f_common / MHZ)}\n"
-    )
-    summary.write(
+        f"energy_mj={_fmt(min_area.energy)} f_common_mhz={_fmt(min_area.f_common / MHZ)}\n",
         f"min-energy config: id={min_energy.config_id} area={_fmt_area(min_energy.area)} "
-        f"energy_mj={_fmt(min_energy.energy)} f_common_mhz={_fmt(min_energy.f_common / MHZ)}\n"
-    )
-    summary.write(
-        f"energy reduction vs unscaled (min-energy config): {_fmt(100.0 * reduction, 2)}%\n"
-    )
-    write("summary.txt", summary.getvalue())
+        f"energy_mj={_fmt(min_energy.energy)} f_common_mhz={_fmt(min_energy.f_common / MHZ)}\n",
+        f"energy reduction vs unscaled (min-energy config): {_fmt(100.0 * reduction, 2)}%\n",
+    ))
 
     return Report(configs, front, min_area, min_energy, reduction, files)
 
 
-def render_scatter(areas: np.ndarray, energies: np.ndarray, front: Sequence[SystemConfig]) -> str:
+def render_scatter(
+    areas: np.ndarray, energies: np.ndarray, front: Sequence[SystemConfig]
+) -> Iterator[str]:
     """Hand-written SVG scatter of the feasible configurations' area vs
-    energy (at least one) with the front as a polyline; byte-deterministic."""
+    energy (at least one) with the front as a polyline; byte-deterministic.
+    Yields the text piece by piece, the circles one `CHUNK` at a time, so a
+    caller can stream it to a file."""
     width, height = 640, 480
     ml, mr, mt, mb = 70, 20, 20, 50
     x0, x1 = float(areas.min()), float(areas.max())
@@ -247,59 +271,40 @@ def render_scatter(areas: np.ndarray, energies: np.ndarray, front: Sequence[Syst
     if y1 == y0:
         y1 = y0 + 1.0
 
-    def coords(xs: np.ndarray, ys: np.ndarray):
+    def coords(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         cx = ml + (xs - x0) / (x1 - x0) * (width - ml - mr)
         cy = height - mb - (ys - y0) / (y1 - y0) * (height - mt - mb)
-        return zip([_fmt(x, 2) for x in cx.tolist()], [_fmt(y, 2) for y in cy.tolist()])
+        return cx, cy
 
-    out = io.StringIO()
-    out.write(
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">\n'
-    )
-    out.write(f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>\n')
-    out.write(
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>\n'
         f'<line x1="{ml}" y1="{height - mb}" x2="{width - mr}" y2="{height - mb}" stroke="black"/>\n'
-    )
-    out.write(f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{height - mb}" stroke="black"/>\n')
-    out.write(
+        f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{height - mb}" stroke="black"/>\n'
         f'<text x="{(ml + width - mr) // 2}" y="{height - 12}" text-anchor="middle" '
         f'font-size="14">Area (LUT+FF)</text>\n'
-    )
-    out.write(
         f'<text x="16" y="{(mt + height - mb) // 2}" text-anchor="middle" font-size="14" '
         f'transform="rotate(-90 16 {(mt + height - mb) // 2})">Energy (mJ)</text>\n'
-    )
-    out.write(
         f'<text x="{ml}" y="{height - mb + 18}" text-anchor="middle" font-size="11">'
         f"{_fmt_area(x0)}</text>\n"
-    )
-    out.write(
         f'<text x="{width - mr}" y="{height - mb + 18}" text-anchor="middle" font-size="11">'
         f"{_fmt_area(x1)}</text>\n"
-    )
-    out.write(
         f'<text x="{ml - 6}" y="{height - mb}" text-anchor="end" font-size="11">'
         f"{_fmt(y0, 3)}</text>\n"
-    )
-    out.write(
         f'<text x="{ml - 6}" y="{mt + 10}" text-anchor="end" font-size="11">'
         f"{_fmt(y1, 3)}</text>\n"
     )
-    out.write("".join(
-        f'<circle cx="{x}" cy="{y}" r="3" fill="steelblue" fill-opacity="0.6"/>\n'
-        for x, y in coords(areas, energies)
-    ))
+    for start in range(0, len(areas), CHUNK):
+        yield _circles(*coords(areas[start:start + CHUNK], energies[start:start + CHUNK]))
     if front:
-        points = list(coords(np.array([c.area for c in front]), np.array([c.energy for c in front])))
+        cx, cy = coords(np.array([c.area for c in front]), np.array([c.energy for c in front]))
+        points = [(_fmt(x, 2), _fmt(y, 2)) for x, y in zip(cx.tolist(), cy.tolist())]
         pts = " ".join(f"{x},{y}" for x, y in points)
-        out.write(
-            f'<polyline points="{pts}" fill="none" stroke="crimson" stroke-width="1.5"/>\n'
-        )
+        yield f'<polyline points="{pts}" fill="none" stroke="crimson" stroke-width="1.5"/>\n'
         for x, y in points:
-            out.write(f'<circle cx="{x}" cy="{y}" r="4" fill="crimson"/>\n')
-    out.write("</svg>\n")
-    return out.getvalue()
+            yield f'<circle cx="{x}" cy="{y}" r="4" fill="crimson"/>\n'
+    yield "</svg>\n"
 
 
 # --- Flat-array exploration -----------------------------------------------------

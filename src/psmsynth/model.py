@@ -486,6 +486,9 @@ def _route_stimulus(
     external input ports resolved to the instance input they drive.  `comps`
     maps instance names to their components."""
     in_ports = {p.name: (p.instance, p.event) for p in system.ports if p.direction is Direction.INPUT}
+    drivers = {
+        (c.dst_instance, c.dst_event): f"{c.src_instance}.{c.src_event}" for c in system.connections
+    }
     routed = []
     for evt in sorted(stimulus, key=lambda e: e.time):
         if evt.time < 0:
@@ -497,7 +500,12 @@ def _route_stimulus(
             raise SimulationError(f"stimulus targets unknown instance or port '{evt.instance}'")
         decl = next((e for e in comps[inst_name].events if e.name == event_name), None)
         if decl is None or decl.direction is not Direction.INPUT:
-            raise SimulationError(f"stimulus targets unconnected input '{inst_name}.{event_name}'")
+            raise SimulationError(f"stimulus targets '{inst_name}.{event_name}', which is not an input event")
+        if (inst_name, event_name) in drivers:
+            raise SimulationError(
+                f"stimulus targets '{inst_name}.{event_name}', an input driven by "
+                f"'{drivers[inst_name, event_name]}'"
+            )
         if decl.is_data != (evt.payload is not None):
             raise SimulationError(
                 f"payload mismatch for '{inst_name}.{event_name}': "

@@ -662,13 +662,15 @@ WPM = [f"{{fx}}/{n}" for n in ALL_MODELS]
      "{tmp}/lam.csv:2: latency constraint must be >= 1, got -5"),
     (["sim", "{tmp}/narrow.psm", "--stimulus", "{tmp}/narrow.stim", "--horizon", "50 ms"], 1,
      "payload 200 for 'dut.In' does not fit int8"),
+    (["sim", *WPM, "--stimulus", "{tmp}/driven.stim", "--horizon", "50 ms"], 1,
+     "stimulus targets 'mhr.Sample', an input driven by 'mhr_sensor.Out'"),
 ], ids=[
     "schedule-out-is-a-file", "synth-out-below-a-file", "explore-out-is-a-file",
     "latency-not-an-int", "unknown-command", "freq-unknown-instance", "duplicate-component",
     "sim-two-systems", "synth-two-systems", "division-by-zero", "psm-not-utf8", "dfg-not-utf8",
     "csv-not-utf8", "result-read-before-the-call-is-done", "sim-zero-width-variable",
     "synth-zero-width-variable", "schedule-empty-graph-at-a-latency", "csv-not-finite",
-    "csv-latency-below-1", "stimulus-payload-out-of-range",
+    "csv-latency-below-1", "stimulus-payload-out-of-range", "stimulus-into-a-driven-input",
 ])
 def test_malformed_input_ends_in_one_error_line(fixtures, tmp_path, capsys, argv, code, message):
     (tmp_path / "taken").write_text("")
@@ -691,6 +693,7 @@ def test_malformed_input_ends_in_one_error_line(fixtures, tmp_path, capsys, argv
     )
     (tmp_path / "narrow.psm").write_text(NARROW)
     (tmp_path / "narrow.stim").write_text("0.001 dut In 200\n")
+    (tmp_path / "driven.stim").write_text("0.001 mhr Sample 7\n")
     fill = {"fx": fixtures, "tmp": tmp_path}
     got, _, err = run([a.format(**fill) for a in argv], capsys)
     assert got == code

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import sys
 import tempfile
 from dataclasses import replace
 from fractions import Fraction
@@ -363,6 +364,62 @@ def test_scatter_svg_is_well_formed(fixtures, tmp_path):
     assert svg.count("<circle") >= len(report.configs)
 
 
+_cell = st.one_of(
+    st.integers(-10**6, 10**6).map(float),
+    st.floats(),
+    st.floats(-1e4, 1e4).map(lambda x: round(x, 1)),
+    st.sampled_from([0.0, -0.0, 0.1 + 0.2, 1234.5, 2.0**53 + 2, 1e300, 5e-7, 0.0000015]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 2**62), _cell, _cell, _cell, st.booleans(), _cell, _cell),
+        max_size=40,
+    ),
+    st.integers(1, 4),
+)
+def test_chunk_formatting_equals_the_per_cell_reference(rows, n_groups):
+    ids, f_mhz, areas, energies, ok, cx, cy = map(list, zip(*rows)) if rows else [[]] * 7
+    choices = np.array(
+        [[f"g{g}={(i >> g) % 13}" for i in ids] for g in range(n_groups)], dtype=object
+    ).reshape(n_groups, len(ids))
+    got = dse._csv_rows(
+        np.array(ids, dtype=np.int64), choices, np.array(f_mhz, dtype=float),
+        np.array(areas, dtype=float), np.array(energies, dtype=float), np.array(ok, dtype=bool),
+    )
+    assert got == "".join(
+        ",".join([str(i), *labels, dse._fmt(f), dse._fmt_area(a), dse._fmt(e), "yes" if y else "no"])
+        + "\n"
+        for i, *labels, f, a, e, y in zip(ids, *choices.tolist(), f_mhz, areas, energies, ok)
+    )
+    assert dse._circles(np.array(cx, dtype=float), np.array(cy, dtype=float)) == "".join(
+        f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="steelblue" fill-opacity="0.6"/>\n'
+        for x, y in zip(cx, cy)
+    )
+
+
+def test_explore_makes_few_python_calls_per_configuration(tmp_path):
+    # Work-count guard: report rows and scatter circles are formatted a chunk
+    # at a time, so Python calls grow with the chunks and the front, not with
+    # the configurations.  Deterministic: counts call events, not time.
+    groups = tie_heavy_groups(n_groups=5, rows=10)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        report = explore(groups, env_for(groups), WINDOW, tmp_path)
+    finally:
+        sys.setprofile(None)
+    assert len(report.configs) == 100_000
+    assert calls < 0.1 * len(report.configs), f"{calls} Python calls for {len(report.configs)} configs"
+
+
 # --- Golden reports -------------------------------------------------------------
 
 REPORT_FILES = ("configs.csv", "pareto.csv", "pareto.json", "scatter.svg", "summary.txt")
@@ -457,3 +514,55 @@ def test_golden_report_digests(fixtures, tmp_path):
             assert len(set(front)) < len(front), "front has no exact ties"
             assert not all(c.feasible for c in report.configs)
     assert digests == GOLDEN_REPORTS
+
+
+def fractional_groups(seed=3, sizes=(11, 13, 9, 7, 8)):
+    """Seeded alternatives table whose areas are integers, halves and tenths
+    (1234.5, 0.1, 0.2, ...), so totals such as 0.1 + 0.2 are not integers and
+    are written with six decimals, and whose powers carry nine decimals, so
+    energies round at the sixth.  The space holds 72,072 configurations: more
+    than one `dse.CHUNK`, and not a multiple of it."""
+    rng = random.Random(seed)
+    fractions = (0.1, 0.2, 0.3, 0.5, 0.7)
+    groups = {}
+    for g, size in enumerate(sizes):
+        name = f"f{g}"
+        rows_g = []
+        for k in range(size):
+            kind = rng.randrange(3)
+            if kind == 0:
+                area = float(rng.randrange(10, 60) * 100)
+            elif kind == 1:
+                area = rng.randrange(1000, 6000) + 0.5
+            else:
+                area = rng.choice(fractions)
+            cycles = rng.randrange(500_000, 13_000_000)
+            f_max = float(rng.choice((90, 100, 110, 120)) * MHZ)
+            power = round(rng.uniform(1.0, 200.0), 9)
+            rows_g.append(MccAlternative(name, "measured", k, None, cycles, f_max, area, power))
+        groups[name] = rows_g
+    return groups
+
+
+# sha256 over the five report files of `fractional_groups`, pinned before
+# report rows were formatted a chunk at a time.
+FRACTIONAL_REPORTS = {
+    "common": "a44adfd9e57c0ea656c177aa9d7534dc7756f38144ad11eb337a8bf3c58fee04",
+    "indep_sf0.2": "df0c94e653ba09c4d9250758c9724e2642b4097e474521e5f1956340fa040a91",
+}
+
+
+def test_golden_reports_with_fractional_areas(tmp_path):
+    groups = fractional_groups()
+    digests = {}
+    for mode in FRACTIONAL_REPORTS:
+        independent, static_fraction = MODES[mode]
+        out = tmp_path / mode
+        report = explore(groups, env_for(groups), WINDOW, out, static_fraction, independent)
+        assert len(report.configs) > dse.CHUNK and len(report.configs) % dse.CHUNK
+        areas = (out / "configs.csv").read_text().splitlines()[1:]
+        assert any("." in row.split(",")[-3] for row in areas)
+        assert any("." not in row.split(",")[-3] for row in areas)
+        assert not all(c.feasible for c in report.configs)
+        digests[mode] = report_digest(out)
+    assert digests == FRACTIONAL_REPORTS

@@ -464,12 +464,15 @@ def test_arrivals_within_one_clock_interval_are_taken_in_time_order():
     ([TraceEvent(MS, "StartMeasure", "Start", 5)], ALL_IMPLS,
      "payload mismatch for 'mhr.Start': unexpected data value"),
     ([TraceEvent(MS, "mhr", "Alarm", None)], ALL_IMPLS,
-     "stimulus targets unconnected input 'mhr.Alarm'"),
+     "stimulus targets 'mhr.Alarm', which is not an input event"),
+    ([TraceEvent(MS, "mhr", "Sample", 7)], ALL_IMPLS,
+     "stimulus targets 'mhr.Sample', an input driven by 'mhr_sensor.Out'"),
     ([TraceEvent(MS, "StartMeasure", "Start", None)], {**ALL_IMPLS, "ComputeHR": lambda a: ()},
      "mcc 'ComputeHR' returned 0 values, expected 1"),
     ([TraceEvent(-5 * MS, "StartMeasure", "Start", None)], ALL_IMPLS,
      "stimulus at t=-1/200 is before time 0"),
-], ids=["payload-on-pure-event", "output-target", "mcc-result-count", "negative-time"])
+], ids=["payload-on-pure-event", "output-target", "driven-input", "mcc-result-count",
+        "negative-time"])
 def test_simulator_and_interpreter_reject_the_same_inputs(wpm, stim, impls, message):
     system, comps = wpm
     sys_ir = synthesize_system(system, comps, {inst.name: 1 * MHZ for inst in system.instances})

@@ -329,6 +329,26 @@ def test_stimulus_after_horizon_rejected():
         simulate(system, {c.name: c}, [TraceEvent(Fraction(2), "dut", "Tick", None)], Fraction(1))
 
 
+def test_stimulus_into_a_connection_driven_input_rejected():
+    # Only a connection reaches q.In; the system has no port through which a
+    # stimulus could arrive there.
+    producer = comp(
+        """
+        component P { period 1 s; output event Out(int32);
+          initial Go; state Go { entry { export Out(5); } ts(inf); } }
+        """
+    )
+    consumer = comp(
+        """
+        component Q { period 1 s; input event In(int32);
+          initial Wait; state Wait { import In -> Wait; } }
+        """
+    )
+    system = parse_system("system S { instance p: P; instance q: Q; connect p.Out -> q.In; }")
+    with pytest.raises(SimulationError, match="stimulus targets 'q.In', an input driven by 'p.Out'"):
+        simulate(system, {"P": producer, "Q": consumer}, [TraceEvent(MS, "q", "In", 7)], Fraction(1))
+
+
 def test_simulation_is_deterministic():
     c = comp(PING_PONG)
     t1 = simulate_component(c, [], Fraction(5, 2))
