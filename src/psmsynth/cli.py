@@ -320,12 +320,8 @@ def cmd_synth(args) -> int:
             "output": os.path.basename(args.out),
         })
         for spec in sys_ir.instances:
-            timers = ", ".join(
-                f"{s}={n}" for s, n in sorted(spec.timer_cycles.items())
-            ) or "none"
-            print(
-                f"{spec.name}: {len(spec.ir.state_codes)} states, timers: {timers}"
-            )
+            timers = ", ".join(f"{s}={n}" for s, n in sorted(spec.timer_cycles.items())) or "none"
+            print(f"{spec.name}: {len(spec.component.states)} states, timers: {timers}")
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(rtl)

@@ -1,6 +1,10 @@
-"""State-based synthesis: translate validated periodic state machines into a
-cycle-accurate FSM representation, interpret it for verification against the
+"""State-based synthesis: instantiate each periodic state machine of a system
+as a cycle-accurate FSM, interpret the FSMs for verification against the
 reference simulator, and emit a synthesizable hardware description.
+
+Synthesis reads each component directly and checks only the components the
+system instantiates, each once.  `emit_rtl` needs clocks of whole Hz;
+`interpret` takes any rational clock.
 
 Conventions (documented, checked by tests):
   * Timers count 0..N-1 and assert done during cycle N-1, so a Finite spec of
@@ -44,7 +48,6 @@ from .model import (
     _call_mcc,
     _fanout,
     _route_stimulus,
-    validate_component,
     validate_system,
 )
 
@@ -68,26 +71,15 @@ def time_to_cycles(duration: Fraction, freq) -> tuple[int, Fraction]:
     return cycles, error
 
 
-# --- IR ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TimerDecl:
-    state: str
-    duration: Fraction  # seconds
-    generic: str  # cycle-count parameter name
-
-
-@dataclass(frozen=True)
-class FsmIr:
-    component: PsmComponent
-    state_codes: Mapping[str, int]
-    timers: tuple[TimerDecl, ...]
-
+# --- Synthesis ---------------------------------------------------------------
 
 @dataclass(frozen=True)
 class FsmInstance:
+    """One FSM: a state's code is its position in `component.states`, and
+    each state with a finite timing spec has a timer of `timer_cycles`."""
+
     name: str
-    ir: FsmIr
+    component: PsmComponent
     freq: Fraction  # Hz
     timer_cycles: Mapping[str, int]  # state name -> resolved cycle count
     period: Fraction  # seconds
@@ -153,20 +145,9 @@ def _reject_early_result_use(comp: PsmComponent) -> None:
                 returned_by.update((r, action.mcc) for r in action.results)
 
 
-def synthesize_component(comp: PsmComponent) -> FsmIr:
-    report = validate_component(comp)
-    if not report.ok:
-        msgs = "; ".join(str(f) for f in report.errors)
-        raise SynthesisError(f"component does not validate: {msgs}")
-    _reject_delta_cycles(comp)
-    _reject_early_result_use(comp)
-    codes = {s.name: i for i, s in enumerate(comp.states)}
-    timers = tuple(
-        TimerDecl(s.name, s.timed.spec.duration, f"CYCLES_{s.name.upper()}")
-        for s in comp.states
-        if s.timed is not None and s.timed.spec.kind is TimingKind.FINITE
-    )
-    return FsmIr(comp, codes, timers)
+def _has_timer(state) -> bool:
+    """A state with a finite timing spec dwells on a timer."""
+    return state.timed is not None and state.timed.spec.kind is TimingKind.FINITE
 
 
 def synthesize_system(
@@ -175,12 +156,15 @@ def synthesize_system(
     freqs: Mapping[str, object],
 ) -> SystemIr:
     """Instantiate one FSM per instance with its clock-frequency generic (Hz)
-    resolved into concrete timer cycle counts."""
+    resolved into concrete timer cycle counts.  Only the instantiated
+    components are checked, each once; `components` may hold others."""
     report = validate_system(system, components)
     if not report.ok:
         msgs = "; ".join(str(f) for f in report.errors)
         raise SynthesisError(f"system does not validate: {msgs}")
-    irs = {name: synthesize_component(comp) for name, comp in components.items()}
+    for name in dict.fromkeys(inst.component for inst in system.instances):
+        _reject_delta_cycles(components[name])
+        _reject_early_result_use(components[name])
     instances = []
     for inst in system.instances:
         try:
@@ -189,12 +173,12 @@ def synthesize_system(
             raise SynthesisError(f"no clock frequency given for instance '{inst.name}'") from None
         if freq <= 0:
             raise SynthesisError(f"instance '{inst.name}' has non-positive frequency {freq}")
-        ir = irs[inst.component]
-        cycles = {t.state: time_to_cycles(t.duration, freq)[0] for t in ir.timers}
-        period = inst.period_override
-        if period is None:
-            period = components[inst.component].period
-        instances.append(FsmInstance(inst.name, ir, freq, cycles, period))
+        comp = components[inst.component]
+        cycles = {
+            s.name: time_to_cycles(s.timed.spec.duration, freq)[0] for s in comp.states if _has_timer(s)
+        }
+        period = comp.period if inst.period_override is None else inst.period_override
+        instances.append(FsmInstance(inst.name, comp, freq, cycles, period))
     return SystemIr(system, tuple(instances))
 
 
@@ -245,14 +229,15 @@ class _Rt:
 
     def __init__(self, spec: FsmInstance, unit: int, last: int):
         self.spec = spec
-        self.states = {s.name: s for s in spec.ir.component.states}
-        self.widths = {v.name: v.width for v in spec.ir.component.variables}
-        self.payload_widths = {e.name: e.payload_width for e in spec.ir.component.events}
+        comp = spec.component
+        self.states = {s.name: s for s in comp.states}
+        self.widths = {v.name: v.width for v in comp.variables}
+        self.payload_widths = {e.name: e.payload_width for e in comp.events}
         self.unit = unit
         self.last = last
         self.cycle = 0
-        self.state = spec.ir.component.initial
-        self.vars = {v.name: ex.wrap_signed(v.init, v.width) for v in spec.ir.component.variables}
+        self.state = comp.initial
+        self.vars = {v.name: ex.wrap_signed(v.init, v.width) for v in comp.variables}
         self.queue: list[tuple[int, int, str, int | None]] = []
         self.staged: list[tuple[str, int]] = []
         self.done_at: int | None = None
@@ -294,7 +279,7 @@ def interpret(
         raise TypeError("interpret needs max_cycles or horizon")
     mcc_latencies = dict(mcc_latencies or {})
     mcc_impls = dict(mcc_impls or {})
-    comps = {spec.name: spec.ir.component for spec in sys_ir.instances}
+    comps = {spec.name: spec.component for spec in sys_ir.instances}
     routed = [
         (Fraction(time), inst_name, event, payload)
         for time, inst_name, event, payload in _route_stimulus(sys_ir.system, comps, stimulus)
@@ -392,7 +377,7 @@ def interpret(
             enter(rt, rt.target)
 
     for rt in rts:  # reset: all instances enter their initial state at cycle 0
-        enter(rt, rt.spec.ir.component.initial)
+        enter(rt, rt.spec.component.initial)
 
     while True:
         due = []
@@ -501,7 +486,7 @@ def write_vcd(trace: CycleTrace, sys_ir: SystemIr, handle) -> None:
         ids[(spec.name, "__state")] = _vcd_id(counter)
         counter += 1
         handle.write(f"$var integer 32 {ids[(spec.name, '__state')]} state $end\n")
-        for e in spec.ir.component.events:
+        for e in spec.component.events:
             ids[(spec.name, e.name)] = _vcd_id(counter)
             counter += 1
             handle.write(f"$var wire 1 {ids[(spec.name, e.name)]} ev_{e.name} $end\n")
@@ -520,9 +505,9 @@ def write_vcd(trace: CycleTrace, sys_ir: SystemIr, handle) -> None:
 
     # Each change line is built once and shared by all the records it stands for.
     set_state = {
-        (spec.name, state): f"b{code:b} {ids[(spec.name, '__state')]}"
+        (spec.name, state.name): f"b{code:b} {ids[(spec.name, '__state')]}"
         for spec in sys_ir.instances
-        for state, code in spec.ir.state_codes.items()
+        for code, state in enumerate(spec.component.states)
     }
     strobe = {key: ("1" + wire, "0" + wire) for key, wire in ids.items()}
     ticks = {spec.name: spec.freq.as_integer_ratio() for spec in sys_ir.instances}
@@ -546,7 +531,13 @@ def write_vcd(trace: CycleTrace, sys_ir: SystemIr, handle) -> None:
 def emit_rtl(sys_ir: SystemIr) -> str:
     """Emit a deterministic, self-contained hardware description: one module
     per component FSM, a shared timer module, a 2-flop synchronizer module,
-    and a top-level module wiring the instances."""
+    and a top-level module wiring the instances.  Each clock must be a whole
+    number of Hz, as the `CLK_FREQ_HZ` generic is an integer."""
+    for spec in sys_ir.instances:
+        if spec.freq.denominator != 1:
+            raise SynthesisError(
+                f"instance '{spec.name}': RTL needs a clock of whole Hz, got {spec.freq} Hz"
+            )
     out = io.StringIO()
     out.write(f"// Generated FSM implementation of system '{sys_ir.system.name}'.\n")
     out.write("`timescale 1ns/1ps\n\n")
@@ -554,10 +545,9 @@ def emit_rtl(sys_ir: SystemIr) -> str:
     _emit_sync_module(out)
     emitted: set[str] = set()
     for spec in sys_ir.instances:
-        comp = spec.ir.component
-        if comp.name not in emitted:
-            emitted.add(comp.name)
-            _emit_component_module(out, spec.ir)
+        if spec.component.name not in emitted:
+            emitted.add(spec.component.name)
+            _emit_component_module(out, spec.component)
     _emit_top_module(out, sys_ir)
     return out.getvalue()
 
@@ -620,20 +610,23 @@ def _emit_sync_module(out) -> None:
     )
 
 
-def _emit_component_module(out, ir: FsmIr) -> None:
-    comp = ir.component
+def _handshake_ports(name: str, direction: Direction, width: int | None, driven: str) -> list[str]:
+    """Port lines of the req/ack(/data) handshake `name`: the sending side
+    drives req and data, the receiving side ack, each as a `driven` output
+    ("reg" or "wire")."""
+    send, receive = ("input wire", f"output {driven}")
+    if direction is Direction.OUTPUT:
+        send, receive = receive, send
+    ports = [f"  {send} {name}_req", f"  {receive} {name}_ack"]
+    if width is not None:
+        ports.append(f"  {send} signed [{width - 1}:0] {name}_data")
+    return ports
+
+
+def _emit_component_module(out, comp: PsmComponent) -> None:
     ports = ["  input wire clk", "  input wire rst"]
     for e in comp.events:
-        if e.direction is Direction.INPUT:
-            ports.append(f"  input wire ev_{e.name}_req")
-            ports.append(f"  output reg ev_{e.name}_ack")
-            if e.is_data:
-                ports.append(f"  input wire signed [{e.payload_width - 1}:0] ev_{e.name}_data")
-        else:
-            ports.append(f"  output reg ev_{e.name}_req")
-            ports.append(f"  input wire ev_{e.name}_ack")
-            if e.is_data:
-                ports.append(f"  output reg signed [{e.payload_width - 1}:0] ev_{e.name}_data")
+        ports += _handshake_ports(f"ev_{e.name}", e.direction, e.payload_width, "reg")
     for m in comp.mccs:
         ports.append(f"  output reg mcc_{m.name}_start")
         ports.append(f"  input wire mcc_{m.name}_done")
@@ -649,24 +642,24 @@ def _emit_component_module(out, ir: FsmIr) -> None:
     out.write("\n);\n")
 
     # State encoding: source states first, then generated call-wait states.
-    codes = dict(ir.state_codes)
-    wait_states: dict[tuple[str, int], int] = {}
-    for s in comp.states:
-        invokes = [a for a in s.entry if isinstance(a, InvokeMcc)]
-        for i, _ in enumerate(invokes):
-            wait_states[(s.name, i)] = len(codes) + len(wait_states)
-    width = max(1, (len(codes) + len(wait_states) - 1).bit_length())
-    for name, code in codes.items():
-        out.write(f"  localparam [{width - 1}:0] S_{name.upper()} = {code};\n")
-    for (state, i), code in wait_states.items():
+    wait_states = [
+        (s.name, i)
+        for s in comp.states
+        for i, _ in enumerate(a for a in s.entry if isinstance(a, InvokeMcc))
+    ]
+    width = max(1, (len(comp.states) + len(wait_states) - 1).bit_length())
+    for code, s in enumerate(comp.states):
+        out.write(f"  localparam [{width - 1}:0] S_{s.name.upper()} = {code};\n")
+    for code, (state, i) in enumerate(wait_states, len(comp.states)):
         out.write(f"  localparam [{width - 1}:0] S_{state.upper()}_CALL{i} = {code};\n")
 
     # Timer cycle counts from the frequency generic: round-half-up, minimum 1.
-    for t in ir.timers:
-        num, den = Fraction(t.duration).as_integer_ratio()
+    timed = [s for s in comp.states if _has_timer(s)]
+    for s in timed:
+        num, den = Fraction(s.timed.spec.duration).as_integer_ratio()
         raw = f"(2 * CLK_FREQ_HZ * {num} + {den}) / (2 * {den})"
         out.write(
-            f"  localparam integer {t.generic} = ({raw}) < 1 ? 1 : ({raw});\n"
+            f"  localparam integer CYCLES_{s.name.upper()} = ({raw}) < 1 ? 1 : ({raw});\n"
         )
     out.write("\n")
     out.write(f"  reg [{width - 1}:0] state;\n")
@@ -678,12 +671,12 @@ def _emit_component_module(out, ir: FsmIr) -> None:
             out.write(f"  wire ev_{e.name}_pending = ev_{e.name}_req != ev_{e.name}_ack;\n")
             if e.is_data:
                 out.write(f"  reg signed [{e.payload_width - 1}:0] {e.name};\n")
-    for t in ir.timers:
-        out.write(f"  reg tmr_{t.state}_start;\n")
-        out.write(f"  wire tmr_{t.state}_done;\n")
+    for s in timed:
+        out.write(f"  reg tmr_{s.name}_start;\n")
+        out.write(f"  wire tmr_{s.name}_done;\n")
         out.write(
-            f"  psm_timer #(.CYCLES({t.generic})) u_tmr_{t.state} "
-            f"(.clk(clk), .rst(rst), .start(tmr_{t.state}_start), .done(tmr_{t.state}_done));\n"
+            f"  psm_timer #(.CYCLES(CYCLES_{s.name.upper()})) u_tmr_{s.name} "
+            f"(.clk(clk), .rst(rst), .start(tmr_{s.name}_start), .done(tmr_{s.name}_done));\n"
         )
     out.write("\n  always @(posedge clk) begin\n")
     out.write("    if (rst) begin\n")
@@ -700,16 +693,16 @@ def _emit_component_module(out, ir: FsmIr) -> None:
                 out.write(f"      ev_{e.name}_data <= 0;\n")
     for m in comp.mccs:
         out.write(f"      mcc_{m.name}_start <= 1'b0;\n")
-    for t in ir.timers:
-        out.write(f"      tmr_{t.state}_start <= 1'b0;\n")
+    for s in timed:
+        out.write(f"      tmr_{s.name}_start <= 1'b0;\n")
     out.write("    end else begin\n")
-    for t in ir.timers:
-        out.write(f"      tmr_{t.state}_start <= 1'b0;\n")
+    for s in timed:
+        out.write(f"      tmr_{s.name}_start <= 1'b0;\n")
     for m in comp.mccs:
         out.write(f"      mcc_{m.name}_start <= 1'b0;\n")
     out.write("      case (state)\n")
     for s in comp.states:
-        _emit_state_case(out, ir, s)
+        _emit_state_case(out, comp, s)
     out.write("        default: begin\n")
     out.write(f"          state <= S_{comp.initial.upper()};\n")
     out.write("          do_entry <= 1'b1;\n")
@@ -720,9 +713,9 @@ def _emit_component_module(out, ir: FsmIr) -> None:
     out.write("endmodule\n\n")
 
 
-def _emit_state_case(out, ir: FsmIr, s) -> None:
+def _emit_state_case(out, comp: PsmComponent, s) -> None:
     invokes = [a for a in s.entry if isinstance(a, InvokeMcc)]
-    has_timer = s.timed is not None and s.timed.spec.kind is TimingKind.FINITE
+    has_timer = _has_timer(s)
     ind = "          "
     out.write(f"        S_{s.name.upper()}: begin\n")
     out.write(f"{ind}if (do_entry) begin\n")
@@ -745,7 +738,7 @@ def _emit_state_case(out, ir: FsmIr, s) -> None:
             out.write(f"{ind}  tmr_{s.name}_start <= 1'b1;\n")
         out.write(f"{ind}  do_entry <= 1'b0;\n")
     out.write(f"{ind}end else begin\n")
-    _emit_dwell(out, ir, s, ind + "  ")
+    _emit_dwell(out, comp, s, ind + "  ")
     out.write(f"{ind}end\n")
     out.write("        end\n")
     for i, inv in enumerate(invokes):
@@ -768,8 +761,7 @@ def _emit_state_case(out, ir: FsmIr, s) -> None:
         out.write("        end\n")
 
 
-def _emit_dwell(out, ir: FsmIr, s, ind) -> None:
-    comp = ir.component
+def _emit_dwell(out, comp: PsmComponent, s, ind) -> None:
     branches: list[tuple[str, list[str]]] = []
     for imp in s.imports:
         decl = comp.event(imp.event)
@@ -799,29 +791,29 @@ def _emit_dwell(out, ir: FsmIr, s, ind) -> None:
     out.write(f"{ind}end\n")
 
 
+def _join(out, src: str, dst: str, is_data: bool, req: str | None = None) -> None:
+    """Assign handshake `src`'s request and data to `dst`, and `dst`'s
+    acknowledge back; `req`, when given, is the line that carries the request."""
+    out.write(req or f"  assign {dst}_req = {src}_req;\n")
+    out.write(f"  assign {src}_ack = {dst}_ack;\n")
+    if is_data:
+        out.write(f"  assign {dst}_data = {src}_data;\n")
+
+
 def _emit_top_module(out, sys_ir: SystemIr) -> None:
     system = sys_ir.system
     ports = ["  input wire clk", "  input wire rst"]
-    inst_comp = {spec.name: spec.ir.component for spec in sys_ir.instances}
+    inst_comp = {spec.name: spec.component for spec in sys_ir.instances}
     for p in system.ports:
-        decl = inst_comp[p.instance].event(p.event)
-        if p.direction is Direction.INPUT:
-            ports.append(f"  input wire {p.name}_req")
-            ports.append(f"  output wire {p.name}_ack")
-            if decl.is_data:
-                ports.append(f"  input wire signed [{decl.payload_width - 1}:0] {p.name}_data")
-        else:
-            ports.append(f"  output wire {p.name}_req")
-            ports.append(f"  input wire {p.name}_ack")
-            if decl.is_data:
-                ports.append(f"  output wire signed [{decl.payload_width - 1}:0] {p.name}_data")
+        width = inst_comp[p.instance].event(p.event).payload_width
+        ports += _handshake_ports(p.name, p.direction, width, "wire")
     out.write(f"module psm_system_{system.name} (\n")
     out.write(",\n".join(ports))
     out.write("\n);\n")
 
     # Internal nets per instance event pin.
     for spec in sys_ir.instances:
-        for e in spec.ir.component.events:
+        for e in spec.component.events:
             out.write(f"  wire {spec.name}__{e.name}_req;\n")
             out.write(f"  wire {spec.name}__{e.name}_ack;\n")
             if e.is_data:
@@ -834,35 +826,25 @@ def _emit_top_module(out, sys_ir: SystemIr) -> None:
     for c in system.connections:
         src = f"{c.src_instance}__{c.src_event}"
         dst = f"{c.dst_instance}__{c.dst_event}"
-        decl = inst_comp[c.src_instance].event(c.src_event)
+        req = None
         if freq_of[c.src_instance] != freq_of[c.dst_instance]:
             # Clock-domain crossing: 2-flop synchronizer on the request toggle.
-            out.write(
+            req = (
                 f"  psm_sync #(.WIDTH(1)) u_sync{sync_count} "
                 f"(.clk(clk), .d({src}_req), .q({dst}_req));\n"
             )
             sync_count += 1
-        else:
-            out.write(f"  assign {dst}_req = {src}_req;\n")
-        out.write(f"  assign {src}_ack = {dst}_ack;\n")
-        if decl.is_data:
-            out.write(f"  assign {dst}_data = {src}_data;\n")
+        _join(out, src, dst, inst_comp[c.src_instance].event(c.src_event).is_data, req)
     for p in system.ports:
         net = f"{p.instance}__{p.event}"
-        decl = inst_comp[p.instance].event(p.event)
+        is_data = inst_comp[p.instance].event(p.event).is_data
         if p.direction is Direction.INPUT:
-            out.write(f"  assign {net}_req = {p.name}_req;\n")
-            out.write(f"  assign {p.name}_ack = {net}_ack;\n")
-            if decl.is_data:
-                out.write(f"  assign {net}_data = {p.name}_data;\n")
+            _join(out, p.name, net, is_data)
         else:
-            out.write(f"  assign {p.name}_req = {net}_req;\n")
-            out.write(f"  assign {net}_ack = {p.name}_ack;\n")
-            if decl.is_data:
-                out.write(f"  assign {p.name}_data = {net}_data;\n")
+            _join(out, net, p.name, is_data)
 
     for spec in sys_ir.instances:
-        comp = spec.ir.component
+        comp = spec.component
         conns = [".clk(clk)", ".rst(rst)"]
         for e in comp.events:
             conns.append(f".ev_{e.name}_req({spec.name}__{e.name}_req)")
@@ -876,9 +858,8 @@ def _emit_top_module(out, sys_ir: SystemIr) -> None:
                 conns.append(f".mcc_{m.name}_arg{i}()")
             for i in range(m.n_results):
                 conns.append(f".mcc_{m.name}_res{i}(32'd0)")
-        freq_hz = int(spec.freq)
         out.write(
-            f"  psm_{comp.name} #(.CLK_FREQ_HZ({freq_hz})) u_{spec.name} (\n    "
+            f"  psm_{comp.name} #(.CLK_FREQ_HZ({spec.freq})) u_{spec.name} (\n    "
             + ",\n    ".join(conns)
             + "\n  );\n"
         )

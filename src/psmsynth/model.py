@@ -247,27 +247,20 @@ def validate_component(comp: PsmComponent) -> ValidationReport:
     if comp.period <= 0:
         report.error(where, f"period must be positive, got {comp.period}")
 
-    seen_events: set[str] = set()
+    # Events, variables and mccs share one namespace, as in the DSL: a data
+    # input's payload is stored under the event's name.
+    declared: set[str] = set()
+    for decl in (*comp.events, *comp.variables, *comp.mccs):
+        if decl.name in declared:
+            report.error(where, f"duplicate declaration of '{decl.name}'")
+        declared.add(decl.name)
     for e in comp.events:
-        if e.name in seen_events:
-            report.error(where, f"duplicate event '{e.name}'")
-        seen_events.add(e.name)
         if e.payload_width is not None and e.payload_width <= 0:
             report.error(where, f"event '{e.name}' has non-positive payload width")
-
-    seen_vars: set[str] = set()
+    var_names = {v.name for v in comp.variables}
     for v in comp.variables:
-        if v.name in seen_vars:
-            report.error(where, f"duplicate variable '{v.name}'")
-        seen_vars.add(v.name)
         if v.width < 1:
             report.error(where, f"variable '{v.name}' has non-positive width")
-
-    seen_mccs: set[str] = set()
-    for m in comp.mccs:
-        if m.name in seen_mccs:
-            report.error(where, f"duplicate mcc '{m.name}'")
-        seen_mccs.add(m.name)
 
     state_names = [s.name for s in comp.states]
     for name in state_names:
@@ -331,7 +324,7 @@ def validate_component(comp: PsmComponent) -> ValidationReport:
                     report.error(loc, f"export must target a data event, '{a.event}' carries none")
                 _check_expr(report, comp, loc, a.value, "export")
             elif isinstance(a, Assign):
-                if a.var not in seen_vars:
+                if a.var not in var_names:
                     report.error(loc, f"assignment to undeclared variable '{a.var}'")
                 _check_expr(report, comp, loc, a.value, "assignment")
             elif isinstance(a, InvokeMcc):
@@ -344,7 +337,7 @@ def validate_component(comp: PsmComponent) -> ValidationReport:
                     if len(a.results) != sig.n_results:
                         report.error(loc, f"mcc '{a.mcc}' produces {sig.n_results} results, got {len(a.results)}")
                 for name in (*a.args, *a.results):
-                    if name not in seen_vars:
+                    if name not in var_names:
                         report.error(loc, f"mcc argument/result '{name}' is not a declared variable")
 
     # Reachability is a warning, not an error.

@@ -426,6 +426,20 @@ def test_synth_defaults_to_stdout(fixtures, capsys):
     assert "module psm_Sensor" in out and "endmodule" in out
 
 
+def test_synth_ignores_a_component_the_system_does_not_instantiate(fixtures, tmp_path, capsys):
+    # An unused component with a zero-time cycle: check and sim accept the
+    # files, and synth writes the same RTL as without it.
+    (tmp_path / "unused.psm").write_text(
+        "component Unused { period 1 s; initial A; state A { ts(delta) -> A; } }\n"
+    )
+    models = [fixtures / n for n in ALL_MODELS]
+    assert run(["check", *models, tmp_path / "unused.psm"], capsys)[0] == 0
+    assert run(["sim", *models, tmp_path / "unused.psm", "--horizon", "10 ms"], capsys)[0] == 0
+    code, with_unused, err = run(["synth", *models, tmp_path / "unused.psm"], capsys)
+    assert (code, err) == (0, "")
+    assert with_unused == run(["synth", *models], capsys)[1]
+
+
 def test_synth_rejects_bad_freq_spec(fixtures, capsys):
     code, _, err = run(
         ["synth", fixtures / "sensor.psm", "--freq", "nonsense"], capsys
@@ -625,6 +639,16 @@ component N {
   }
 }
 """
+# 1 s at 2.5 Hz is 3 cycles, but a CLK_FREQ_HZ of 2 would make it 2.
+SLOW = """\
+component Slow {
+  period 1 s;
+  initial A;
+  state A {
+    ts(1 s) -> A;
+  }
+}
+"""
 ZERO_WIDTH_FINDING = "component Z: error: variable 'x' has non-positive width"
 WPM = [f"{{fx}}/{n}" for n in ALL_MODELS]
 
@@ -664,6 +688,8 @@ WPM = [f"{{fx}}/{n}" for n in ALL_MODELS]
      "payload 200 for 'dut.In' does not fit int8"),
     (["sim", *WPM, "--stimulus", "{tmp}/driven.stim", "--horizon", "50 ms"], 1,
      "stimulus targets 'mhr.Sample', an input driven by 'mhr_sensor.Out'"),
+    (["synth", "{tmp}/slow.psm", "--freq", "dut=2.5Hz"], 1,
+     "instance 'dut': RTL needs a clock of whole Hz, got 5/2 Hz"),
 ], ids=[
     "schedule-out-is-a-file", "synth-out-below-a-file", "explore-out-is-a-file",
     "latency-not-an-int", "unknown-command", "freq-unknown-instance", "duplicate-component",
@@ -671,6 +697,7 @@ WPM = [f"{{fx}}/{n}" for n in ALL_MODELS]
     "csv-not-utf8", "result-read-before-the-call-is-done", "sim-zero-width-variable",
     "synth-zero-width-variable", "schedule-empty-graph-at-a-latency", "csv-not-finite",
     "csv-latency-below-1", "stimulus-payload-out-of-range", "stimulus-into-a-driven-input",
+    "synth-fractional-clock",
 ])
 def test_malformed_input_ends_in_one_error_line(fixtures, tmp_path, capsys, argv, code, message):
     (tmp_path / "taken").write_text("")
@@ -694,6 +721,7 @@ def test_malformed_input_ends_in_one_error_line(fixtures, tmp_path, capsys, argv
     (tmp_path / "narrow.psm").write_text(NARROW)
     (tmp_path / "narrow.stim").write_text("0.001 dut In 200\n")
     (tmp_path / "driven.stim").write_text("0.001 mhr Sample 7\n")
+    (tmp_path / "slow.psm").write_text(SLOW)
     fill = {"fx": fixtures, "tmp": tmp_path}
     got, _, err = run([a.format(**fill) for a in argv], capsys)
     assert got == code

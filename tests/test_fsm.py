@@ -8,15 +8,26 @@ from fractions import Fraction
 
 import pytest
 
-from psmsynth import fsm
+from psmsynth import fsm, model
 from psmsynth.dsl import parse_component, parse_file, parse_system
-from psmsynth.model import SimulationError, TraceEvent, simulate, simulate_component
+from psmsynth.model import (
+    Direction,
+    EventDecl,
+    Import,
+    PsmComponent,
+    SimulationError,
+    State,
+    TraceEvent,
+    VarDecl,
+    simulate,
+    simulate_component,
+    validate_component,
+)
 from psmsynth.fsm import (
     SynthesisError,
     compare_with_reference,
     emit_rtl,
     interpret,
-    synthesize_component,
     synthesize_single,
     synthesize_system,
     time_to_cycles,
@@ -76,7 +87,7 @@ def test_unconditional_delta_cycle_rejected():
         """
     )
     with pytest.raises(SynthesisError) as err:
-        synthesize_component(comp)
+        synthesize_single(comp, 1 * MHZ)
     assert "zero-time transition cycle" in str(err.value)
 
 
@@ -88,7 +99,7 @@ def test_constant_true_guard_cycle_rejected():
         """
     )
     with pytest.raises(SynthesisError):
-        synthesize_component(comp)
+        synthesize_single(comp, 1 * MHZ)
 
 
 def test_timer_cycles_resolved_per_instance_frequency():
@@ -104,6 +115,44 @@ def test_timer_cycles_resolved_per_instance_frequency():
     assert ir.timer_cycles == {"A": 10_000}
     ir2 = synthesize_single(comp, 2 * MHZ).instances[0]
     assert ir2.timer_cycles == {"A": 20_000}
+
+
+def test_a_name_declared_as_event_and_variable_is_refused():
+    # The DSL rejects this as a duplicate declaration; a library-built
+    # component gets the same finding, so no engine stores both under 'x'.
+    comp = PsmComponent(
+        "Both", Fraction(1),
+        events=(EventDecl("x", Direction.INPUT, 32),),
+        variables=(VarDecl("x", 32),),
+        initial="S",
+        states=(State("S", imports=(Import("x", "S"),)),),
+    )
+    assert [f.message for f in validate_component(comp).errors] == ["duplicate declaration of 'x'"]
+    with pytest.raises(SynthesisError, match="duplicate declaration of 'x'"):
+        synthesize_single(comp, 1 * MHZ)
+    with pytest.raises(SimulationError, match="duplicate declaration of 'x'"):
+        simulate_component(comp, [], Fraction(1))
+
+
+def test_system_synthesis_validates_each_instantiated_component_once(wpm):
+    # WPM has eight instances of five components, three of them sensors.
+    # Counted with a profiler, so a call through any imported name counts.
+    import cProfile
+    import pstats
+
+    system, comps = wpm
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        synthesize_system(system, comps, {inst.name: 1 * MHZ for inst in system.instances})
+    finally:
+        profile.disable()
+    code = model.validate_component.__code__
+    calls = sum(
+        stat[1] for (file, line, name), stat in pstats.Stats(profile).stats.items()
+        if (file, line, name) == (code.co_filename, code.co_firstlineno, code.co_name)
+    )
+    assert calls == 5
 
 
 def test_missing_frequency_diagnosed():
@@ -555,6 +604,30 @@ def test_rtl_emission_golden(fixtures):
     rtl = emit_rtl(sys_ir)
     golden = (fixtures / "golden" / "mhr.v").read_text()
     assert rtl == golden
+
+
+# sha256 of the emitted RTL: the top module's nets, connections, synchronizers
+# and port wiring for WPM, and each fixture component alone at 102 MHz.
+@pytest.mark.parametrize("mixed, digest", [
+    (False, "3cf6f0ba9a7fe907a0c49fcf1f506a62dc15cb89555917fca56df84599348735"),
+    (True, "44e29459b5638780ab24949b77a4e378c955a823d9e34754770648cd972ac5d4"),
+], ids=["one-clock", "mixed-clocks"])
+def test_golden_wpm_rtl(wpm, mixed, digest):
+    system, comps = wpm
+    names = [inst.name for inst in system.instances]
+    freqs = {n: MIXED_FREQS[i % 4] if mixed else 1 * MHZ for i, n in enumerate(names)}
+    assert _sha([emit_rtl(synthesize_system(system, comps, freqs))]) == digest
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("sensor", "2239f0525b89fb56f1bff81f45ac771515c10b6208afc02d06b3d8e61a43b06a"),
+    ("spo2", "16bb8e62cedbd36ed3522fe3bcab446cf46efbaaacf4fc264f171700f049826a"),
+    ("emg", "20d1ed5fc9691105941183cab17af9aaaf4712b8f2a81fb13e79ff9ec15c480d"),
+    ("monitor", "4088374255b7f4f6b51fef6826c41fcef6763d5387312a820b7da09983c4259c"),
+])
+def test_golden_component_rtl(fixtures, name, digest):
+    comp = parse_file(fixtures / f"{name}.psm")
+    assert _sha([emit_rtl(synthesize_single(comp, 102 * MHZ))]) == digest
 
 
 def test_rtl_contains_expected_structure(fixtures):
