@@ -3,12 +3,16 @@
 Expressions cover integer arithmetic, comparison, and boolean operators.
 Evaluation wraps each result to 32-bit signed, and both the reference
 simulator and the cycle-level interpreter wrap each stored value to its
-declared width, so the two engines agree bit-for-bit.
+declared width, so the two engines agree bit-for-bit.  `compile_expr` is the
+one implementation of the operators: it turns a tree into a closure once,
+and `evaluate` runs that closure.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from typing import Callable
 
 
 class EvalError(Exception):
@@ -62,56 +66,74 @@ def wrap_signed(value: int, width: int = 32) -> int:
     return value
 
 
-def evaluate(expr: Expr, env: dict[str, int]) -> int:
+_HALF32, _MASK32 = 1 << 31, (1 << 32) - 1
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_COMPARISONS = {
+    "==": operator.eq, "!=": operator.ne,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
+def compile_expr(expr: Expr) -> Callable[[dict[str, int]], int]:
+    """One closure that evaluates `expr` in an environment: each result wraps
+    to 32-bit signed, `/` and `%` truncate toward zero as in C, `&&` and `||`
+    short-circuit.  Errors are raised when the closure runs, as `EvalError`."""
     if isinstance(expr, Num):
-        return wrap_signed(expr.value)
+        value = wrap_signed(expr.value)
+        return lambda env: value
     if isinstance(expr, Var):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise EvalError(f"undefined variable '{expr.name}'") from None
+        name = expr.name
+
+        def var(env):
+            try:
+                return env[name]
+            except KeyError:
+                raise EvalError(f"undefined variable '{name}'") from None
+        return var
     if isinstance(expr, UnOp):
-        v = evaluate(expr.operand, env)
+        operand = compile_expr(expr.operand)
         if expr.op == "-":
-            return wrap_signed(-v)
+            return lambda env: ((_HALF32 - operand(env)) & _MASK32) - _HALF32
         if expr.op == "!":
-            return 0 if v else 1
-        raise EvalError(f"unknown unary operator '{expr.op}'")
+            return lambda env: 0 if operand(env) else 1
+        return _failing(f"unknown unary operator '{expr.op}'", operand)
     if isinstance(expr, BinOp):
-        a = evaluate(expr.left, env)
-        if expr.op == "&&":
-            return 1 if (a and evaluate(expr.right, env)) else 0
-        if expr.op == "||":
-            return 1 if (a or evaluate(expr.right, env)) else 0
-        b = evaluate(expr.right, env)
-        if expr.op == "+":
-            return wrap_signed(a + b)
-        if expr.op == "-":
-            return wrap_signed(a - b)
-        if expr.op == "*":
-            return wrap_signed(a * b)
-        if expr.op == "/":
-            if b == 0:
-                raise EvalError("division by zero")
-            return wrap_signed(int(a / b))  # C-style truncation
-        if expr.op == "%":
-            if b == 0:
-                raise EvalError("modulo by zero")
-            return wrap_signed(a - int(a / b) * b)
-        if expr.op == "==":
-            return 1 if a == b else 0
-        if expr.op == "!=":
-            return 1 if a != b else 0
-        if expr.op == "<":
-            return 1 if a < b else 0
-        if expr.op == "<=":
-            return 1 if a <= b else 0
-        if expr.op == ">":
-            return 1 if a > b else 0
-        if expr.op == ">=":
-            return 1 if a >= b else 0
-        raise EvalError(f"unknown operator '{expr.op}'")
-    raise EvalError(f"not an expression: {expr!r}")
+        left, right, op = compile_expr(expr.left), compile_expr(expr.right), expr.op
+        if op == "&&":
+            return lambda env: 1 if (left(env) and right(env)) else 0
+        if op == "||":
+            return lambda env: 1 if (left(env) or right(env)) else 0
+        if op in _ARITHMETIC:
+            f = _ARITHMETIC[op]
+            return lambda env: ((f(left(env), right(env)) + _HALF32) & _MASK32) - _HALF32
+        if op in _COMPARISONS:
+            f = _COMPARISONS[op]
+            return lambda env: 1 if f(left(env), right(env)) else 0
+        if op in ("/", "%"):
+            message = "division by zero" if op == "/" else "modulo by zero"
+
+            def divide(env):
+                a, b = left(env), right(env)
+                if b == 0:
+                    raise EvalError(message)
+                q = int(a / b)  # C-style truncation
+                return wrap_signed(q if op == "/" else a - q * b)
+            return divide
+        return _failing(f"unknown operator '{op}'", left, right)
+    return _failing(f"not an expression: {expr!r}")
+
+
+def _failing(message: str, *operands: Callable[[dict[str, int]], int]):
+    """A closure that evaluates `operands` in order, then raises `message`."""
+    def fail(env):
+        for operand in operands:
+            operand(env)
+        raise EvalError(message)
+    return fail
+
+
+def evaluate(expr: Expr, env: dict[str, int]) -> int:
+    return compile_expr(expr)(env)
 
 
 def free_vars(expr: Expr) -> set[str]:

@@ -45,9 +45,11 @@ from .model import (
     PsmSystem,
     TimingKind,
     TraceEvent,
-    _call_mcc,
+    _entry_code,
     _fanout,
+    _has_timer,
     _route_stimulus,
+    _seconds,
     validate_system,
 )
 
@@ -98,8 +100,8 @@ def _reject_delta_cycles(comp: PsmComponent) -> None:
         targets = []
         if s.timed is not None and s.timed.spec.kind is TimingKind.DELTA:
             targets.append(s.timed.target)
-        for g in s.guards:
-            if isinstance(g.guard, ex.Num) and g.guard.value != 0:
+        for g in s.guards:  # a guard over no variables is a constant
+            if not ex.free_vars(g.guard) and ex.compile_expr(g.guard)({}):
                 targets.append(g.target)
         edges[s.name] = targets
     color: dict[str, int] = {}
@@ -145,11 +147,6 @@ def _reject_early_result_use(comp: PsmComponent) -> None:
                 returned_by.update((r, action.mcc) for r in action.results)
 
 
-def _has_timer(state) -> bool:
-    """A state with a finite timing spec dwells on a timer."""
-    return state.timed is not None and state.timed.spec.kind is TimingKind.FINITE
-
-
 def synthesize_system(
     system: PsmSystem,
     components: Mapping[str, PsmComponent],
@@ -191,7 +188,7 @@ def synthesize_single(comp: PsmComponent, freq, instance_name: str = "dut") -> S
 
 # --- Cycle-level interpretation ----------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleStateEntry:
     instance: str
     cycle: int
@@ -199,7 +196,7 @@ class CycleStateEntry:
     state: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleEventRecord:
     instance: str
     cycle: int
@@ -220,19 +217,19 @@ class _Rt:
     run's time base: edge k of this instance lies at `k * unit`, and `last`
     is the last edge it runs.  `done_at` is the edge at which the running
     call ends, `fire_at` the edge at which the pending transition to
-    `target` fires; `queue` is a heap of (arrival, seq, event, payload)."""
+    `target` fires; `queue` is a heap of (arrival, seq, event, payload).
+    `code` is the component's compiled entry code (`model._entry_code`)."""
 
     __slots__ = (
-        "spec", "states", "widths", "payload_widths", "unit", "last", "cycle", "state", "vars",
+        "spec", "states", "code", "unit", "last", "cycle", "state", "vars",
         "queue", "staged", "done_at", "fire_at", "target",
     )
 
-    def __init__(self, spec: FsmInstance, unit: int, last: int):
+    def __init__(self, spec: FsmInstance, code, unit: int, last: int):
         self.spec = spec
         comp = spec.component
         self.states = {s.name: s for s in comp.states}
-        self.widths = {v.name: v.width for v in comp.variables}
-        self.payload_widths = {e.name: e.payload_width for e in comp.events}
+        self.code = code
         self.unit = unit
         self.last = last
         self.cycle = 0
@@ -288,6 +285,8 @@ def interpret(
     base = math.lcm(
         *(spec.freq.numerator for spec in sys_ir.instances), *(t.denominator for t, *_ in routed)
     )
+    used = {id(spec.component): spec.component for spec in sys_ir.instances}
+    code = {key: _entry_code(comp, mcc_impls) for key, comp in used.items()}
     rts = []
     for spec in sys_ir.instances:
         last = max_cycles
@@ -295,7 +294,8 @@ def interpret(
             x = Fraction(horizon) * spec.freq
             before = (x.numerator - 1) // x.denominator  # the last edge k with k < x
             last = before if last is None else min(last, before)
-        rts.append(_Rt(spec, base * spec.freq.denominator // spec.freq.numerator, last))
+        unit = base * spec.freq.denominator // spec.freq.numerator
+        rts.append(_Rt(spec, code[id(spec.component)], unit, last))
     by_name = {rt.spec.name: rt for rt in rts}
     fanout = _fanout(sys_ir.system)
     trace = CycleTrace()
@@ -309,6 +309,8 @@ def interpret(
     for time, inst_name, event, payload in routed:
         deliver(time.numerator * (base // time.denominator), inst_name, event, payload)
 
+    seconds = _seconds(base)
+
     def emit(rt: _Rt, now: int, time: Fraction, event: str, payload: int | None) -> None:
         trace.events.append(CycleEventRecord(rt.spec.name, rt.cycle, time, event, payload))
         for dst_inst, dst_event in fanout.get((rt.spec.name, event), []):
@@ -319,9 +321,9 @@ def interpret(
         on the next edge, a finite spec when its timer runs out."""
         state = rt.states[rt.state]
         rt.fire_at = rt.target = None
-        for g in state.guards:
-            if ex.evaluate(g.guard, rt.vars):
-                rt.fire_at, rt.target = rt.cycle + 1, g.target
+        for guard, target in rt.code[rt.state][1]:
+            if guard(rt.vars):
+                rt.fire_at, rt.target = rt.cycle + 1, target
                 return
         if state.timed is not None and state.timed.spec.kind is TimingKind.DELTA:
             rt.fire_at, rt.target = rt.cycle + 1, state.timed.target
@@ -331,21 +333,17 @@ def interpret(
     def enter(rt: _Rt, state_name: str) -> None:
         rt.state = state_name
         now = rt.cycle * rt.unit
-        time = Fraction(now, base)
+        time = seconds(now)
         trace.entries.append(CycleStateEntry(rt.spec.name, rt.cycle, time, state_name))
         busy = 0
-        for action in rt.states[state_name].entry:
-            if isinstance(action, Notify):
-                emit(rt, now, time, action.event, None)
-            elif isinstance(action, Export):
-                value = ex.evaluate(action.value, rt.vars)
-                emit(rt, now, time, action.event, ex.wrap_signed(value, rt.payload_widths[action.event]))
-            elif isinstance(action, Assign):
-                value = ex.evaluate(action.value, rt.vars)
-                rt.vars[action.var] = ex.wrap_signed(value, rt.widths[action.var])
-            elif isinstance(action, InvokeMcc):
-                rt.staged += _call_mcc(mcc_impls, action, rt.vars, rt.widths)
-                busy += HANDSHAKE_CYCLES + mcc_latencies.get(action.mcc, 1)
+        for kind, name, fn in rt.code[state_name][0]:
+            if kind == "emit":
+                emit(rt, now, time, name, fn(rt.vars))
+            elif kind == "assign":
+                rt.vars[name] = fn(rt.vars)
+            else:
+                rt.staged += fn(rt.vars)
+                busy += HANDSHAKE_CYCLES + mcc_latencies.get(name, 1)
         if busy:
             rt.done_at = rt.cycle + busy
         else:
@@ -371,8 +369,7 @@ def interpret(
                     rt.vars[event] = payload
                 enter(rt, imp.target)
                 return
-            time = Fraction(now, base)
-            trace.dropped.append(CycleEventRecord(rt.spec.name, rt.cycle, time, event, payload))
+            trace.dropped.append(CycleEventRecord(rt.spec.name, rt.cycle, seconds(now), event, payload))
         if rt.fire_at == rt.cycle:
             enter(rt, rt.target)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
@@ -428,7 +429,7 @@ def validate_system(system: PsmSystem, components: Mapping[str, PsmComponent]) -
 
 # --- Traces ------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     time: Fraction
     instance: str
@@ -436,7 +437,7 @@ class TraceEvent:
     payload: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateEntry:
     time: Fraction
     instance: str
@@ -537,18 +538,70 @@ def _call_mcc(
     return [(name, ex.wrap_signed(value, widths[name])) for name, value in zip(action.results, results)]
 
 
-class _InstanceState:
-    __slots__ = ("name", "states", "widths", "payload_widths", "state", "vars", "timer_deadline", "inbox")
+def _entry_code(comp: PsmComponent, mcc_impls: Mapping[str, McImpl]) -> dict[str, tuple[list, list]]:
+    """Each state's entry actions and guards, compiled once for a run.  An
+    action is ("emit", event, payload) for a notify or export, ("assign",
+    variable, value) or ("invoke", mcc, results), each third item a function
+    of the variables: values come wrapped to their declared width, and
+    `results` gives `_call_mcc`'s pairs.  A guard is (condition, target)."""
+    widths = {v.name: v.width for v in comp.variables}
+    payload_widths = {e.name: e.payload_width for e in comp.events}
 
-    def __init__(self, name: str, comp: PsmComponent):
+    def wrapped(e: ex.Expr, width: int):
+        value, half, mask = ex.compile_expr(e), 1 << (width - 1), (1 << width) - 1
+        return lambda env: ((value(env) + half) & mask) - half
+
+    def compiled(action: Action) -> tuple:
+        if isinstance(action, Notify):
+            return "emit", action.event, lambda env: None
+        if isinstance(action, Export):
+            return "emit", action.event, wrapped(action.value, payload_widths[action.event])
+        if isinstance(action, Assign):
+            return "assign", action.var, wrapped(action.value, widths[action.var])
+        return "invoke", action.mcc, lambda env: _call_mcc(mcc_impls, action, env, widths)
+
+    return {
+        s.name: ([compiled(a) for a in s.entry], [(ex.compile_expr(g.guard), g.target) for g in s.guards])
+        for s in comp.states
+    }
+
+
+def _seconds(base: int) -> Callable[[int], Fraction]:
+    """The time in seconds of a tick count on time base `base`.  Records come
+    in time order, so one Fraction is built per instant and kept until the
+    next."""
+    last = [None, None]
+
+    def seconds(now: int) -> Fraction:
+        if last[0] != now:
+            last[:] = now, Fraction(now, base)
+        return last[1]
+    return seconds
+
+
+class _InstanceState:
+    """Mutable per-instance simulator state.  `dwell` holds each timed state's
+    duration and `timer_deadline` its expiry, both in ticks of the run's
+    time base."""
+
+    __slots__ = ("name", "states", "code", "dwell", "state", "vars", "timer_deadline", "inbox")
+
+    def __init__(self, name: str, comp: PsmComponent, code, base: int):
         self.name = name
         self.states = {s.name: s for s in comp.states}
-        self.widths = {v.name: v.width for v in comp.variables}
-        self.payload_widths = {e.name: e.payload_width for e in comp.events}
+        self.code = code
+        self.dwell = {
+            s.name: int(Fraction(s.timed.spec.duration) * base) for s in comp.states if _has_timer(s)
+        }
         self.state = self.states[comp.initial]
         self.vars: dict[str, int] = {v.name: ex.wrap_signed(v.init, v.width) for v in comp.variables}
-        self.timer_deadline: Fraction | None = None
+        self.timer_deadline: int | None = None
         self.inbox: list[tuple[str, int | None]] = []  # (event, payload) in delivery order
+
+
+def _has_timer(state: State) -> bool:
+    """A state with a finite timing spec dwells on a timer."""
+    return state.timed is not None and state.timed.spec.kind is TimingKind.FINITE
 
 
 def simulate(
@@ -573,62 +626,70 @@ def simulate(
 
     mcc_impls = dict(mcc_impls or {})
     comps = {inst.name: components[inst.component] for inst in system.instances}
-    insts = {name: _InstanceState(name, comp) for name, comp in comps.items()}
+    routed = _route_stimulus(system, comps, stimulus)
+    # The run's own integer time base: a tick is 1/base s, and every timer,
+    # stimulus time and the horizon is a whole number of ticks.
+    used = {inst.component: components[inst.component] for inst in system.instances}
+    dwells = [s.timed.spec.duration for c in used.values() for s in c.states if _has_timer(s)]
+    base = math.lcm(*(Fraction(t).denominator for t in [horizon, *dwells, *(t for t, *_ in routed)]))
+    end = int(Fraction(horizon) * base)
+    code = {key: _entry_code(comp, mcc_impls) for key, comp in used.items()}
+    insts = {inst.name: _InstanceState(inst.name, comps[inst.name], code[inst.component], base)
+             for inst in system.instances}
     fanout = _fanout(system)
     trace = EventTrace()
-    # Pending deliveries, a heap of (time, seq, instance, event, payload):
+    # Pending deliveries, a heap of (tick, seq, instance, event, payload):
     # simultaneous deliveries are taken in the order they were made.
-    agenda: list[tuple[Fraction, int, _InstanceState, str, int | None]] = []
+    agenda: list[tuple[int, int, _InstanceState, str, int | None]] = []
     seq = itertools.count()
-    for time, inst_name, event, payload in _route_stimulus(system, comps, stimulus):
+    for time, inst_name, event, payload in routed:
         if time >= horizon:
             raise SimulationError(f"stimulus at t={time} is not before the horizon {horizon}")
-        heapq.heappush(agenda, (time, next(seq), insts[inst_name], event, payload))
+        heapq.heappush(agenda, (int(Fraction(time) * base), next(seq), insts[inst_name], event, payload))
 
-    def emit(now: Fraction, st: _InstanceState, event: str, payload: int | None) -> None:
-        trace.events.append(TraceEvent(now, st.name, event, payload))
+    seconds = _seconds(base)
+
+    def emit(now: int, st: _InstanceState, event: str, payload: int | None) -> None:
+        trace.events.append(TraceEvent(seconds(now), st.name, event, payload))
         for dst_inst, dst_event in fanout.get((st.name, event), []):
             heapq.heappush(agenda, (now, next(seq), insts[dst_inst], dst_event, payload))
 
-    def enter(now: Fraction, st: _InstanceState, target: str) -> None:
+    def enter(now: int, st: _InstanceState, target: str) -> None:
         """Enter `target`, then follow zero-time transitions (a true guard,
         else a delta spec) until a state waits."""
+        variables = st.vars
         for _ in range(DELTA_CYCLE_LIMIT):
             state = st.state = st.states[target]
-            trace.state_entries.append(StateEntry(now, st.name, target))
-            for action in state.entry:
-                if isinstance(action, Notify):
-                    emit(now, st, action.event, None)
-                elif isinstance(action, Export):
-                    value = ex.evaluate(action.value, st.vars)
-                    emit(now, st, action.event, ex.wrap_signed(value, st.payload_widths[action.event]))
-                elif isinstance(action, Assign):
-                    value = ex.evaluate(action.value, st.vars)
-                    st.vars[action.var] = ex.wrap_signed(value, st.widths[action.var])
-                elif isinstance(action, InvokeMcc):
-                    st.vars.update(_call_mcc(mcc_impls, action, st.vars, st.widths))
+            actions, guards = st.code[target]
+            trace.state_entries.append(StateEntry(seconds(now), st.name, target))
+            for kind, name, fn in actions:
+                if kind == "emit":
+                    emit(now, st, name, fn(variables))
+                elif kind == "assign":
+                    variables[name] = fn(variables)
+                else:
+                    variables.update(fn(variables))
+            target = next((to for guard, to in guards if guard(variables)), None)
             timed = state.timed
-            target = next((g.target for g in state.guards if ex.evaluate(g.guard, st.vars)), None)
             if target is None and timed is not None and timed.spec.kind is TimingKind.DELTA:
                 target = timed.target
             if target is None:
-                finite = timed is not None and timed.spec.kind is TimingKind.FINITE
-                st.timer_deadline = now + timed.spec.duration if finite else None
+                dwell = st.dwell.get(state.name)
+                st.timer_deadline = None if dwell is None else now + dwell
                 return
         raise DeltaCycleError(
             f"instance '{st.name}' made {DELTA_CYCLE_LIMIT} consecutive "
-            f"zero-time transitions at t={now} (last state '{state.name}')"
+            f"zero-time transitions at t={Fraction(now, base)} (last state '{state.name}')"
         )
 
     for st in insts.values():
-        enter(Fraction(0), st, st.state.name)
+        enter(0, st, st.state.name)
 
     while True:
-        times = [st.timer_deadline for st in insts.values() if st.timer_deadline is not None]
-        if agenda:
-            times.append(agenda[0][0])
-        now = min(times, default=horizon)
-        if now >= horizon:
+        now = min((st.timer_deadline for st in insts.values() if st.timer_deadline is not None), default=end)
+        if agenda and agenda[0][0] < now:
+            now = agenda[0][0]
+        if now >= end:
             return trace
         # Each pass moves the due deliveries into inboxes; then each instance,
         # in declaration order, takes its inbox and then its due timer.  The
@@ -643,20 +704,20 @@ def simulate(
                 for event, payload in st.inbox:
                     imp = next((i for i in st.state.imports if i.event == event), None)
                     if imp is None:
-                        trace.dropped.append(TraceEvent(now, st.name, event, payload))
+                        trace.dropped.append(TraceEvent(seconds(now), st.name, event, payload))
                         continue
                     if payload is not None:
                         st.vars[event] = payload
                     enter(now, st, imp.target)
                 st.inbox.clear()
-                if st.timer_deadline is not None and st.timer_deadline == now:
+                if st.timer_deadline == now:
                     busy = True
                     enter(now, st, st.state.timed.target)
             if not busy:
                 break
         else:
             raise DeltaCycleError(
-                f"system never became quiescent at t={now}: "
+                f"system never became quiescent at t={Fraction(now, base)}: "
                 f"{DELTA_CYCLE_LIMIT} zero-time delivery rounds"
             )
 

@@ -629,6 +629,18 @@ component Z {
   }
 }
 """
+# `1 + 0` is always true, so A re-enters itself without time passing; a
+# constant guard that cannot be evaluated is an error of its own.
+CONSTANT_GUARD = """\
+component G {{
+  period 1 s;
+  initial A;
+  state A {{
+    when ({guard}) -> A;
+    ts(inf);
+  }}
+}}
+"""
 NARROW = """\
 component N {
   period 10 ms;
@@ -690,6 +702,8 @@ WPM = [f"{{fx}}/{n}" for n in ALL_MODELS]
      "stimulus targets 'mhr.Sample', an input driven by 'mhr_sensor.Out'"),
     (["synth", "{tmp}/slow.psm", "--freq", "dut=2.5Hz"], 1,
      "instance 'dut': RTL needs a clock of whole Hz, got 5/2 Hz"),
+    (["synth", "{tmp}/true.psm"], 1, "component G: zero-time transition cycle through state 'A'"),
+    (["synth", "{tmp}/undefined.psm"], 1, "division by zero"),
 ], ids=[
     "schedule-out-is-a-file", "synth-out-below-a-file", "explore-out-is-a-file",
     "latency-not-an-int", "unknown-command", "freq-unknown-instance", "duplicate-component",
@@ -697,7 +711,7 @@ WPM = [f"{{fx}}/{n}" for n in ALL_MODELS]
     "csv-not-utf8", "result-read-before-the-call-is-done", "sim-zero-width-variable",
     "synth-zero-width-variable", "schedule-empty-graph-at-a-latency", "csv-not-finite",
     "csv-latency-below-1", "stimulus-payload-out-of-range", "stimulus-into-a-driven-input",
-    "synth-fractional-clock",
+    "synth-fractional-clock", "synth-constant-true-guard", "synth-constant-guard-divides-by-zero",
 ])
 def test_malformed_input_ends_in_one_error_line(fixtures, tmp_path, capsys, argv, code, message):
     (tmp_path / "taken").write_text("")
@@ -722,6 +736,8 @@ def test_malformed_input_ends_in_one_error_line(fixtures, tmp_path, capsys, argv
     (tmp_path / "narrow.stim").write_text("0.001 dut In 200\n")
     (tmp_path / "driven.stim").write_text("0.001 mhr Sample 7\n")
     (tmp_path / "slow.psm").write_text(SLOW)
+    (tmp_path / "true.psm").write_text(CONSTANT_GUARD.format(guard="1 + 0"))
+    (tmp_path / "undefined.psm").write_text(CONSTANT_GUARD.format(guard="1 / 0"))
     fill = {"fx": fixtures, "tmp": tmp_path}
     got, _, err = run([a.format(**fill) for a in argv], capsys)
     assert got == code

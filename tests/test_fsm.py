@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from psmsynth import expr as ex
 from psmsynth import fsm, model
 from psmsynth.dsl import parse_component, parse_file, parse_system
 from psmsynth.model import (
@@ -100,6 +101,27 @@ def test_constant_true_guard_cycle_rejected():
     )
     with pytest.raises(SynthesisError):
         synthesize_single(comp, 1 * MHZ)
+
+
+@pytest.mark.parametrize("guard, error, message", [
+    ("1 + 0", SynthesisError, "component C: zero-time transition cycle through state 'A'"),
+    ("!(2 < 1)", SynthesisError, "component C: zero-time transition cycle through state 'A'"),
+    ("1 / 0", ex.EvalError, "division by zero"),
+    ("1 - 1", None, None),
+])
+def test_synthesis_evaluates_guards_over_no_variables(guard, error, message):
+    # A guard over no variables has one value: a true one is unconditional,
+    # as the reference simulator finds when it never settles.
+    comp = parse_component(
+        f"component C {{ period 1 s; initial A; state A {{ when ({guard}) -> A; ts(inf); }} }}"
+    )
+    if error is None:
+        assert synthesize_single(comp, 1 * MHZ).instances[0].component is comp
+        return
+    with pytest.raises(error, match=re.escape(message)):
+        synthesize_single(comp, 1 * MHZ)
+    with pytest.raises(model.DeltaCycleError if error is SynthesisError else error):
+        simulate_component(comp, [], Fraction(1))
 
 
 def test_timer_cycles_resolved_per_instance_frequency():
@@ -469,6 +491,62 @@ def test_interpret_makes_few_fraction_calls_per_record(wpm):
     records = len(cyc.entries) + len(cyc.events) + len(cyc.dropped)
     assert records == 3679
     assert calls <= 2 * records, f"{calls} calls into fractions for {records} records"
+
+
+def _expression_nodes(comps) -> int:
+    """Nodes of every guard and entry-action expression of the components."""
+    def size(e):
+        return 1 + sum(size(child) for child in vars(e).values() if isinstance(child, ex.Expr))
+
+    return sum(
+        size(e)
+        for comp in comps
+        for s in comp.states
+        for e in [g.guard for g in s.guards] + [a.value for a in s.entry if hasattr(a, "value")]
+    )
+
+
+def test_engines_compile_each_expression_once_and_never_walk_trees(wpm):
+    # Work-count guard: both engines call closures built once per run from
+    # each distinct component, whatever the number of its instances (three
+    # sensors here), and never `expr.evaluate`.
+    import cProfile
+    import pstats
+
+    system, comps = wpm
+    sys_ir = synthesize_system(system, comps, {inst.name: 1 * MHZ for inst in system.instances})
+    stim = [TraceEvent(t, "StartMeasure", "Start", None) for t in WPM_STARTS]
+    nodes = _expression_nodes({comps[inst.component].name: comps[inst.component]
+                               for inst in system.instances}.values())
+    runs = {
+        "simulate": lambda: simulate(system, comps, stim[:1], Fraction(3), ALL_IMPLS),
+        "interpret": lambda: interpret(sys_ir, stim, 3 * 10**6 - 1, ALL_LATENCIES, ALL_IMPLS),
+    }
+    for name, run in runs.items():
+        profile = cProfile.Profile()
+        profile.enable()
+        try:
+            run()
+        finally:
+            profile.disable()
+        calls = {fn: stat[1] for (file, _, fn), stat in pstats.Stats(profile).stats.items()
+                 if file == ex.__file__ and fn in ("evaluate", "compile_expr")}
+        assert calls.get("evaluate", 0) == 0, name
+        assert 0 < calls["compile_expr"] <= nodes == 41, (name, calls)
+
+
+def test_a_failing_entry_action_raises_the_same_error_in_both_engines():
+    # Division by zero at reset: `psmsynth sim` of this model ends in the one
+    # line `error: division by zero` (tests/test_cli.py, division-by-zero).
+    comp = parse_component(
+        "component D { period 10 ms; var x: int32 = 0; initial Go;"
+        " state Go { entry { x = 1 / x; } ts(10 ms) -> Go; } }"
+    )
+    with pytest.raises(ex.EvalError) as ref:
+        simulate_component(comp, [], Fraction(1))
+    with pytest.raises(ex.EvalError) as cyc:
+        interpret(synthesize_single(comp, 1 * MHZ), [], horizon=Fraction(1))
+    assert str(ref.value) == str(cyc.value) == "division by zero"
 
 
 PINGER = """

@@ -405,3 +405,31 @@ def test_golden_wpm_reference_trace(fixtures):
         "events": "4c36a10cdf7eade22be7ae4691920cfef47083cc1d4d040287770c079e602fcb",
         "dropped": "05393e360e91041374ba5e2ebdda8fefdf792564939bcf30d37d52c042d58a5f",
     }
+
+
+def test_simulate_makes_few_fraction_calls_per_record(fixtures):
+    # Work-count guard: the simulator keeps time in ticks of its own integer
+    # base and builds a Fraction only for a recorded time, at most once per
+    # instant.  Deterministic: counts calls into the fractions module.
+    import cProfile
+    import pstats
+
+    comps = {}
+    for name in ["mhr", "spo2", "emg", "sensor", "monitor"]:
+        c = parse_file(fixtures / f"{name}.psm")
+        comps[c.name] = c
+    system = parse_file(fixtures / "wpm_system.psm")
+    horizon = Fraction(3)
+    stim = [TraceEvent(t, "StartMeasure", "Start", None) for t in WPM_STARTS if t < horizon]
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        ref = simulate(system, comps, stim, horizon, ALL_IMPLS)
+    finally:
+        profile.disable()
+    calls = sum(
+        stat[1] for key, stat in pstats.Stats(profile).stats.items() if key[0].endswith("fractions.py")
+    )
+    records = len(ref.state_entries) + len(ref.events) + len(ref.dropped)
+    assert records == 3679
+    assert calls <= 2 * records, f"{calls} calls into fractions for {records} records"
