@@ -195,6 +195,13 @@ class _Parser:
             self.fail("expected a time unit (ns, us, ms, s)")
         return duration_from_decimal(num.text, unit.text)
 
+    def integer(self, message: str) -> int:
+        """A number without a fraction; `message` is the error for one with."""
+        tok = self.expect("number")
+        if "." in tok.text:
+            self.fail(message, tok.span)
+        return int(tok.text)
+
     def payload_width(self) -> int:
         tok = self.ident("a payload type like int32")
         if not tok.text.startswith("int") or not _digits(tok.text[3:]):
@@ -280,11 +287,8 @@ class _Parser:
                 width = self.payload_width()
                 init = 0
                 if self.accept("="):
-                    neg = bool(self.accept("-"))
-                    lit = self.expect("number")
-                    if "." in lit.text:
-                        self.fail("variable initializers are integers", lit.span)
-                    init = -int(lit.text) if neg else int(lit.text)
+                    sign = -1 if self.accept("-") else 1
+                    init = sign * self.integer("variable initializers are integers")
                 self.expect(";")
                 if var_name.text in declared:
                     self.fail(f"duplicate declaration of '{var_name.text}'", var_name.span)
@@ -293,9 +297,9 @@ class _Parser:
             elif self.accept("keyword", "mcc"):
                 mcc_name = self.ident("an mcc name")
                 self.expect("(")
-                n_args = int(self.expect("number").text)
+                n_args = self.integer("mcc argument and result counts are integers")
                 self.expect("->")
-                n_results = int(self.expect("number").text)
+                n_results = self.integer("mcc argument and result counts are integers")
                 self.expect(")")
                 self.keyword("dfg")
                 ref = self.expect("string").text
@@ -355,17 +359,17 @@ class _Parser:
                     self.fail("a state has at most one timing specification", tok.span)
                 self.expect("(")
                 if self.accept("keyword", "inf"):
-                    spec = m.TimingSpec.infinite()
+                    kind, duration = m.TimingKind.INFINITE, None
                 elif self.accept("keyword", "delta"):
-                    spec = m.TimingSpec.delta()
+                    kind, duration = m.TimingKind.DELTA, None
                 else:
-                    spec = m.TimingSpec.finite(self.duration())
+                    kind, duration = m.TimingKind.FINITE, self.duration()
                 self.expect(")")
                 target = None
                 if self.accept("->"):
                     target = self.ident("a state name").text
                 self.expect(";")
-                timed = m.TimedTransition(spec, target)
+                timed = m.TimedTransition(kind, target, duration)
             elif self.accept("keyword", "when"):
                 self.expect("(")
                 guard = self.expression()
@@ -383,17 +387,16 @@ class _Parser:
         actions: list[m.Action] = []
         while not self.accept("}"):
             tok = self.here
-            if self.accept("keyword", "notify"):
+            if tok.kind == "keyword" and tok.text in ("notify", "export"):
+                self.pos += 1
                 ev = self.ident("an event name").text
+                value = None
+                if tok.text == "export":  # only a data event carries a value
+                    self.expect("(")
+                    value = self.expression()
+                    self.expect(")")
                 self.expect(";")
-                actions.append(m.Notify(ev))
-            elif self.accept("keyword", "export"):
-                ev = self.ident("an event name").text
-                self.expect("(")
-                value = self.expression()
-                self.expect(")")
-                self.expect(";")
-                actions.append(m.Export(ev, value))
+                actions.append(m.Emit(ev, value))
             elif self.accept("keyword", "invoke"):
                 mcc = self.ident("an mcc name").text
                 self.expect("(")
@@ -537,10 +540,9 @@ def pretty_component(comp: m.PsmComponent) -> str:
         if st.entry:
             out.append("    entry {")
             for a in st.entry:
-                if isinstance(a, m.Notify):
-                    out.append(f"      notify {a.event};")
-                elif isinstance(a, m.Export):
-                    out.append(f"      export {a.event}({ex.to_text(a.value)});")
+                if isinstance(a, m.Emit):
+                    word, value = ("notify", "") if a.value is None else ("export", f"({ex.to_text(a.value)})")
+                    out.append(f"      {word} {a.event}{value};")
                 elif isinstance(a, m.Assign):
                     out.append(f"      {a.var} = {ex.to_text(a.value)};")
                 elif isinstance(a, m.InvokeMcc):
@@ -550,14 +552,12 @@ def pretty_component(comp: m.PsmComponent) -> str:
             out.append("    }")
         for imp in st.imports:
             out.append(f"    import {imp.event} -> {imp.target};")
-        if st.timed is not None:
-            spec = st.timed.spec
-            if spec.kind is m.TimingKind.INFINITE:
-                out.append("    ts(inf);")
-            elif spec.kind is m.TimingKind.DELTA:
-                out.append(f"    ts(delta) -> {st.timed.target};")
-            else:
-                out.append(f"    ts({format_duration(spec.duration)}) -> {st.timed.target};")
+        timed = st.timed
+        if timed is not None and timed.kind is m.TimingKind.INFINITE:
+            out.append("    ts(inf);")
+        elif timed is not None:
+            spec = "delta" if timed.kind is m.TimingKind.DELTA else format_duration(timed.duration)
+            out.append(f"    ts({spec}) -> {timed.target};")
         for g in st.guards:
             out.append(f"    when ({ex.to_text(g.guard)}) -> {g.target};")
         out.append("  }")

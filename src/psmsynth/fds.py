@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .dfg import (
     DEFAULT_LATENCIES,
@@ -95,14 +95,7 @@ def _distribution_graphs(
     return {kind: list(accumulate(accumulate(d)))[:lam] for kind, d in second.items()}
 
 
-Observer = Callable[[Mapping[int, tuple[int, int]], Mapping[str, Mapping[int, float]]], None]
-
-
-def fds_schedule(
-    dfg: Dfg,
-    lam: int,
-    observer: Observer | None = None,
-) -> Schedule:
+def fds_schedule(dfg: Dfg, lam: int) -> Schedule:
     """Minimum-resource schedule under the latency constraint `lam`.
 
     Each round recomputes frames and distribution graphs, evaluates the self
@@ -125,11 +118,6 @@ def fds_schedule(
     while unfixed:
         lo, hi = dfg.frames(lam, fixed)
         graphs = _distribution_graphs(dfg, kind, lam, lo, hi)
-        if observer is not None:
-            observer(
-                {v: (lo[v], hi[v]) for v in dfg.order},
-                {k: dict(enumerate(dg)) for k, dg in graphs.items()},
-            )
         window: dict[str, list[float]] = {}
         cum: dict[str, list[float]] = {}
         for k, dg in graphs.items():

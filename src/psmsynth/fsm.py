@@ -37,19 +37,18 @@ from . import expr as ex
 from .model import (
     Assign,
     Direction,
+    Emit,
     EventTrace,
-    Export,
     InvokeMcc,
-    Notify,
     PsmComponent,
     PsmSystem,
     TimingKind,
     TraceEvent,
-    _entry_code,
     _fanout,
     _has_timer,
     _route_stimulus,
     _seconds,
+    _state_code,
     validate_system,
 )
 
@@ -98,7 +97,7 @@ def _reject_delta_cycles(comp: PsmComponent) -> None:
     edges: dict[str, list[str]] = {}
     for s in comp.states:
         targets = []
-        if s.timed is not None and s.timed.spec.kind is TimingKind.DELTA:
+        if s.timed is not None and s.timed.kind is TimingKind.DELTA:
             targets.append(s.timed.target)
         for g in s.guards:  # a guard over no variables is a constant
             if not ex.free_vars(g.guard) and ex.compile_expr(g.guard)({}):
@@ -129,8 +128,8 @@ def _reject_early_result_use(comp: PsmComponent) -> None:
     for s in comp.states:
         returned_by: dict[str, str] = {}  # result variable -> computation
         for action in s.entry:
-            if isinstance(action, Export):
-                used = ex.free_vars(action.value)
+            if isinstance(action, Emit):
+                used = set() if action.value is None else ex.free_vars(action.value)
             elif isinstance(action, Assign):
                 used = {action.var} | ex.free_vars(action.value)
             elif isinstance(action, InvokeMcc):
@@ -172,7 +171,7 @@ def synthesize_system(
             raise SynthesisError(f"instance '{inst.name}' has non-positive frequency {freq}")
         comp = components[inst.component]
         cycles = {
-            s.name: time_to_cycles(s.timed.spec.duration, freq)[0] for s in comp.states if _has_timer(s)
+            s.name: time_to_cycles(s.timed.duration, freq)[0] for s in comp.states if _has_timer(s)
         }
         period = comp.period if inst.period_override is None else inst.period_override
         instances.append(FsmInstance(inst.name, comp, freq, cycles, period))
@@ -218,17 +217,17 @@ class _Rt:
     is the last edge it runs.  `done_at` is the edge at which the running
     call ends, `fire_at` the edge at which the pending transition to
     `target` fires; `queue` is a heap of (arrival, seq, event, payload).
-    `code` is the component's compiled entry code (`model._entry_code`)."""
+    `state` is the name of the state the instance is in and `code` its
+    component's compiled states (`model._state_code`)."""
 
     __slots__ = (
-        "spec", "states", "code", "unit", "last", "cycle", "state", "vars",
+        "inst", "code", "unit", "last", "cycle", "state", "vars",
         "queue", "staged", "done_at", "fire_at", "target",
     )
 
-    def __init__(self, spec: FsmInstance, code, unit: int, last: int):
-        self.spec = spec
-        comp = spec.component
-        self.states = {s.name: s for s in comp.states}
+    def __init__(self, inst: FsmInstance, code, unit: int, last: int):
+        self.inst = inst
+        comp = inst.component
         self.code = code
         self.unit = unit
         self.last = last
@@ -286,7 +285,7 @@ def interpret(
         *(spec.freq.numerator for spec in sys_ir.instances), *(t.denominator for t, *_ in routed)
     )
     used = {id(spec.component): spec.component for spec in sys_ir.instances}
-    code = {key: _entry_code(comp, mcc_impls) for key, comp in used.items()}
+    code = {key: _state_code(comp, mcc_impls) for key, comp in used.items()}
     rts = []
     for spec in sys_ir.instances:
         last = max_cycles
@@ -296,7 +295,7 @@ def interpret(
             last = before if last is None else min(last, before)
         unit = base * spec.freq.denominator // spec.freq.numerator
         rts.append(_Rt(spec, code[id(spec.component)], unit, last))
-    by_name = {rt.spec.name: rt for rt in rts}
+    by_name = {rt.inst.name: rt for rt in rts}
     fanout = _fanout(sys_ir.system)
     trace = CycleTrace()
     seq = 0
@@ -312,29 +311,27 @@ def interpret(
     seconds = _seconds(base)
 
     def emit(rt: _Rt, now: int, time: Fraction, event: str, payload: int | None) -> None:
-        trace.events.append(CycleEventRecord(rt.spec.name, rt.cycle, time, event, payload))
-        for dst_inst, dst_event in fanout.get((rt.spec.name, event), []):
+        trace.events.append(CycleEventRecord(rt.inst.name, rt.cycle, time, event, payload))
+        for dst_inst, dst_event in fanout.get((rt.inst.name, event), []):
             deliver(now, dst_inst, dst_event, payload)
 
     def arm(rt: _Rt) -> None:
         """Schedule the state's transition: a true guard or a delta spec fires
         on the next edge, a finite spec when its timer runs out."""
-        state = rt.states[rt.state]
-        rt.fire_at = rt.target = None
-        for guard, target in rt.code[rt.state][1]:
-            if guard(rt.vars):
-                rt.fire_at, rt.target = rt.cycle + 1, target
-                return
-        if state.timed is not None and state.timed.spec.kind is TimingKind.DELTA:
-            rt.fire_at, rt.target = rt.cycle + 1, state.timed.target
-        elif state.timed is not None and state.timed.spec.kind is TimingKind.FINITE:
-            rt.fire_at, rt.target = rt.cycle + rt.spec.timer_cycles[rt.state], state.timed.target
+        _, guards, _, delta, timer = rt.code[rt.state]
+        target = next((to for guard, to in guards if guard(rt.vars)), delta)
+        if target is not None:
+            rt.fire_at, rt.target = rt.cycle + 1, target
+        elif timer is not None:
+            rt.fire_at, rt.target = rt.cycle + rt.inst.timer_cycles[rt.state], timer
+        else:
+            rt.fire_at = rt.target = None
 
     def enter(rt: _Rt, state_name: str) -> None:
         rt.state = state_name
         now = rt.cycle * rt.unit
         time = seconds(now)
-        trace.entries.append(CycleStateEntry(rt.spec.name, rt.cycle, time, state_name))
+        trace.entries.append(CycleStateEntry(rt.inst.name, rt.cycle, time, state_name))
         busy = 0
         for kind, name, fn in rt.code[state_name][0]:
             if kind == "emit":
@@ -360,21 +357,21 @@ def interpret(
         # Sample pending handshakes; drop non-imported arrivals, consume the
         # first imported one (external beats timer at the same edge).
         now = rt.cycle * rt.unit
-        imports = rt.states[rt.state].imports
+        imports = rt.code[rt.state][2]
         while rt.queue and rt.queue[0][0] < now:
             _, _, event, payload = heapq.heappop(rt.queue)
-            imp = next((i for i in imports if i.event == event), None)
-            if imp is not None:
+            target = imports.get(event)
+            if target is not None:
                 if payload is not None:
                     rt.vars[event] = payload
-                enter(rt, imp.target)
+                enter(rt, target)
                 return
-            trace.dropped.append(CycleEventRecord(rt.spec.name, rt.cycle, seconds(now), event, payload))
+            trace.dropped.append(CycleEventRecord(rt.inst.name, rt.cycle, seconds(now), event, payload))
         if rt.fire_at == rt.cycle:
             enter(rt, rt.target)
 
     for rt in rts:  # reset: all instances enter their initial state at cycle 0
-        enter(rt, rt.spec.component.initial)
+        enter(rt, rt.state)
 
     while True:
         due = []
@@ -544,9 +541,30 @@ def emit_rtl(sys_ir: SystemIr) -> str:
     for spec in sys_ir.instances:
         if spec.component.name not in emitted:
             emitted.add(spec.component.name)
+            _reject_name_clashes(spec.component)
             _emit_component_module(out, spec.component)
     _emit_top_module(out, sys_ir)
     return out.getvalue()
+
+
+def _reject_name_clashes(comp: PsmComponent) -> None:
+    """Each name the component's module declares names one thing: no
+    declaration takes the module's own clk, rst or do_entry, and no two
+    states' parameters coincide once upper-cased."""
+    for decl in (*comp.events, *comp.variables, *comp.mccs):
+        if decl.name in ("clk", "rst", "do_entry"):
+            raise SynthesisError(f"component {comp.name}: '{decl.name}' is a signal of the generated RTL")
+    owner: dict[str, str] = {}  # parameter -> the state it stands for
+    for s in comp.states:
+        up, calls = s.name.upper(), sum(isinstance(a, InvokeMcc) for a in s.entry)
+        names = [f"S_{up}", *(f"S_{up}_CALL{i}" for i in range(calls))]
+        if _has_timer(s):
+            names.append(f"CYCLES_{up}")
+        for name in names:
+            if owner.setdefault(name, s.name) != s.name:
+                raise SynthesisError(
+                    f"component {comp.name}: states '{owner[name]}' and '{s.name}' both emit {name}"
+                )
 
 
 def _emit_timer_module(out) -> None:
@@ -653,7 +671,7 @@ def _emit_component_module(out, comp: PsmComponent) -> None:
     # Timer cycle counts from the frequency generic: round-half-up, minimum 1.
     timed = [s for s in comp.states if _has_timer(s)]
     for s in timed:
-        num, den = Fraction(s.timed.spec.duration).as_integer_ratio()
+        num, den = Fraction(s.timed.duration).as_integer_ratio()
         raw = f"(2 * CLK_FREQ_HZ * {num} + {den}) / (2 * {den})"
         out.write(
             f"  localparam integer CYCLES_{s.name.upper()} = ({raw}) < 1 ? 1 : ({raw});\n"
@@ -717,10 +735,9 @@ def _emit_state_case(out, comp: PsmComponent, s) -> None:
     out.write(f"        S_{s.name.upper()}: begin\n")
     out.write(f"{ind}if (do_entry) begin\n")
     for action in s.entry:
-        if isinstance(action, Notify):
-            out.write(f"{ind}  ev_{action.event}_req <= ~ev_{action.event}_req;\n")
-        elif isinstance(action, Export):
-            out.write(f"{ind}  ev_{action.event}_data <= {ex.to_text(action.value)};\n")
+        if isinstance(action, Emit):
+            if action.value is not None:
+                out.write(f"{ind}  ev_{action.event}_data <= {ex.to_text(action.value)};\n")
             out.write(f"{ind}  ev_{action.event}_req <= ~ev_{action.event}_req;\n")
         elif isinstance(action, Assign):
             out.write(f"{ind}  {action.var} <= {ex.to_text(action.value)};\n")
@@ -771,12 +788,9 @@ def _emit_dwell(out, comp: PsmComponent, s, ind) -> None:
         branches.append(
             (ex.to_text(g.guard), [f"state <= S_{g.target.upper()};", "do_entry <= 1'b1;"])
         )
-    if s.timed is not None and s.timed.spec.kind is TimingKind.DELTA:
-        branches.append(("1'b1", [f"state <= S_{s.timed.target.upper()};", "do_entry <= 1'b1;"]))
-    elif s.timed is not None and s.timed.spec.kind is TimingKind.FINITE:
-        branches.append(
-            (f"tmr_{s.name}_done", [f"state <= S_{s.timed.target.upper()};", "do_entry <= 1'b1;"])
-        )
+    if s.timed is not None and s.timed.target is not None:  # a delta or a finite spec
+        cond = "1'b1" if s.timed.kind is TimingKind.DELTA else f"tmr_{s.name}_done"
+        branches.append((cond, [f"state <= S_{s.timed.target.upper()};", "do_entry <= 1'b1;"]))
     if not branches:
         out.write(f"{ind}state <= state;\n")
         return

@@ -41,24 +41,6 @@ class TimingKind(enum.Enum):
     DELTA = "delta"
 
 
-@dataclass(frozen=True)
-class TimingSpec:
-    kind: TimingKind
-    duration: Fraction | None = None
-
-    @staticmethod
-    def finite(duration: Fraction) -> "TimingSpec":
-        return TimingSpec(TimingKind.FINITE, duration)
-
-    @staticmethod
-    def infinite() -> "TimingSpec":
-        return TimingSpec(TimingKind.INFINITE)
-
-    @staticmethod
-    def delta() -> "TimingSpec":
-        return TimingSpec(TimingKind.DELTA)
-
-
 class Direction(enum.Enum):
     INPUT = "input"
     OUTPUT = "output"
@@ -85,14 +67,11 @@ class VarDecl:
 # --- Entry actions -----------------------------------------------------------
 
 @dataclass(frozen=True)
-class Notify:
+class Emit:
+    """Raise an output event: a pure one (`notify E;`) carries no value, a
+    data one (`export E(x);`) carries `value`."""
     event: str
-
-
-@dataclass(frozen=True)
-class Export:
-    event: str
-    value: ex.Expr
+    value: ex.Expr | None = None
 
 
 @dataclass(frozen=True)
@@ -108,7 +87,7 @@ class InvokeMcc:
     results: tuple[str, ...]
 
 
-Action = Notify | Export | Assign | InvokeMcc
+Action = Emit | Assign | InvokeMcc
 
 
 @dataclass(frozen=True)
@@ -119,8 +98,11 @@ class Import:
 
 @dataclass(frozen=True)
 class TimedTransition:
-    spec: TimingSpec
-    target: str | None  # None only for infinite specs
+    """A state's timing spec, `ts(...) -> target`: a finite spec dwells
+    `duration` seconds, a delta spec takes no time, an infinite one waits."""
+    kind: TimingKind
+    target: str | None = None  # None only for infinite specs
+    duration: Fraction | None = None  # finite specs only
 
 
 @dataclass(frozen=True)
@@ -287,43 +269,37 @@ def validate_component(comp: PsmComponent) -> ValidationReport:
                 report.error(loc, f"import of output event '{imp.event}'")
             if imp.target not in state_names:
                 report.error(loc, f"transition target '{imp.target}' is not declared")
-        if s.timed is not None:
-            spec = s.timed.spec
-            if spec.kind is TimingKind.FINITE:
-                if spec.duration is None or spec.duration <= 0:
-                    report.error(loc, f"finite timing spec must have a positive duration, got {spec.duration}")
-                if s.timed.target is None:
+        if (timed := s.timed) is not None:
+            if timed.kind is TimingKind.FINITE:
+                if timed.duration is None or timed.duration <= 0:
+                    report.error(loc, f"finite timing spec must have a positive duration, got {timed.duration}")
+                if timed.target is None:
                     report.error(loc, "finite timing spec needs a transition target")
-            elif spec.kind is TimingKind.DELTA and s.timed.target is None:
+            elif timed.kind is TimingKind.DELTA and timed.target is None:
                 report.error(loc, "delta timing spec needs a transition target")
-            elif spec.kind is TimingKind.INFINITE and s.timed.target is not None:
+            elif timed.kind is TimingKind.INFINITE and timed.target is not None:
                 report.error(loc, "infinite timing spec cannot have a transition target")
-            if spec.kind is not TimingKind.FINITE and spec.duration is not None:
-                report.error(loc, f"{spec.kind.value} timing spec cannot carry a duration")
-            if s.timed.target is not None and s.timed.target not in state_names:
-                report.error(loc, f"transition target '{s.timed.target}' is not declared")
+            if timed.kind is not TimingKind.FINITE and timed.duration is not None:
+                report.error(loc, f"{timed.kind.value} timing spec cannot carry a duration")
+            if timed.target is not None and timed.target not in state_names:
+                report.error(loc, f"transition target '{timed.target}' is not declared")
         for g in s.guards:
             if g.target not in state_names:
                 report.error(loc, f"transition target '{g.target}' is not declared")
             _check_expr(report, comp, loc, g.guard, "guard")
         for a in s.entry:
-            if isinstance(a, Notify):
+            if isinstance(a, Emit):
+                pure = a.value is None  # `notify` raises a pure event, `export` a data one
+                verb, kind, other = ("notify", "non-data", "data") if pure else ("export", "data", "none")
                 decl = next((e for e in comp.events if e.name == a.event), None)
                 if decl is None:
-                    report.error(loc, f"notify of undeclared event '{a.event}'")
+                    report.error(loc, f"{verb} of undeclared event '{a.event}'")
                 elif decl.direction is not Direction.OUTPUT:
-                    report.error(loc, f"notify must target an output event, '{a.event}' is an input")
-                elif decl.is_data:
-                    report.error(loc, f"notify must target a non-data event, '{a.event}' carries data")
-            elif isinstance(a, Export):
-                decl = next((e for e in comp.events if e.name == a.event), None)
-                if decl is None:
-                    report.error(loc, f"export of undeclared event '{a.event}'")
-                elif decl.direction is not Direction.OUTPUT:
-                    report.error(loc, f"export must target an output event, '{a.event}' is an input")
-                elif not decl.is_data:
-                    report.error(loc, f"export must target a data event, '{a.event}' carries none")
-                _check_expr(report, comp, loc, a.value, "export")
+                    report.error(loc, f"{verb} must target an output event, '{a.event}' is an input")
+                elif decl.is_data == pure:
+                    report.error(loc, f"{verb} must target a {kind} event, '{a.event}' carries {other}")
+                if not pure:
+                    _check_expr(report, comp, loc, a.value, verb)
             elif isinstance(a, Assign):
                 if a.var not in var_names:
                     report.error(loc, f"assignment to undeclared variable '{a.var}'")
@@ -538,30 +514,42 @@ def _call_mcc(
     return [(name, ex.wrap_signed(value, widths[name])) for name, value in zip(action.results, results)]
 
 
-def _entry_code(comp: PsmComponent, mcc_impls: Mapping[str, McImpl]) -> dict[str, tuple[list, list]]:
-    """Each state's entry actions and guards, compiled once for a run.  An
-    action is ("emit", event, payload) for a notify or export, ("assign",
-    variable, value) or ("invoke", mcc, results), each third item a function
-    of the variables: values come wrapped to their declared width, and
-    `results` gives `_call_mcc`'s pairs.  A guard is (condition, target)."""
+def _state_code(comp: PsmComponent, mcc_impls: Mapping[str, McImpl]) -> dict[str, tuple]:
+    """Each state compiled once for a run into the one form both engines
+    run: (actions, guards, imports, delta, timer).  An action is ("emit",
+    event, payload), ("assign", variable, value) or ("invoke", mcc, results),
+    each third item a function of the variables: values come wrapped to
+    their declared width, a pure event's payload is None, and `results`
+    gives `_call_mcc`'s pairs.  A guard is (condition, target), `imports`
+    maps each imported event to its target, and `delta` and `timer` are the
+    targets of a delta and of a finite timing spec, or None."""
     widths = {v.name: v.width for v in comp.variables}
     payload_widths = {e.name: e.payload_width for e in comp.events}
 
-    def wrapped(e: ex.Expr, width: int):
+    def wrapped(e: ex.Expr | None, width: int | None):
+        if e is None:  # a pure event carries no value
+            return lambda env: None
         value, half, mask = ex.compile_expr(e), 1 << (width - 1), (1 << width) - 1
         return lambda env: ((value(env) + half) & mask) - half
 
     def compiled(action: Action) -> tuple:
-        if isinstance(action, Notify):
-            return "emit", action.event, lambda env: None
-        if isinstance(action, Export):
+        if isinstance(action, Emit):
             return "emit", action.event, wrapped(action.value, payload_widths[action.event])
         if isinstance(action, Assign):
             return "assign", action.var, wrapped(action.value, widths[action.var])
         return "invoke", action.mcc, lambda env: _call_mcc(mcc_impls, action, env, widths)
 
+    def target(s: State, kind: TimingKind) -> str | None:
+        return s.timed.target if s.timed is not None and s.timed.kind is kind else None
+
     return {
-        s.name: ([compiled(a) for a in s.entry], [(ex.compile_expr(g.guard), g.target) for g in s.guards])
+        s.name: (
+            [compiled(a) for a in s.entry],
+            [(ex.compile_expr(g.guard), g.target) for g in s.guards],
+            {i.event: i.target for i in s.imports},
+            target(s, TimingKind.DELTA),
+            target(s, TimingKind.FINITE),
+        )
         for s in comp.states
     }
 
@@ -580,20 +568,18 @@ def _seconds(base: int) -> Callable[[int], Fraction]:
 
 
 class _InstanceState:
-    """Mutable per-instance simulator state.  `dwell` holds each timed state's
-    duration and `timer_deadline` its expiry, both in ticks of the run's
-    time base."""
+    """Mutable per-instance simulator state: `state` is the name of the state
+    the instance is in and `code` its component's compiled states
+    (`_state_code`).  `dwell` holds each timed state's duration and
+    `timer_deadline` its expiry, both in ticks of the run's time base."""
 
-    __slots__ = ("name", "states", "code", "dwell", "state", "vars", "timer_deadline", "inbox")
+    __slots__ = ("name", "code", "dwell", "state", "vars", "timer_deadline", "inbox")
 
     def __init__(self, name: str, comp: PsmComponent, code, base: int):
         self.name = name
-        self.states = {s.name: s for s in comp.states}
         self.code = code
-        self.dwell = {
-            s.name: int(Fraction(s.timed.spec.duration) * base) for s in comp.states if _has_timer(s)
-        }
-        self.state = self.states[comp.initial]
+        self.dwell = {s.name: int(Fraction(s.timed.duration) * base) for s in comp.states if _has_timer(s)}
+        self.state = comp.initial
         self.vars: dict[str, int] = {v.name: ex.wrap_signed(v.init, v.width) for v in comp.variables}
         self.timer_deadline: int | None = None
         self.inbox: list[tuple[str, int | None]] = []  # (event, payload) in delivery order
@@ -601,7 +587,7 @@ class _InstanceState:
 
 def _has_timer(state: State) -> bool:
     """A state with a finite timing spec dwells on a timer."""
-    return state.timed is not None and state.timed.spec.kind is TimingKind.FINITE
+    return state.timed is not None and state.timed.kind is TimingKind.FINITE
 
 
 def simulate(
@@ -630,10 +616,10 @@ def simulate(
     # The run's own integer time base: a tick is 1/base s, and every timer,
     # stimulus time and the horizon is a whole number of ticks.
     used = {inst.component: components[inst.component] for inst in system.instances}
-    dwells = [s.timed.spec.duration for c in used.values() for s in c.states if _has_timer(s)]
+    dwells = [s.timed.duration for c in used.values() for s in c.states if _has_timer(s)]
     base = math.lcm(*(Fraction(t).denominator for t in [horizon, *dwells, *(t for t, *_ in routed)]))
     end = int(Fraction(horizon) * base)
-    code = {key: _entry_code(comp, mcc_impls) for key, comp in used.items()}
+    code = {key: _state_code(comp, mcc_impls) for key, comp in used.items()}
     insts = {inst.name: _InstanceState(inst.name, comps[inst.name], code[inst.component], base)
              for inst in system.instances}
     fanout = _fanout(system)
@@ -659,8 +645,8 @@ def simulate(
         else a delta spec) until a state waits."""
         variables = st.vars
         for _ in range(DELTA_CYCLE_LIMIT):
-            state = st.state = st.states[target]
-            actions, guards = st.code[target]
+            st.state = target
+            actions, guards, _, delta, _ = st.code[target]
             trace.state_entries.append(StateEntry(seconds(now), st.name, target))
             for kind, name, fn in actions:
                 if kind == "emit":
@@ -669,21 +655,18 @@ def simulate(
                     variables[name] = fn(variables)
                 else:
                     variables.update(fn(variables))
-            target = next((to for guard, to in guards if guard(variables)), None)
-            timed = state.timed
-            if target is None and timed is not None and timed.spec.kind is TimingKind.DELTA:
-                target = timed.target
+            target = next((to for guard, to in guards if guard(variables)), delta)
             if target is None:
-                dwell = st.dwell.get(state.name)
+                dwell = st.dwell.get(st.state)
                 st.timer_deadline = None if dwell is None else now + dwell
                 return
         raise DeltaCycleError(
             f"instance '{st.name}' made {DELTA_CYCLE_LIMIT} consecutive "
-            f"zero-time transitions at t={Fraction(now, base)} (last state '{state.name}')"
+            f"zero-time transitions at t={Fraction(now, base)} (last state '{st.state}')"
         )
 
     for st in insts.values():
-        enter(0, st, st.state.name)
+        enter(0, st, st.state)
 
     while True:
         now = min((st.timer_deadline for st in insts.values() if st.timer_deadline is not None), default=end)
@@ -702,17 +685,17 @@ def simulate(
                 busy = True
             for st in insts.values():
                 for event, payload in st.inbox:
-                    imp = next((i for i in st.state.imports if i.event == event), None)
-                    if imp is None:
+                    target = st.code[st.state][2].get(event)
+                    if target is None:
                         trace.dropped.append(TraceEvent(seconds(now), st.name, event, payload))
                         continue
                     if payload is not None:
                         st.vars[event] = payload
-                    enter(now, st, imp.target)
+                    enter(now, st, target)
                 st.inbox.clear()
                 if st.timer_deadline == now:
                     busy = True
-                    enter(now, st, st.state.timed.target)
+                    enter(now, st, st.code[st.state][4])
             if not busy:
                 break
         else:

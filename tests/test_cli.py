@@ -661,6 +661,19 @@ component Slow {
   }
 }
 """
+# Both states would emit as S_IDLE.
+UPPER_CASE_CLASH = """\
+component K {
+  period 10 ms;
+  initial idle;
+  state idle {
+    ts(1 ms) -> IDLE;
+  }
+  state IDLE {
+    ts(1 ms) -> idle;
+  }
+}
+"""
 ZERO_WIDTH_FINDING = "component Z: error: variable 'x' has non-positive width"
 WPM = [f"{{fx}}/{n}" for n in ALL_MODELS]
 
@@ -704,6 +717,7 @@ WPM = [f"{{fx}}/{n}" for n in ALL_MODELS]
      "instance 'dut': RTL needs a clock of whole Hz, got 5/2 Hz"),
     (["synth", "{tmp}/true.psm"], 1, "component G: zero-time transition cycle through state 'A'"),
     (["synth", "{tmp}/undefined.psm"], 1, "division by zero"),
+    (["synth", "{tmp}/clash.psm"], 1, "component K: states 'idle' and 'IDLE' both emit S_IDLE"),
 ], ids=[
     "schedule-out-is-a-file", "synth-out-below-a-file", "explore-out-is-a-file",
     "latency-not-an-int", "unknown-command", "freq-unknown-instance", "duplicate-component",
@@ -712,6 +726,7 @@ WPM = [f"{{fx}}/{n}" for n in ALL_MODELS]
     "synth-zero-width-variable", "schedule-empty-graph-at-a-latency", "csv-not-finite",
     "csv-latency-below-1", "stimulus-payload-out-of-range", "stimulus-into-a-driven-input",
     "synth-fractional-clock", "synth-constant-true-guard", "synth-constant-guard-divides-by-zero",
+    "synth-state-names-collide-in-rtl",
 ])
 def test_malformed_input_ends_in_one_error_line(fixtures, tmp_path, capsys, argv, code, message):
     (tmp_path / "taken").write_text("")
@@ -738,6 +753,7 @@ def test_malformed_input_ends_in_one_error_line(fixtures, tmp_path, capsys, argv
     (tmp_path / "slow.psm").write_text(SLOW)
     (tmp_path / "true.psm").write_text(CONSTANT_GUARD.format(guard="1 + 0"))
     (tmp_path / "undefined.psm").write_text(CONSTANT_GUARD.format(guard="1 / 0"))
+    (tmp_path / "clash.psm").write_text(UPPER_CASE_CLASH)
     fill = {"fx": fixtures, "tmp": tmp_path}
     got, _, err = run([a.format(**fill) for a in argv], capsys)
     assert got == code
@@ -807,6 +823,22 @@ def test_non_ascii_digits_end_in_a_diagnostic(tmp_path, capsys, line, diagnostic
     assert code == 1
     assert err.splitlines()[0] == f"{path}{diagnostic}"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["check"], ["sim", "--horizon", "1 s"], ["synth"]])
+def test_fractional_mcc_arity_ends_in_a_diagnostic(tmp_path, capsys, command):
+    # A parse failure prints its diagnostic, then the one `error:` line.
+    path = tmp_path / "f.psm"
+    path.write_text(
+        'component F {\n  period 10 ms;\n  mcc G(1.5 -> 1) dfg "g.dfg";\n'
+        "  initial S;\n  state S { ts(inf); }\n}\n"
+    )
+    code, out, err = run([command[0], path, *command[1:]], capsys)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"{path}:3:9: error: mcc argument and result counts are integers",
+        f"error: {path}: parse failed",
+    ]
 
 
 # --- Tooling guards ---------------------------------------------------------------

@@ -17,6 +17,7 @@ from psmsynth.dfg import (
     parse_nest,
     unroll,
 )
+from psmsynth import fds
 from psmsynth.fds import (
     fds_schedule,
     format_schedule,
@@ -35,6 +36,23 @@ def chain3() -> Dfg:
     return Dfg((Op(0, "add", ()), Op(1, "add", (0,)), Op(2, "add", (1,))), (), (2,))
 
 
+@pytest.fixture
+def rounds(monkeypatch) -> list:
+    """(frames, graphs) of each scheduling round, as `fds_schedule` computes
+    them: frames {op: (lo, hi)} and distribution graphs {type: {step: mass}}."""
+    recorded = []
+    graphs_of = fds._distribution_graphs
+
+    def recording(dfg, kind, lam, lo, hi):
+        graphs = graphs_of(dfg, kind, lam, lo, hi)
+        frames = {v: (lo[v], hi[v]) for v in dfg.order}
+        recorded.append((frames, {k: dict(enumerate(dg)) for k, dg in graphs.items()}))
+        return graphs
+
+    monkeypatch.setattr(fds, "_distribution_graphs", recording)
+    return recorded
+
+
 # --- Validity over many random instances --------------------------------------
 
 def test_random_dags_yield_valid_schedules():
@@ -48,7 +66,7 @@ def test_random_dags_yield_valid_schedules():
         assert s.makespan(d) <= lam
 
 
-def test_distribution_mass_is_conserved_every_round():
+def test_distribution_mass_is_conserved_every_round(rounds):
     # At every scheduling round, each type's distribution graph integrates to
     # (number of ops of that type) x (latency of that type).
     rng = random.Random(19)
@@ -58,28 +76,24 @@ def test_distribution_mass_is_conserved_every_round():
         for op in d.ops:
             lat = DEFAULT_LATENCIES.get(op.type, 1)
             expected[op.type] = expected.get(op.type, 0.0) + lat
-        rounds = 0
-
-        def check(frames, graphs):
-            nonlocal rounds
-            rounds += 1
+        rounds.clear()
+        fds_schedule(d, min_latency(d) + rng.randint(0, 3))
+        assert len(rounds) == len(d.ops)
+        for _, graphs in rounds:
             for op_type, total in expected.items():
                 assert sum(graphs[op_type].values()) == pytest.approx(total)
 
-        lam = min_latency(d) + rng.randint(0, 3)
-        fds_schedule(d, lam, observer=check)
-        assert rounds == len(d.ops)
 
-
-def test_distribution_graphs_match_direct_summation():
+def test_distribution_graphs_match_direct_summation(rounds):
     # The scheduler integrates second differences; summing each op's
     # occupancy start by start over its frame must give the same graphs.
     rng = random.Random(37)
     for _ in range(50):
         d = random_dfg(rng, 20)
         kinds = {op.id: op.type for op in d.ops}
-
-        def check(frames, graphs):
+        rounds.clear()
+        fds_schedule(d, rng.randint(min_latency(d), max_useful_latency(d)))
+        for frames, graphs in rounds:
             direct: dict[str, dict[int, float]] = {}
             for v, (lo, hi) in frames.items():
                 lat = DEFAULT_LATENCIES.get(kinds[v], 1)
@@ -91,8 +105,6 @@ def test_distribution_graphs_match_direct_summation():
             for kind, dg in graphs.items():
                 for t, mass in dg.items():
                     assert mass == pytest.approx(direct[kind].get(t, 0.0), abs=1e-12)
-
-        fds_schedule(d, rng.randint(min_latency(d), max_useful_latency(d)), observer=check)
 
 
 def test_infeasible_latency_raises():

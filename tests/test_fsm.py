@@ -502,7 +502,7 @@ def _expression_nodes(comps) -> int:
         size(e)
         for comp in comps
         for s in comp.states
-        for e in [g.guard for g in s.guards] + [a.value for a in s.entry if hasattr(a, "value")]
+        for e in [g.guard for g in s.guards] + [a.value for a in s.entry if getattr(a, "value", None) is not None]
     )
 
 
@@ -708,6 +708,29 @@ def test_golden_component_rtl(fixtures, name, digest):
     assert _sha([emit_rtl(synthesize_single(comp, 102 * MHZ))]) == digest
 
 
+@pytest.mark.parametrize("declarations, states, message", [
+    ("", "state idle { ts(1 ms) -> IDLE; } state IDLE { ts(1 ms) -> idle; }",
+     "component K: states 'idle' and 'IDLE' both emit S_IDLE"),
+    ("", "state idle { ts(1 ms) -> Idle; } state Idle { ts(inf); }",
+     "component K: states 'idle' and 'Idle' both emit S_IDLE"),
+    ('var x: int8; mcc F(1 -> 1) dfg "f.dfg";',
+     "state a { entry { invoke F(x -> x); } ts(1 ms) -> a_call0; } state a_call0 { ts(inf); }",
+     "component K: states 'a' and 'a_call0' both emit S_A_CALL0"),
+    ("var do_entry: int8;", "state S { ts(inf); }", "component K: 'do_entry' is a signal of the generated RTL"),
+    ("input event clk;", "state S { import clk -> S; }", "component K: 'clk' is a signal of the generated RTL"),
+    ("var rst: int8;", "state S { ts(inf); }", "component K: 'rst' is a signal of the generated RTL"),
+], ids=["states-differ-in-case", "timer-less-state-differs-in-case", "state-named-like-a-call",
+        "var-do_entry", "event-clk", "var-rst"])
+def test_rtl_refuses_names_that_collide(declarations, states, message):
+    # The interpreter runs these models; only their RTL would declare one
+    # name twice.
+    comp = parse_component(f"component K {{ period 10 ms; {declarations} {states} }}")
+    sys_ir = synthesize_single(comp, 1 * MHZ)
+    interpret(sys_ir, [], 10)
+    with pytest.raises(SynthesisError, match=f"^{re.escape(message)}$"):
+        emit_rtl(sys_ir)
+
+
 def test_rtl_contains_expected_structure(fixtures):
     comp = parse_file(fixtures / "mhr.psm")
     rtl = emit_rtl(synthesize_single(comp, 102 * MHZ))
@@ -730,3 +753,96 @@ def test_rtl_inserts_synchronizers_only_across_clock_domains(fixtures):
     freqs["emg"] = 2 * MHZ
     mixed = emit_rtl(synthesize_system(system, comps, freqs))
     assert "psm_sync #(" in mixed.split("module psm_system_")[1]
+
+
+# --- Every entry action and timing kind -----------------------------------------
+# One component with notify, export, ts(delta), ts(inf), a finite spec, a
+# guard, imports of a pure and a data event, and an invoke.  sha256 of its
+# RTL and of each engine's trace pin how both engines and the RTL emitter
+# read each construct; no fixture has a notify.
+EVERY_KIND = """\
+component Every {
+  period 10 ms;
+  input event Go;
+  input event Val(int8);
+  output event Tick;
+  output event Out(int16);
+  var n: int16 = 0;
+  var r: int16 = 0;
+  mcc Twice(1 -> 1) dfg "twice.dfg";
+  initial Idle;
+  state Idle {
+    import Go -> Count;
+    import Val -> Count;
+    ts(inf);
+  }
+  state Count {
+    entry {
+      notify Tick;
+      n = n + Val;
+    }
+    when (n > 20) -> Done;
+    ts(3 ms) -> Work;
+  }
+  state Work {
+    entry {
+      invoke Twice(n -> r);
+    }
+    ts(delta) -> Report;
+  }
+  state Report {
+    entry {
+      export Out(r + 1);
+    }
+    import Go -> Idle;
+    ts(2 ms) -> Count;
+  }
+  state Done {
+    entry {
+      export Out(n);
+      notify Tick;
+    }
+    ts(inf);
+  }
+}
+"""
+EVERY_KIND_STIMULUS = [
+    TraceEvent(1 * MS, "dut", "Val", 5), TraceEvent(10 * MS, "dut", "Go", None),
+    TraceEvent(12 * MS, "dut", "Val", 6), TraceEvent(13 * MS, "dut", "Go", None),
+    TraceEvent(20 * MS, "dut", "Go", None),
+]
+
+
+def test_golden_every_action_and_timing_kind():
+    comp = parse_component(EVERY_KIND)
+    impls = {"Twice": lambda a: (2 * a[0],)}
+    ref = simulate_component(comp, EVERY_KIND_STIMULUS, 25 * MS, impls)
+    sys_ir = synthesize_single(comp, 1 * MHZ)
+    cyc = interpret(sys_ir, EVERY_KIND_STIMULUS, mcc_latencies={"Twice": 5}, mcc_impls=impls,
+                    horizon=25 * MS)
+    assert compare_with_reference(ref, cyc, sys_ir) == []
+    assert [e.state for e in ref.state_entries] == [
+        "Idle", "Count", "Work", "Report", "Count", "Work", "Report", "Idle",
+        "Count", "Work", "Report", "Count", "Done",
+    ]
+    assert [(e.event, e.payload) for e in ref.events] == [
+        ("Tick", None), ("Out", 11), ("Tick", None), ("Out", 21), ("Tick", None), ("Out", 33),
+        ("Tick", None), ("Out", 22), ("Tick", None),
+    ]
+    assert {
+        "rtl": _sha([emit_rtl(sys_ir)]),
+        "reference": _sha(
+            [f"S {e.instance} {e.time} {e.state}" for e in ref.state_entries]
+            + [f"E {e.instance} {e.time} {e.event} {e.payload}" for e in ref.events]
+            + [f"D {e.instance} {e.time} {e.event} {e.payload}" for e in ref.dropped]
+        ),
+        "cycles": _sha(
+            [f"S {e.instance} {e.cycle} {e.time} {e.state}" for e in cyc.entries]
+            + [f"E {e.instance} {e.cycle} {e.time} {e.event} {e.payload}" for e in cyc.events]
+            + [f"D {e.instance} {e.cycle} {e.time} {e.event} {e.payload}" for e in cyc.dropped]
+        ),
+    } == {
+        "rtl": "3f40f254b82131d766e657bcfd6d3699609a3d5c5af716b1e14b1c4366e1b1bf",
+        "reference": "ae5728ab031cc1d842edb3e4dcb1eb7f81356ca69e78ce4e7039426bac97e93b",
+        "cycles": "f8e7e306e3e21694f8678860600852a19767b47f5299a170950b93649be680bd",
+    }

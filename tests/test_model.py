@@ -1,6 +1,7 @@
 """Model validation rules and the reference discrete-event simulator."""
 
 import hashlib
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,9 @@ from psmsynth.dsl import parse_component, parse_file, parse_system
 from psmsynth.model import (
     DeltaCycleError,
     SimulationError,
+    State,
+    TimedTransition,
+    TimingKind,
     TraceEvent,
     simulate,
     simulate_component,
@@ -85,6 +89,46 @@ def test_export_must_carry_data():
         """
     )
     assert any("data event" in f.message for f in validate_component(c).errors)
+
+
+EMITS_AND_TIMERS = """
+component C {{
+  period 1 s;
+  input event In;
+  input event InD(int8);
+  output event Out;
+  output event OutD(int8);
+  initial A;
+  state A {{ {body} }}
+}}
+"""
+
+
+@pytest.mark.parametrize("body, message", [
+    ("entry { notify E; } ts(inf);", "notify of undeclared event 'E'"),
+    ("entry { notify In; } ts(inf);", "notify must target an output event, 'In' is an input"),
+    ("entry { notify OutD; } ts(inf);", "notify must target a non-data event, 'OutD' carries data"),
+    ("entry { export E(1); } ts(inf);", "export of undeclared event 'E'"),
+    ("entry { export InD(1); } ts(inf);", "export must target an output event, 'InD' is an input"),
+    ("entry { export Out(1); } ts(inf);", "export must target a data event, 'Out' carries none"),
+    ("entry { export OutD(x); } ts(inf);", "export references undeclared variable 'x'"),
+    ("ts(0 ms) -> A;", "finite timing spec must have a positive duration, got 0"),
+    ("ts(5 ms);", "finite timing spec needs a transition target"),
+    ("ts(delta);", "delta timing spec needs a transition target"),
+    ("ts(inf) -> A;", "infinite timing spec cannot have a transition target"),
+    ("ts(5 ms) -> B;", "transition target 'B' is not declared"),
+    (TimedTransition(TimingKind.FINITE, "A"), "finite timing spec must have a positive duration, got None"),
+    (TimedTransition(TimingKind.DELTA, "A", MS), "delta timing spec cannot carry a duration"),
+    (TimedTransition(TimingKind.INFINITE, duration=MS), "infinite timing spec cannot carry a duration"),
+])
+def test_emit_and_timing_findings(body, message):
+    # Each finding of an emit action or a timing spec, word for word; the
+    # specs that the grammar cannot spell are built directly.
+    if isinstance(body, str):
+        c = comp(EMITS_AND_TIMERS.format(body=body))
+    else:
+        c = replace(comp(EMITS_AND_TIMERS.format(body="ts(inf);")), states=(State("A", timed=body),))
+    assert [str(f) for f in validate_component(c).errors] == [f"component C, state A: error: {message}"]
 
 
 def test_two_imports_on_same_event_rejected():
