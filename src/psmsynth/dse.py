@@ -4,22 +4,25 @@ Given per-computation (MCC) hardware alternatives and each state machine's
 period, derive the minimum frequency at which every computation still meets
 its deadline, scale all alternatives' power to the common frequency above a
 static fraction that does not scale, evaluate area and energy for every
-combination, and extract the non-dominated (area, energy) front.  The space
-is evaluated chunk by chunk on flat arrays by the `kernels` module.  Reports
-are written with fixed decimal formatting so repeated runs are byte-identical;
-the rows of each chunk are formatted at once from one `%` row template, and
-`scatter.svg` is streamed to its file a chunk of circles at a time.
-"""
+combination, and extract the non-dominated (area, energy) front.  The front
+is merged from per-group fronts, one candidate clock at a time, without
+enumerating the space; only the reports enumerate it, chunk by chunk on flat
+arrays with the `kernels` module.  Reports are written with fixed decimal
+formatting so repeated runs are byte-identical; the rows of each chunk are
+formatted at once from one `%` row template, each distinct value of a
+column with few distinct values formatted once, and `scatter.svg` is
+streamed to its file a chunk of circles at a time."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import operator
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -82,31 +85,41 @@ def _fmt_area(x: float) -> str:
 _YES_NO = np.array(["no", "yes"], dtype=object)
 
 
+def _per_distinct(format_one, values: np.ndarray) -> np.ndarray:
+    """`format_one` of each value, called once per distinct bit pattern (so
+    0.0 and -0.0 stay apart), as an object array of strings."""
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array([format_one(v) for v in distinct.view(np.float64).tolist()], dtype=object)[inverse]
+
+
 def _csv_rows(ids: np.ndarray, choices: np.ndarray, f_mhz: np.ndarray, areas: np.ndarray,
               energies: np.ndarray, feasible: np.ndarray) -> str:
     """configs.csv / pareto.csv lines of a chunk, filled into one `%` row
     template from whole columns: ids, the (groups, rows) choice labels,
     f_common in MHz, areas, energies in mJ and feasible flags.  `'%.6f' % x`
-    is `_fmt(x)` and `'%d' % i` is `str(i)`; `_fmt_area` runs once per
-    distinct area."""
+    is `_fmt(x)` and `'%d' % i` is `str(i)`; `_fmt` of f_common and
+    `_fmt_area` run once per distinct value."""
     n_groups, n = choices.shape
     cells = np.empty((n, n_groups + 5), dtype=object)
     cells[:, 0] = ids
     cells[:, 1:-4] = choices.T
-    cells[:, -4] = f_mhz
-    distinct, inverse = np.unique(areas, return_inverse=True)
-    cells[:, -3] = np.array([_fmt_area(a) for a in distinct.tolist()], dtype=object)[inverse]
+    cells[:, -4] = _per_distinct(_fmt, f_mhz)
+    cells[:, -3] = _per_distinct(_fmt_area, areas)
     cells[:, -2] = energies
     cells[:, -1] = _YES_NO[feasible.astype(np.intp)]
-    row = "%d" + ",%s" * n_groups + ",%.6f,%s,%.6f,%s\n"
+    row = "%d" + ",%s" * n_groups + ",%s,%s,%.6f,%s\n"
     return (row * n) % tuple(cells.ravel().tolist())
 
 
 def _circles(cx: np.ndarray, cy: np.ndarray) -> str:
     """scatter.svg circles of a chunk of feasible points, centres at two
-    decimals (`'%.2f' % x` is `_fmt(x, 2)`)."""
-    row = '<circle cx="%.2f" cy="%.2f" r="3" fill="steelblue" fill-opacity="0.6"/>\n'
-    return (row * len(cx)) % tuple(np.column_stack((cx, cy)).ravel().tolist())
+    decimals (`'%.2f' % x` is `_fmt(x, 2)`); each distinct cx is formatted
+    once."""
+    row = '<circle cx="%s" cy="%.2f" r="3" fill="steelblue" fill-opacity="0.6"/>\n'
+    cells = np.empty((len(cx), 2), dtype=object)
+    cells[:, 0] = _per_distinct(lambda x: _fmt(x, 2), cx)
+    cells[:, 1] = cy
+    return (row * len(cx)) % tuple(cells.ravel().tolist())
 
 
 class ConfigTable(Sequence):
@@ -163,7 +176,7 @@ def explore(
     static_fraction: float = 0.0,
     independent: bool = False,
 ) -> Report:
-    """Enumerate, extract the front, and write the report files
+    """Merge the front, enumerate the space, and write the report files
     (configs.csv, pareto.csv, pareto.json, scatter.svg, summary.txt).
 
     A row's power scales from its f_max to its clock f as
@@ -175,9 +188,11 @@ def explore(
     """
     if not 0.0 <= static_fraction < 1.0:
         raise DseError(f"static fraction must be in [0, 1), got {static_fraction}")
-    if window <= 0:
-        raise DseError(f"window must be positive, got {window}")
     space = flatten_groups(groups, env)
+    window = float(window)
+    _, _, front_ids, n_feasible = _merge_front(space, window, static_fraction, independent)
+    if not n_feasible:
+        raise InfeasibleConfigError("no feasible configuration in the design space")
     names = list(groups)
     labels = np.array([f"{n}={i}" for n in names for i in range(len(groups[n]))], dtype=object)
     total = space.total
@@ -202,28 +217,27 @@ def explore(
             f_common[ids] / MHZ, area[ids], energy[ids], feasible[ids],
         )
 
+    def configs_rows() -> Iterator[str]:
+        """Evaluate the space a `CHUNK` at a time into the arrays above and
+        yield each chunk's configs.csv lines."""
+        for start in range(0, total, CHUNK):
+            count = min(CHUNK, total - start)
+            part = slice(start, start + count)
+            area[part], energy[part], feasible[part], f_common[part] = kernels.evaluate_combos(
+                start, count, space.offsets, space.sizes, space.f_req, space.f_max,
+                space.power, space.area, static_fraction, independent,
+            )
+            energy[part] *= window
+            yield rows_text(np.arange(start, start + count, dtype=np.int64))
+
     header = ",".join(["config_id", *names, "f_common_mhz", "area", "energy_mj", "feasible"]) + "\n"
-    configs_path = os.path.join(out_dir, "configs.csv")
-    with open(configs_path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(header)
-
-        def keep_chunk(ids, a, e, ok, fc):
-            f_common[ids], area[ids], energy[ids], feasible[ids] = fc, a, e, ok
-            handle.write(rows_text(ids))
-
-        _, _, front_ids, n_feasible = _sweep(
-            space, float(window), static_fraction, independent, sink=keep_chunk
-        )
-    if not n_feasible:
-        os.remove(configs_path)
-        raise InfeasibleConfigError("no feasible configuration in the design space")
-    files["configs.csv"] = configs_path
+    write("configs.csv", itertools.chain((header,), configs_rows()))
 
     configs = ConfigTable(groups, f_common, area, energy, feasible)
     front = [configs[i] for i in front_ids]
     min_area = front[0]
     min_energy = min(front, key=lambda c: (c.energy, c.area, c.config_id))
-    unscaled = sum(alt.power for alt in min_energy.choices) * float(window)
+    unscaled = sum(alt.power for alt in min_energy.choices) * window
     reduction = 1.0 - min_energy.energy / unscaled if unscaled > 0 else 0.0
 
     write("pareto.csv", (header, rows_text(front_ids)))
@@ -380,74 +394,164 @@ def synthetic_space(
     )
 
 
-CHUNK = 1 << 16  # configurations per kernel call
+CHUNK = 1 << 16  # configurations per kernel call; partial sums per merge block
 
 
-def _sweep(
+def _beaten(areas: np.ndarray, energies: np.ndarray, margin_a: float, margin_e: float) -> np.ndarray:
+    """Mask of the partial sums that another sum beats by more than the
+    margins: one that is <= in both coordinates and below by more than
+    `margin_a` in area or `margin_e` in energy.  Both margins must be
+    positive, or a sum would beat itself."""
+    order = np.lexsort((energies, areas))
+    sorted_a = areas[order]
+    best_e = np.minimum.accumulate(energies[order])
+
+    def covered(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """Whether some sum has area <= a and energy <= e."""
+        k = np.searchsorted(sorted_a, a, side="right")
+        return (k > 0) & (best_e[k - 1] <= e)
+
+    return covered(areas - margin_a, energies) | covered(areas, energies - margin_e)
+
+
+def _extend(pairs, first: int, size: int, area: np.ndarray, terms: np.ndarray,
+            chunk: int, margins: tuple[float, float]):
+    """Add one group to partial sums: for each (sums, rows) pair, every sum
+    plus every one of its rows, `chunk` sums at most per product block; the
+    beaten sums of each block and of their union are dropped.  `sums` is
+    (areas, energies, config-id prefixes), and the group's `size` rows start
+    at flat row `first`."""
+    blocks = []
+    for (a, e, ids), rows in pairs:
+        if not (len(a) and len(rows)):
+            continue
+        step = max(1, chunk // len(rows))
+        for lo in range(0, len(a), step):
+            hi = lo + step
+            block = (
+                (a[lo:hi, None] + area[rows]).ravel(),
+                (e[lo:hi, None] + terms[rows]).ravel(),
+                (ids[lo:hi, None] * size + (rows - first)).ravel(),
+            )
+            keep = ~_beaten(block[0], block[1], *margins)
+            blocks.append(tuple(column[keep] for column in block))
+    if not blocks:
+        return np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
+    if len(blocks) == 1:
+        return blocks[0]
+    a, e, ids = (np.concatenate(columns) for columns in zip(*blocks))
+    keep = ~_beaten(a, e, *margins)
+    return a[keep], e[keep], ids[keep]
+
+
+def _merge_front(
     space: FlatSpace,
     window: float,
     static_fraction: float = 0.0,
     independent: bool = False,
     chunk: int = CHUNK,
-    order: np.ndarray | None = None,
-    sink: Callable | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The exploration loop of `explore` and `explore_streaming`: evaluate
-    the space chunk by chunk, hand each chunk's (ids, areas, energies in mJ,
-    feasible, common frequencies) to `sink`, and merge its feasible points
-    into the running front.
+    """The front of the space, found by merging per-group fronts instead of
+    enumerating the cartesian product.
+
+    With a common clock, each distinct f_req is taken in turn as the clock f.
+    The configurations it clocks choose in each group a row with
+    f_req <= f <= f_max, and at least one row with f_req == f.  Their (area,
+    energy) sums are formed group by group in declaration order from 0.0,
+    with `evaluate_rows`' per-row energy, so that each total equals its
+    enumerated value to the bit; sums that already include a row at f are
+    kept apart from those that do not, and only the first kind is complete.
+    With `independent` there is one pass over the rows with f_req <= f_max.
+
+    After each group, a partial sum is dropped only when another one is <=
+    in both coordinates and below by more than the rounding error that the
+    remaining additions and the window product can make (4 G eps times the
+    largest possible total, plus a floor for subnormals), so the dropped sum
+    ends dominated in every configuration and exact ties survive, as in
+    enumeration.  Each clock's complete sums join the front through an
+    exact `pareto_mask`; the clocks run upwards, and one is skipped when a
+    front point already dominates the sum of its groups' least areas and
+    energies, which no configuration it clocks can beat.
 
     Returns (front areas, front energies in mJ, front config ids), sorted by
-    area, energy and id, and the number of feasible configs.  `order`
-    permutes the enumeration.
+    area, energy and id, and the number of feasible configs, counted
+    combinatorially.
     """
-    total = space.total
-    front_a = np.empty(0)
-    front_e = np.empty(0)
-    front_i = np.empty(0, dtype=np.int64)
-    feasible_count = 0
-    for start in range(0, total, chunk):
-        count = min(chunk, total - start)
-        if order is None:
-            ids = np.arange(start, start + count, dtype=np.int64)
-            areas, energies, ok, f_common = kernels.evaluate_combos(
-                start, count, space.offsets, space.sizes, space.f_req, space.f_max,
-                space.power, space.area, static_fraction, independent,
-            )
-        else:
-            ids = np.asarray(order[start:start + count], dtype=np.int64)
-            areas, energies, ok, f_common = kernels.evaluate_rows(
-                kernels.combo_rows(ids, space.offsets, space.sizes), space.f_req,
-                space.f_max, space.power, space.area, static_fraction, independent,
-            )
-        energies = energies * window
-        if sink is not None:
-            sink(ids, areas, energies, ok, f_common)
-        feasible_count += int(ok.sum())
-        areas, energies, ids = areas[ok], energies[ok], ids[ok]
-        if areas.size == 0:
-            continue
+    if not window > 0:
+        raise DseError(f"window must be positive, got {window}")
+    d = static_fraction
+    f_req, f_max = space.f_req, space.f_max
+    sizes = space.sizes.tolist()
+    offsets = space.offsets.tolist()
+    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
+    front = np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
+    feasible = 0
+
+    def merge(fits: np.ndarray, at: np.ndarray, terms: np.ndarray) -> None:
+        """Merge the front of the configurations made of `fits` rows that
+        include an `at` row into `front`, and count them into `feasible`."""
+        nonlocal front, feasible
+        groups = [lo + np.flatnonzero(fits[lo:lo + n]) for lo, n in zip(offsets, sizes)]
+        n_fit = n_below = 1
+        for rows in groups:
+            n_fit *= len(rows)
+            n_below *= int((~at[rows]).sum())
+        if n_fit == n_below:
+            return
+        feasible += n_fit - n_below
+        # Float sums are monotone, so no configuration here is below the sums
+        # of the group minima; a front point that dominates those dominates all.
+        low_a = low_e = 0.0
+        for rows in groups:
+            low_a += float(space.area[rows].min())
+            low_e += float(terms[rows].min())
+        low_e *= window
+        fa, fe, _ = front
+        if ((fa <= low_a) & (fe <= low_e) & ((fa < low_a) | (fe < low_e))).any():
+            return
+        scale = 4 * len(groups) * eps
+        margins = (
+            scale * sum(float(np.abs(space.area[rows]).max()) for rows in groups) + 4 * tiny,
+            scale * sum(float(np.abs(terms[rows]).max()) for rows in groups)
+            + 4 * tiny / min(window, 1.0),
+        )
+        done = np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
+        undone = np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.int64)
+        for g, (rows, first, size) in enumerate(zip(groups, offsets, sizes)):
+            hit = at[rows]
+            done = _extend([(done, rows), (undone, rows[hit])], first, size,
+                           space.area, terms, chunk, margins)
+            if g < len(groups) - 1:  # the last group's undone sums are never complete
+                undone = _extend([(undone, rows[~hit])], first, size, space.area, terms,
+                                 chunk, margins)
+        areas, energies, ids = (
+            np.concatenate(pair) for pair in zip(front, (done[0], done[1] * window, done[2]))
+        )
         keep = kernels.pareto_mask(areas, energies)
-        cand_a = np.concatenate([front_a, areas[keep]])
-        cand_e = np.concatenate([front_e, energies[keep]])
-        cand_i = np.concatenate([front_i, ids[keep]])
-        keep = kernels.pareto_mask(cand_a, cand_e)
-        front_a, front_e, front_i = cand_a[keep], cand_e[keep], cand_i[keep]
-    order_idx = np.lexsort((front_i, front_e, front_a))
-    return front_a[order_idx], front_e[order_idx], front_i[order_idx], feasible_count
+        front = areas[keep], energies[keep], ids[keep]
+
+    if independent:
+        fits = f_req <= f_max
+        merge(fits, np.ones_like(fits), space.power * (d + (1.0 - d) * (f_req / f_max)))
+    else:
+        for f in np.unique(f_req).tolist():
+            fits = (f_req <= f) & (f <= f_max)
+            merge(fits, f_req == f, space.power * (d + (1.0 - d) * (f / f_max)))
+    areas, energies, ids = front
+    order = np.lexsort((ids, energies, areas))
+    return areas[order], energies[order], ids[order], feasible
 
 
 def explore_streaming(
     space: FlatSpace,
     window: float = 0.1,
     chunk: int = CHUNK,
-    order: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Chunked enumeration with an incremental front merge, with a common
-    clock and no static power.
+    """The front of a space with a common clock and no static power, merged
+    from per-group fronts without enumerating the configurations; `chunk`
+    bounds the partial sums formed in one product block.
 
     Returns (front areas, front energies in mJ, front config indices, number
-    of feasible configs).  `order` optionally permutes the enumeration for
-    order-invariance checks.
+    of feasible configs).
     """
-    return _sweep(space, window, chunk=chunk, order=order)
+    return _merge_front(space, window, chunk=chunk)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import heapq
 import io
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -544,7 +545,37 @@ def emit_rtl(sys_ir: SystemIr) -> str:
             _reject_name_clashes(spec.component)
             _emit_component_module(out, spec.component)
     _emit_top_module(out, sys_ir)
-    return out.getvalue()
+    rtl = out.getvalue()
+    _reject_duplicate_declarations(rtl)
+    return rtl
+
+
+# A module header, or one name that a module declares at its two-space
+# indent: a port, wire, reg or parameter, or an instance of a `psm_` module.
+_DECLARATION = re.compile(
+    r"module (\w+)"
+    r"|  (?:(?:input|output) )?(?:wire|reg|localparam|parameter)"
+    r"(?: (?:signed|integer))?(?: ?\[[^\]]*\])? (\w+)"
+    r"|  psm_\w+ (?:#\(.*\) )?(\w+) \("
+)
+
+
+def _reject_duplicate_declarations(rtl: str) -> None:
+    """No two modules share a name, and no module declares a name twice, as
+    when a variable is named like a generated timer signal or two instance
+    pins make the same `<instance>__<event>` net."""
+    modules: set[str] = set()
+    for match in filter(None, map(_DECLARATION.match, rtl.splitlines())):
+        module, name = match.group(1), match.group(2) or match.group(3)
+        if module is not None:
+            if module in modules:
+                raise SynthesisError(f"two RTL modules are named {module}")
+            modules.add(module)
+            where, declared = module, set()
+        elif name in declared:
+            raise SynthesisError(f"RTL module {where} declares {name} twice")
+        else:
+            declared.add(name)
 
 
 def _reject_name_clashes(comp: PsmComponent) -> None:

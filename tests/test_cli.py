@@ -674,6 +674,36 @@ component K {
   }
 }
 """
+# The variable takes the name of state S's timer start signal.
+TIMER_SIGNAL_CLASH = """\
+component T {
+  period 10 ms;
+  var tmr_S_start: int8;
+  initial S;
+  state S {
+    ts(1 ms) -> S;
+  }
+}
+"""
+# Instance x's pin y__Go and instance x__y's pin Go both make net x__y__Go.
+NET_CLASH = """\
+component C {
+  period 10 ms;
+  input event Go;
+  input event y__Go;
+  initial S;
+  state S {
+    import Go -> S;
+    import y__Go -> S;
+  }
+}
+"""
+NET_CLASH_SYSTEM = """\
+system D {
+  instance x: C;
+  instance x__y: C;
+}
+"""
 ZERO_WIDTH_FINDING = "component Z: error: variable 'x' has non-positive width"
 WPM = [f"{{fx}}/{n}" for n in ALL_MODELS]
 
@@ -718,6 +748,9 @@ WPM = [f"{{fx}}/{n}" for n in ALL_MODELS]
     (["synth", "{tmp}/true.psm"], 1, "component G: zero-time transition cycle through state 'A'"),
     (["synth", "{tmp}/undefined.psm"], 1, "division by zero"),
     (["synth", "{tmp}/clash.psm"], 1, "component K: states 'idle' and 'IDLE' both emit S_IDLE"),
+    (["synth", "{tmp}/tmr.psm"], 1, "RTL module psm_T declares tmr_S_start twice"),
+    (["synth", "{tmp}/net.psm", "{tmp}/net_system.psm"], 1,
+     "RTL module psm_system_D declares x__y__Go_req twice"),
 ], ids=[
     "schedule-out-is-a-file", "synth-out-below-a-file", "explore-out-is-a-file",
     "latency-not-an-int", "unknown-command", "freq-unknown-instance", "duplicate-component",
@@ -726,7 +759,8 @@ WPM = [f"{{fx}}/{n}" for n in ALL_MODELS]
     "synth-zero-width-variable", "schedule-empty-graph-at-a-latency", "csv-not-finite",
     "csv-latency-below-1", "stimulus-payload-out-of-range", "stimulus-into-a-driven-input",
     "synth-fractional-clock", "synth-constant-true-guard", "synth-constant-guard-divides-by-zero",
-    "synth-state-names-collide-in-rtl",
+    "synth-state-names-collide-in-rtl", "synth-variable-named-like-a-timer-signal",
+    "synth-two-pins-make-one-net",
 ])
 def test_malformed_input_ends_in_one_error_line(fixtures, tmp_path, capsys, argv, code, message):
     (tmp_path / "taken").write_text("")
@@ -754,6 +788,9 @@ def test_malformed_input_ends_in_one_error_line(fixtures, tmp_path, capsys, argv
     (tmp_path / "true.psm").write_text(CONSTANT_GUARD.format(guard="1 + 0"))
     (tmp_path / "undefined.psm").write_text(CONSTANT_GUARD.format(guard="1 / 0"))
     (tmp_path / "clash.psm").write_text(UPPER_CASE_CLASH)
+    (tmp_path / "tmr.psm").write_text(TIMER_SIGNAL_CLASH)
+    (tmp_path / "net.psm").write_text(NET_CLASH)
+    (tmp_path / "net_system.psm").write_text(NET_CLASH_SYSTEM)
     fill = {"fx": fixtures, "tmp": tmp_path}
     got, _, err = run([a.format(**fill) for a in argv], capsys)
     assert got == code

@@ -10,8 +10,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from front_oracle import enumerate_front
 from psmsynth import dse, kernels
 from psmsynth.cost import MHZ, MccAlternative, load_alternatives
 from psmsynth.dse import (
@@ -260,8 +261,7 @@ def test_group_membership_validated(tmp_path):
 
 def test_streaming_front_keeps_ties_and_removes_dominated():
     # One group whose rows run at their rated clock, so a config's energy
-    # over a 1 s window is its row's power; one config per chunk exercises
-    # the incremental merge.
+    # over a 1 s window is its row's power.
     def front_of(points):
         n = len(points)
         space = FlatSpace(
@@ -298,14 +298,71 @@ def test_streaming_matches_offline_on_fixture_tables(fixtures):
     assert nfeas == sum(c.feasible for c in report.configs)
 
 
-def test_streaming_front_invariant_under_enumeration_order():
+def assert_same_front(merged, enumerated):
+    """Ids, areas and energies bit-equal, and the same feasible count."""
+    (ma, me, mi, mn), (ea, ee, ei, en) = merged, enumerated
+    assert mi.tolist() == ei.tolist()
+    assert ma.tobytes() == ea.tobytes() and me.tobytes() == ee.tobytes()
+    assert mn == en
+
+
+def test_streaming_front_equals_the_enumerating_oracle():
     space = synthetic_space(n_groups=3, group_size=8, seed=5)
-    fa1, fe1, fi1, n1 = explore_streaming(space, chunk=64)
-    perm = np.random.default_rng(9).permutation(space.total)
-    fa2, fe2, fi2, n2 = explore_streaming(space, chunk=64, order=perm)
-    assert n1 == n2
-    assert np.array_equal(fa1, fa2) and np.array_equal(fe1, fe2)
-    assert np.array_equal(fi1, fi2)
+    assert_same_front(explore_streaming(space, chunk=64), enumerate_front(space, 0.1))
+
+
+def _flat_space_strategy():
+    """Small flat spaces in two kinds: integer-valued areas, powers and
+    clocks, where configurations tie often; and magnitudes of ~1 mixed with
+    ~1e8.  Each group also gets near copies of its rows, an area or a power
+    nudged up by a relative 2**-30, which adding ~1e8 absorbs into a tie."""
+    clock = st.sampled_from([1.0, 2.0, 3.0, 4.0])
+    kinds = [st.integers(0, 6).map(float), st.sampled_from([0.0, 1.0, 1e8])]
+
+    @st.composite
+    def space(draw):
+        value = draw(st.sampled_from(kinds))
+        groups = []
+        for _ in range(draw(st.integers(1, 4))):
+            rows = draw(st.lists(st.tuples(clock, clock, value, value), min_size=1, max_size=3))
+            for f_req, f_max, power, area in draw(st.lists(st.sampled_from(rows), max_size=2)):
+                if draw(st.booleans()):
+                    rows.append((f_req, f_max, power, area * (1 + 2**-30)))
+                else:
+                    rows.append((f_req, f_max, power * (1 + 2**-30), area))
+            groups.append(rows)
+        sizes = [len(rows) for rows in groups]
+        f_req, f_max, power, area = np.array([r for rows in groups for r in rows]).T
+        return FlatSpace(
+            offsets=np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.int64),
+            sizes=np.array(sizes, dtype=np.int64),
+            f_req=f_req, f_max=f_max, power=power, area=area,
+        )
+
+    return space()
+
+
+# Two partial sums one 2**-30 apart in area: adding 1e8 ties them exactly.
+ABSORBED_TIE = FlatSpace(
+    offsets=np.array([0, 2]), sizes=np.array([2, 1]), f_req=np.ones(3), f_max=np.ones(3),
+    power=np.array([5.0, 5.0, 1.0]), area=np.array([1.0, 1.0 + 2**-30, 1e8]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@example(ABSORBED_TIE, (0.0, False), 0.1, 1)
+@given(
+    _flat_space_strategy(),
+    st.sampled_from([(0.0, False), (0.2, False), (0.2, True)]),
+    st.sampled_from([0.1, 1.0]),
+    st.sampled_from([1, 3, dse.CHUNK]),
+)
+def test_merged_front_equals_the_enumerating_oracle(space, mode, window, chunk):
+    static_fraction, independent = mode
+    assert_same_front(
+        dse._merge_front(space, window, static_fraction, independent, chunk),
+        enumerate_front(space, window, static_fraction, independent),
+    )
 
 
 # --- Reports ------------------------------------------------------------------
@@ -339,6 +396,9 @@ def test_explore_requires_a_positive_window(tmp_path):
     for window in (Fraction(0), Fraction(-1)):
         with pytest.raises(dse.DseError, match="window"):
             explore(groups, env_for(groups), window, tmp_path)
+    for window in (0.0, -1.0, float("nan")):
+        with pytest.raises(dse.DseError, match="window must be positive"):
+            explore_streaming(synthetic_space(n_groups=2, group_size=2), window=window)
 
 
 def test_explore_requires_a_static_fraction_in_0_1(tmp_path):

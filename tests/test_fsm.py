@@ -719,8 +719,14 @@ def test_golden_component_rtl(fixtures, name, digest):
     ("var do_entry: int8;", "state S { ts(inf); }", "component K: 'do_entry' is a signal of the generated RTL"),
     ("input event clk;", "state S { import clk -> S; }", "component K: 'clk' is a signal of the generated RTL"),
     ("var rst: int8;", "state S { ts(inf); }", "component K: 'rst' is a signal of the generated RTL"),
+    ("var tmr_S_start: int8;", "state S { ts(1 ms) -> S; }", "RTL module psm_K declares tmr_S_start twice"),
+    ("var tmr_S_done: int8;", "state S { ts(1 ms) -> S; }", "RTL module psm_K declares tmr_S_done twice"),
+    ("var u_tmr_S: int8;", "state S { ts(1 ms) -> S; }", "RTL module psm_K declares u_tmr_S twice"),
+    ("input event E; var ev_E_pending: int8;", "state S { import E -> S; }",
+     "RTL module psm_K declares ev_E_pending twice"),
 ], ids=["states-differ-in-case", "timer-less-state-differs-in-case", "state-named-like-a-call",
-        "var-do_entry", "event-clk", "var-rst"])
+        "var-do_entry", "event-clk", "var-rst", "var-tmr_S_start", "var-tmr_S_done", "var-u_tmr_S",
+        "var-ev_E_pending"])
 def test_rtl_refuses_names_that_collide(declarations, states, message):
     # The interpreter runs these models; only their RTL would declare one
     # name twice.
@@ -729,6 +735,13 @@ def test_rtl_refuses_names_that_collide(declarations, states, message):
     interpret(sys_ir, [], 10)
     with pytest.raises(SynthesisError, match=f"^{re.escape(message)}$"):
         emit_rtl(sys_ir)
+
+
+@pytest.mark.parametrize("name", ["timer", "sync"])
+def test_rtl_refuses_a_component_named_like_a_shared_module(name):
+    comp = parse_component(f"component {name} {{ period 10 ms; initial S; state S {{ ts(inf); }} }}")
+    with pytest.raises(SynthesisError, match=f"^two RTL modules are named psm_{name}$"):
+        emit_rtl(synthesize_single(comp, 1 * MHZ))
 
 
 def test_rtl_contains_expected_structure(fixtures):
