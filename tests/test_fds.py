@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import random_dfg
+from conftest import OP_TYPE_LIST, random_dfg
 from ilp import area, min_area_schedule
 from psmsynth.dfg import (
     DEFAULT_LATENCIES,
@@ -126,6 +126,7 @@ def test_deterministic_output():
 
 FIXTURE_SWEEP_SHA256 = "2b2a30ce3ccf3f6173b495ee7ca1114e2b6cbb0e92b8a51b4c07a10e1c538b71"
 RANDOM_WIDE_SHA256 = "c9937d82aa6571ee8b513666fdcfc7e27cf80a4c2b05357418594e9e03b79994"
+DENSE_UNROLLED_SHA256 = "93c9e02f9f22a9285a83e50147b5b01d085205c59d3d106910db9e1f25aeb9a0"
 
 
 def test_golden_schedules_of_fixture_sweeps(fixtures):
@@ -150,6 +151,51 @@ def test_golden_schedules_at_wide_mobility():
         lam = rng.randint(min_latency(d), max_useful_latency(d))
         digest.update(format_schedule(d, fds_schedule(d, lam)).encode())
     assert digest.hexdigest() == RANDOM_WIDE_SHA256
+
+
+def dense_dfg(rng: random.Random) -> Dfg:
+    """A 60-130-op graph with what `random_dfg` never makes: ops that read
+    one operand twice (`op 7 mul 4 4`), hubs read by many ops (every ninth
+    id is drawn often), and long chains (most operands are among the last
+    six ids)."""
+    n_in, n_ops = rng.randint(2, 4), rng.randint(60, 130)
+
+    def operand(oid: int) -> int:
+        roll = rng.random()
+        if roll < 0.2 and oid > 9:
+            return rng.randrange(0, oid, 9)
+        if roll < 0.75:
+            return rng.randrange(max(0, oid - 6), oid)
+        return rng.randrange(oid)
+
+    ops = []
+    for oid in range(n_in, n_in + n_ops):
+        a, roll = operand(oid), rng.random()
+        operands = (a, a) if roll < 0.12 else (a,) if roll < 0.35 else (a, operand(oid))
+        ops.append(Op(oid, rng.choice(OP_TYPE_LIST), operands))
+    return Dfg(tuple(ops), tuple(range(n_in)), (n_in + n_ops - 1,))
+
+
+def test_golden_schedules_of_dense_and_unrolled_graphs(fixtures):
+    # Seeded dense graphs at two constraints each, then the mhr body
+    # unrolled 2x and 4x (128 and 256 ops) over its latency sweep.
+    rng = random.Random(43)
+    graphs = [dense_dfg(rng) for _ in range(5)]
+    assert any(len(ps) == 2 and ps[0] == ps[1] for d in graphs for ps in d.preds.values())
+    assert max(len(ss) for d in graphs for ss in d.succs.values()) >= 4
+    assert {"div", "load", "store"} <= {op.type for d in graphs for op in d.ops}
+    jobs = []
+    for d in graphs:
+        lo, hi = min_latency(d), max_useful_latency(d)
+        jobs += [(d, rng.randint(lo, (lo + hi) // 2)), (d, rng.randint(lo, hi))]
+    mhr = parse_nest((fixtures / "mhr.dfg").read_text())
+    for factor in (2, 4):
+        body = unroll(mhr, factor).loops[0].body
+        jobs += [(body, lam) for lam in latency_sweep(body)]
+    digest = hashlib.sha256()
+    for d, lam in jobs:
+        digest.update(format_schedule(d, fds_schedule(d, lam)).encode())
+    assert digest.hexdigest() == DENSE_UNROLLED_SHA256
 
 
 # --- Against the exact ILP optimum -------------------------------------------
