@@ -78,12 +78,7 @@ def _parse_models(paths) -> tuple[dict[str, PsmComponent], list[PsmSystem]]:
     sources: dict[str, str] = {}  # component name -> the file declaring it
     systems: list[PsmSystem] = []
     for path in paths:
-        try:
-            parsed = parse_text(_read_text(path), path)
-        except ParseError as err:
-            for d in err.diagnostics:
-                print(d, file=sys.stderr)
-            raise CliError(f"{path}: parse failed", EXIT_VALIDATION) from None
+        parsed = parse_text(_read_text(path), path)
         if isinstance(parsed, PsmSystem):
             systems.append(parsed)
         elif parsed.name in sources:
@@ -266,8 +261,7 @@ def cmd_schedule(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     parts = dfg.nest_parts(worklist)
     rows = []
-    for lam in lams:
-        cycles, usage, schedules = fds.schedule_nest(worklist, lam)
+    for lam, (cycles, usage, schedules) in zip(lams, fds.schedule_sweep(worklist, lams)):
         rows.append(
             cost.alternative_from_schedule(
                 name, args.unroll, lam, cycles, usage.per_type, float(f_max)
@@ -453,6 +447,10 @@ def main(argv=None) -> int:
         return code
     except CliError as err:
         code, message = err.code, str(err)
+    except ParseError as err:
+        # Its `file:line:col: error: …` diagnostics are the error lines.
+        print(err, file=sys.stderr)
+        return EXIT_VALIDATION
     except tuple(cls for classes, _ in _EXIT_CODES for cls in classes) as err:
         code = next(code for classes, code in _EXIT_CODES if isinstance(err, classes))
         message = str(err)

@@ -9,16 +9,18 @@ byte-for-byte reproducible.
 Every routine here reads the dependence index each `Dfg` builds once, when
 it is constructed: operation predecessors and successors, dependence order,
 and the latency of each op, which is fixed by its type
-(`dfg.DEFAULT_LATENCIES`).  Time frames come from `Dfg.frames`.  A loop
-nest is scheduled part by part over `dfg.nest_parts`, and its execution
-cycles are the sum over its parts of runs x makespan.
+(`dfg.DEFAULT_LATENCIES`).  Time frames come from `Dfg.frames` once per
+schedule; each round then narrows only the frames its fixed op bounds, so
+rounds never recompute them.  A loop nest is scheduled part by part over
+`dfg.nest_parts`, and its execution cycles are the sum over its parts of
+runs x makespan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .dfg import (
     DEFAULT_LATENCIES,
@@ -98,9 +100,10 @@ def _distribution_graphs(
 def fds_schedule(dfg: Dfg, lam: int) -> Schedule:
     """Minimum-resource schedule under the latency constraint `lam`.
 
-    Each round recomputes frames and distribution graphs, evaluates the self
-    force plus depth-1 predecessor/successor forces for every unfixed
-    (op, step) candidate, and fixes the minimum-force pair.
+    Each round evaluates the self force plus depth-1 predecessor/successor
+    forces for every unfixed (op, step) candidate and fixes the
+    minimum-force pair.  Frames come from `Dfg.frames` once; after each fix
+    `_pin` narrows only the frames that the fixed op bounds.
 
     Per type, W[s] is the distribution-graph mass an op of that type covers
     when it starts at s, and R is the prefix sum of W.  The self force of
@@ -108,22 +111,30 @@ def fds_schedule(dfg: Dfg, lam: int) -> Schedule:
     (R[hi+1] - R[lo]) / (hi - lo + 1), so every force term costs O(1).
     (R equals the difference of two shifted second prefix sums of the
     graph, but its values stay small, and so do its rounding errors.)
+    Each op's forces form one list over its frame, starting from the self
+    forces.  An unfixed predecessor p adds its term only at the steps that
+    cut p's frame (t < hi[p] + lat[p]), an unfixed successor s only at those
+    that cut s's frame (t + lat[v] > lo[s]): predecessors in `preds` order,
+    then successors, so each force sums its terms in one fixed order.
     """
     needed = min_latency(dfg)
     if lam < needed:
         raise InfeasibleLatency(lam, needed)
     kind, lat = {op.id: op.type for op in dfg.ops}, dfg.lat
+    lo, hi = dfg.frames(lam)
     unfixed = sorted(dfg.order)
     fixed: dict[int, int] = {}
     while unfixed:
-        lo, hi = dfg.frames(lam, fixed)
         graphs = _distribution_graphs(dfg, kind, lam, lo, hi)
         window: dict[str, list[float]] = {}
         cum: dict[str, list[float]] = {}
         for k, dg in graphs.items():
-            k_lat = DEFAULT_LATENCIES[k]
-            window[k] = [sum(dg[s:s + k_lat]) for s in range(lam - k_lat + 1)]
-            cum[k] = [0.0, *accumulate(window[k])]
+            # W[s] = sum(dg[s:s + L]), added left to right.
+            w = dg
+            for shift in range(1, DEFAULT_LATENCIES[k]):
+                w = [x + y for x, y in zip(w, dg[shift:])]
+            window[k] = w
+            cum[k] = [0.0, *accumulate(w)]
         base = {
             v: (cum[kind[v]][hi[v] + 1] - cum[kind[v]][lo[v]]) / (hi[v] - lo[v] + 1)
             for v in unfixed
@@ -135,38 +146,79 @@ def fds_schedule(dfg: Dfg, lam: int) -> Schedule:
         best_key = best_force = float("inf")
         best_v = best_t = -1
         for v in unfixed:
+            v_lo, v_hi, v_lat, b = lo[v], hi[v], lat[v], base[v]
+            forces = [x - b for x in window[kind[v]][v_lo:v_hi + 1]]
             # Fixed neighbors never tighten: their one start already
             # satisfies every start in v's frame.  Frames are consistent, so
             # a tightened frame is never empty.
-            before = [
-                (hi[p], lo[p], lat[p], cum[kind[p]], base[p])
-                for p in dfg.preds[v] if p not in fixed
-            ]
-            after = [
-                (lo[s], hi[s], cum[kind[s]], base[s])
-                for s in dfg.succs[v] if s not in fixed
-            ]
-            own, b, v_lat = window[kind[v]], base[v], lat[v]
-            for t in range(lo[v], hi[v] + 1):
-                force = own[t] - b
-                for phi, plo, p_lat, pcum, pbase in before:
-                    new_hi = t - p_lat
-                    if new_hi < phi:
-                        force += (pcum[new_hi + 1] - pcum[plo]) / (new_hi - plo + 1) - pbase
-                new_lo = t + v_lat
-                for slo, shi, scum, sbase in after:
-                    if new_lo > slo:
-                        force += (scum[shi + 1] - scum[new_lo]) / (shi - new_lo + 1) - sbase
-                if force < best_force:
-                    key = round(force, 9)
-                    if key < best_key:
-                        best_key, best_force, best_v, best_t = key, force, v, t
+            for p in dfg.preds[v]:
+                if p in fixed:
+                    continue
+                # Starting at t cuts p's frame to [lo[p], t - lat[p]].
+                first = v_lo - lat[p] + 1
+                cuts = hi[p] - first + 1
+                if cuts > 0:
+                    pcum, plo, pbase = cum[kind[p]], lo[p], base[p]
+                    c0 = pcum[plo]
+                    head = [
+                        f + ((c - c0) / d - pbase)
+                        for f, c, d in zip(
+                            forces, pcum[first:first + cuts], range(first - plo, hi[p] - plo + 1)
+                        )
+                    ]
+                    forces[:len(head)] = head
+            for s in dfg.succs[v]:
+                if s in fixed:
+                    continue
+                # Starting at t cuts s's frame to [t + lat[v], hi[s]].
+                i = max(lo[s] + 1 - v_lat - v_lo, 0)
+                if i <= v_hi - v_lo:
+                    scum, shi, sbase = cum[kind[s]], hi[s], base[s]
+                    c1, first = scum[shi + 1], v_lo + i + v_lat
+                    forces[i:] = [
+                        f + ((c1 - c) / d - sbase)
+                        for f, c, d in zip(forces[i:], scum[first:], range(shi - first + 1, 0, -1))
+                    ]
+            if min(forces) < best_force:
+                for i, force in enumerate(forces):
+                    if force < best_force:
+                        key = round(force, 9)
+                        if key < best_key:
+                            best_key, best_force, best_v, best_t = key, force, v, v_lo + i
         fixed[best_v] = best_t
         unfixed.remove(best_v)
+        _pin(dfg, lo, hi, fixed, best_v)
 
     schedule = Schedule(dict(fixed), lam)
     validate_schedule(dfg, schedule)
     return schedule
+
+
+def _pin(
+    dfg: Dfg, lo: dict[int, int], hi: dict[int, int], fixed: Mapping[int, int], v: int
+) -> None:
+    """Narrow the frames once `v` is fixed at `fixed[v]`: pin v's frame,
+    push `lo` forward through unfixed successors and `hi` back through
+    unfixed predecessors, and stop where a bound does not move.  The frames
+    then equal `dfg.frames(lam, fixed)`."""
+    lat = dfg.lat
+    lo[v] = hi[v] = fixed[v]
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        end = lo[u] + lat[u]
+        for s in dfg.succs[u]:
+            if lo[s] < end and s not in fixed:
+                lo[s] = end
+                stack.append(s)
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        for p in dfg.preds[u]:
+            start = hi[u] - lat[p]
+            if hi[p] > start and p not in fixed:
+                hi[p] = start
+                stack.append(p)
 
 
 def schedule_nest(nest: LoopNest, lam: int) -> tuple[int, ResourceUsage, dict]:
@@ -178,19 +230,36 @@ def schedule_nest(nest: LoopNest, lam: int) -> tuple[int, ResourceUsage, dict]:
     across parts — parts never run concurrently), and the individual
     schedules keyed 'pre'/'post'/loop position.
     """
-    schedules: dict = {}
-    combined: dict[str, int] = {}
-    cycles = 0
-    for key, (part, runs) in nest_parts(nest).items():
-        if part is None or not part.ops:
-            continue
-        constraint = min_latency(part) if isinstance(key, str) else lam
-        sched = fds_schedule(part, constraint)
-        schedules[key] = sched
-        for t, r in resource_usage(part, sched).per_type.items():
-            combined[t] = max(combined.get(t, 0), r)
-        cycles += runs * sched.makespan(part)
-    return max(1, cycles), ResourceUsage(combined), schedules
+    return schedule_sweep(nest, [lam])[0]
+
+
+def schedule_sweep(
+    nest: LoopNest, lams: Iterable[int]
+) -> list[tuple[int, ResourceUsage, dict]]:
+    """`schedule_nest` at each latency constraint in `lams`, in order.  The
+    pre/post segments do not depend on the constraint, so each is scheduled
+    once and its schedule is shared by every row."""
+    parts = [
+        (key, part, runs) for key, (part, runs) in nest_parts(nest).items()
+        if part is not None and part.ops
+    ]
+    segments = {
+        key: fds_schedule(part, min_latency(part))
+        for key, part, _ in parts if isinstance(key, str)
+    }
+    rows = []
+    for lam in lams:
+        schedules: dict = {}
+        combined: dict[str, int] = {}
+        cycles = 0
+        for key, part, runs in parts:
+            sched = segments[key] if isinstance(key, str) else fds_schedule(part, lam)
+            schedules[key] = sched
+            for t, r in resource_usage(part, sched).per_type.items():
+                combined[t] = max(combined.get(t, 0), r)
+            cycles += runs * sched.makespan(part)
+        rows.append((max(1, cycles), ResourceUsage(combined), schedules))
+    return rows
 
 
 def format_schedule(dfg: Dfg, schedule: Schedule) -> str:

@@ -7,6 +7,7 @@ import json
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 import psmsynth
-from psmsynth import cli, dsl
+from psmsynth import cli, dsl, fds
 from psmsynth.cli import (
     CliError,
     load_config,
@@ -203,6 +204,26 @@ def test_schedule_default_sweep_covers_latency_range(fixtures, tmp_path, capsys)
     assert "wrote 4 alternative row(s)" in out
     rows = load_alternatives(tmp_path / "adds4_alternatives.csv")
     assert [r.latency_constraint for r in rows] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("name, calls", [("mhr", 5), ("adds4", 1)])
+def test_schedule_runs_fds_once_per_segment(fixtures, tmp_path, capsys, monkeypatch, name, calls):
+    # A segment beside the loops is scheduled once per run, a loop body once
+    # per latency: mhr is a 22-op pre and one loop at 4 latencies, adds4 a
+    # loop-free graph, which is all pre.
+    scheduled = []
+    schedule = fds.fds_schedule
+
+    def counting(dfg, lam):
+        scheduled.append((len(dfg.ops), lam))
+        return schedule(dfg, lam)
+
+    monkeypatch.setattr(fds, "fds_schedule", counting)
+    code, out, _ = run(["schedule", fixtures / f"{name}.dfg", "--out", tmp_path], capsys)
+    assert code == 0 and "wrote 4 alternative row(s)" in out
+    assert len(scheduled) == calls, scheduled
+    pre = [path.read_text() for path in tmp_path.glob(f"{name}_l*_pre.sched")]
+    assert len(pre) == 4 and len(set(pre)) == 1
 
 
 def test_schedule_rejects_fewer_than_one_point(fixtures, tmp_path, capsys):
@@ -704,6 +725,10 @@ system D {
   instance x__y: C;
 }
 """
+FRACTIONAL_ARITY = (
+    'component F {\n  period 10 ms;\n  mcc G(1.5 -> 1) dfg "g.dfg";\n'
+    "  initial S;\n  state S { ts(inf); }\n}\n"
+)
 ZERO_WIDTH_FINDING = "component Z: error: variable 'x' has non-positive width"
 WPM = [f"{{fx}}/{n}" for n in ALL_MODELS]
 
@@ -751,6 +776,8 @@ WPM = [f"{{fx}}/{n}" for n in ALL_MODELS]
     (["synth", "{tmp}/tmr.psm"], 1, "RTL module psm_T declares tmr_S_start twice"),
     (["synth", "{tmp}/net.psm", "{tmp}/net_system.psm"], 1,
      "RTL module psm_system_D declares x__y__Go_req twice"),
+    (["check", "{tmp}/frac.psm"], 1,
+     "{tmp}/frac.psm:3:9: error: mcc argument and result counts are integers"),
 ], ids=[
     "schedule-out-is-a-file", "synth-out-below-a-file", "explore-out-is-a-file",
     "latency-not-an-int", "unknown-command", "freq-unknown-instance", "duplicate-component",
@@ -760,7 +787,7 @@ WPM = [f"{{fx}}/{n}" for n in ALL_MODELS]
     "csv-latency-below-1", "stimulus-payload-out-of-range", "stimulus-into-a-driven-input",
     "synth-fractional-clock", "synth-constant-true-guard", "synth-constant-guard-divides-by-zero",
     "synth-state-names-collide-in-rtl", "synth-variable-named-like-a-timer-signal",
-    "synth-two-pins-make-one-net",
+    "synth-two-pins-make-one-net", "psm-parse-error",
 ])
 def test_malformed_input_ends_in_one_error_line(fixtures, tmp_path, capsys, argv, code, message):
     (tmp_path / "taken").write_text("")
@@ -791,10 +818,12 @@ def test_malformed_input_ends_in_one_error_line(fixtures, tmp_path, capsys, argv
     (tmp_path / "tmr.psm").write_text(TIMER_SIGNAL_CLASH)
     (tmp_path / "net.psm").write_text(NET_CLASH)
     (tmp_path / "net_system.psm").write_text(NET_CLASH_SYSTEM)
+    (tmp_path / "frac.psm").write_text(FRACTIONAL_ARITY)
     fill = {"fx": fixtures, "tmp": tmp_path}
     got, _, err = run([a.format(**fill) for a in argv], capsys)
     assert got == code
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    # `error: …`, or a parse diagnostic `file:line:col: error: …`.
+    assert len(err.splitlines()) == 1 and re.match(r"(.+:\d+:\d+: )?error: ", err)
     assert message.format(**fill) in err
     assert "Traceback" not in err
 
@@ -864,18 +893,12 @@ def test_non_ascii_digits_end_in_a_diagnostic(tmp_path, capsys, line, diagnostic
 
 @pytest.mark.parametrize("command", [["check"], ["sim", "--horizon", "1 s"], ["synth"]])
 def test_fractional_mcc_arity_ends_in_a_diagnostic(tmp_path, capsys, command):
-    # A parse failure prints its diagnostic, then the one `error:` line.
+    # A parse failure prints its diagnostic, and nothing after it.
     path = tmp_path / "f.psm"
-    path.write_text(
-        'component F {\n  period 10 ms;\n  mcc G(1.5 -> 1) dfg "g.dfg";\n'
-        "  initial S;\n  state S { ts(inf); }\n}\n"
-    )
+    path.write_text(FRACTIONAL_ARITY)
     code, out, err = run([command[0], path, *command[1:]], capsys)
     assert (code, out) == (1, "")
-    assert err.splitlines() == [
-        f"{path}:3:9: error: mcc argument and result counts are integers",
-        f"error: {path}: parse failed",
-    ]
+    assert err.splitlines() == [f"{path}:3:9: error: mcc argument and result counts are integers"]
 
 
 # --- Tooling guards ---------------------------------------------------------------

@@ -107,6 +107,25 @@ def test_distribution_graphs_match_direct_summation(rounds):
                     assert mass == pytest.approx(direct[kind].get(t, 0.0), abs=1e-12)
 
 
+def test_incremental_frames_equal_recomputed_frames(rounds, fixtures):
+    # Fixing an op at its only start moves no bound, so in every round the
+    # ops with lo == hi can stand for the fixed ones.
+    rng = random.Random(29)
+    jobs = []
+    for _ in range(60):
+        d = random_dfg(rng, 30)
+        jobs.append((d, rng.randint(min_latency(d), max_useful_latency(d))))
+    body = unroll(parse_nest((fixtures / "mhr.dfg").read_text()), 2).loops[0].body
+    jobs += [(body, 63), (body, 105)]
+    for d, lam in jobs:
+        rounds.clear()
+        fds_schedule(d, lam)
+        assert len(rounds) == len(d.ops)
+        for frames, _ in rounds:
+            lo, hi = d.frames(lam, {v: a for v, (a, b) in frames.items() if a == b})
+            assert frames == {v: (lo[v], hi[v]) for v in d.order}
+
+
 def test_infeasible_latency_raises():
     with pytest.raises(InfeasibleLatency):
         fds_schedule(chain3(), 2)
