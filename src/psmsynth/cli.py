@@ -10,6 +10,7 @@ all resolved parameters so reported numbers are reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -376,7 +377,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise CliError(message, EXIT_VALIDATION)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: parsing leaves it unchanged."""
     parser = _ArgumentParser(
         prog="psmsynth",
         description="Hybrid synthesis toolchain for periodic state machines.",
@@ -386,13 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="parse and validate model files")
     p.add_argument("paths", nargs="+")
-    p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("sim", help="run the reference discrete-event simulator")
     p.add_argument("paths", nargs="+")
     p.add_argument("--horizon", required=True, help="simulation end time (e.g. '2 s')")
     p.add_argument("--stimulus", help="stimulus file: 'time instance event [payload]'")
-    p.set_defaults(fn=cmd_sim)
 
     p = sub.add_parser("schedule", help="schedule a dataflow graph over latency constraints")
     p.add_argument("dfg")
@@ -402,14 +404,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mcc", help="computation name for the emitted rows")
     p.add_argument("--fmax", default="100 MHz", help="rated maximum frequency")
     p.add_argument("--out", default=".", help="output directory")
-    p.set_defaults(fn=cmd_schedule)
 
     p = sub.add_parser("synth", help="synthesize FSMs and emit the hardware description")
     p.add_argument("paths", nargs="+")
     p.add_argument("--freq", action="append", help="instance=frequency, repeatable")
     p.add_argument("--default-freq", default="100 MHz")
     p.add_argument("--out", help="output file (default: stdout)")
-    p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("explore", help="design-space exploration over alternatives")
     p.add_argument("--alts", required=True, help="alternatives CSV")
@@ -420,11 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="per-computation clocks instead of one common frequency",
     )
-    p.set_defaults(fn=cmd_explore)
 
     p = sub.add_parser("report", help="print a previous exploration's summary")
     p.add_argument("dir")
-    p.set_defaults(fn=cmd_report)
 
     return parser
 
@@ -442,7 +440,9 @@ _EXIT_CODES = (
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        code = args.fn(args)
+        # Looked up by name on each call, so that a `cmd_*` function rebound
+        # on this module after the parser was built is the one that runs.
+        code = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()  # a closed pipe fails here, not after `main` returns
         return code
     except CliError as err:

@@ -6,7 +6,9 @@ operations, and an operation's latency is fixed by its type
 carried dependences; unrolling replicates loop bodies by even factors only,
 so no pre-amble or post-amble code is ever required.  `nest_parts` is the one
 walk over a nest: it gives each part with its runs per activation.  In the
-`.dfg` text format every line is exactly one token form (`parse_nest`).
+`.dfg` text format every line is exactly one token form (`parse_nest`), and
+a file is read in one pass over its lines with a stack of open blocks; a
+block's lines are parsed when its `}` closes it.
 """
 
 from __future__ import annotations
@@ -336,91 +338,64 @@ def parse_dfg_lines(lines: list[str]) -> Dfg:
     return Dfg(tuple(ops), tuple(inputs), tuple(outputs))
 
 
+@dataclass
+class _Block:
+    kind: str | tuple[int, bool] | None  # 'pre', 'post', a loop's (trip, unrollable), or top level
+    lines: list[str] = field(default_factory=list)  # its in/op/out lines
+    carried: list[tuple[int, int]] = field(default_factory=list)
+    children: list[Loop] = field(default_factory=list)
+
+
 def parse_nest(text: str) -> LoopNest:
     """Parse the line-oriented `.dfg` format: `pre {`/`post {` segments of
     `in N`, `op ID TYPE [OPERAND...]` and `out N` lines, and nested
     `loop TRIP {` / `loop TRIP nounroll {` blocks that also hold `carry P C`
     lines.  A line with other tokens is malformed."""
-    lines = [ln.rstrip() for ln in text.splitlines()]
-    pos = 0
-
-    def peek() -> str | None:
-        nonlocal pos
-        while pos < len(lines):
-            stripped = lines[pos].split("#", 1)[0].strip()
-            if stripped:
-                return stripped
-            pos += 1
-        return None
-
-    def take() -> str:
-        nonlocal pos
-        line = peek()
-        if line is None:
-            raise DfgError("unexpected end of dfg file")
-        pos += 1
-        return line
-
-    def block_body() -> tuple[list[str], list[tuple[int, int]], list[Loop]]:
-        plain: list[str] = []
-        carried: list[tuple[int, int]] = []
-        loops: list[Loop] = []
-        while True:
-            line = peek()
-            if line is None:
-                raise DfgError("missing closing '}'")
-            if line == "}":
-                take()
-                return plain, carried, loops
-            if line.startswith("loop "):
-                loops.append(loop_block())
-            elif line.startswith("carry "):
-                try:
-                    _, src, dst = take().split()
-                    carried.append((int(src), int(dst)))
-                except ValueError:
-                    raise DfgError(f"malformed carry line: {line!r}") from None
-            else:
-                plain.append(take())
-
-    def loop_block() -> Loop:
-        header = take().split()
-        try:
-            if header[-1] != "{" or header[2:-1] not in ([], ["nounroll"]):
-                raise ValueError
-            trip = int(header[1])
-        except ValueError:
-            raise DfgError(f"malformed loop header: {' '.join(header)!r}") from None
-        plain, carried, children = block_body()
-        return Loop(
-            body=parse_dfg_lines(plain),
-            trip=trip,
-            carried=tuple(carried),
-            unrollable=len(header) == 3,
-            children=tuple(children),
-        )
-
     segments: dict[str, Dfg] = {}
-    loops: list[Loop] = []
-    loose: list[str] = []
-    while (line := peek()) is not None:
-        name = next((n for n in ("pre", "post") if line.split() == [n, "{"]), None)
-        if name is not None:
-            if name in segments:
-                raise DfgError(f"second '{name}' block")
-            take()
-            plain, carried, inner = block_body()
-            if carried or inner:
-                raise DfgError(f"'{name}' block holds only in/op/out lines, got a "
-                               + ("loop" if inner else "carry"))
-            segments[name] = parse_dfg_lines(plain)
+    top = _Block(None)  # the top-level loops, and a loose op listing
+    stack = [top]  # open blocks, innermost last
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        words = line.split()
+        block = stack[-1]
+        if line == "}" and block is not top:
+            stack.pop()
+            if isinstance(block.kind, str):
+                if block.carried or block.children:
+                    raise DfgError(f"'{block.kind}' block holds only in/op/out lines, got a "
+                                   + ("loop" if block.children else "carry"))
+                segments[block.kind] = parse_dfg_lines(block.lines)
+            else:
+                trip, unrollable = block.kind
+                stack[-1].children.append(Loop(parse_dfg_lines(block.lines), trip,
+                                               tuple(block.carried), unrollable,
+                                               tuple(block.children)))
+        elif block is top and words in (["pre", "{"], ["post", "{"]):
+            if words[0] in segments:
+                raise DfgError(f"second '{words[0]}' block")
+            stack.append(_Block(words[0]))
         elif line.startswith("loop "):
-            loops.append(loop_block())
+            try:
+                if words[-1] != "{" or words[2:-1] not in ([], ["nounroll"]):
+                    raise ValueError
+                stack.append(_Block((int(words[1]), len(words) == 3)))
+            except ValueError:
+                raise DfgError(f"malformed loop header: {' '.join(words)!r}") from None
+        elif line.startswith("carry ") and block is not top:
+            try:
+                _, src, dst = words
+                block.carried.append((int(src), int(dst)))
+            except ValueError:
+                raise DfgError(f"malformed carry line: {line!r}") from None
         else:
-            loose.append(take())
-    if loose:
+            block.lines.append(line)
+    if len(stack) > 1:
+        raise DfgError("missing closing '}'")
+    if top.lines:
         # A bare op listing with no loop structure: a straight-line computation.
         if "pre" in segments:
             raise DfgError("op listing outside any block next to a 'pre' block")
-        segments["pre"] = parse_dfg_lines(loose)
-    return LoopNest(loops=tuple(loops), pre=segments.get("pre"), post=segments.get("post"))
+        segments["pre"] = parse_dfg_lines(top.lines)
+    return LoopNest(loops=tuple(top.children), pre=segments.get("pre"), post=segments.get("post"))

@@ -6,10 +6,17 @@ constructs: period declarations, event/variable/mcc declarations, state
 blocks with import transitions, timing specifications, guards, and entry
 actions.  Diagnostics carry 1-based source spans and print
 as `file:line:col: severity: message`.
+
+`_tokenize` reads a file in one pass with one pattern (`_TOKEN`).  A tab is
+one column; a carriage return outside a string and a `//` comment advance
+none, so a file ending in a comment ends at the comment's first column; a
+string advances by its full length, carriage returns included.  A word that
+starts with neither a letter nor `_` (such as `²`) is an unexpected character.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,12 +64,6 @@ _PUNCT = [
 ]
 
 
-def _digits(text: str) -> bool:
-    """A nonempty run of ASCII 0-9; `str.isdigit` alone also accepts
-    characters such as '²' that `int` cannot read."""
-    return text.isascii() and text.isdigit()
-
-
 @dataclass(frozen=True)
 class _Token:
     kind: str  # 'ident', 'keyword', 'number', 'string', punctuation text, 'eof'
@@ -70,78 +71,42 @@ class _Token:
     span: SourceSpan
 
 
+# One alternative per token form, tried in order at the cursor; `other` is a
+# character that starts none of them.
+_TOKEN = re.compile(
+    r"(?P<blank>[ \t\r]+)|(?P<comment>//[^\n]*)|(?P<newline>\n)"
+    r'|(?P<number>[0-9]+(?:\.[0-9]+)?)|(?P<word>\w+)|(?P<string>"[^"\n]*"?)'
+    f"|(?P<punct>{'|'.join(map(re.escape, _PUNCT))})|(?P<other>.)"
+)
+
+
 def _tokenize(source: str, filename: str) -> tuple[list[_Token], list[Diagnostic]]:
     tokens: list[_Token] = []
     diagnostics: list[Diagnostic] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-
-    def span(length: int) -> SourceSpan:
-        return SourceSpan(filename, line, col, max(length, 1))
-
-    while i < n:
-        c = source[i]
-        if c == "\r":
-            i += 1
-            continue
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = "keyword" if text in _KEYWORDS else "ident"
-            tokens.append(_Token(kind, text, span(j - i)))
-            col += j - i
-            i = j
-            continue
-        if _digits(c):
-            j = i
-            while j < n and _digits(source[j]):
-                j += 1
-            if j < n and source[j] == "." and j + 1 < n and _digits(source[j + 1]):
-                j += 1
-                while j < n and _digits(source[j]):
-                    j += 1
-            tokens.append(_Token("number", source[i:j], span(j - i)))
-            col += j - i
-            i = j
-            continue
-        if c == '"':
-            j = i + 1
-            while j < n and source[j] not in '"\n':
-                j += 1
-            if j >= n or source[j] != '"':
-                diagnostics.append(Diagnostic(span(j - i), "error", "unterminated string literal"))
-                tokens.append(_Token("string", source[i + 1:j], span(j - i)))
+    line, col, pos = 1, 1, 0
+    while pos < len(source):
+        match = _TOKEN.match(source, pos)
+        kind, text, pos = match.lastgroup, match.group(), match.end()
+        if kind == "newline":
+            line, col = line + 1, 1
+        elif kind == "blank":
+            col += len(text) - text.count("\r")
+        elif kind == "other" or kind == "word" and not (text[0].isalpha() or text[0] == "_"):
+            span = SourceSpan(filename, line, col, 1)
+            diagnostics.append(Diagnostic(span, "error", f"unexpected character {text[0]!r}"))
+            pos, col = match.start() + 1, col + 1
+        elif kind != "comment":
+            span = SourceSpan(filename, line, col, len(text))
+            col += len(text)
+            if kind == "string":
+                closed = len(text) > 1 and text[-1] == '"'
+                if not closed:
+                    diagnostics.append(Diagnostic(span, "error", "unterminated string literal"))
+                tokens.append(_Token("string", text[1:-1] if closed else text[1:], span))
+            elif kind == "word":
+                tokens.append(_Token("keyword" if text in _KEYWORDS else "ident", text, span))
             else:
-                tokens.append(_Token("string", source[i + 1:j], span(j - i + 1)))
-                j += 1
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if source.startswith(p, i):
-                tokens.append(_Token(p, p, span(len(p))))
-                col += len(p)
-                i += len(p)
-                break
-        else:
-            diagnostics.append(Diagnostic(span(1), "error", f"unexpected character {c!r}"))
-            i += 1
-            col += 1
+                tokens.append(_Token(text if kind == "punct" else kind, text, span))
     tokens.append(_Token("eof", "", SourceSpan(filename, line, col, 1)))
     return tokens, diagnostics
 
@@ -186,6 +151,23 @@ class _Parser:
 
     # -- shared pieces --------------------------------------------------------
 
+    def declare(self, name: _Token, declared: set[str]) -> str:
+        """`name`'s text, once checked to be new to the scope whose names are
+        `declared` and added to them."""
+        if name.text in declared:
+            self.fail(f"duplicate declaration of '{name.text}'", name.span)
+        declared.add(name.text)
+        return name.text
+
+    def variable_list(self) -> tuple[str, ...]:
+        """A comma-separated list of variables, possibly empty."""
+        if self.here.kind != "ident":
+            return ()
+        names = [self.ident("a variable").text]
+        while self.accept(","):
+            names.append(self.ident("a variable").text)
+        return tuple(names)
+
     def duration(self) -> Fraction:
         num = self.expect("number")
         unit = self.here
@@ -204,7 +186,7 @@ class _Parser:
 
     def payload_width(self) -> int:
         tok = self.ident("a payload type like int32")
-        if not tok.text.startswith("int") or not _digits(tok.text[3:]):
+        if not re.fullmatch("int[0-9]+", tok.text):  # ASCII digits: `int` cannot read '²'
             self.fail(f"unknown payload type '{tok.text}'", tok.span)
         return int(tok.text[3:])
 
@@ -277,10 +259,7 @@ class _Parser:
                     width = self.payload_width()
                     self.expect(")")
                 self.expect(";")
-                if ev_name.text in declared:
-                    self.fail(f"duplicate declaration of '{ev_name.text}'", ev_name.span)
-                declared.add(ev_name.text)
-                events.append(m.EventDecl(ev_name.text, direction, width))
+                events.append(m.EventDecl(self.declare(ev_name, declared), direction, width))
             elif self.accept("keyword", "var"):
                 var_name = self.ident("a variable name")
                 self.expect(":")
@@ -290,10 +269,7 @@ class _Parser:
                     sign = -1 if self.accept("-") else 1
                     init = sign * self.integer("variable initializers are integers")
                 self.expect(";")
-                if var_name.text in declared:
-                    self.fail(f"duplicate declaration of '{var_name.text}'", var_name.span)
-                declared.add(var_name.text)
-                variables.append(m.VarDecl(var_name.text, width, init))
+                variables.append(m.VarDecl(self.declare(var_name, declared), width, init))
             elif self.accept("keyword", "mcc"):
                 mcc_name = self.ident("an mcc name")
                 self.expect("(")
@@ -304,10 +280,9 @@ class _Parser:
                 self.keyword("dfg")
                 ref = self.expect("string").text
                 self.expect(";")
-                if mcc_name.text in declared:
-                    self.fail(f"duplicate declaration of '{mcc_name.text}'", mcc_name.span)
-                declared.add(mcc_name.text)
-                mccs.append(m.MccSignature(mcc_name.text, ref, n_args, n_results))
+                mccs.append(
+                    m.MccSignature(self.declare(mcc_name, declared), ref, n_args, n_results)
+                )
             elif self.accept("keyword", "initial"):
                 if initial is not None:
                     self.fail("duplicate initial-state declaration", tok.span)
@@ -400,20 +375,12 @@ class _Parser:
             elif self.accept("keyword", "invoke"):
                 mcc = self.ident("an mcc name").text
                 self.expect("(")
-                args: list[str] = []
-                if self.here.kind == "ident":
-                    args.append(self.ident("a variable").text)
-                    while self.accept(","):
-                        args.append(self.ident("a variable").text)
+                args = self.variable_list()
                 self.expect("->")
-                results: list[str] = []
-                if self.here.kind == "ident":
-                    results.append(self.ident("a variable").text)
-                    while self.accept(","):
-                        results.append(self.ident("a variable").text)
+                results = self.variable_list()
                 self.expect(")")
                 self.expect(";")
-                actions.append(m.InvokeMcc(mcc, tuple(args), tuple(results)))
+                actions.append(m.InvokeMcc(mcc, args, results))
             elif tok.kind == "ident":
                 var = self.ident("a variable").text
                 self.expect("=")
@@ -444,10 +411,7 @@ class _Parser:
                 if self.accept("keyword", "period"):
                     override = self.duration()
                 self.expect(";")
-                if inst.text in declared:
-                    self.fail(f"duplicate declaration of '{inst.text}'", inst.span)
-                declared.add(inst.text)
-                instances.append(m.Instance(inst.text, comp, override))
+                instances.append(m.Instance(self.declare(inst, declared), comp, override))
             elif self.accept("keyword", "connect"):
                 src = self.endpoint(declared)
                 self.expect("->")

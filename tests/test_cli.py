@@ -411,10 +411,17 @@ def test_schedule_infeasible_latency_exits_2(fixtures, tmp_path, capsys):
      "malformed carry line: 'carry 2 1 junk'"),
     ("in 0\nin 1 7\nop 2 add 0 1\nout 2\n", "malformed dfg line: 'in 1 7'"),
     ("in 0\nin 1\nop 2 add 0 1\nout 2 9\n", "malformed dfg line: 'out 2 9'"),
+    ("in 0\nop 1 add 0\n}\n", "unknown dfg line: '}'"),
+    ("loop\n  in 0\n  op 1 add 0\n}\n", "unknown dfg line: 'loop'"),
+    ("loop 3\n  in 0\n  op 1 add 0\n}\n", "malformed loop header: 'loop 3'"),
+    ("in 0\nop 1 add 0\ncarry 1 1\n", "unknown dfg line: 'carry 1 1'"),
+    ("loop 2 {\n  pre {\n    in 0\n    op 1 add 0\n  }\n}\n", "unknown dfg line: 'pre {'"),
+    ("loop 2 {\n  in 0\n  op 1 add 0\n", "missing closing '}'"),
 ], ids=[
     "bad-line", "cycle", "loop-in-pre", "carry-in-post", "listing-next-to-pre", "second-pre",
     "prefix-junk", "header-without-space", "misspelt-loop-flag", "carry-extra-token",
-    "in-extra-token", "out-extra-token",
+    "in-extra-token", "out-extra-token", "stray-brace", "loop-without-trip",
+    "loop-without-brace", "carry-outside-loop", "pre-in-loop", "unclosed-loop",
 ])
 def test_schedule_malformed_graph_exits_1(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.dfg"
@@ -899,6 +906,21 @@ def test_fractional_mcc_arity_ends_in_a_diagnostic(tmp_path, capsys, command):
     code, out, err = run([command[0], path, *command[1:]], capsys)
     assert (code, out) == (1, "")
     assert err.splitlines() == [f"{path}:3:9: error: mcc argument and result counts are integers"]
+
+
+def test_main_keeps_no_state_between_calls(fixtures, tmp_path, capsys):
+    # The second of two in-process runs sees the defaults, not the first
+    # run's flags.
+    assert run(["synth", fixtures / "mhr.psm", "--freq", "dut=102 MHz",
+                "--out", tmp_path / "A" / "mhr.v"], capsys)[0] == 0
+    assert run(["synth", fixtures / "mhr.psm", "--out", tmp_path / "B" / "mhr.v"], capsys)[0] == 0
+    manifest = json.loads((tmp_path / "B" / "manifest.json").read_text())
+    assert manifest["parameters"]["frequencies_hz"] == {"dut": "100000000"}
+    code, out, _ = run(["schedule", fixtures / "adds4.dfg", "--latency", "2",
+                        "--out", tmp_path / "C"], capsys)
+    assert code == 0 and "wrote 1 alternative row(s)" in out
+    assert run(["schedule", fixtures / "adds4.dfg", "--out", tmp_path / "D"], capsys)[0] == 0
+    assert len(load_alternatives(tmp_path / "D" / "adds4_alternatives.csv")) == 4
 
 
 # --- Tooling guards ---------------------------------------------------------------

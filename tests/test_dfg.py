@@ -1,5 +1,6 @@
 """Dataflow-graph IR: dependence analyses, unrolling, and the text format."""
 
+import hashlib
 import random
 
 import pytest
@@ -240,3 +241,71 @@ def test_malformed_line_rejected():
         parse_nest("bogus 1 2\n")
     with pytest.raises(DfgError):
         parse_nest("loop 4 {\nin 0\n")  # missing closing brace
+
+
+# --- Golden reader --------------------------------------------------------------
+# sha256 over `parse_nest` outcomes, the `format_nest` text or the error, for
+# seeded random line sequences, seeded random nests and seeded line mutations
+# of the fixture graphs.  Any change to what the reader accepts, or to which
+# error it raises first, changes the digest.
+
+LINES = [
+    "pre {", "post {", "pre  {  # c", "pre{", "loop 2 {", "loop 3 nounroll {", "loop 4 nounrol {",
+    "loop", "loop 3", "loop x {", "loop 0 {", "loop ٣ {", "loop\t2 {", "}", "} # c", "carry 1 2",
+    "carry 2 1", "carry 1", "carry 1 1 1", "carry", "in 0", "in 1", "in 0 1", "op 1 add 0",
+    "op 2 mul 1 0", "op 2 add 1 # c", "op 3 div", "op 1 nop 0", "out 1", "out 2", "out", "",
+    "   ", "# only a comment", "junk", "   op 1 add 0   ",
+]
+NEST_SHA256 = "fa1dae41dfb7b054075bab3185e2b639652ffb1f78821154acd181d3eeaa4665"
+
+
+def random_nest_text(rng: random.Random) -> str:
+    def loop(depth: int) -> Loop:
+        body = random_dfg(rng, 6)
+        ids = [op.id for op in body.ops]
+        carried = tuple((rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 2)))
+        children = tuple(loop(depth + 1) for _ in range(rng.randint(0, 2 - depth)))
+        return Loop(body, rng.choice([2, 4, 6]), carried, rng.random() < 0.7, children)
+
+    pre = random_dfg(rng, 5) if rng.random() < 0.5 else None
+    post = random_dfg(rng, 5) if rng.random() < 0.5 else None
+    loops = tuple(loop(0) for _ in range(rng.randint(0, 2)))
+    return format_nest(LoopNest(loops, pre, post))
+
+
+def mutate_lines(rng: random.Random, lines: list[str]) -> list[str]:
+    lines = list(lines)
+    i = rng.randrange(len(lines) + 1)
+    kind = rng.randrange(5) if lines else 3
+    i = min(i, len(lines) - 1) if kind != 3 else i
+    if kind == 0:
+        del lines[i]
+    elif kind == 1:
+        lines.insert(i, lines[i])
+    elif kind == 2:
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == 3:
+        lines.insert(i, rng.choice(LINES))
+    else:
+        k = rng.randrange(len(lines[i]) + 1)
+        lines[i] = lines[i][:k] + rng.choice("{} #0123abn") + lines[i][k + 1:]
+    return lines
+
+
+def test_golden_nest_outcomes(fixtures):
+    rng = random.Random(29)
+    texts = ["\n".join(rng.choices(LINES, k=rng.randint(0, 12))) for _ in range(3000)]
+    for _ in range(400):
+        lines = random_nest_text(rng).splitlines()
+        texts.append("\n".join(mutate_lines(rng, lines) if rng.random() < 0.6 else lines))
+    for name in ["mhr.dfg", "spo2.dfg", "emg.dfg", "chain.dfg", "adds4.dfg"]:
+        lines = (fixtures / name).read_text().splitlines()
+        texts += ["\n".join(mutate_lines(rng, lines)) for _ in range(80)]
+    digest = hashlib.sha256()
+    for text in texts:
+        try:
+            digest.update(format_nest(parse_nest(text)).encode())
+        except DfgError as err:
+            digest.update(f"{type(err).__name__}: {err}\n".encode())
+    assert digest.hexdigest() == NEST_SHA256

@@ -1,11 +1,15 @@
 """Text format: parsing, diagnostics, pretty-printing, and round-trips."""
 
+import hashlib
 import pathlib
+import random
 
 import pytest
 
 from psmsynth.dsl import (
+    _PUNCT,
     ParseError,
+    _tokenize,
     parse_component,
     parse_file,
     parse_system,
@@ -128,3 +132,51 @@ def test_parse_file_reports_path_in_diagnostics(tmp_path: pathlib.Path):
     with pytest.raises(ParseError) as err:
         parse_file(bad)
     assert err.value.diagnostics[0].span.file == str(bad)
+
+
+# --- Golden front end ---------------------------------------------------------
+# sha256 over the tokenizer's tokens and diagnostics for seeded random strings,
+# and over `parse_text` outcomes for seeded one-character mutations and
+# duplicated lines of every fixture model.  Any change to a token, span,
+# column or diagnostic changes these digests.
+
+CHARS = 'az_Z09. \t\r\n/"{}();:,=<>+-*%!&|éßΩ½²٣$#'
+PIECES = [*CHARS, "//", "\r\n", "x1", "state", "int32", "3.5", '"s"', '"a\rb"', *_PUNCT]
+TOKENIZE_SHA256 = "e111d68dc30bab7a259337cecc155a00b42b9bb4d7d1583e2ea76ec5061c0f4d"
+MUTATED_FIXTURES_SHA256 = "f702a02c8f30e5951e5c1349238967299eae4b414828708f5b7a238af1fd787f"
+
+
+def test_golden_tokens_of_random_strings():
+    rng = random.Random(19)
+    digest = hashlib.sha256()
+    for _ in range(4000):
+        tokens, diagnostics = _tokenize("".join(rng.choices(PIECES, k=rng.randint(0, 24))), "t")
+        for t in tokens:
+            s = t.span
+            digest.update(f"{t.kind}|{t.text!r}|{s.line}:{s.column}:{s.length}\n".encode())
+        for d in diagnostics:
+            digest.update(f"{d}\n".encode())
+        digest.update(b"--\n")
+    assert digest.hexdigest() == TOKENIZE_SHA256
+
+
+def test_golden_parses_of_mutated_fixtures(fixtures):
+    rng = random.Random(23)
+    digest = hashlib.sha256()
+    for path in sorted(fixtures.rglob("*.psm")):
+        source = path.read_text()
+        for _ in range(80):
+            i = rng.randrange(len(source))
+            c = rng.choice(CHARS)
+            start, end = source.rfind("\n", 0, i) + 1, source.find("\n", i) + 1 or len(source)
+            mutated = rng.choice([
+                source[:i] + source[i + 1:],
+                source[:i] + c + source[i:],
+                source[:i] + c + source[i + 1:],
+                source[:end] + source[start:end] + source[end:],  # the line holding i, twice
+            ])
+            try:
+                digest.update(pretty(parse_text(mutated, path.name)).encode())
+            except ParseError as err:
+                digest.update(f"{err}\n".encode())
+    assert digest.hexdigest() == MUTATED_FIXTURES_SHA256
