@@ -208,6 +208,49 @@ def test_unroll_identity_factor():
     assert unroll(LoopNest(loops=(loop,)), 1).loops[0] is loop
 
 
+# sha256 over `unroll` of seeded random nests at factors 0-4: the repr of the
+# unrolled nest (op order, operands, inputs, outputs, carries, children) or
+# the UnrollError text.  Bodies number their input ports anywhere in the id
+# space, ops read inputs and ops, carries pair any two ops (their consumer
+# need not read their producer, and two may share a consumer), and loops nest
+# and may be `nounroll`.
+UNROLL_SHA256 = "44ce8e9bbfcdf2b4f2ce56c7af17fec7d05c53b272ecbd5bdbeb78f899efc49f"
+
+
+def random_body(rng: random.Random) -> Dfg:
+    ids = list(range(rng.randint(1, 7)))
+    rng.shuffle(ids)
+    n_in = rng.randint(0, min(3, len(ids) - 1))
+    ops = []
+    for k in range(n_in, len(ids)):  # each op reads ids placed before it
+        operands = rng.sample(ids[:k], rng.randint(0, min(2, k)))
+        ops.append(Op(ids[k], rng.choice(sorted(DEFAULT_LATENCIES)), tuple(operands)))
+    rng.shuffle(ops)
+    outputs = tuple(rng.sample(ids, rng.randint(0, min(2, len(ids)))))
+    return Dfg(tuple(ops), tuple(ids[:n_in]), outputs)
+
+
+def random_loop(rng: random.Random, depth: int = 0) -> Loop:
+    body = random_body(rng)
+    op_ids = [op.id for op in body.ops]
+    carried = tuple((rng.choice(op_ids), rng.choice(op_ids)) for _ in range(rng.randint(0, 3)))
+    children = tuple(random_loop(rng, depth + 1) for _ in range(rng.randint(0, 2 - depth)))
+    return Loop(body, rng.choice([1, 2, 3, 4, 6, 8, 12, 24]), carried, rng.random() < 0.85, children)
+
+
+def test_golden_unroll_outcomes():
+    rng = random.Random(20)
+    digest = hashlib.sha256()
+    for _ in range(1500):
+        nest = LoopNest(tuple(random_loop(rng) for _ in range(rng.randint(1, 2))))
+        for factor in range(5):
+            try:
+                digest.update(repr(unroll(nest, factor)).encode())
+            except UnrollError as err:
+                digest.update(f"UnrollError: {err}\n".encode())
+    assert digest.hexdigest() == UNROLL_SHA256
+
+
 # --- Text format --------------------------------------------------------------
 
 def test_nest_text_round_trip():

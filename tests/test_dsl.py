@@ -126,6 +126,18 @@ def test_instance_period_override_round_trip():
     assert parse_text(pretty(s)) == s
 
 
+def test_pretty_writes_ts_inf_back_and_nothing_for_no_timing():
+    c = parse_component(
+        "component C { period 1 s; input event Go; initial Wait;"
+        " state Wait { ts(inf); } state Open { import Go -> Wait; } }"
+    )
+    text = pretty(c)
+    wait, open_ = text.split("  state ")[1:]
+    assert "    ts(inf);\n" in wait
+    assert "ts(" not in open_
+    assert parse_text(text) == c
+
+
 def test_parse_file_reports_path_in_diagnostics(tmp_path: pathlib.Path):
     bad = tmp_path / "bad.psm"
     bad.write_text("component C { period 1 s; state }")

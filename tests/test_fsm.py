@@ -708,6 +708,36 @@ def test_golden_component_rtl(fixtures, name, digest):
     assert _sha([emit_rtl(synthesize_single(comp, 102 * MHZ))]) == digest
 
 
+# No fixture state makes two calls, or a call and then a finite dwell: `Both`
+# steps from its first call to its second, and `One` starts its timer once its
+# call is done.
+CALLS = """
+component Calls {
+  period 10 ms;
+  var x: int16 = 1;
+  var y: int16 = 0;
+  var z: int16 = 0;
+  mcc F(1 -> 1) dfg "f.dfg";
+  mcc G(2 -> 1) dfg "g.dfg";
+  initial Both;
+  state Both {
+    entry { x = x + 1; invoke F(x -> y); invoke G(x, x -> z); }
+    ts(delta) -> One;
+  }
+  state One {
+    entry { invoke F(z -> x); }
+    ts(2 ms) -> Both;
+  }
+}
+"""
+
+
+def test_golden_rtl_of_chained_calls_and_a_timer_after_a_call():
+    rtl = emit_rtl(synthesize_single(parse_component(CALLS), 102 * MHZ))
+    assert "state <= S_BOTH_CALL1;" in rtl and "tmr_One_start <= 1'b1;" in rtl
+    assert _sha([rtl]) == "7ac0ae8c0b52a0e768568f986764f0adf1af29ec154db90e4d435c283c5b1bb3"
+
+
 @pytest.mark.parametrize("declarations, states, message", [
     ("", "state idle { ts(1 ms) -> IDLE; } state IDLE { ts(1 ms) -> idle; }",
      "component K: states 'idle' and 'IDLE' both emit S_IDLE"),

@@ -367,10 +367,16 @@ def test_stimulus_may_name_external_ports():
 
 
 def test_stimulus_after_horizon_rejected():
-    c = comp(PING_PONG)
+    c = comp(
+        """
+        component C { period 1 s; input event Go; initial A;
+          state A { import Go -> A; } }
+        """
+    )
     system = single_component_system(c)
-    with pytest.raises(SimulationError):
-        simulate(system, {c.name: c}, [TraceEvent(Fraction(2), "dut", "Tick", None)], Fraction(1))
+    for time in (Fraction(1), Fraction(2)):  # at the horizon, and past it
+        with pytest.raises(SimulationError, match="is not before the horizon"):
+            simulate(system, {c.name: c}, [TraceEvent(time, "dut", "Go", None)], Fraction(1))
 
 
 def test_stimulus_into_a_connection_driven_input_rejected():
