@@ -38,9 +38,8 @@ EXIT_IO = 3
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+    """An input fault that only the command layer can name; `main` ends it
+    with EXIT_VALIDATION, like the library's validation errors."""
 
 
 # --- Shared helpers -----------------------------------------------------------
@@ -69,9 +68,7 @@ def _read_text(path: str) -> str:
         try:
             return handle.read()
         except UnicodeDecodeError as err:
-            raise CliError(
-                f"{path}: not UTF-8 text (byte {err.start}: {err.reason})", EXIT_VALIDATION
-            ) from None
+            raise CliError(f"{path}: not UTF-8 text (byte {err.start}: {err.reason})") from None
 
 
 def _parse_models(paths) -> tuple[dict[str, PsmComponent], list[PsmSystem]]:
@@ -84,8 +81,7 @@ def _parse_models(paths) -> tuple[dict[str, PsmComponent], list[PsmSystem]]:
             systems.append(parsed)
         elif parsed.name in sources:
             raise CliError(
-                f"component {parsed.name} is declared in both {sources[parsed.name]} and {path}",
-                EXIT_VALIDATION,
+                f"component {parsed.name} is declared in both {sources[parsed.name]} and {path}"
             )
         else:
             components[parsed.name] = parsed
@@ -101,7 +97,7 @@ def _one_system(args) -> tuple[dict[str, PsmComponent], PsmSystem]:
         return components, systems[0]
     if not systems and len(components) == 1:
         return components, single_component_system(next(iter(components.values())))
-    raise CliError(f"{args.command} needs one system or exactly one component", EXIT_VALIDATION)
+    raise CliError(f"{args.command} needs one system or exactly one component")
 
 
 def parse_scalar(text: str) -> Fraction:
@@ -131,7 +127,7 @@ def load_config(path: str) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise CliError(f"{path}:{lineno}: expected 'key = value'", EXIT_VALIDATION)
+            raise CliError(f"{path}:{lineno}: expected 'key = value'")
         key, value = line.split("=", 1)
         values[key.strip()] = value.strip()
     return values
@@ -144,9 +140,9 @@ def _value(what: str, text: str, parse, positive: bool = False):
     try:
         value = parse(text)
     except (ValueError, ZeroDivisionError):
-        raise CliError(f"{what}: invalid value {text!r}", EXIT_VALIDATION) from None
+        raise CliError(f"{what}: invalid value {text!r}") from None
     if positive and not value > 0:
-        raise CliError(f"{what}: must be positive, got {text!r}", EXIT_VALIDATION)
+        raise CliError(f"{what}: must be positive, got {text!r}")
     return value
 
 
@@ -162,15 +158,12 @@ def envelope_from_config(values: dict[str, str], mccs) -> dict[str, dse.Envelope
         - {f"{prefix}.{mcc}" for prefix in ("period", "invocations", "reserved") for mcc in mccs}
     )
     if unknown:
-        raise CliError(f"unknown config key(s): {', '.join(unknown)}", EXIT_VALIDATION)
+        raise CliError(f"unknown config key(s): {', '.join(unknown)}")
     entries = {}
     for mcc in mccs:
         period_key = f"period.{mcc}"
         if period_key not in values:
-            raise CliError(
-                f"config is missing '{period_key}' for computation '{mcc}'",
-                EXIT_VALIDATION,
-            )
+            raise CliError(f"config is missing '{period_key}' for computation '{mcc}'")
         try:
             entries[mcc] = dse.EnvelopeEntry(
                 period=_config_value(values, period_key, parse_scalar, ""),
@@ -178,7 +171,7 @@ def envelope_from_config(values: dict[str, str], mccs) -> dict[str, dse.Envelope
                 reserved_cycles=_config_value(values, f"reserved.{mcc}", int, "0"),
             )
         except dse.DseError as err:
-            raise CliError(f"config for computation '{mcc}': {err}", EXIT_VALIDATION) from None
+            raise CliError(f"config for computation '{mcc}': {err}") from None
     return entries
 
 
@@ -209,7 +202,7 @@ def _load_stimulus(path: str | None) -> list[TraceEvent]:
         parts = line.split()
         where = f"{path}:{lineno}"
         if len(parts) not in (3, 4):
-            raise CliError(f"{where}: expected 'time instance event [payload]'", EXIT_VALIDATION)
+            raise CliError(f"{where}: expected 'time instance event [payload]'")
         at = _value(f"{where}: time", parts[0], parse_scalar)
         payload = _value(f"{where}: payload", parts[3], int) if len(parts) == 4 else None
         events.append(TraceEvent(at, parts[1], parts[2], payload))
@@ -234,19 +227,19 @@ def cmd_schedule(args) -> int:
     name = args.mcc or os.path.splitext(os.path.basename(args.dfg))[0]
     f_max = _value("--fmax", args.fmax, parse_frequency, positive=True)
     if args.unroll < 0:
-        raise CliError(f"--unroll: must be >= 0, got {args.unroll}", EXIT_VALIDATION)
+        raise CliError(f"--unroll: must be >= 0, got {args.unroll}")
     try:
         worklist = dfg.parse_nest(_read_text(args.dfg))
         if args.unroll:
             worklist = dfg.unroll(worklist, args.unroll)
     except dfg.DfgError as err:
-        raise CliError(f"{args.dfg}: {err}", EXIT_VALIDATION) from None
+        raise CliError(f"{args.dfg}: {err}") from None
 
     # The constraint binds the hottest loop body as scheduled, that is after
     # unrolling (or the whole graph when there are no loops).
     probe = worklist.loops[0].body if worklist.loops else (worklist.pre or dfg.Dfg())
     if not probe.ops:
-        raise CliError(f"{args.dfg}: nothing to schedule", EXIT_VALIDATION)
+        raise CliError(f"{args.dfg}: nothing to schedule")
     if args.latency is not None:
         needed = dfg.min_latency(probe)
         if args.latency < needed:
@@ -257,7 +250,7 @@ def cmd_schedule(args) -> int:
         try:
             lams = fds.latency_sweep(probe, args.points)
         except fds.SchedulingError as err:
-            raise CliError(f"--points: {err}", EXIT_VALIDATION) from None
+            raise CliError(f"--points: {err}") from None
 
     os.makedirs(args.out, exist_ok=True)
     parts = dfg.nest_parts(worklist)
@@ -291,14 +284,11 @@ def cmd_synth(args) -> int:
     freqs = {}
     for spec in args.freq or []:
         if "=" not in spec:
-            raise CliError(f"--freq expects name=value, got '{spec}'", EXIT_VALIDATION)
+            raise CliError(f"--freq expects name=value, got '{spec}'")
         inst, value = spec.split("=", 1)
         inst = inst.strip()
         if inst not in names:
-            raise CliError(
-                f"--freq {inst}: no such instance (instances: {', '.join(names)})",
-                EXIT_VALIDATION,
-            )
+            raise CliError(f"--freq {inst}: no such instance (instances: {', '.join(names)})")
         freqs[inst] = _value(f"--freq {inst}", value, parse_frequency, positive=True)
     default_freq = _value("--default-freq", args.default_freq, parse_frequency, positive=True)
     for inst in names:
@@ -355,11 +345,11 @@ def cmd_report(args) -> int:
             for p in json.loads(_read_text(pareto_json))
         ]
     except json.JSONDecodeError as err:
-        raise CliError(f"{pareto_json}: not JSON: {err}", EXIT_VALIDATION) from None
+        raise CliError(f"{pareto_json}: not JSON: {err}") from None
     except KeyError as err:
-        raise CliError(f"{pareto_json}: a point has no {err}", EXIT_VALIDATION) from None
+        raise CliError(f"{pareto_json}: a point has no {err}") from None
     except (TypeError, ValueError, AttributeError):
-        raise CliError(f"{pareto_json}: not a list of front points", EXIT_VALIDATION) from None
+        raise CliError(f"{pareto_json}: not a list of front points") from None
     sys.stdout.write(text)
     print("pareto front:")
     for line in front:
@@ -374,7 +364,7 @@ class _ArgumentParser(argparse.ArgumentParser):
     malformed input; subcommand parsers inherit this class."""
 
     def error(self, message):
-        raise CliError(message, EXIT_VALIDATION)
+        raise CliError(message)
 
 
 @functools.cache
@@ -427,12 +417,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The exit code of each library error that reaches `main`; the first entry
+# The exit code of each error class that reaches `main`; the first entry
 # that matches wins.
 _EXIT_CODES = (
     ((dfg.InfeasibleLatency, dse.InfeasibleConfigError), EXIT_INFEASIBLE),
-    ((dfg.DfgError, fds.SchedulingError, cost.CostError, dse.DseError, fsm.SynthesisError,
-      model.SimulationError, expr.EvalError), EXIT_VALIDATION),
+    ((CliError, dfg.DfgError, fds.SchedulingError, cost.CostError, dse.DseError,
+      fsm.SynthesisError, model.SimulationError, expr.EvalError), EXIT_VALIDATION),
     ((OSError,), EXIT_IO),
 )
 
@@ -445,8 +435,6 @@ def main(argv=None) -> int:
         code = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()  # a closed pipe fails here, not after `main` returns
         return code
-    except CliError as err:
-        code, message = err.code, str(err)
     except ParseError as err:
         # Its `file:line:col: error: …` diagnostics are the error lines.
         print(err, file=sys.stderr)

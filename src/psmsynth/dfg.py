@@ -171,6 +171,11 @@ def nest_parts(nest: LoopNest) -> dict[str | tuple[int, ...], tuple[Dfg | None, 
 
 
 def unroll_loop(loop: Loop, factor: int) -> Loop:
+    """The loop with its body copied `factor` times and its trip count divided
+    by `factor`, its children unrolled alike.  Input ports keep their rank
+    and every copy shares them; copy c of the k-th op (ordered by id) is
+    `len(inputs) + c * len(ops) + k`.  In copy c > 0 a carried operand reads
+    copy c - 1, and each carry runs from the last copy back to the first."""
     if factor < 1:
         raise UnrollError(f"unroll factor must be >= 1, got {factor}")
     if factor == 1:
@@ -181,52 +186,25 @@ def unroll_loop(loop: Loop, factor: int) -> Loop:
         raise UnrollError(f"factor {factor} does not divide trip count {loop.trip}")
 
     body = loop.body
-    n_inputs = len(body.inputs)
-    body_ids = sorted(op.id for op in body.ops)
-    index_of = {op_id: k for k, op_id in enumerate(body_ids)}
-    carried_of_dst: dict[int, int] = {dst: src for src, dst in loop.carried}
+    n_in, n_ops = len(body.inputs), len(body.ops)
+    ops = sorted(body.ops, key=lambda op: op.id)
+    rank = {v: k for k, v in enumerate(sorted(body.inputs) + [op.id for op in ops])}
+    carried_src = {dst: src for src, dst in loop.carried}
 
-    def copy_id(original: int, copy: int) -> int:
-        if original in index_of:
-            return n_inputs + copy * len(body_ids) + index_of[original]
-        return original  # shared input port
+    def new_id(v: int, copy: int) -> int:
+        return rank[v] if rank[v] < n_in else rank[v] + copy * n_ops
 
-    new_inputs = tuple(range(n_inputs))
-    remap_inputs = {orig: k for k, orig in enumerate(sorted(body.inputs))}
-
-    def remap(original: int, copy: int) -> int:
-        if original in remap_inputs:
-            return remap_inputs[original]
-        return copy_id(original, copy)
-
-    # Rebuild operand lists with canonical input ids.
-    fixed_ops = []
-    for copy in range(factor):
-        for op_id in body_ids:
-            op = body.op(op_id)
-            operands = []
-            for operand in op.operands:
-                if copy > 0 and op_id in carried_of_dst and operand == carried_of_dst[op_id]:
-                    # Carried value comes from the previous body copy.
-                    operands.append(remap(operand, copy - 1))
-                else:
-                    operands.append(remap(operand, copy))
-            fixed_ops.append(Op(copy_id(op_id, copy), op.type, tuple(operands)))
-
-    new_body = Dfg(
-        ops=tuple(fixed_ops),
-        inputs=new_inputs,
-        outputs=tuple(remap(o, factor - 1) for o in body.outputs),
-    )
-    new_carried = tuple(
-        (copy_id(src, factor - 1), copy_id(dst, 0)) for src, dst in loop.carried
+    copies = tuple(
+        Op(new_id(op.id, c), op.type, tuple(
+            new_id(x, c - 1 if c and carried_src.get(op.id) == x else c) for x in op.operands
+        ))
+        for c in range(factor) for op in ops
     )
     return Loop(
-        body=new_body,
+        body=Dfg(copies, tuple(range(n_in)), tuple(new_id(o, factor - 1) for o in body.outputs)),
         trip=loop.trip // factor,
-        carried=new_carried,
-        unrollable=loop.unrollable,
-        children=tuple(unroll_loop(c, factor) for c in loop.children),
+        carried=tuple((new_id(src, factor - 1), new_id(dst, 0)) for src, dst in loop.carried),
+        children=tuple(unroll_loop(child, factor) for child in loop.children),
     )
 
 
@@ -317,13 +295,13 @@ def format_nest(nest: LoopNest) -> str:
 
 
 def parse_dfg_lines(lines: list[str]) -> Dfg:
+    """The graph of a block's content lines (`in N`, `op ID TYPE
+    [OPERAND...]`, `out N`), each already stripped of its comment and
+    surrounding whitespace and none blank, as `parse_nest` hands them on."""
     ops: list[Op] = []
     inputs: list[int] = []
     outputs: list[int] = []
-    for raw in lines:
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
+    for text in lines:
         parts = text.split()
         try:
             if parts[0] in ("in", "out"):

@@ -179,12 +179,12 @@ def explore(
     """Merge the front, enumerate the space, and write the report files
     (configs.csv, pareto.csv, pareto.json, scatter.svg, summary.txt).
 
-    A row's power scales from its f_max to its clock f as
-    ``power * (d + (1 - d) * f / f_max)``, d being `static_fraction`.  With
-    `independent=True` each computation runs at its own required frequency
-    (per-instance clock generics) instead of one shared clock.  Infeasible
-    configurations are listed with the feasible flag down, never silently
-    dropped.
+    A row's power scales from its f_max to its clock with
+    `kernels.scaled_power`, `static_fraction` being the part that does not
+    scale.  With `independent=True` each computation runs at its own required
+    frequency (per-instance clock generics) instead of one shared clock.
+    Infeasible configurations are listed with the feasible flag down, never
+    silently dropped.
     """
     if not 0.0 <= static_fraction < 1.0:
         raise DseError(f"static fraction must be in [0, 1), got {static_fraction}")
@@ -532,11 +532,11 @@ def _merge_front(
 
     if independent:
         fits = f_req <= f_max
-        merge(fits, np.ones_like(fits), space.power * (d + (1.0 - d) * (f_req / f_max)))
+        merge(fits, np.ones_like(fits), kernels.scaled_power(space.power, f_req, f_max, d))
     else:
         for f in np.unique(f_req).tolist():
             fits = (f_req <= f) & (f <= f_max)
-            merge(fits, f_req == f, space.power * (d + (1.0 - d) * (f / f_max)))
+            merge(fits, f_req == f, kernels.scaled_power(space.power, f, f_max, d))
     areas, energies, ids = front
     order = np.lexsort((ids, energies, areas))
     return areas[order], energies[order], ids[order], feasible

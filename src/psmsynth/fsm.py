@@ -133,10 +133,8 @@ def _reject_early_result_use(comp: PsmComponent) -> None:
                 used = set() if action.value is None else ex.free_vars(action.value)
             elif isinstance(action, Assign):
                 used = {action.var} | ex.free_vars(action.value)
-            elif isinstance(action, InvokeMcc):
+            else:  # InvokeMcc
                 used = {*action.args, *action.results}
-            else:
-                used = set()
             early = sorted(used & returned_by.keys())
             if early:
                 raise SynthesisError(

@@ -80,19 +80,24 @@ def combo_rows(ids, offsets, sizes):
     return rows
 
 
+def scaled_power(power, f, f_max, d):
+    """Power drawn at clock f by a design that draws `power` at its f_max,
+    d being the static fraction that does not scale.  The one form of this
+    rule, so that every caller rounds alike."""
+    return power * (d + (1.0 - d) * (f / f_max))
+
+
 def evaluate_rows(rows, f_req, f_max, power, area, static_fraction=0.0, independent=False):
     """Evaluate the configurations whose choices are the columns of `rows`.
 
-    Power scales from each row's f_max down to its clock f as
-    ``power * (d + (1 - d) * f / f_max)``, d being the static fraction.  The
-    clock is the configuration's common frequency, the largest f_req of its
+    Power scales from each row's f_max down to its clock with `scaled_power`.
+    The clock is the configuration's common frequency, the largest f_req of its
     rows, which must not exceed any row's f_max; with `independent` each row
     runs at its own f_req and must only meet its own f_max.  Sums run over
     the groups in order, starting from 0.0, exactly like Python's `sum`.
 
     Returns (total area, energy per second, feasible, common frequency).
     """
-    d = static_fraction
     count = rows.shape[1]
     f_common = np.zeros(count)
     total_area = np.zeros(count)
@@ -102,14 +107,14 @@ def evaluate_rows(rows, f_req, f_max, power, area, static_fraction=0.0, independ
         np.maximum(f_common, f_req[r], out=f_common)
         total_area += area[r]
     if independent:
-        scaled = power * (d + (1.0 - d) * (f_req / f_max))
+        scaled = scaled_power(power, f_req, f_max, static_fraction)
         meets = f_req <= f_max
         for r in rows:
             energy += scaled[r]
             feasible &= meets[r]
     else:
         for r in rows:
-            energy += power[r] * (d + (1.0 - d) * (f_common / f_max[r]))
+            energy += scaled_power(power[r], f_common, f_max[r], static_fraction)
             feasible &= f_common <= f_max[r]
     return total_area, energy, feasible, f_common
 

@@ -387,8 +387,7 @@ def validate_system(system: PsmSystem, components: Mapping[str, PsmComponent]) -
 
     for p in system.ports:
         loc = f"{where}, port {p.name}"
-        want = Direction.INPUT if p.direction is Direction.INPUT else Direction.OUTPUT
-        resolve(p.instance, p.event, want, loc)
+        resolve(p.instance, p.event, p.direction, loc)
         if p.direction is Direction.INPUT:
             key = (p.instance, p.event)
             if key in driven:
