@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import random
 import sys
 import tempfile
@@ -416,26 +417,53 @@ def test_explore_requires_an_envelope_entry_per_computation(tmp_path):
 
 
 def test_scatter_svg_is_well_formed(fixtures, tmp_path):
-    groups = load_groups(fixtures / "wpm_lcfds.csv")
-    report = explore(groups, env_for(groups), WINDOW, tmp_path)
-    svg = (tmp_path / "scatter.svg").read_text()
-    assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
-    assert "Area (LUT+FF)" in svg and "Energy (mJ)" in svg
-    assert svg.count("<circle") >= len(report.configs)
+    # One steelblue circle per feasible configuration and one crimson circle
+    # per front point; tie_heavy has infeasible configurations to leave out.
+    for name, groups in (("wpm", load_groups(fixtures / "wpm_lcfds.csv")),
+                         ("tie_heavy", tie_heavy_groups())):
+        report = explore(groups, env_for(groups), WINDOW, tmp_path / name)
+        svg = (tmp_path / name / "scatter.svg").read_text()
+        assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
+        assert "Area (LUT+FF)" in svg and "Energy (mJ)" in svg
+        summary = (tmp_path / name / "summary.txt").read_text()
+        feasible = int(summary.split("feasible: ")[1].split("\n")[0])
+        assert svg.count('fill="steelblue"') == svg.count("<circle") - len(report.front) == feasible
+        assert svg.count('fill="crimson"/>') == len(report.front) > 0
+    assert feasible < len(report.configs)
 
+
+# Each value of `_cell` is a report cell at six places (rows) and at two
+# (circles): exact half-way values at both, values either side of where six
+# and two places stop fitting in 52 and 51 bits, and subnormals.
+_EDGES = [
+    y
+    for x in (2**52 / 10**6, 2**52 / 100, 2**51 / 10**6, 2**51 / 100)
+    for y in (x, math.nextafter(x, 0), math.nextafter(x, math.inf), x * (1 - 1e-9), x * (1 + 1e-9))
+]
 
 _cell = st.one_of(
     st.integers(-10**6, 10**6).map(float),
     st.floats(),
     st.floats(-1e4, 1e4).map(lambda x: round(x, 1)),
     st.sampled_from([0.0, -0.0, 0.1 + 0.2, 1234.5, 2.0**53 + 2, 1e300, 5e-7, 0.0000015]),
+    st.integers(0, 10**13).map(lambda k: (2 * k + 1) / 2e6),
+    st.integers(0, 10**13).map(lambda k: (2 * k + 1) / 200),
+    st.sampled_from([2.675, 1.005, 0.125, -2.675, -0.125, 0.5, 2.5, 5e-7, 2.5e-6]),
+    st.sampled_from(_EDGES),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.sampled_from([5e-324, -5e-324, 2.225073858507201e-308]),
+)
+
+_id = st.one_of(
+    st.integers(0, 2**62),
+    st.sampled_from([0, 9, 10, 99, 100, 2**32 - 1, 2**32, 2**32 + 1]),
 )
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(
-        st.tuples(st.integers(0, 2**62), _cell, _cell, _cell, st.booleans(), _cell, _cell),
+        st.tuples(_id, _cell, _cell, _cell, st.booleans(), _cell, _cell),
         max_size=40,
     ),
     st.integers(1, 4),
