@@ -340,7 +340,7 @@ def cmd_report(args) -> int:
     text = _read_text(summary)
     try:
         front = [
-            f"  id={p['config_id']} area={p['area']:.0f} energy_mj={p['energy_mj']:.6f} "
+            f"  id={p['config_id']} area={dse._fmt_area(p['area'])} energy_mj={p['energy_mj']:.6f} "
             + " ".join(f"{k}={v}" for k, v in sorted(p["choices"].items()))
             for p in json.loads(_read_text(pareto_json))
         ]

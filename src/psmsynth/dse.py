@@ -82,44 +82,116 @@ def _fmt_area(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else _fmt(x)
 
 
-_YES_NO = np.array(["no", "yes"], dtype=object)
+def _digits(x: np.ndarray, lead: bool = True, width: int = 0) -> np.ndarray:
+    """ASCII decimal digits of the non-negative integers `x` as cells: one row
+    per digit position (units last), `width` rows or as many as the largest
+    needs.  With `lead`, the zeros before a cell's first significant digit
+    are NUL; every cell keeps its units digit."""
+    top = int(x.max(initial=0))
+    x = x.astype(np.uint32 if top < 2**32 else np.uint64)
+    width = width or len(str(top))
+    cells = np.empty((width, len(x)), np.uint8)
+    for k in range(width - 1, -1, -1):
+        q = x // 10
+        digit = x - q * 10 + ord("0")
+        if lead and k < width - 1:
+            digit *= x != 0
+        cells[k] = digit
+        x = q
+    return cells
 
 
-def _per_distinct(format_one, values: np.ndarray) -> np.ndarray:
-    """`format_one` of each value, called once per distinct bit pattern (so
-    0.0 and -0.0 stay apart), as an object array of strings."""
-    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    return np.array([format_one(v) for v in distinct.view(np.float64).tolist()], dtype=object)[inverse]
+def _text_cells(texts: list[str]) -> np.ndarray:
+    """Cells of Python strings, NUL-padded to the longest."""
+    table = np.array([t.encode() for t in texts], dtype="S")
+    return table.view(np.uint8).reshape(len(texts), table.itemsize).T
+
+
+def _patch(cells: np.ndarray, rows: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """`cells` with the cells of the masked `rows` replaced by `other`, one
+    per masked row, widened to the wider of the two."""
+    if not rows.any():
+        return cells
+    width = max(len(cells), len(other))
+    cells = np.pad(cells, ((width - len(cells), 0), (0, 0)))
+    cells[:, rows] = 0
+    cells[width - len(other):, rows] = other
+    return cells
+
+
+def _fixed(values: np.ndarray, places: int) -> np.ndarray:
+    """`'%.*f' % (places, v)` of each value as cells.  CPython rounds the
+    exact binary value, and the exact v*10**places lies within half an ulp
+    of the product p, so outside a one-ulp band around each half-way point
+    the nearest integer to p is the correctly rounded result.  Cells in that
+    band, negative or non-finite ones and p at or above 2**51 are formatted
+    one at a time by `%`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = values * 10.0**places
+        fast = (p >= 0) & ~np.signbit(p) & (p < 2.0**51) & (np.abs(p - np.floor(p) - 0.5) > np.spacing(p))
+    whole, frac = np.divmod(np.rint(p, where=fast, out=np.zeros_like(p)).astype(np.uint64), 10**places)
+    cells = np.concatenate(
+        (_digits(whole), np.full((1, len(p)), ord("."), np.uint8), _digits(frac, False, places))
+    )
+    slow = ~fast
+    return _patch(cells, slow, _text_cells(["%.*f" % (places, v) for v in values[slow].tolist()]))
+
+
+def _area_cells(areas: np.ndarray) -> np.ndarray:
+    """`_fmt_area` of each area as cells: integers below 2**53 as digits,
+    fractions through `_fixed`, and other integers one at a time."""
+    with np.errstate(invalid="ignore"):
+        integral = np.isfinite(areas) & (np.trunc(areas) == areas)
+        plain = integral & (areas >= 0) & (areas < 2.0**53)
+    cells = _digits(np.where(plain, areas, 0).astype(np.uint64))
+    cells = _patch(cells, ~integral, _fixed(areas[~integral], 6))
+    wide = integral & ~plain
+    return _patch(cells, wide, _text_cells([_fmt_area(a) for a in areas[wide].tolist()]))
+
+
+def _lines(n: int, parts: Sequence[str | np.ndarray]) -> str:
+    """`n` lines, each the concatenation of `parts`: text common to every
+    line, or cells with one byte of each line's cell per row.  The lines are
+    laid out as one (n, width) byte matrix, and its NUL padding is dropped."""
+    widths = [len(part) for part in parts]
+    matrix = np.empty((n, sum(widths)), np.uint8)
+    matrix[:] = np.frombuffer(
+        "".join(p if isinstance(p, str) else "\0" * w for p, w in zip(parts, widths)).encode(), np.uint8
+    )
+    at = 0
+    for part, width in zip(parts, widths):
+        if not isinstance(part, str):
+            matrix[:, at:at + width] = part.T
+        at += width
+    return matrix.tobytes().replace(b"\0", b"").decode()
+
+
+_FLAGS = np.array([b"no", b"yes"]).view(np.uint8).reshape(2, 3)
 
 
 def _csv_rows(ids: np.ndarray, choices: np.ndarray, f_mhz: np.ndarray, areas: np.ndarray,
               energies: np.ndarray, feasible: np.ndarray) -> str:
-    """configs.csv / pareto.csv lines of a chunk, filled into one `%` row
-    template from whole columns: ids, the (groups, rows) choice labels,
-    f_common in MHz, areas, energies in mJ and feasible flags.  `'%.6f' % x`
-    is `_fmt(x)` and `'%d' % i` is `str(i)`; `_fmt` of f_common and
-    `_fmt_area` run once per distinct value."""
-    n_groups, n = choices.shape
-    cells = np.empty((n, n_groups + 5), dtype=object)
-    cells[:, 0] = ids
-    cells[:, 1:-4] = choices.T
-    cells[:, -4] = _per_distinct(_fmt, f_mhz)
-    cells[:, -3] = _per_distinct(_fmt_area, areas)
-    cells[:, -2] = energies
-    cells[:, -1] = _YES_NO[feasible.astype(np.intp)]
-    row = "%d" + ",%s" * n_groups + ",%s,%s,%.6f,%s\n"
-    return (row * n) % tuple(cells.ravel().tolist())
+    """configs.csv / pareto.csv lines of a chunk from whole columns: ids, the
+    (groups, rows) choice labels (bytes, or ASCII strings), f_common in MHz,
+    areas, energies in mJ and feasible flags; as `str(id)`, the labels,
+    `_fmt`, `_fmt_area`, `_fmt` and yes/no."""
+    labels = np.asarray(choices, dtype="S")
+    n_groups, n = labels.shape
+    columns = labels.view(np.uint8).reshape(n_groups, n, labels.itemsize).transpose(0, 2, 1)
+    return _lines(n, [
+        _digits(ids), *(piece for label in columns for piece in (",", label)),
+        ",", _fixed(f_mhz, 6), ",", _area_cells(areas), ",", _fixed(energies, 6),
+        ",", _FLAGS[feasible.astype(np.intp)].T, "\n",
+    ])
 
 
 def _circles(cx: np.ndarray, cy: np.ndarray) -> str:
-    """scatter.svg circles of a chunk of feasible points, centres at two
-    decimals (`'%.2f' % x` is `_fmt(x, 2)`); each distinct cx is formatted
-    once."""
-    row = '<circle cx="%s" cy="%.2f" r="3" fill="steelblue" fill-opacity="0.6"/>\n'
-    cells = np.empty((len(cx), 2), dtype=object)
-    cells[:, 0] = _per_distinct(lambda x: _fmt(x, 2), cx)
-    cells[:, 1] = cy
-    return (row * len(cx)) % tuple(cells.ravel().tolist())
+    """scatter.svg circles of a chunk of feasible points, centres as
+    `_fmt(x, 2)`."""
+    return _lines(len(cx), [
+        '<circle cx="', _fixed(cx, 2), '" cy="', _fixed(cy, 2),
+        '" r="3" fill="steelblue" fill-opacity="0.6"/>\n',
+    ])
 
 
 class ConfigTable(Sequence):
@@ -194,7 +266,7 @@ def explore(
     if not n_feasible:
         raise InfeasibleConfigError("no feasible configuration in the design space")
     names = list(groups)
-    labels = np.array([f"{n}={i}" for n in names for i in range(len(groups[n]))], dtype=object)
+    labels = np.array([f"{n}={i}".encode() for n in names for i in range(len(groups[n]))])
     total = space.total
     f_common = np.empty(total)
     area = np.empty(total)
@@ -346,6 +418,8 @@ def flatten_groups(
     if not groups:
         raise DseError("no computation groups to explore")
     for name, rows in groups.items():
+        if "\0" in name:
+            raise DseError(f"computation name {name!r} contains a NUL character")
         if not rows:
             raise DseError(f"computation '{name}' has no alternatives")
         for alt in rows:
