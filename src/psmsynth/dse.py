@@ -8,10 +8,15 @@ combination, and extract the non-dominated (area, energy) front.  The front
 is merged from per-group fronts, one candidate clock at a time, without
 enumerating the space; only the reports enumerate it, chunk by chunk on flat
 arrays with the `kernels` module.  Reports are written with fixed decimal
-formatting so repeated runs are byte-identical; the rows of each chunk are
-formatted at once from one `%` row template, each distinct value of a
-column with few distinct values formatted once, and `scatter.svg` is
-streamed to its file a chunk of circles at a time."""
+formatting so repeated runs are byte-identical.  The configs.csv rows and
+scatter.svg circles of a chunk are laid out as one NUL-padded byte matrix,
+a line per row: numbers become ASCII digits by integer arithmetic on whole
+columns, labels come from a bytes table, and the NUL bytes are dropped at
+the end.  A number whose rounding that arithmetic cannot settle exactly
+(within an ulp of a half-way point, negative, not finite, or too large) is
+formatted on its own by `%`, so every cell reads as `_fmt` or `_fmt_area`
+would write it.  `scatter.svg` is streamed to its file a chunk of circles
+at a time."""
 
 from __future__ import annotations
 
@@ -82,11 +87,16 @@ def _fmt_area(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else _fmt(x)
 
 
+# The cells of a report column are a (width, n) uint8 array: row k holds byte
+# k of each of the n cells, and a cell narrower than the column is padded
+# with NUL bytes, which `_lines` drops.
+
+
 def _digits(x: np.ndarray, lead: bool = True, width: int = 0) -> np.ndarray:
-    """ASCII decimal digits of the non-negative integers `x` as cells: one row
-    per digit position (units last), `width` rows or as many as the largest
-    needs.  With `lead`, the zeros before a cell's first significant digit
-    are NUL; every cell keeps its units digit."""
+    """ASCII decimal digits of the non-negative integers `x` as cells, the
+    units last, `width` bytes wide or as wide as the largest needs.  With
+    `lead`, the zeros before a cell's first significant digit are NUL;
+    every cell keeps its units digit."""
     top = int(x.max(initial=0))
     x = x.astype(np.uint32 if top < 2**32 else np.uint64)
     width = width or len(str(top))
@@ -124,11 +134,12 @@ def _fixed(values: np.ndarray, places: int) -> np.ndarray:
     exact binary value, and the exact v*10**places lies within half an ulp
     of the product p, so outside a one-ulp band around each half-way point
     the nearest integer to p is the correctly rounded result.  Cells in that
-    band, negative or non-finite ones and p at or above 2**51 are formatted
-    one at a time by `%`."""
+    band, which holds every p from 2**51 up (their ulp is at least 1/2) and
+    every non-finite p, and cells with the sign bit set are formatted one at
+    a time by `%`."""
     with np.errstate(over="ignore", invalid="ignore"):
         p = values * 10.0**places
-        fast = (p >= 0) & ~np.signbit(p) & (p < 2.0**51) & (np.abs(p - np.floor(p) - 0.5) > np.spacing(p))
+        fast = ~np.signbit(p) & (np.abs(p - np.floor(p) - 0.5) > np.spacing(p))
     whole, frac = np.divmod(np.rint(p, where=fast, out=np.zeros_like(p)).astype(np.uint64), 10**places)
     cells = np.concatenate(
         (_digits(whole), np.full((1, len(p)), ord("."), np.uint8), _digits(frac, False, places))
@@ -150,11 +161,12 @@ def _area_cells(areas: np.ndarray) -> np.ndarray:
 
 
 def _lines(n: int, parts: Sequence[str | np.ndarray]) -> str:
-    """`n` lines, each the concatenation of `parts`: text common to every
-    line, or cells with one byte of each line's cell per row.  The lines are
-    laid out as one (n, width) byte matrix, and its NUL padding is dropped."""
+    """`n` lines, line i the concatenation of `parts`: text common to every
+    line, or cells, of which line i takes cell i.  The lines are laid out as
+    one (n, width) byte matrix, and its NUL padding is dropped."""
     widths = [len(part) for part in parts]
-    matrix = np.empty((n, sum(widths)), np.uint8)
+    text = bytearray(n * sum(widths))
+    matrix = np.frombuffer(text, np.uint8).reshape(n, sum(widths))
     matrix[:] = np.frombuffer(
         "".join(p if isinstance(p, str) else "\0" * w for p, w in zip(parts, widths)).encode(), np.uint8
     )
@@ -163,7 +175,7 @@ def _lines(n: int, parts: Sequence[str | np.ndarray]) -> str:
         if not isinstance(part, str):
             matrix[:, at:at + width] = part.T
         at += width
-    return matrix.tobytes().replace(b"\0", b"").decode()
+    return text.replace(b"\0", b"").decode()
 
 
 _FLAGS = np.array([b"no", b"yes"]).view(np.uint8).reshape(2, 3)

@@ -685,4 +685,5 @@ def test_report_prints_each_front_point_as_pareto_csv_does(fixtures, tmp_path, c
             fields = dict(field.split("=") for field in line.split())
             cells = row.split(",")
             assert (fields["id"], fields["area"], fields["energy_mj"]) == (cells[0], cells[-3], cells[-2])
-    assert any("." in row.split(",")[-3] for row in (tmp_path / "fractional" / "pareto.csv").read_text().splitlines()[1:])
+        if name == "fractional":
+            assert any("." in row.split(",")[-3] for row in rows)
