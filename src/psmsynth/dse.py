@@ -149,8 +149,9 @@ def _fixed(values: np.ndarray, places: int) -> np.ndarray:
 
 
 def _area_cells(areas: np.ndarray) -> np.ndarray:
-    """`_fmt_area` of each area as cells: integers below 2**53 as digits,
-    fractions through `_fixed`, and other integers one at a time."""
+    """`_fmt_area` of each area as cells: whole numbers in [0, 2**53) as
+    digits, fractions through `_fixed`, and other whole numbers one at a
+    time."""
     with np.errstate(invalid="ignore"):
         integral = np.isfinite(areas) & (np.trunc(areas) == areas)
         plain = integral & (areas >= 0) & (areas < 2.0**53)
