@@ -558,6 +558,99 @@ GOLDEN_REPORTS = {
         "46bea7b165f1033be8a11b9cf8493fe128a0ce0eb28cdd95963793e9382e4c30",
 }
 
+# The report files other than scatter.svg, which GOLDEN_FILES and
+# FRACTIONAL_FILES pin one by one, so that a change to the picture alone
+# shows as such.
+PINNED_FILES = ("configs.csv", "pareto.csv", "pareto.json", "summary.txt")
+
+# (table, mode) -> sha256 of each of PINNED_FILES.
+GOLDEN_FILES = {
+    ('wpm_lcfds', 'common'): (
+        "380a003379b0bb49a099d89e31c48a3fefcd86ad0e1d6967453f24ba2cd21341",
+        "14b7e5caa82846ff5933c6543ca8f1522c7fd085fe5c41248231daba0c10864c",
+        "30a2cf008f7734e05880c3e91af29a860a5a06a4a13a575b6b6702d4905238d2",
+        "4fa76bf1e6c4981bd6c47bac5a1977478f39fda9373a726728047fa4527f164e",
+    ),
+    ('wpm_lcfds', 'indep'): (
+        "73b90f1f6608d59704bbd9e5335e0b3b253fbed620f31d3a96589f0467e340b4",
+        "236009ac07bdd313b7944fca04f0a2d0488ad8d31b1c8d8851085008036d7a66",
+        "b6672203a44866d29917cb9195b1786c08138acaf9499b1e620cff9b071b9d1b",
+        "cd221dcc369030e03ae3974d60b46ea59a6e0d9f425a2855335395ae15af5189",
+    ),
+    ('wpm_lcfds', 'common_sf0.2'): (
+        "35972fcf6b8efa9381c9a9223eba5da7e58a7398dc65933dc04ee1c6177ac2c1",
+        "1051394bc62eeebdba18f2fa19f425bc795f0f3c5c1bb1108b0026b702a9cfb4",
+        "72ec4c0e7115e004ff781fee0bbde56722d6063838175e6c9ae5ef3a6d6a1ab6",
+        "68387ace7d5477a93a54155de17e5a9bd9e882bf3748f503755d9a776e86911f",
+    ),
+    ('wpm_lcfds', 'indep_sf0.2'): (
+        "a97e13fb08dd2c40301bfeac26c317f715a6235193d4c2e360b6f1bd15f2a73b",
+        "cc3332528d70077f2c7da9e025e7a4a7cbcf790d977ffb8ab567ce36f263a67e",
+        "4b34fbf7391b34cc1de0613534df27da38d497decb11f7b62eb4999329dc0558",
+        "2cb7665ca87bfd805dff9367ab696bbdb8469bc1a24ac451e14241967782720d",
+    ),
+    ('wpm_legup', 'common'): (
+        "e2e24bd2a10d38f1c20be407d121decd7ee4821b60721e59f7dbb35e2a9389bc",
+        "73de3c2c778d43f8dfdddc53b6c4242f8ae59e2e3ae73e50cd4a242d5ba5c352",
+        "c4b7f5b95c12456bec85ee2b2860333fc45921c5d5e7a31d87b00c94f30315fa",
+        "aa86394eeb7d7e7359dd36fdb2b403249ae7ca7d1913408a581a9885a52d602e",
+    ),
+    ('wpm_legup', 'indep'): (
+        "0536c017280b517a7b37597ab35077a6292c1d0b4736383831865f5f8fb0e6e8",
+        "0c6819072815ca5083b4f42e154bbd9a7f7084886991f1ca786d17225037bf9c",
+        "c54ed9afb46ad7b3cac5b661c11abfd78310e01887a679ad5eafe46e99eaad32",
+        "01c4015aac7e1d798c1fea4729e4e0bac50a29f7dd0fc1c3485e421f3e8f4dd4",
+    ),
+    ('wpm_legup', 'common_sf0.2'): (
+        "b455dc161adfc5f63400e08ec00d3a667238851880741db401b4a0dd0cb17a7e",
+        "2c569ad570461a88de78b13668908b2fd6acc65016c546bfb339cfaf83389604",
+        "b0a9172b68efc102dc3ea5bcb81554eeba0bbe5e5ba98803bd8cd1cc0283ab65",
+        "e2e552e5887b9d8313c7a5609faad662525999949748ec95db809f36ec01bed8",
+    ),
+    ('wpm_legup', 'indep_sf0.2'): (
+        "5e5b5cb6c0c8b1f224dc13de8243215f20e97379b58cf305b526fb74aec77da9",
+        "6585f3e03beda721fe47490597f8132522d72bffb8b4db3b4ce9e822c7001f76",
+        "7268e05a46da76a2200475cec47889e544895542151dfccdebf2ad23f71485f5",
+        "0271f5a4014796ac698cee93ff11363e2d84fffc8ad8fbfa0d65d5a398455516",
+    ),
+    ('eba_lcfds', 'common'): (
+        "af2416fe2051485299ad10bcdc5f2e276e78783fb82858676a3f631004cbc666",
+        "8d8162f00b0a784e32c9be80ebbdadf2fd5d2401fb65db0d0d3219903fae35b8",
+        "bea29be39ea71aed6d37c9f5100b0d25184d75eb74d6d565b6ee71442562f91e",
+        "50fd6bb86d25c06dfa75760338c55cd7057dfe0ac5e1b377154241b04fa7a7d6",
+    ),
+    ('eba_lcfds', 'indep'): (
+        "8b8efa7cd51cfb1d055b30221282196b7ae7eb723911fcca503c7dffac44d30e",
+        "0339ab12555871c2e5c8f33955ac958bd8c86142865f7b5623d296c325e433bb",
+        "e2eed883bc81837dfbbf5814f00be633f6f863aeab1a3ac1d7a5635c08dca8cb",
+        "84dde05c2e1f3a799ff9179a6aedf67ace9830b6649da2b14fb0cfd7666c4b7c",
+    ),
+    ('eba_lcfds', 'common_sf0.2'): (
+        "1be353a2d06512950f16a966787e3fc9b9db7c5a259e0fbbb5a3575dfdc6637b",
+        "b704315c08a2273dba37a01efb9f73f335f591585f6d3b58b393a7b8233bc2ab",
+        "7ea6569f08b1a7cf47f628ac76ac6678752a8f80cd5ba248b841a5be2e94e702",
+        "ae3b6822f5a5d4930d720fa19f153c4ff097073ba71dda733475218523859182",
+    ),
+    ('eba_lcfds', 'indep_sf0.2'): (
+        "b6ebde9a221a9b7d66d144198f66da53804bf6e9cc490b967c42ade64e76ff06",
+        "e087b663ee34b8bd7151acb0fa32ac34a4a49ba3b2e414e2ca90f4bcb85c002f",
+        "968a5c4677477095686f2c0a5fee676e3ce28ba6da503ae982aede1de2155cba",
+        "cdd9672fd14b8cb4feda41479de097c2b4d0be059f1076e61ab81de7010c4087",
+    ),
+    ('tie_heavy', 'common'): (
+        "23c354604244b2de65b96cf4fac84f8458dc8c96d1e319011de23e5e875663f2",
+        "cf0bc785bad7d41647e90157b17557fe884cad1aacdeab74677beb9277cc1803",
+        "21d97b42a13bfd646e41ce595251dc048fff065443f59d41f40b93e9a705a3f2",
+        "6fa62fc76b3fa4f18d4862ebc5d588ca2fdb16fa6545c009cf7ac5859edf322b",
+    ),
+    ('tie_heavy', 'indep_sf0.2'): (
+        "8292ee979853b82cbd343b39659902d53624df99f9a43f891b38dfcfb174bf35",
+        "857a7ca5fa1327247f1830219d1670a9b525dea7e87d0af1f711d1e14de45fa5",
+        "b4f11f245753c3c1f51e17f2ee0eadeb5b42ee610bd52fb10845531e342111c3",
+        "abda08f4cee2e1bd7948d28e7e29c9172c740039d6725cfafb419086bfcecbb3",
+    ),
+}
+
 MODES = {
     "common": (False, 0.0),
     "indep": (True, 0.0),
@@ -595,6 +688,10 @@ def report_digest(out_dir):
     return h.hexdigest()
 
 
+def file_digests(out_dir):
+    return tuple(hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in PINNED_FILES)
+
+
 def golden_runs(fixtures):
     for table in ("wpm_lcfds", "wpm_legup", "eba_lcfds"):
         for mode in MODES:
@@ -604,17 +701,19 @@ def golden_runs(fixtures):
 
 
 def test_golden_report_digests(fixtures, tmp_path):
-    digests = {}
+    digests, files = {}, {}
     for table, mode, groups in golden_runs(fixtures):
         independent, static_fraction = MODES[mode]
         out = tmp_path / f"{table}-{mode}"
         report = explore(groups, env_for(groups), WINDOW, out, static_fraction, independent)
         assert sorted(report.files) == sorted(REPORT_FILES)
         digests[(table, mode)] = report_digest(out)
+        files[(table, mode)] = file_digests(out)
         if table == "tie_heavy":
             front = [(c.area, c.energy) for c in report.front]
             assert len(set(front)) < len(front), "front has no exact ties"
             assert not all(c.feasible for c in report.configs)
+    assert files == GOLDEN_FILES
     assert digests == GOLDEN_REPORTS
 
 
@@ -653,10 +752,26 @@ FRACTIONAL_REPORTS = {
     "indep_sf0.2": "df0c94e653ba09c4d9250758c9724e2642b4097e474521e5f1956340fa040a91",
 }
 
+# mode -> sha256 of each of PINNED_FILES of `fractional_groups`.
+FRACTIONAL_FILES = {
+    'common': (
+        "91f8858048d6ade8e46894d10439fcc085f2f54869d8fc34a3b12e49a682680f",
+        "fe5061388ddc181bcb7914907649c53d9d18548b740bf9b96ce869e7a42e13fe",
+        "82499558019be1165bbd408a8be5291c6308c964dcad9a5bf70b4b009389894b",
+        "7f48c660fefa758772c2e7ab1f2b210163e36b47c5034434fef6c72449b02821",
+    ),
+    'indep_sf0.2': (
+        "48ce89291eab9cabe28f31aaff04782c9076e8356ca89088120e77dfc3e51ae8",
+        "eecf1ab3ff8cc8e4bbd79b0fbd8f1b919e88b4000a139fd622327b6fa1320c0f",
+        "954cb0185d6c02cd1ce360a0de92a1604d44ccf3750975ba257ec87cc51945b4",
+        "0073167cb45b44a2c8c46c331a33e5f523b60f012919ffe97340f47fc15aa5ff",
+    ),
+}
+
 
 def test_golden_reports_with_fractional_areas(tmp_path):
     groups = fractional_groups()
-    digests = {}
+    digests, files = {}, {}
     for mode in FRACTIONAL_REPORTS:
         independent, static_fraction = MODES[mode]
         out = tmp_path / mode
@@ -667,6 +782,8 @@ def test_golden_reports_with_fractional_areas(tmp_path):
         assert any("." not in row.split(",")[-3] for row in areas)
         assert not all(c.feasible for c in report.configs)
         digests[mode] = report_digest(out)
+        files[mode] = file_digests(out)
+    assert files == FRACTIONAL_FILES
     assert digests == FRACTIONAL_REPORTS
 
 
