@@ -337,13 +337,25 @@ def cmd_explore(args) -> int:
 def cmd_report(args) -> int:
     summary = os.path.join(args.dir, "summary.txt")
     pareto_json = os.path.join(args.dir, "pareto.json")
+    pareto_csv = os.path.join(args.dir, "pareto.csv")
     text = _read_text(summary)
+    # pareto.json holds energies rounded to 9 places; print each one as
+    # pareto.csv formats it from the unrounded value, not rounded twice.
+    energies = {
+        cells[0]: cells[-2]
+        for cells in (row.split(",") for row in _read_text(pareto_csv).splitlines()[1:])
+        if len(cells) >= 6
+    }
+    front = []
     try:
-        front = [
-            f"  id={p['config_id']} area={dse._fmt_area(p['area'])} energy_mj={p['energy_mj']:.6f} "
-            + " ".join(f"{k}={v}" for k, v in sorted(p["choices"].items()))
-            for p in json.loads(_read_text(pareto_json))
-        ]
+        for p in json.loads(_read_text(pareto_json)):
+            energy = energies.get(str(p["config_id"]))
+            if energy is None:
+                raise CliError(f"{pareto_csv}: no row for front point {p['config_id']}")
+            front.append(
+                f"  id={p['config_id']} area={dse._fmt_area(p['area'])} energy_mj={energy} "
+                + " ".join(f"{k}={v}" for k, v in sorted(p["choices"].items()))
+            )
     except json.JSONDecodeError as err:
         raise CliError(f"{pareto_json}: not JSON: {err}") from None
     except KeyError as err:

@@ -9,14 +9,17 @@ is merged from per-group fronts, one candidate clock at a time, without
 enumerating the space; only the reports enumerate it, chunk by chunk on flat
 arrays with the `kernels` module.  Reports are written with fixed decimal
 formatting so repeated runs are byte-identical.  The configs.csv rows and
-scatter.svg circles of a chunk are laid out as one NUL-padded byte matrix,
-a line per row: numbers become ASCII digits by integer arithmetic on whole
-columns, labels come from a bytes table, and the NUL bytes are dropped at
-the end.  A number whose rounding that arithmetic cannot settle exactly
-(within an ulp of a half-way point, negative, not finite, or too large) is
-formatted on its own by `%`, so every cell reads as `_fmt` or `_fmt_area`
-would write it.  `scatter.svg` is streamed to its file a chunk of circles
-at a time."""
+scatter.svg circles are laid out as one NUL-padded byte matrix, a line per
+row: numbers become ASCII digits by integer arithmetic on whole columns,
+labels come from a bytes table, and the NUL bytes are dropped at the end.
+A number whose rounding that arithmetic cannot settle exactly (within an
+ulp of a half-way point, negative, not finite, or too large) is formatted
+on its own by `%`, so every cell reads as `_fmt` or `_fmt_area` would
+write it.  The report files are written as bytes; only their few `str`
+pieces (headers, pareto.json, summary.txt, the SVG frame) are encoded.
+scatter.svg draws the feasible cloud as one circle per occupied cell of a
+grid of `CELL`-pixel cells over the plot, so its size is bounded by the
+grid (275 x 205 cells at 2 px) plus the front, which is drawn exactly."""
 
 from __future__ import annotations
 
@@ -161,13 +164,12 @@ def _area_cells(areas: np.ndarray) -> np.ndarray:
     return _patch(cells, wide, _text_cells([_fmt_area(a) for a in areas[wide].tolist()]))
 
 
-def _lines(n: int, parts: Sequence[str | np.ndarray]) -> str:
-    """`n` lines, line i the concatenation of `parts`: text common to every
-    line, or cells, of which line i takes cell i.  The lines are laid out as
-    one (n, width) byte matrix, and its NUL padding is dropped."""
+def _lines(n: int, parts: Sequence[str | np.ndarray]) -> bytes:
+    """`n` lines, line i the concatenation of `parts`: ASCII text common to
+    every line, or cells, of which line i takes cell i.  The lines are laid
+    out as one (n, width) byte matrix, and its NUL padding is dropped."""
     widths = [len(part) for part in parts]
-    text = bytearray(n * sum(widths))
-    matrix = np.frombuffer(text, np.uint8).reshape(n, sum(widths))
+    matrix = np.empty((n, sum(widths)), np.uint8)
     matrix[:] = np.frombuffer(
         "".join(p if isinstance(p, str) else "\0" * w for p, w in zip(parts, widths)).encode(), np.uint8
     )
@@ -176,14 +178,14 @@ def _lines(n: int, parts: Sequence[str | np.ndarray]) -> str:
         if not isinstance(part, str):
             matrix[:, at:at + width] = part.T
         at += width
-    return text.replace(b"\0", b"").decode()
+    return matrix.tobytes().replace(b"\0", b"")
 
 
 _FLAGS = np.array([b"no", b"yes"]).view(np.uint8).reshape(2, 3)
 
 
 def _csv_rows(ids: np.ndarray, choices: np.ndarray, f_mhz: np.ndarray, areas: np.ndarray,
-              energies: np.ndarray, feasible: np.ndarray) -> str:
+              energies: np.ndarray, feasible: np.ndarray) -> bytes:
     """configs.csv / pareto.csv lines of a chunk from whole columns: ids, the
     (groups, rows) choice labels (bytes, or ASCII strings), f_common in MHz,
     areas, energies in mJ and feasible flags; as `str(id)`, the labels,
@@ -198,8 +200,8 @@ def _csv_rows(ids: np.ndarray, choices: np.ndarray, f_mhz: np.ndarray, areas: np
     ])
 
 
-def _circles(cx: np.ndarray, cy: np.ndarray) -> str:
-    """scatter.svg circles of a chunk of feasible points, centres as
+def _circles(cx: np.ndarray, cy: np.ndarray) -> bytes:
+    """scatter.svg steelblue circles at the centres (cx, cy), as
     `_fmt(x, 2)`."""
     return _lines(len(cx), [
         '<circle cx="', _fixed(cx, 2), '" cy="', _fixed(cy, 2),
@@ -289,20 +291,20 @@ def explore(
     os.makedirs(out_dir, exist_ok=True)
     files: dict[str, str] = {}
 
-    def write(name: str, parts: Iterable[str]) -> None:
+    def write(name: str, parts: Iterable[bytes]) -> None:
         path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8", newline="") as handle:
+        with open(path, "wb") as handle:
             handle.writelines(parts)
         files[name] = path
 
-    def rows_text(ids: np.ndarray) -> str:
+    def rows_text(ids: np.ndarray) -> bytes:
         """configs.csv / pareto.csv lines of the configurations `ids`."""
         return _csv_rows(
             ids, labels[kernels.combo_rows(ids, space.offsets, space.sizes)],
             f_common[ids] / MHZ, area[ids], energy[ids], feasible[ids],
         )
 
-    def configs_rows() -> Iterator[str]:
+    def configs_rows() -> Iterator[bytes]:
         """Evaluate the space a `CHUNK` at a time into the arrays above and
         yield each chunk's configs.csv lines."""
         for start in range(0, total, CHUNK):
@@ -315,7 +317,7 @@ def explore(
             energy[part] *= window
             yield rows_text(np.arange(start, start + count, dtype=np.int64))
 
-    header = ",".join(["config_id", *names, "f_common_mhz", "area", "energy_mj", "feasible"]) + "\n"
+    header = (",".join(["config_id", *names, "f_common_mhz", "area", "energy_mj", "feasible"]) + "\n").encode()
     write("configs.csv", itertools.chain((header,), configs_rows()))
 
     configs = ConfigTable(groups, f_common, area, energy, feasible)
@@ -336,31 +338,41 @@ def explore(
         }
         for c in front
     ]
-    write("pareto.json", (json.dumps(payload, indent=2, sort_keys=True), "\n"))
+    write("pareto.json", ((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode(),))
 
     write("scatter.svg", render_scatter(area[feasible], energy[feasible], front))
 
-    write("summary.txt", (
-        f"configurations: {total}\n",
-        f"feasible: {n_feasible}\n",
-        f"pareto points: {len(front)}\n",
+    write("summary.txt", ((
+        f"configurations: {total}\n"
+        f"feasible: {n_feasible}\n"
+        f"pareto points: {len(front)}\n"
         f"min-area config: id={min_area.config_id} area={_fmt_area(min_area.area)} "
-        f"energy_mj={_fmt(min_area.energy)} f_common_mhz={_fmt(min_area.f_common / MHZ)}\n",
+        f"energy_mj={_fmt(min_area.energy)} f_common_mhz={_fmt(min_area.f_common / MHZ)}\n"
         f"min-energy config: id={min_energy.config_id} area={_fmt_area(min_energy.area)} "
-        f"energy_mj={_fmt(min_energy.energy)} f_common_mhz={_fmt(min_energy.f_common / MHZ)}\n",
-        f"energy reduction vs unscaled (min-energy config): {_fmt(100.0 * reduction, 2)}%\n",
-    ))
+        f"energy_mj={_fmt(min_energy.energy)} f_common_mhz={_fmt(min_energy.f_common / MHZ)}\n"
+        f"energy reduction vs unscaled (min-energy config): {_fmt(100.0 * reduction, 2)}%\n"
+    ).encode(),))
 
     return Report(configs, front, min_area, min_energy, reduction, files)
 
 
+CELL = 2  # px, the side of a scatter.svg grid cell
+
+
 def render_scatter(
     areas: np.ndarray, energies: np.ndarray, front: Sequence[SystemConfig]
-) -> Iterator[str]:
+) -> Iterator[bytes]:
     """Hand-written SVG scatter of the feasible configurations' area vs
     energy (at least one) with the front as a polyline; byte-deterministic.
-    Yields the text piece by piece, the circles one `CHUNK` at a time, so a
-    caller can stream it to a file."""
+    Yields the file piece by piece, so a caller can stream it.
+
+    A point maps to the 550 x 410 px plot at (70, 20) by `coords`: the
+    least area to x = 70 and the greatest to x = 620, the least energy to
+    y = 430 and the greatest to y = 20.  The plot is a grid of `CELL`-sized
+    cells, column `(x - 70) // CELL` and row `(y - 20) // CELL`, points on
+    the far edges joining the last column or row.  The cloud is one
+    steelblue circle at the centre of each cell that holds a point, row by
+    row from the top; the front is drawn at its exact points."""
     width, height = 640, 480
     ml, mr, mt, mb = 70, 20, 20, 50
     x0, x1 = float(areas.min()), float(areas.max())
@@ -374,6 +386,16 @@ def render_scatter(
         cx = ml + (xs - x0) / (x1 - x0) * (width - ml - mr)
         cy = height - mb - (ys - y0) / (y1 - y0) * (height - mt - mb)
         return cx, cy
+
+    columns, rows = (width - ml - mr) // CELL, (height - mt - mb) // CELL
+    occupied = np.zeros((rows, columns), np.bool_)
+    for start in range(0, len(areas), CHUNK):
+        cx, cy = coords(areas[start:start + CHUNK], energies[start:start + CHUNK])
+        with np.errstate(invalid="ignore"):  # NaN, from a range that + 1.0 cannot widen, joins 0
+            column = ((cx - ml) // CELL).astype(np.intp)
+            row = ((cy - mt) // CELL).astype(np.intp)
+        occupied[row.clip(0, rows - 1), column.clip(0, columns - 1)] = True
+    row, column = np.nonzero(occupied)
 
     yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -393,17 +415,17 @@ def render_scatter(
         f"{_fmt(y0, 3)}</text>\n"
         f'<text x="{ml - 6}" y="{mt + 10}" text-anchor="end" font-size="11">'
         f"{_fmt(y1, 3)}</text>\n"
-    )
-    for start in range(0, len(areas), CHUNK):
-        yield _circles(*coords(areas[start:start + CHUNK], energies[start:start + CHUNK]))
+    ).encode()
+    yield _circles(ml + (column + 0.5) * CELL, mt + (row + 0.5) * CELL)
     if front:
         cx, cy = coords(np.array([c.area for c in front]), np.array([c.energy for c in front]))
         points = [(_fmt(x, 2), _fmt(y, 2)) for x, y in zip(cx.tolist(), cy.tolist())]
         pts = " ".join(f"{x},{y}" for x, y in points)
-        yield f'<polyline points="{pts}" fill="none" stroke="crimson" stroke-width="1.5"/>\n'
-        for x, y in points:
-            yield f'<circle cx="{x}" cy="{y}" r="4" fill="crimson"/>\n'
-    yield "</svg>\n"
+        yield (
+            f'<polyline points="{pts}" fill="none" stroke="crimson" stroke-width="1.5"/>\n'
+            + "".join(f'<circle cx="{x}" cy="{y}" r="4" fill="crimson"/>\n' for x, y in points)
+        ).encode()
+    yield b"</svg>\n"
 
 
 # --- Flat-array exploration -----------------------------------------------------

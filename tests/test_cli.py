@@ -524,6 +524,18 @@ def test_report_on_a_malformed_front_ends_in_one_line(fixtures, tmp_path, capsys
     assert err.startswith(f"error: {pareto}: {message}")
 
 
+def test_report_needs_a_pareto_csv_row_per_front_point(fixtures, tmp_path, capsys):
+    out_dir = tmp_path / "dse"
+    argv = ["explore", "--alts", fixtures / "wpm_lcfds.csv", "--config", fixtures / "wpm.cfg"]
+    assert run(argv + ["--out", out_dir], capsys)[0] == 0
+    pareto = out_dir / "pareto.csv"
+    first = json.loads((out_dir / "pareto.json").read_text())[0]["config_id"]
+    pareto.write_text(pareto.read_text().splitlines()[0] + "\n")
+    code, out, err = run(["report", out_dir], capsys)
+    assert code == 1
+    assert out == "" and err == f"error: {pareto}: no row for front point {first}\n"
+
+
 def test_explore_requires_period_entries(fixtures, tmp_path, capsys):
     cfg = tmp_path / "partial.cfg"
     cfg.write_text("window = 100 ms\nperiod.mhr = 100 ms\nperiod.spo2 = 100 ms\n")

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 import sys
 import tempfile
 from dataclasses import replace
@@ -424,20 +425,70 @@ def test_explore_rejects_a_computation_name_with_a_nul(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def scatter_marks(points):
+    """The (cx, cy) text of scatter.svg's steelblue marks for the (area,
+    energy) points, by the documented mapping: the 550 x 410 px plot at
+    (70, 20) spans the points' ranges (a range of one value is widened by
+    1.0), and each occupied `dse.CELL`-sized cell, the far edges joining
+    the last column or row, gets one mark at its centre, row by row."""
+    x0, x1 = min(a for a, _ in points), max(a for a, _ in points)
+    y0, y1 = min(e for _, e in points), max(e for _, e in points)
+    x1 += x1 == x0
+    y1 += y1 == y0
+    cell = dse.CELL
+    cells = set()
+    for a, e in points:
+        x = 70 + (a - x0) / (x1 - x0) * 550
+        y = 430 - (e - y0) / (y1 - y0) * 410
+        cells.add((min(int((y - 20) // cell), 410 // cell - 1), min(int((x - 70) // cell), 550 // cell - 1)))
+    return [(f"{70 + (c + 0.5) * cell:.2f}", f"{20 + (r + 0.5) * cell:.2f}") for r, c in sorted(cells)]
+
+
+def svg_circles(svg, fill):
+    return re.findall(rf'<circle cx="([^"]*)" cy="([^"]*)" r="\d" fill="{fill}"', svg)
+
+
 def test_scatter_svg_is_well_formed(fixtures, tmp_path):
-    # One steelblue circle per feasible configuration and one crimson circle
-    # per front point; tie_heavy has infeasible configurations to leave out.
+    # One steelblue mark per grid cell that holds a feasible configuration
+    # and one crimson circle per front point; tie_heavy has infeasible
+    # configurations to leave out.
     for name, groups in (("wpm", load_groups(fixtures / "wpm_lcfds.csv")),
                          ("tie_heavy", tie_heavy_groups())):
         report = explore(groups, env_for(groups), WINDOW, tmp_path / name)
         svg = (tmp_path / name / "scatter.svg").read_text()
         assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
         assert "Area (LUT+FF)" in svg and "Energy (mJ)" in svg
-        summary = (tmp_path / name / "summary.txt").read_text()
-        feasible = int(summary.split("feasible: ")[1].split("\n")[0])
-        assert svg.count('fill="steelblue"') == svg.count("<circle") - len(report.front) == feasible
-        assert svg.count('fill="crimson"/>') == len(report.front) > 0
-    assert feasible < len(report.configs)
+        rows = [row.split(",") for row in (tmp_path / name / "configs.csv").read_text().splitlines()[1:]]
+        feasible = [report.configs[int(row[0])] for row in rows if row[-1] == "yes"]
+        points = [(c.area, c.energy) for c in feasible]
+        marks = svg_circles(svg, "steelblue")
+        assert marks == scatter_marks(points)
+        x0, x1 = min(a for a, _ in points), max(a for a, _ in points)
+        y0, y1 = min(e for _, e in points), max(e for _, e in points)
+        assert svg_circles(svg, "crimson") == [
+            (f"{70 + (c.area - x0) / (x1 - x0) * 550:.2f}", f"{430 - (c.energy - y0) / (y1 - y0) * 410:.2f}")
+            for c in report.front
+        ]
+        assert svg.count("<circle") == len(marks) + len(report.front) and report.front
+    assert len(feasible) < len(report.configs)
+
+
+@settings(max_examples=100, deadline=None)
+@example([(5.0, 7.0)])
+@example([(5.0, 1.0), (5.0, 2.0), (5.0, 3.0)])
+@example([(1.0, 4.0), (2.0, 4.0), (3.0, 4.0)])
+@example([(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0)])
+@given(st.lists(
+    st.tuples(*[st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0]), st.floats(0.0, 1e6))] * 2),
+    min_size=1, max_size=30,
+))
+def test_scatter_marks_equal_the_occupied_cells(points):
+    # Single points and ranges of one value take the widened-range branch,
+    # and each cloud's extremes lie on the plot's far edges.
+    areas, energies = (np.array(column) for column in zip(*points))
+    svg = b"".join(dse.render_scatter(areas, energies, [])).decode()
+    assert svg_circles(svg, "steelblue") == scatter_marks(points)
+    assert svg.count("<circle") == len(svg_circles(svg, "steelblue"))
 
 
 # Each value of `_cell` is a report cell at six places (rows) and at two
@@ -489,11 +540,11 @@ def test_chunk_formatting_equals_the_per_cell_reference(rows, n_groups):
         ",".join([str(i), *labels, dse._fmt(f), dse._fmt_area(a), dse._fmt(e), "yes" if y else "no"])
         + "\n"
         for i, *labels, f, a, e, y in zip(ids, *choices.tolist(), f_mhz, areas, energies, ok)
-    )
+    ).encode()
     assert dse._circles(np.array(cx, dtype=float), np.array(cy, dtype=float)) == "".join(
         f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="steelblue" fill-opacity="0.6"/>\n'
         for x, y in zip(cx, cy)
-    )
+    ).encode()
 
 
 def test_explore_makes_few_python_calls_per_configuration(tmp_path):
@@ -517,8 +568,9 @@ def test_explore_makes_few_python_calls_per_configuration(tmp_path):
     finally:
         sys.setprofile(None)
     assert len(report.configs) == 100_000
-    # 6,261 calls when this bound was set: most of them merge the front and
-    # write pareto.json, and only a few hundred format the reports.
+    # 6,261 calls when this bound was set and 6,263 once the scatter became
+    # grid marks: most of them merge the front and write pareto.json, and
+    # only a few hundred format the reports.
     assert calls < 8_000, f"{calls} Python calls for {len(report.configs)} configs"
 
 
@@ -529,33 +581,33 @@ REPORT_FILES = ("configs.csv", "pareto.csv", "pareto.json", "scatter.svg", "summ
 # (table, mode) -> sha256 over the five report files, names included.
 GOLDEN_REPORTS = {
     ('wpm_lcfds', 'common'):
-        "ca464ab6bdcb6ca6963190efb0fabb540691d92fda1ad95b0b34588c8b7b1d00",
+        "0beb401585364a60d11daacd1217d0fb96b9bbc326622682902481be3a4501e7",
     ('wpm_lcfds', 'indep'):
-        "e1e72e7095ee0cf23f656bb4ffe03929514f2cad3855947a2625903e535d4e49",
+        "58184d19be5afc5a4005f2e3ad288c97273dd6d27829b54716bf73370c36d083",
     ('wpm_lcfds', 'common_sf0.2'):
-        "d54a5a45958618e2b683880bcd40512bf6d23cc911bed9528622ff5d2a7a2673",
+        "6ee8c0bcf990d8bb50c4a4ec12073cbb2a6d048a384269cac2be409477129708",
     ('wpm_lcfds', 'indep_sf0.2'):
-        "be9123c45b7ead4351b19a3e465f4ed6f37267010a76776947028cea82ea249f",
+        "6b3a3a2e5279727617a87c85c66e28a8457d64e815eec41ca081a90ac02e4f70",
     ('wpm_legup', 'common'):
-        "b9606ff7c3dde58307aba0ef9e58538f4095ccbd7c479fe4c097363c3d66fc02",
+        "967730ab34c3de6dc806960e35c6043602254df7f4c644e67b5d5af147f76097",
     ('wpm_legup', 'indep'):
-        "f3d2eed53f48e8d0517dcd28d21ebb9c5ad878c80fae1a0089450a04fd11562e",
+        "524f2dcc3a34f8af34cc90f825b7cf1def6cb421f872b92831d6f4444bdf5b2d",
     ('wpm_legup', 'common_sf0.2'):
-        "ace6529354fc7bea8bcb9a27062a908b6a4136dab437b4e22603d609962f7d8f",
+        "9444e9df380bfe1a2bc02cbc1f8507d46f05b5e8667694714fc6b327981db37c",
     ('wpm_legup', 'indep_sf0.2'):
-        "4fb1c1a379f374514f71fd8f5e6b551e3e6da03f29d598b784254a34ff98c740",
+        "78404f055b6975fc3df59b620f84e5f096c0e8e3de5203e7c90386f714a39423",
     ('eba_lcfds', 'common'):
-        "c87de56ee8f31719b94fa8338083ecc6e690f2ff9e07c11b6574e76f9ee4f793",
+        "c4572b6547273b91bbe6fe2f1498fac4a08c97b3ddff040793a4f34d4f1ccda5",
     ('eba_lcfds', 'indep'):
-        "dc4b344b1c1f915f0a587695e3587fc3fcd62e2e91b961cfc3128f8df3b032f2",
+        "6a65c9da89d5d713e2402ca52213b49db6aa0ccbe6192bd0d7e66dac3d31149d",
     ('eba_lcfds', 'common_sf0.2'):
-        "9df97bfe31ba5a0efe2d3aab437aa9c78b9c841c3fa865035a3b6853ae49a992",
+        "df7dbeaa3507ad19813d028a398b29a12d3ed1b68b88abcd723d12daa847ec0e",
     ('eba_lcfds', 'indep_sf0.2'):
-        "aff1acf7555ae0f4e6732d074fb3acfad49b9e62b18dff5824e6c0b5edf67a9a",
+        "d1f9aa0cbe9c25d9eee625b77be0906a6737907707b7aa6ca8f80a8b0286fe5d",
     ('tie_heavy', 'common'):
-        "295bd79a11cf45f63ecf7df6b59e3167c0d53ce243f94ac5de1fb546d50cb178",
+        "bc1f7e1af8372afebda646ba828ae58ce90653b8b0bc7b41972edfcb46915cb3",
     ('tie_heavy', 'indep_sf0.2'):
-        "46bea7b165f1033be8a11b9cf8493fe128a0ce0eb28cdd95963793e9382e4c30",
+        "3345b00e602f8934d572dfd7639bb0fd50df74f828709b47c81c9b399280e39d",
 }
 
 # The report files other than scatter.svg, which GOLDEN_FILES and
@@ -745,11 +797,12 @@ def fractional_groups(seed=3, sizes=(11, 13, 9, 7, 8)):
     return groups
 
 
-# sha256 over the five report files of `fractional_groups`, pinned before
-# report rows were formatted a chunk at a time.
+# sha256 over the five report files of `fractional_groups`; the files but
+# scatter.svg are those pinned before report rows were formatted a chunk at a
+# time.
 FRACTIONAL_REPORTS = {
-    "common": "a44adfd9e57c0ea656c177aa9d7534dc7756f38144ad11eb337a8bf3c58fee04",
-    "indep_sf0.2": "df0c94e653ba09c4d9250758c9724e2642b4097e474521e5f1956340fa040a91",
+    "common": "ec1a3de5fd27957b0e088c3ff5ee994530763ccdd02360e91fe072b116e557d5",
+    "indep_sf0.2": "e014539bf33c3e6aac1b322852eea8586fd6a87956cd52cf0e19f16ec3298ba9",
 }
 
 # mode -> sha256 of each of PINNED_FILES of `fractional_groups`.
@@ -781,6 +834,10 @@ def test_golden_reports_with_fractional_areas(tmp_path):
         assert any("." in row.split(",")[-3] for row in areas)
         assert any("." not in row.split(",")[-3] for row in areas)
         assert not all(c.feasible for c in report.configs)
+        # Size guard: the cloud is drawn one mark per occupied grid cell.
+        marks = len(svg_circles((out / "scatter.svg").read_text(), "steelblue"))
+        feasible = sum(row.endswith(",yes") for row in areas)
+        assert marks <= (550 // dse.CELL) * (410 // dse.CELL) and marks < feasible
         digests[mode] = report_digest(out)
         files[mode] = file_digests(out)
     assert files == FRACTIONAL_FILES
@@ -789,9 +846,14 @@ def test_golden_reports_with_fractional_areas(tmp_path):
 
 def test_report_prints_each_front_point_as_pareto_csv_does(fixtures, tmp_path, capsys):
     # fractional_groups' front has areas such as 6125.6 and 1501.3-1501.6,
-    # which a whole-number area would round together.
+    # which a whole-number area would round together.  half_way's energy of
+    # 2.4999999996e-6 mJ is 2.5e-6 in pareto.json, which at six places reads
+    # 0.000003 where pareto.csv reads 0.000002.
+    half_way = {"h": [alt("h", 10_000_000, 100, 1.0, 2.4999999996e-5),
+                      alt("h", 10_000_000, 100, 0.5, 3.3e-5)]}
     for name, groups in (("fractional", fractional_groups()),
-                         ("wpm", load_groups(fixtures / "wpm_lcfds.csv"))):
+                         ("wpm", load_groups(fixtures / "wpm_lcfds.csv")),
+                         ("half_way", half_way)):
         out = tmp_path / name
         explore(groups, env_for(groups), WINDOW, out)
         assert cli.main(["report", str(out)]) == 0
@@ -804,3 +866,5 @@ def test_report_prints_each_front_point_as_pareto_csv_does(fixtures, tmp_path, c
             assert (fields["id"], fields["area"], fields["energy_mj"]) == (cells[0], cells[-3], cells[-2])
         if name == "fractional":
             assert any("." in row.split(",")[-3] for row in rows)
+        if name == "half_way":
+            assert rows[1].split(",")[-2] == "0.000002"
