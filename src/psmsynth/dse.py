@@ -391,7 +391,7 @@ def render_scatter(
     occupied = np.zeros((rows, columns), np.bool_)
     for start in range(0, len(areas), CHUNK):
         cx, cy = coords(areas[start:start + CHUNK], energies[start:start + CHUNK])
-        with np.errstate(invalid="ignore"):  # NaN, from a range that + 1.0 cannot widen, joins 0
+        with np.errstate(invalid="ignore"):  # NaN (a range + 1.0 cannot widen) goes to cell 0
             column = ((cx - ml) // CELL).astype(np.intp)
             row = ((cy - mt) // CELL).astype(np.intp)
         occupied[row.clip(0, rows - 1), column.clip(0, columns - 1)] = True

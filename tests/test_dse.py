@@ -425,21 +425,27 @@ def test_explore_rejects_a_computation_name_with_a_nul(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def scatter_marks(points):
-    """The (cx, cy) text of scatter.svg's steelblue marks for the (area,
-    energy) points, by the documented mapping: the 550 x 410 px plot at
-    (70, 20) spans the points' ranges (a range of one value is widened by
-    1.0), and each occupied `dse.CELL`-sized cell, the far edges joining
-    the last column or row, gets one mark at its centre, row by row."""
+def plot_mapping(points):
+    """scatter.svg's documented mapping of (area, energy) to plot
+    coordinates for a cloud of points: the 550 x 410 px plot at (70, 20)
+    spans the points' ranges, a range of one value widened by 1.0."""
     x0, x1 = min(a for a, _ in points), max(a for a, _ in points)
     y0, y1 = min(e for _, e in points), max(e for _, e in points)
-    x1 += x1 == x0
-    y1 += y1 == y0
-    cell = dse.CELL
+    if x1 == x0:
+        x1 = x0 + 1.0
+    if y1 == y0:
+        y1 = y0 + 1.0
+    return lambda a, e: (70 + (a - x0) / (x1 - x0) * 550, 430 - (e - y0) / (y1 - y0) * 410)
+
+
+def scatter_marks(points):
+    """The (cx, cy) text of scatter.svg's steelblue marks for the points:
+    one at the centre of each occupied `dse.CELL`-sized cell of the plot,
+    the far edges joining the last column or row, row by row."""
+    to_plot, cell = plot_mapping(points), dse.CELL
     cells = set()
     for a, e in points:
-        x = 70 + (a - x0) / (x1 - x0) * 550
-        y = 430 - (e - y0) / (y1 - y0) * 410
+        x, y = to_plot(a, e)
         cells.add((min(int((y - 20) // cell), 410 // cell - 1), min(int((x - 70) // cell), 550 // cell - 1)))
     return [(f"{70 + (c + 0.5) * cell:.2f}", f"{20 + (r + 0.5) * cell:.2f}") for r, c in sorted(cells)]
 
@@ -463,11 +469,9 @@ def test_scatter_svg_is_well_formed(fixtures, tmp_path):
         points = [(c.area, c.energy) for c in feasible]
         marks = svg_circles(svg, "steelblue")
         assert marks == scatter_marks(points)
-        x0, x1 = min(a for a, _ in points), max(a for a, _ in points)
-        y0, y1 = min(e for _, e in points), max(e for _, e in points)
+        to_plot = plot_mapping(points)
         assert svg_circles(svg, "crimson") == [
-            (f"{70 + (c.area - x0) / (x1 - x0) * 550:.2f}", f"{430 - (c.energy - y0) / (y1 - y0) * 410:.2f}")
-            for c in report.front
+            (f"{x:.2f}", f"{y:.2f}") for x, y in (to_plot(c.area, c.energy) for c in report.front)
         ]
         assert svg.count("<circle") == len(marks) + len(report.front) and report.front
     assert len(feasible) < len(report.configs)
