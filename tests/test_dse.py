@@ -707,6 +707,38 @@ GOLDEN_FILES = {
     ),
 }
 
+# (table, mode) -> sha256 of `psmsynth report`'s stdout for that run.
+GOLDEN_STDOUT = {
+    ('wpm_lcfds', 'common'):
+        "a56c8cbd1cb24e6b830b7a84022f58c54f04a84eba68f6b21d03da76027e7970",
+    ('wpm_lcfds', 'indep'):
+        "c8f15e205f6e9c31b82781f28df8108d42173f757ab2825e3aa332d3d51cbedf",
+    ('wpm_lcfds', 'common_sf0.2'):
+        "e1417f087e6e79a9dea911e1b893015d535cc1ce4c09c884052eddcd946adde5",
+    ('wpm_lcfds', 'indep_sf0.2'):
+        "7adf24075300c761f2baec2054d6292950b9fe59a85e51e7aed3c2f012ca752c",
+    ('wpm_legup', 'common'):
+        "07f07f30719b871ca3ce2e9dc1b788ed1f08fe6582ddd754a7f4a0b5a53e1b3d",
+    ('wpm_legup', 'indep'):
+        "60bf15a26fcc935adcb18668d2d3631eeed3a1d12762b080ec3eba918220c766",
+    ('wpm_legup', 'common_sf0.2'):
+        "2767907b6fc1a8d286b47ee4a3b93f0237f87e1cdeb25bde2cbdfc82ddefd1eb",
+    ('wpm_legup', 'indep_sf0.2'):
+        "f384c9675737cd93fc8c9929083dacf0495b10688bf57b2335e4aa27e8b458b8",
+    ('eba_lcfds', 'common'):
+        "856ebda561fd16b8a610032d38e625390d4d7055e0a1dccc803a9f612d276a1e",
+    ('eba_lcfds', 'indep'):
+        "8398c4d8794bc1b2ae6a81ac131e7e28787da0d7180a63a687e6f96cc7051e22",
+    ('eba_lcfds', 'common_sf0.2'):
+        "87e4dfea68503e892d5dd0e47eec9f5967ed62df2f2ef028b28ac355fae2e4e0",
+    ('eba_lcfds', 'indep_sf0.2'):
+        "d313e1e3cf23febcad9ad78a31203a74692084ac579810af6035fe90298b37fb",
+    ('tie_heavy', 'common'):
+        "ce4e2241463816c81081af5646b394dd44a59816cee5381f0fdf2467aa26ef5a",
+    ('tie_heavy', 'indep_sf0.2'):
+        "2ad373ae592a11a9c40dfede122c428c18e26b54dcb52decc1b6bfdb038b291e",
+}
+
 MODES = {
     "common": (False, 0.0),
     "indep": (True, 0.0),
@@ -748,6 +780,13 @@ def file_digests(out_dir):
     return tuple(hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in PINNED_FILES)
 
 
+def report_stdout_digest(out_dir, capsys):
+    """sha256 of what `psmsynth report` prints for the reports in out_dir."""
+    capsys.readouterr()
+    assert cli.main(["report", str(out_dir)]) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
 def golden_runs(fixtures):
     for table in ("wpm_lcfds", "wpm_legup", "eba_lcfds"):
         for mode in MODES:
@@ -756,8 +795,8 @@ def golden_runs(fixtures):
         yield "tie_heavy", mode, tie_heavy_groups()
 
 
-def test_golden_report_digests(fixtures, tmp_path):
-    digests, files = {}, {}
+def test_golden_report_digests(fixtures, tmp_path, capsys):
+    digests, files, printed = {}, {}, {}
     for table, mode, groups in golden_runs(fixtures):
         independent, static_fraction = MODES[mode]
         out = tmp_path / f"{table}-{mode}"
@@ -765,12 +804,14 @@ def test_golden_report_digests(fixtures, tmp_path):
         assert sorted(report.files) == sorted(REPORT_FILES)
         digests[(table, mode)] = report_digest(out)
         files[(table, mode)] = file_digests(out)
+        printed[(table, mode)] = report_stdout_digest(out, capsys)
         if table == "tie_heavy":
             front = [(c.area, c.energy) for c in report.front]
             assert len(set(front)) < len(front), "front has no exact ties"
             assert not all(c.feasible for c in report.configs)
     assert files == GOLDEN_FILES
     assert digests == GOLDEN_REPORTS
+    assert printed == GOLDEN_STDOUT
 
 
 def fractional_groups(seed=3, sizes=(11, 13, 9, 7, 8)):
@@ -826,9 +867,16 @@ FRACTIONAL_FILES = {
 }
 
 
-def test_golden_reports_with_fractional_areas(tmp_path):
+# mode -> sha256 of `psmsynth report`'s stdout for `fractional_groups`.
+FRACTIONAL_STDOUT = {
+    'common': "5e808e63e0ffee2036c302fb1ab0ecd130c41e0e9536c7749c7d03bf6ef1f369",
+    'indep_sf0.2': "6d0d82a1a38187d092ca4627592f3e5a5510de94caa9bac1a52ed281fcdb263b",
+}
+
+
+def test_golden_reports_with_fractional_areas(tmp_path, capsys):
     groups = fractional_groups()
-    digests, files = {}, {}
+    digests, files, printed = {}, {}, {}
     for mode in FRACTIONAL_REPORTS:
         independent, static_fraction = MODES[mode]
         out = tmp_path / mode
@@ -844,8 +892,10 @@ def test_golden_reports_with_fractional_areas(tmp_path):
         assert marks <= (550 // dse.CELL) * (410 // dse.CELL) and marks < feasible
         digests[mode] = report_digest(out)
         files[mode] = file_digests(out)
+        printed[mode] = report_stdout_digest(out, capsys)
     assert files == FRACTIONAL_FILES
     assert digests == FRACTIONAL_REPORTS
+    assert printed == FRACTIONAL_STDOUT
 
 
 def test_report_prints_each_front_point_as_pareto_csv_does(fixtures, tmp_path, capsys):

@@ -4,6 +4,7 @@ reference simulator, and hardware text emission."""
 import hashlib
 import io
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -659,6 +660,28 @@ def test_comparison_names_the_first_divergence(fixtures):
     assert compare_with_reference(ref, cyc, sys_ir) == [
         "dut: output event sequence differs at #2: ('Out', 3) vs ('Out', 0) (lengths 5 vs 5)"
     ]
+
+
+def test_comparison_names_an_entry_outside_its_tolerance(wpm):
+    # mhr's entry #1 is no zero-time step, so its tolerance is the 0.5 s
+    # period plus 1 + 2 handshake cycles at 1 MHz: an entry that far from
+    # the reference passes, and one a cycle later is named.
+    system, comps = wpm
+    horizon = Fraction(1)
+    stim = [TraceEvent(t, "StartMeasure", "Start", None) for t in WPM_STARTS]
+    ref = simulate(system, comps, [e for e in stim if e.time < horizon], horizon, ALL_IMPLS)
+    sys_ir = synthesize_system(system, comps, {inst.name: 1 * MHZ for inst in system.instances})
+    cyc = interpret(sys_ir, stim, mcc_latencies=ALL_LATENCIES, mcc_impls=ALL_IMPLS, horizon=horizon)
+    assert compare_with_reference(ref, cyc, sys_ir) == []
+    k = next(i for i, e in enumerate(cyc.entries) if (e.instance, e.state) == ("mhr", "WaitSample"))
+    problems = []
+    for late in (Fraction(3, MHZ), Fraction(4, MHZ)):
+        cyc.entries[k] = replace(cyc.entries[k], time=Fraction(3, 2500) + Fraction(1, 2) + late)
+        problems.append(compare_with_reference(ref, cyc, sys_ir))
+    assert problems == [[], [
+        "mhr: entry #1 (WaitSample) at 0.501204000s vs reference 0.001200000s "
+        "(deviation 0.500004000s > tolerance 0.500003000s)"
+    ]]
 
 
 # --- Artifacts ----------------------------------------------------------------

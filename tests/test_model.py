@@ -1,19 +1,34 @@
 """Model validation rules and the reference discrete-event simulator."""
 
 import hashlib
+import re
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from psmsynth import expr as ex
 from psmsynth.dsl import parse_component, parse_file, parse_system
 from psmsynth.model import (
+    Assign,
+    Connection,
     DeltaCycleError,
+    Direction,
+    EventDecl,
+    ExternalPort,
+    GuardTransition,
+    Import,
+    Instance,
+    InvokeMcc,
+    MccSignature,
+    PsmComponent,
+    PsmSystem,
     SimulationError,
     State,
     TimedTransition,
     TimingKind,
     TraceEvent,
+    VarDecl,
     simulate,
     simulate_component,
     single_component_system,
@@ -194,6 +209,102 @@ def test_system_double_driven_input_rejected():
     )
     report = validate_system(system, {"A": a, "B": b})
     assert any("two sources" in f.message for f in report.errors)
+
+
+# Library-built models for the findings the grammar cannot spell or no other
+# test reaches: K is valid, each case changes one field of it.
+WAIT = TimedTransition(TimingKind.INFINITE)
+K = PsmComponent(
+    "K", Fraction(1),
+    events=(EventDecl("In", Direction.INPUT), EventDecl("Out", Direction.OUTPUT)),
+    variables=(VarDecl("x"),),
+    mccs=(MccSignature("F", "f.dfg", 1, 1),),
+    initial="A",
+    states=(State("A", timed=WAIT),),
+)
+
+
+def state_a(**fields):
+    return (State("A", timed=WAIT, **fields),)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"period": Fraction(0)}, "component K: error: period must be positive, got 0"),
+    ({"events": (EventDecl("In", Direction.INPUT, 0),)},
+     "component K: error: event 'In' has non-positive payload width"),
+    ({"states": state_a() * 2}, "component K: error: duplicate state 'A'"),
+    ({"states": ()}, "component K: error: component has no states"),
+    ({"states": state_a(imports=(Import("Nope", "A"),))},
+     "component K, state A: error: import of undeclared event 'Nope'"),
+    ({"states": state_a(imports=(Import("Out", "A"),))},
+     "component K, state A: error: import of output event 'Out'"),
+    ({"states": state_a(guards=(GuardTransition(ex.Num(1), "Z"),))},
+     "component K, state A: error: transition target 'Z' is not declared"),
+    ({"states": state_a(entry=(Assign("q", ex.Num(1)),))},
+     "component K, state A: error: assignment to undeclared variable 'q'"),
+    ({"states": state_a(entry=(InvokeMcc("G", ("x",), ("x",)),))},
+     "component K, state A: error: invoke of undeclared mcc 'G'"),
+    ({"states": state_a(entry=(InvokeMcc("F", ("x",), ("x", "x")),))},
+     "component K, state A: error: mcc 'F' produces 1 results, got 2"),
+    ({"states": state_a(entry=(InvokeMcc("F", ("q",), ("x",)),))},
+     "component K, state A: error: mcc argument/result 'q' is not a declared variable"),
+], ids=["period-0", "payload-width-0", "duplicate-state", "no-states", "import-undeclared",
+        "import-output", "guard-target-undeclared", "assign-undeclared", "invoke-undeclared",
+        "result-count", "argument-not-a-variable"])
+def test_component_findings_of_library_built_models(fields, message):
+    assert validate_component(K).findings == []
+    assert [str(f) for f in validate_component(replace(K, **fields)).findings] == [message]
+
+
+# Instance a of A drives b of B; each case changes one field of the system.
+A_COMP = PsmComponent(
+    "A", Fraction(1), events=(EventDecl("Out", Direction.OUTPUT),), initial="S",
+    states=(State("S", timed=WAIT),),
+)
+B_COMP = PsmComponent(
+    "B", Fraction(1),
+    events=(EventDecl("In", Direction.INPUT), EventDecl("InD", Direction.INPUT, 8),
+            EventDecl("Ack", Direction.OUTPUT)),
+    initial="S", states=(State("S", timed=WAIT),),
+)
+AB_COMPS = {"A": A_COMP, "B": B_COMP}
+AB = PsmSystem(
+    "Sys", instances=(Instance("a", "A"), Instance("b", "B")),
+    connections=(Connection("a", "Out", "b", "In"),),
+)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"instances": (Instance("a", "A"), Instance("a", "A"), Instance("b", "B"))},
+     "system Sys: error: duplicate instance 'a'"),
+    ({"instances": (*AB.instances, Instance("c", "C"))},
+     "system Sys: error: instance 'c' uses unknown component 'C'"),
+    ({"instances": (Instance("a", "A", Fraction(0)), Instance("b", "B"))},
+     "system Sys: error: instance 'a' has non-positive period override"),
+    ({"connections": (Connection("z", "Out", "b", "In"),)},
+     "system Sys, z.Out -> b.In: error: connection endpoint names undeclared instance 'z'"),
+    ({"connections": (Connection("a", "Nope", "b", "In"),)},
+     "system Sys, a.Nope -> b.In: error: instance 'a' has no event 'Nope'"),
+    ({"connections": (Connection("a", "Out", "b", "Ack"),)},
+     "system Sys, a.Out -> b.Ack: error: event 'b.Ack' is not an input"),
+    ({"connections": (Connection("a", "Out", "b", "InD"),)},
+     "system Sys, a.Out -> b.InD: error: connected events disagree on payload presence"),
+    ({"ports": (ExternalPort("Kick", Direction.INPUT, "b", "In"),)},
+     "system Sys, port Kick: error: input 'b.In' is driven by two sources"),
+], ids=["duplicate-instance", "unknown-component", "period-override-0", "undeclared-instance",
+        "missing-event", "wrong-direction", "payload-presence", "port-drives-a-driven-input"])
+def test_system_findings_of_library_built_models(fields, message):
+    assert validate_system(AB, AB_COMPS).findings == []
+    assert [str(f) for f in validate_system(replace(AB, **fields), AB_COMPS).findings] == [message]
+
+
+@pytest.mark.parametrize("instance, event, message", [
+    ("nope", "In", "stimulus targets unknown instance or port 'nope'"),
+    ("b", "Nope", "stimulus targets 'b.Nope', which is not an input event"),
+], ids=["unknown-instance", "unknown-event"])
+def test_stimulus_to_an_unknown_target_is_refused(instance, event, message):
+    with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+        simulate(AB, AB_COMPS, [TraceEvent(MS, instance, event)], Fraction(1))
 
 
 # --- Simulation ---------------------------------------------------------------
