@@ -335,33 +335,28 @@ def cmd_explore(args) -> int:
 
 
 def cmd_report(args) -> int:
-    summary = os.path.join(args.dir, "summary.txt")
-    pareto_json = os.path.join(args.dir, "pareto.json")
-    pareto_csv = os.path.join(args.dir, "pareto.csv")
-    text = _read_text(summary)
-    # pareto.json holds energies rounded to 9 places; print each one as
-    # pareto.csv formats it from the unrounded value, not rounded twice.
-    energies = {
-        cells[0]: cells[-2]
-        for cells in (row.split(",") for row in _read_text(pareto_csv).splitlines()[1:])
-        if len(cells) >= 6
-    }
+    """Print summary.txt and each pareto.csv row's id, area, energy and
+    `name=index` labels (sorted by name), as explore wrote them."""
+    text = _read_text(os.path.join(args.dir, "summary.txt"))
+    pareto = os.path.join(args.dir, "pareto.csv")
+    header, *rows = [line.split(",") for line in _read_text(pareto).splitlines()] or [[]]
+    names = header[1:-4]
+    if header[:1] + header[-4:] != ["config_id", "f_common_mhz", "area", "energy_mj", "feasible"]:
+        raise CliError(f"{pareto}: no config_id,...,feasible header")
+    if not rows:
+        raise CliError(f"{pareto}: no front rows")
     front = []
-    try:
-        for p in json.loads(_read_text(pareto_json)):
-            energy = energies.get(str(p["config_id"]))
-            if energy is None:
-                raise CliError(f"{pareto_csv}: no row for front point {p['config_id']}")
-            front.append(
-                f"  id={p['config_id']} area={dse._fmt_area(p['area'])} energy_mj={energy} "
-                + " ".join(f"{k}={v}" for k, v in sorted(p["choices"].items()))
+    for number, cells in enumerate(rows, 2):
+        if len(cells) != len(header):
+            raise CliError(
+                f"{pareto}: line {number} has {len(cells)} cells, the header has {len(header)}"
             )
-    except json.JSONDecodeError as err:
-        raise CliError(f"{pareto_json}: not JSON: {err}") from None
-    except KeyError as err:
-        raise CliError(f"{pareto_json}: a point has no {err}") from None
-    except (TypeError, ValueError, AttributeError):
-        raise CliError(f"{pareto_json}: not a list of front points") from None
+        for name, label in zip(names, cells[1:-4]):
+            index = label.removeprefix(f"{name}=")
+            if index == label or not (index.isascii() and index.isdigit()):
+                raise CliError(f"{pareto}: line {number}: label {label!r} is not {name}=<index>")
+        labels = " ".join(label for _, label in sorted(zip(names, cells[1:-4])))
+        front.append(f"  id={cells[0]} area={cells[-3]} energy_mj={cells[-2]} {labels}")
     sys.stdout.write(text)
     print("pareto front:")
     for line in front:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
 import os
 from collections.abc import Sequence
@@ -368,19 +369,21 @@ def render_scatter(
 
     A point maps to the 550 x 410 px plot at (70, 20) by `coords`: the
     least area to x = 70 and the greatest to x = 620, the least energy to
-    y = 430 and the greatest to y = 20.  The plot is a grid of `CELL`-sized
-    cells, column `(x - 70) // CELL` and row `(y - 20) // CELL`, points on
-    the far edges joining the last column or row.  The cloud is one
-    steelblue circle at the centre of each cell that holds a point, row by
-    row from the top; the front is drawn at its exact points."""
+    y = 430 and the greatest to y = 20.  A range of one value is widened by
+    1.0, or by one ulp where adding 1.0 rounds back to the same value.  The
+    plot is a grid of `CELL`-sized cells, column `(x - 70) // CELL` and row
+    `(y - 20) // CELL`, points on the far edges joining the last column or
+    row.  The cloud is one steelblue circle at the centre of each cell that
+    holds a point, row by row from the top; the front is drawn at its exact
+    points."""
     width, height = 640, 480
     ml, mr, mt, mb = 70, 20, 20, 50
     x0, x1 = float(areas.min()), float(areas.max())
     y0, y1 = float(energies.min()), float(energies.max())
     if x1 == x0:
-        x1 = x0 + 1.0
+        x1 = max(x0 + 1.0, math.nextafter(x0, math.inf))
     if y1 == y0:
-        y1 = y0 + 1.0
+        y1 = max(y0 + 1.0, math.nextafter(y0, math.inf))
 
     def coords(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         cx = ml + (xs - x0) / (x1 - x0) * (width - ml - mr)
@@ -391,9 +394,8 @@ def render_scatter(
     occupied = np.zeros((rows, columns), np.bool_)
     for start in range(0, len(areas), CHUNK):
         cx, cy = coords(areas[start:start + CHUNK], energies[start:start + CHUNK])
-        with np.errstate(invalid="ignore"):  # NaN (a range + 1.0 cannot widen) goes to cell 0
-            column = ((cx - ml) // CELL).astype(np.intp)
-            row = ((cy - mt) // CELL).astype(np.intp)
+        column = ((cx - ml) // CELL).astype(np.intp)
+        row = ((cy - mt) // CELL).astype(np.intp)
         occupied[row.clip(0, rows - 1), column.clip(0, columns - 1)] = True
     row, column = np.nonzero(occupied)
 
@@ -453,8 +455,11 @@ def flatten_groups(
     if not groups:
         raise DseError("no computation groups to explore")
     for name, rows in groups.items():
-        if "\0" in name:
-            raise DseError(f"computation name {name!r} contains a NUL character")
+        for char in '\0,"\r\n':  # report cells are NUL-padded, bare CSV cells
+            if char in name:
+                raise DseError(
+                    f"computation name {name!r} contains {char!r}, which a report cell cannot hold"
+                )
         if not rows:
             raise DseError(f"computation '{name}' has no alternatives")
         for alt in rows:

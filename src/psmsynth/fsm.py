@@ -540,7 +540,6 @@ def emit_rtl(sys_ir: SystemIr) -> str:
     for spec in sys_ir.instances:
         if spec.component.name not in emitted:
             emitted.add(spec.component.name)
-            _reject_name_clashes(spec.component)
             _emit_component_module(out, spec.component)
     _emit_top_module(out, sys_ir)
     rtl = out.getvalue()
@@ -560,8 +559,9 @@ _DECLARATION = re.compile(
 
 def _reject_duplicate_declarations(rtl: str) -> None:
     """No two modules share a name, and no module declares a name twice, as
-    when a variable is named like a generated timer signal or two instance
-    pins make the same `<instance>__<event>` net."""
+    when two states differ only in case, a declaration takes the module's
+    clk, rst or do_entry, a variable is named like a generated timer signal,
+    or two instance pins make the same `<instance>__<event>` net."""
     modules: set[str] = set()
     for match in filter(None, map(_DECLARATION.match, rtl.splitlines())):
         module, name = match.group(1), match.group(2) or match.group(3)
@@ -574,26 +574,6 @@ def _reject_duplicate_declarations(rtl: str) -> None:
             raise SynthesisError(f"RTL module {where} declares {name} twice")
         else:
             declared.add(name)
-
-
-def _reject_name_clashes(comp: PsmComponent) -> None:
-    """Each name the component's module declares names one thing: no
-    declaration takes the module's own clk, rst or do_entry, and no two
-    states' parameters coincide once upper-cased."""
-    for decl in (*comp.events, *comp.variables, *comp.mccs):
-        if decl.name in ("clk", "rst", "do_entry"):
-            raise SynthesisError(f"component {comp.name}: '{decl.name}' is a signal of the generated RTL")
-    owner: dict[str, str] = {}  # parameter -> the state it stands for
-    for s in comp.states:
-        up, calls = s.name.upper(), sum(isinstance(a, InvokeMcc) for a in s.entry)
-        names = [f"S_{up}", *(f"S_{up}_CALL{i}" for i in range(calls))]
-        if _has_timer(s):
-            names.append(f"CYCLES_{up}")
-        for name in names:
-            if owner.setdefault(name, s.name) != s.name:
-                raise SynthesisError(
-                    f"component {comp.name}: states '{owner[name]}' and '{s.name}' both emit {name}"
-                )
 
 
 def _emit_timer_module(out) -> None:

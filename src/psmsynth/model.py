@@ -138,11 +138,9 @@ class PsmComponent:
     initial: str = ""
     states: tuple[State, ...] = ()
 
-    def event(self, name: str) -> EventDecl:
-        for e in self.events:
-            if e.name == name:
-                return e
-        raise KeyError(name)
+    def event(self, name: str) -> EventDecl | None:
+        """The event declared as `name`, or None."""
+        return next((e for e in self.events if e.name == name), None)
 
 
 @dataclass(frozen=True)
@@ -262,7 +260,7 @@ def validate_component(comp: PsmComponent) -> ValidationReport:
             if imp.event in seen_imports:
                 report.error(loc, f"state has two transitions on input '{imp.event}'")
             seen_imports.add(imp.event)
-            decl = next((e for e in comp.events if e.name == imp.event), None)
+            decl = comp.event(imp.event)
             if decl is None:
                 report.error(loc, f"import of undeclared event '{imp.event}'")
             elif decl.direction is not Direction.INPUT:
@@ -291,7 +289,7 @@ def validate_component(comp: PsmComponent) -> ValidationReport:
             if isinstance(a, Emit):
                 pure = a.value is None  # `notify` raises a pure event, `export` a data one
                 verb, kind, other = ("notify", "non-data", "data") if pure else ("export", "data", "none")
-                decl = next((e for e in comp.events if e.name == a.event), None)
+                decl = comp.event(a.event)
                 if decl is None:
                     report.error(loc, f"{verb} of undeclared event '{a.event}'")
                 elif decl.direction is not Direction.OUTPUT:
@@ -361,7 +359,7 @@ def validate_system(system: PsmSystem, components: Mapping[str, PsmComponent]) -
         comp = components.get(inst.component)
         if comp is None:
             return None
-        decl = next((e for e in comp.events if e.name == event_name), None)
+        decl = comp.event(event_name)
         if decl is None:
             report.error(loc, f"instance '{inst_name}' has no event '{event_name}'")
             return None
@@ -467,7 +465,7 @@ def _route_stimulus(
             inst_name, event_name = in_ports[inst_name]
         if inst_name not in comps:
             raise SimulationError(f"stimulus targets unknown instance or port '{evt.instance}'")
-        decl = next((e for e in comps[inst_name].events if e.name == event_name), None)
+        decl = comps[inst_name].event(event_name)
         if decl is None or decl.direction is not Direction.INPUT:
             raise SimulationError(f"stimulus targets '{inst_name}.{event_name}', which is not an input event")
         if (inst_name, event_name) in drivers:

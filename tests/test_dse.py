@@ -7,6 +7,7 @@ import random
 import re
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -418,23 +419,29 @@ def test_explore_requires_an_envelope_entry_per_computation(tmp_path):
 
 
 def test_explore_rejects_a_computation_name_with_a_nul(tmp_path):
-    # Report cells are NUL-padded bytes, so a NUL in a label would be dropped.
-    groups = {"a\0b": [alt("a\0b", 1000, 100, 1, 1)]}
-    with pytest.raises(dse.DseError, match="contains a NUL character"):
-        explore(groups, env_for(groups), WINDOW, tmp_path / "out")
-    assert not (tmp_path / "out").exists()
+    # Report cells are NUL-padded bytes, so a NUL in a label would be
+    # dropped, and configs.csv and pareto.csv cells are bare, so a comma, a
+    # double quote, CR or LF would split or shift a row.
+    for char in '\0,"\r\n':
+        name = f"a{char}b"
+        groups = {name: [alt(name, 1000, 100, 1, 1)]}
+        message = f"computation name {name!r} contains {char!r}, which a report cell cannot hold"
+        with pytest.raises(dse.DseError, match=f"^{re.escape(message)}$"):
+            explore(groups, env_for(groups), WINDOW, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
 
 def plot_mapping(points):
     """scatter.svg's documented mapping of (area, energy) to plot
     coordinates for a cloud of points: the 550 x 410 px plot at (70, 20)
-    spans the points' ranges, a range of one value widened by 1.0."""
+    spans the points' ranges, a range of one value widened by 1.0, or by
+    one ulp where adding 1.0 rounds back to the same value (from 2**53)."""
     x0, x1 = min(a for a, _ in points), max(a for a, _ in points)
     y0, y1 = min(e for _, e in points), max(e for _, e in points)
     if x1 == x0:
-        x1 = x0 + 1.0
+        x1 = x0 + 1.0 if x0 + 1.0 > x0 else math.nextafter(x0, math.inf)
     if y1 == y0:
-        y1 = y0 + 1.0
+        y1 = y0 + 1.0 if y0 + 1.0 > y0 else math.nextafter(y0, math.inf)
     return lambda a, e: (70 + (a - x0) / (x1 - x0) * 550, 430 - (e - y0) / (y1 - y0) * 410)
 
 
@@ -456,14 +463,16 @@ def svg_circles(svg, fill):
 
 def test_scatter_svg_is_well_formed(fixtures, tmp_path):
     # One steelblue mark per grid cell that holds a feasible configuration
-    # and one crimson circle per front point; tie_heavy has infeasible
+    # and one crimson circle per front point; huge's one area of 1e16 is a
+    # range that adding 1.0 cannot widen, and tie_heavy has infeasible
     # configurations to leave out.
-    for name, groups in (("wpm", load_groups(fixtures / "wpm_lcfds.csv")),
+    huge = {"h": [alt("h", 1000, 100, 1e16, 1), alt("h", 1000, 100, 1e16, 2)]}
+    for name, groups in (("wpm", load_groups(fixtures / "wpm_lcfds.csv")), ("huge", huge),
                          ("tie_heavy", tie_heavy_groups())):
         report = explore(groups, env_for(groups), WINDOW, tmp_path / name)
         svg = (tmp_path / name / "scatter.svg").read_text()
         assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
-        assert "Area (LUT+FF)" in svg and "Energy (mJ)" in svg
+        assert "Area (LUT+FF)" in svg and "Energy (mJ)" in svg and "nan" not in svg
         rows = [row.split(",") for row in (tmp_path / name / "configs.csv").read_text().splitlines()[1:]]
         feasible = [report.configs[int(row[0])] for row in rows if row[-1] == "yes"]
         points = [(c.area, c.energy) for c in feasible]
@@ -482,15 +491,20 @@ def test_scatter_svg_is_well_formed(fixtures, tmp_path):
 @example([(5.0, 1.0), (5.0, 2.0), (5.0, 3.0)])
 @example([(1.0, 4.0), (2.0, 4.0), (3.0, 4.0)])
 @example([(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0)])
+@example([(1e16, 7.0), (1e16, 8.0)])
+@example([(1.0, 2.0**53), (2.0, 2.0**53)])
 @given(st.lists(
     st.tuples(*[st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0]), st.floats(0.0, 1e6))] * 2),
     min_size=1, max_size=30,
 ))
 def test_scatter_marks_equal_the_occupied_cells(points):
     # Single points and ranges of one value take the widened-range branch,
-    # and each cloud's extremes lie on the plot's far edges.
+    # also where adding 1.0 cannot widen it, and each cloud's extremes lie on
+    # the plot's far edges.
     areas, energies = (np.array(column) for column in zip(*points))
-    svg = b"".join(dse.render_scatter(areas, energies, [])).decode()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        svg = b"".join(dse.render_scatter(areas, energies, [])).decode()
     assert svg_circles(svg, "steelblue") == scatter_marks(points)
     assert svg.count("<circle") == len(svg_circles(svg, "steelblue"))
 

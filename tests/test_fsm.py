@@ -593,14 +593,18 @@ def test_arrivals_within_one_clock_interval_are_taken_in_time_order():
      "payload mismatch for 'mhr.Start': unexpected data value"),
     ([TraceEvent(MS, "mhr", "Alarm", None)], ALL_IMPLS,
      "stimulus targets 'mhr.Alarm', which is not an input event"),
+    ([TraceEvent(MS, "mhr", "Nope", None)], ALL_IMPLS,
+     "stimulus targets 'mhr.Nope', which is not an input event"),
+    ([TraceEvent(MS, "Nope", "Start", None)], ALL_IMPLS,
+     "stimulus targets unknown instance or port 'Nope'"),
     ([TraceEvent(MS, "mhr", "Sample", 7)], ALL_IMPLS,
      "stimulus targets 'mhr.Sample', an input driven by 'mhr_sensor.Out'"),
     ([TraceEvent(MS, "StartMeasure", "Start", None)], {**ALL_IMPLS, "ComputeHR": lambda a: ()},
      "mcc 'ComputeHR' returned 0 values, expected 1"),
     ([TraceEvent(-5 * MS, "StartMeasure", "Start", None)], ALL_IMPLS,
      "stimulus at t=-1/200 is before time 0"),
-], ids=["payload-on-pure-event", "output-target", "driven-input", "mcc-result-count",
-        "negative-time"])
+], ids=["payload-on-pure-event", "output-target", "undeclared-target", "unknown-instance",
+        "driven-input", "mcc-result-count", "negative-time"])
 def test_simulator_and_interpreter_reject_the_same_inputs(wpm, stim, impls, message):
     system, comps = wpm
     sys_ir = synthesize_system(system, comps, {inst.name: 1 * MHZ for inst in system.instances})
@@ -763,15 +767,15 @@ def test_golden_rtl_of_chained_calls_and_a_timer_after_a_call():
 
 @pytest.mark.parametrize("declarations, states, message", [
     ("", "state idle { ts(1 ms) -> IDLE; } state IDLE { ts(1 ms) -> idle; }",
-     "component K: states 'idle' and 'IDLE' both emit S_IDLE"),
+     "RTL module psm_K declares S_IDLE twice"),
     ("", "state idle { ts(1 ms) -> Idle; } state Idle { ts(inf); }",
-     "component K: states 'idle' and 'Idle' both emit S_IDLE"),
+     "RTL module psm_K declares S_IDLE twice"),
     ('var x: int8; mcc F(1 -> 1) dfg "f.dfg";',
      "state a { entry { invoke F(x -> x); } ts(1 ms) -> a_call0; } state a_call0 { ts(inf); }",
-     "component K: states 'a' and 'a_call0' both emit S_A_CALL0"),
-    ("var do_entry: int8;", "state S { ts(inf); }", "component K: 'do_entry' is a signal of the generated RTL"),
-    ("input event clk;", "state S { import clk -> S; }", "component K: 'clk' is a signal of the generated RTL"),
-    ("var rst: int8;", "state S { ts(inf); }", "component K: 'rst' is a signal of the generated RTL"),
+     "RTL module psm_K declares S_A_CALL0 twice"),
+    ("var do_entry: int8;", "state S { ts(inf); }", "RTL module psm_K declares do_entry twice"),
+    ("input event clk(int8);", "state S { import clk -> S; }", "RTL module psm_K declares clk twice"),
+    ("var rst: int8;", "state S { ts(inf); }", "RTL module psm_K declares rst twice"),
     ("var tmr_S_start: int8;", "state S { ts(1 ms) -> S; }", "RTL module psm_K declares tmr_S_start twice"),
     ("var tmr_S_done: int8;", "state S { ts(1 ms) -> S; }", "RTL module psm_K declares tmr_S_done twice"),
     ("var u_tmr_S: int8;", "state S { ts(1 ms) -> S; }", "RTL module psm_K declares u_tmr_S twice"),
@@ -788,6 +792,18 @@ def test_rtl_refuses_names_that_collide(declarations, states, message):
     interpret(sys_ir, [], 10)
     with pytest.raises(SynthesisError, match=f"^{re.escape(message)}$"):
         emit_rtl(sys_ir)
+
+
+def test_rtl_of_a_pure_event_named_clk():
+    # A pure input is only its ev_clk_* handshake, which takes no name the
+    # module's own clk port holds.
+    comp = parse_component("component K { period 10 ms; input event clk; state S { import clk -> S; } }")
+    rtl = emit_rtl(synthesize_single(comp, 1 * MHZ))
+    module = rtl[rtl.index("module psm_K "):].splitlines()
+    assert module[3:7] == [
+        "  input wire clk,", "  input wire rst,", "  input wire ev_clk_req,", "  output reg ev_clk_ack",
+    ]
+    assert "  wire ev_clk_pending = ev_clk_req != ev_clk_ack;" in module
 
 
 @pytest.mark.parametrize("name", ["timer", "sync"])
