@@ -226,6 +226,7 @@ def cmd_sim(args) -> int:
 def cmd_schedule(args) -> int:
     name = args.mcc or os.path.splitext(os.path.basename(args.dfg))[0]
     f_max = _value("--fmax", args.fmax, parse_frequency, positive=True)
+    f_max_hz = dse.as_float(f_max, "--fmax", "Hz")
     if args.unroll < 0:
         raise CliError(f"--unroll: must be >= 0, got {args.unroll}")
     try:
@@ -258,7 +259,7 @@ def cmd_schedule(args) -> int:
     for lam, (cycles, usage, schedules) in zip(lams, fds.schedule_sweep(worklist, lams)):
         rows.append(
             cost.alternative_from_schedule(
-                name, args.unroll, lam, cycles, usage.per_type, float(f_max)
+                name, args.unroll, lam, cycles, usage.per_type, f_max_hz
             )
         )
         for key, sched in schedules.items():

@@ -189,14 +189,14 @@ def unroll_loop(loop: Loop, factor: int) -> Loop:
     n_in, n_ops = len(body.inputs), len(body.ops)
     ops = sorted(body.ops, key=lambda op: op.id)
     rank = {v: k for k, v in enumerate(sorted(body.inputs) + [op.id for op in ops])}
-    carried_src = {dst: src for src, dst in loop.carried}
+    carried = set(loop.carried)
 
     def new_id(v: int, copy: int) -> int:
         return rank[v] if rank[v] < n_in else rank[v] + copy * n_ops
 
     copies = tuple(
         Op(new_id(op.id, c), op.type, tuple(
-            new_id(x, c - 1 if c and carried_src.get(op.id) == x else c) for x in op.operands
+            new_id(x, c - 1 if c and (x, op.id) in carried else c) for x in op.operands
         ))
         for c in range(factor) for op in ops
     )

@@ -30,6 +30,7 @@ import operator
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from decimal import Context
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -62,12 +63,21 @@ class EnvelopeEntry:
             raise DseError("reserved cycles must be >= 0")
 
 
+def as_float(value: Fraction, what: str, unit: str) -> float:
+    """`float(value)`, or a DseError naming a value beyond a float's range."""
+    try:
+        return float(value)
+    except OverflowError:
+        near = Context(prec=6).divide(value.numerator, value.denominator).normalize()
+        raise DseError(f"{what}: {near:g} {unit} is too large for a float") from None
+
+
 def required_frequency(alt: MccAlternative, entry: EnvelopeEntry) -> float:
     """Minimum clock frequency (Hz) at which the alternative finishes all its
     invocations within the period.  May exceed f_max — that marks the
     alternative infeasible, it is never silently excluded."""
     cycles = entry.invocations * (alt.exec_cycles + entry.reserved_cycles)
-    return float(cycles / entry.period)
+    return as_float(cycles / entry.period, f"clock for computation '{alt.mcc}'", "Hz")
 
 
 @dataclass(frozen=True)
@@ -277,7 +287,7 @@ def explore(
     if not 0.0 <= static_fraction < 1.0:
         raise DseError(f"static fraction must be in [0, 1), got {static_fraction}")
     space = flatten_groups(groups, env)
-    window = float(window)
+    window = as_float(window, "window", "s")
     _, _, front_ids, n_feasible = _merge_front(space, window, static_fraction, independent)
     if not n_feasible:
         raise InfeasibleConfigError("no feasible configuration in the design space")
@@ -511,23 +521,6 @@ def synthetic_space(
 CHUNK = 1 << 16  # configurations per kernel call; partial sums per merge block
 
 
-def _beaten(areas: np.ndarray, energies: np.ndarray, margin_a: float, margin_e: float) -> np.ndarray:
-    """Mask of the partial sums that another sum beats by more than the
-    margins: one that is <= in both coordinates and below by more than
-    `margin_a` in area or `margin_e` in energy.  Both margins must be
-    positive, or a sum would beat itself."""
-    order = np.lexsort((energies, areas))
-    sorted_a = areas[order]
-    best_e = np.minimum.accumulate(energies[order])
-
-    def covered(a: np.ndarray, e: np.ndarray) -> np.ndarray:
-        """Whether some sum has area <= a and energy <= e."""
-        k = np.searchsorted(sorted_a, a, side="right")
-        return (k > 0) & (best_e[k - 1] <= e)
-
-    return covered(areas - margin_a, energies) | covered(areas, energies - margin_e)
-
-
 def _extend(pairs, first: int, size: int, area: np.ndarray, terms: np.ndarray,
             chunk: int, margins: tuple[float, float]):
     """Add one group to partial sums: for each (sums, rows) pair, every sum
@@ -547,14 +540,14 @@ def _extend(pairs, first: int, size: int, area: np.ndarray, terms: np.ndarray,
                 (e[lo:hi, None] + terms[rows]).ravel(),
                 (ids[lo:hi, None] * size + (rows - first)).ravel(),
             )
-            keep = ~_beaten(block[0], block[1], *margins)
+            keep = ~kernels.dominated(block[0], block[1], *margins)
             blocks.append(tuple(column[keep] for column in block))
     if not blocks:
         return np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
     if len(blocks) == 1:
         return blocks[0]
     a, e, ids = (np.concatenate(columns) for columns in zip(*blocks))
-    keep = ~_beaten(a, e, *margins)
+    keep = ~kernels.dominated(a, e, *margins)
     return a[keep], e[keep], ids[keep]
 
 
@@ -577,15 +570,18 @@ def _merge_front(
     kept apart from those that do not, and only the first kind is complete.
     With `independent` there is one pass over the rows with f_req <= f_max.
 
-    After each group, a partial sum is dropped only when another one is <=
-    in both coordinates and below by more than the rounding error that the
-    remaining additions and the window product can make (4 G eps times the
-    largest possible total, plus a floor for subnormals), so the dropped sum
-    ends dominated in every configuration and exact ties survive, as in
-    enumeration.  Each clock's complete sums join the front through an
-    exact `pareto_mask`; the clocks run upwards, and one is skipped when a
-    front point already dominates the sum of its groups' least areas and
-    energies, which no configuration it clocks can beat.
+    After each group, a partial sum is dropped only when another one is not
+    above it in either coordinate and below it by more than the rounding
+    error that the remaining additions and the window product can make (4 G
+    eps times the largest possible total, plus a floor for subnormals), so
+    the dropped sum ends dominated in every configuration and exact ties
+    survive, as in enumeration.  Each clock's complete sums join the front
+    through an exact `pareto_mask`; the clocks run upwards, and one is
+    skipped when a front point already dominates the sum of its groups'
+    least areas and energies, which no configuration it clocks can beat.
+    All three tests are `kernels.dominated`.  A space is refused when the
+    groups' largest areas, or largest energies over the window at the
+    highest clock each row can run at, sum beyond a float's range.
 
     Returns (front areas, front energies in mJ, front config ids), sorted by
     area, energy and id, and the number of feasible configs, counted
@@ -597,6 +593,11 @@ def _merge_front(
     f_req, f_max = space.f_req, space.f_max
     sizes = space.sizes.tolist()
     offsets = space.offsets.tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = kernels.scaled_power(space.power, f_req if independent else f_req.max(), f_max, d)
+    for what, values, factor in (("areas", space.area, 1.0), ("energies over the window", top, window)):
+        if not math.isfinite(sum(float(values[lo:lo + n].max()) for lo, n in zip(offsets, sizes)) * factor):
+            raise DseError(f"the computations' largest {what} sum to more than a float can hold")
     eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
     front = np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
     feasible = 0
@@ -615,13 +616,9 @@ def _merge_front(
         feasible += n_fit - n_below
         # Float sums are monotone, so no configuration here is below the sums
         # of the group minima; a front point that dominates those dominates all.
-        low_a = low_e = 0.0
-        for rows in groups:
-            low_a += float(space.area[rows].min())
-            low_e += float(terms[rows].min())
-        low_e *= window
-        fa, fe, _ = front
-        if ((fa <= low_a) & (fe <= low_e) & ((fa < low_a) | (fe < low_e))).any():
+        low_a = sum(float(space.area[rows].min()) for rows in groups)
+        low_e = sum(float(terms[rows].min()) for rows in groups) * window
+        if kernels.dominated(np.append(front[0], low_a), np.append(front[1], low_e))[-1]:
             return
         scale = 4 * len(groups) * eps
         margins = (

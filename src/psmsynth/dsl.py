@@ -313,14 +313,14 @@ class _Parser:
         self.keyword("state")
         name = self.ident("a state name").text
         self.expect("{")
-        entry: tuple[m.Action, ...] = ()
+        entry: tuple[m.Action, ...] | None = None
         imports: list[m.Import] = []
         timed: m.TimedTransition | None = None
         guards: list[m.GuardTransition] = []
         while not self.accept("}"):
             tok = self.here
             if self.accept("keyword", "entry"):
-                if entry:
+                if entry is not None:
                     self.fail("duplicate entry block", tok.span)
                 entry = self.entry_block()
             elif self.accept("keyword", "import"):
@@ -355,7 +355,7 @@ class _Parser:
                 guards.append(m.GuardTransition(guard, target))
             else:
                 self.fail(f"expected a state item, found '{tok.text or tok.kind}'")
-        return m.State(name, entry, tuple(imports), timed, tuple(guards))
+        return m.State(name, entry or (), tuple(imports), timed, tuple(guards))
 
     def entry_block(self) -> tuple[m.Action, ...]:
         self.expect("{")

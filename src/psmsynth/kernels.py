@@ -1,9 +1,9 @@
 """Numerical hot paths for design-space exploration, in numpy.
 
-`pareto_mask` extracts the non-dominated (area, energy) points by one
-lexicographic sort and a prefix-minimum scan; `pareto_mask_brute` is the
-quadratic pairwise definition it must agree with, kept as the oracle for the
-tests.  `evaluate_combos` evaluates a contiguous range of configurations of a
+`dominated` is the one dominance test: `pareto_mask` is its complement,
+and `dse`'s merge prunes and skips clocks with it.  `pareto_mask_brute` is
+the quadratic pairwise definition they must agree with, kept as the oracle.
+`evaluate_combos` evaluates a contiguous range of configurations of a
 cartesian product of per-computation alternatives.
 """
 
@@ -37,30 +37,28 @@ def pareto_mask_brute(xs, ys):
     return keep
 
 
-def pareto_mask(xs, ys):
-    """Non-dominated mask via lexicographic sort and a single min-scan.
-    Identical semantics to `pareto_mask_brute` in O(n log n)."""
+def dominated(xs, ys, margin_x=0.0, margin_y=0.0):
+    """Mask of the points i that another point beats by more than the
+    margins (>= 0; no NaN): one with x < x_i - margin_x and y <= y_i, or
+    with x <= x_i and y < y_i - margin_y.  With no margins this is Pareto
+    dominance.  `best[k - 1]` is the least y of the k points of least x, so
+    only x is sorted, and k counts the points left of each query."""
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     ys = np.ascontiguousarray(ys, dtype=np.float64)
-    # Scanning in (x, y) order, a point is dropped iff its y exceeds the best
-    # y seen before it, or equals it while the point that set that best has
-    # a smaller x.  The best so far is a prefix minimum, and the point that
-    # set it is the last one to lower it.
-    n = xs.shape[0]
-    keep = np.ones(n, dtype=np.bool_)
-    if n == 0:
-        return keep
-    order = np.lexsort((ys, xs))
+    order = np.argsort(xs, kind="stable")  # quicksort maps ~0.5 MB more code into RSS
     x = xs[order]
     y = ys[order]
-    best = np.empty(n)
-    best[0] = np.inf
-    np.minimum.accumulate(y[:-1], out=best[1:])
-    setter = np.maximum.accumulate(np.where(y < best, np.arange(n), -1))
-    before = np.concatenate(([-1], setter[:-1]))
-    best_x = np.where(before >= 0, x[before], np.inf)
-    keep[order] = ~((y > best) | ((y == best) & (best_x < x)))
-    return keep
+    best = np.minimum.accumulate(y)
+    left = np.searchsorted(x, x - margin_x, side="left")
+    upto = np.searchsorted(x, x, side="right")
+    mask = np.empty(len(x), dtype=np.bool_)
+    mask[order] = ((left > 0) & (best[left - 1] <= y)) | (best[upto - 1] < y - margin_y)
+    return mask
+
+
+def pareto_mask(xs, ys):
+    """Non-dominated mask in O(n log n), identical to `pareto_mask_brute`."""
+    return ~dominated(xs, ys)
 
 
 # --- Cartesian-product configuration evaluation ------------------------------

@@ -26,7 +26,7 @@ def duration_from_decimal(text: str, unit: str) -> Fraction:
 
 
 def _as_exact_decimal(value: Fraction) -> str | None:
-    """Finite decimal representation of a fraction, or None."""
+    """Finite decimal representation of a fraction that is not whole, or None."""
     den = value.denominator
     two = 0
     while den % 2 == 0:
@@ -42,10 +42,7 @@ def _as_exact_decimal(value: Fraction) -> str | None:
     scaled = value * 10**digits
     whole = scaled.numerator  # exact by construction
     text = str(whole).rjust(digits + 1, "0")
-    if digits == 0:
-        return text
-    out = f"{text[:-digits]}.{text[-digits:]}".rstrip("0").rstrip(".")
-    return out or "0"
+    return f"{text[:-digits]}.{text[-digits:]}".rstrip("0").rstrip(".")
 
 
 def format_duration(seconds: Fraction) -> str:

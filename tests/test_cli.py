@@ -562,6 +562,8 @@ def test_explore_requires_period_entries(fixtures, tmp_path, capsys):
     ("window = 0", "window must be positive"),
     ("window = -1", "window must be positive"),
     ("window = 1/0", "'window': invalid value '1/0'"),
+    ("window = 1e400 s", "window: 1e+400 s is too large for a float"),
+    ("period.mhr = 1e-400 s", "clock for computation 'mhr': 4.056e+403 Hz is too large for a float"),
     ("static_fracton = 0.5", "unknown config key(s): static_fracton"),
     ("period.hr = 100 ms", "unknown config key(s): period.hr"),
 ])
@@ -590,13 +592,16 @@ def test_explore_config_errors_end_in_one_line(fixtures, tmp_path, capsys, line,
     (["schedule", "adds4.dfg", "--fmax", "0"], None, "--fmax: must be positive, got '0'"),
     (["schedule", "adds4.dfg", "--fmax", "abc"], None, "--fmax: invalid value 'abc'"),
     (["schedule", "adds4.dfg", "--unroll", "-1"], None, "--unroll: must be >= 0, got -1"),
+    (["schedule", "adds4.dfg", "--fmax", "1e400 MHz"], None,
+     "--fmax: 1e+406 Hz is too large for a float"),
     (["synth", "mhr.psm", "--default-freq", "abc"], None, "--default-freq: invalid value 'abc'"),
     (["synth", "mhr.psm", "--freq", "dut=abc"], None, "--freq dut: invalid value 'abc'"),
     (["sim", *ALL_MODELS, "--horizon", "1 s"], "-5ms StartMeasure Start\n",
      "stimulus at t=-1/200 is before time 0"),
 ], ids=[
     "horizon-abc", "horizon-negative", "stimulus-time", "stimulus-payload", "fmax-zero",
-    "fmax-abc", "unroll-negative", "default-freq-abc", "freq-abc", "stimulus-negative-time",
+    "fmax-abc", "unroll-negative", "fmax-beyond-a-float", "default-freq-abc", "freq-abc",
+    "stimulus-negative-time",
 ])
 def test_flag_and_stimulus_values_end_in_one_line(fixtures, tmp_path, capsys, argv, stim, message):
     argv = [fixtures / a if a.endswith((".psm", ".dfg")) else a for a in argv]
@@ -609,6 +614,27 @@ def test_flag_and_stimulus_values_end_in_one_line(fixtures, tmp_path, capsys, ar
     assert code == 1
     assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
     assert message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["1e308,1", "1,1"], "the computations' largest areas sum to more than a float can hold"),
+    (["1,1e308", "1,1e308"],
+     "the computations' largest energies over the window sum to more than a float can hold"),
+], ids=["area", "energy"])
+def test_explore_refuses_totals_beyond_a_float(tmp_path, capsys, rows, message):
+    # Two computations whose largest rows add up past the float range: no
+    # total may be written as inf.
+    alts = tmp_path / "huge.csv"
+    alts.write_text("mcc,source,unroll,lambda,freq_mhz,exec_cycles,area,power_mw\n" + "".join(
+        f"{name},measured,0,{lam},100,1000,{row}\n"
+        for name in ("a", "b") for lam, row in zip((1, 2), rows)
+    ))
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("window = 1 s\nperiod.a = 10 us\nperiod.b = 10 us\n")  # f_req = f_max
+    code, out, err = run(["explore", "--alts", alts, "--config", cfg, "--out", tmp_path / "out"], capsys)
+    assert code == 1
+    assert out == "" and err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -785,6 +811,8 @@ WPM = [f"{{fx}}/{n}" for n in ALL_MODELS]
      "{tmp}/nan.csv:2: max frequency must be finite, got nan"),
     (["explore", "--alts", "{tmp}/lam.csv", "--config", "{fx}/wpm.cfg", "--out", "{tmp}/out"], 1,
      "{tmp}/lam.csv:2: latency constraint must be >= 1, got -5"),
+    (["explore", "--alts", "{tmp}/long.csv", "--config", "{tmp}/mhr.cfg", "--out", "{tmp}/out"], 1,
+     "clock for computation 'mhr': 1e+401 Hz is too large for a float"),
     (["sim", "{tmp}/narrow.psm", "--stimulus", "{tmp}/narrow.stim", "--horizon", "50 ms"], 1,
      "payload 200 for 'dut.In' does not fit int8"),
     (["sim", *WPM, "--stimulus", "{tmp}/driven.stim", "--horizon", "50 ms"], 1,
@@ -805,7 +833,8 @@ WPM = [f"{{fx}}/{n}" for n in ALL_MODELS]
     "sim-two-systems", "synth-two-systems", "division-by-zero", "psm-not-utf8", "dfg-not-utf8",
     "csv-not-utf8", "result-read-before-the-call-is-done", "sim-zero-width-variable",
     "synth-zero-width-variable", "schedule-empty-graph-at-a-latency", "csv-not-finite",
-    "csv-latency-below-1", "stimulus-payload-out-of-range", "stimulus-into-a-driven-input",
+    "csv-latency-below-1", "csv-cycles-beyond-a-float", "stimulus-payload-out-of-range",
+    "stimulus-into-a-driven-input",
     "synth-fractional-clock", "synth-constant-true-guard", "synth-constant-guard-divides-by-zero",
     "synth-state-names-collide-in-rtl", "synth-variable-named-like-a-timer-signal",
     "synth-two-pins-make-one-net", "psm-parse-error",
@@ -829,6 +858,11 @@ def test_malformed_input_ends_in_one_error_line(fixtures, tmp_path, capsys, argv
         "mhr,measured,0,-5,100,4056,1,1\n"
         "mhr,measured,0,0,100,4057,2,1\n"
     )
+    (tmp_path / "long.csv").write_text(
+        "mcc,source,unroll,lambda,freq_mhz,exec_cycles,area,power_mw\n"
+        f"mhr,measured,0,63,100,{10**400},1,1\n"
+    )
+    (tmp_path / "mhr.cfg").write_text("period.mhr = 100 ms\n")
     (tmp_path / "narrow.psm").write_text(NARROW)
     (tmp_path / "narrow.stim").write_text("0.001 dut In 200\n")
     (tmp_path / "driven.stim").write_text("0.001 mhr Sample 7\n")

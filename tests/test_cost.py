@@ -33,6 +33,11 @@ def test_area_is_weighted_sum_with_overhead():
         estimate_area({"quantum": 1}, table)
 
 
+def test_negative_area_coefficient_rejected():
+    with pytest.raises(CostError, match=r"^area coefficient for 'add' must be >= 0$"):
+        CostTable(area={"add": -1.0})
+
+
 def test_power_scales_linearly_with_frequency():
     p_ref = estimate_power(1000.0, F_REF)
     assert estimate_power(1000.0, F_REF / 2) == pytest.approx(p_ref / 2)

@@ -23,6 +23,7 @@ from psmsynth.dfg import (
     nest_parts,
     parse_nest,
     unroll,
+    unroll_loop,
 )
 
 
@@ -44,6 +45,11 @@ def test_ids_must_be_dense():
 def test_unknown_op_type_rejected():
     with pytest.raises(DfgError):
         Dfg(ops=(Op(1, "teleport", (0,)),), inputs=(0,), outputs=(1,))
+
+
+def test_operand_must_be_declared():
+    with pytest.raises(DfgError, match=r"^op 1 references undeclared id 5$"):
+        Dfg(ops=(Op(1, "add", (5,)),), inputs=(0,), outputs=(1,))
 
 
 def test_cycle_detected():
@@ -203,6 +209,16 @@ def test_unroll_wires_carried_dependence_between_copies():
     assert un.carried == ((3, 2),)
 
 
+def test_unroll_rewires_two_carries_into_one_consumer():
+    # op 3 reads ops 1 and 2, both carried: in copy 1 both reads come from
+    # copy 0 (ops 1 and 2), not from copy 1's own ops 4 and 5.
+    body = Dfg((Op(1, "add", (0,)), Op(2, "mul", (0,)), Op(3, "add", (1, 2))), (0,), (3,))
+    un = unroll_loop(Loop(body, trip=4, carried=((1, 3), (2, 3))), 2)
+    consumers = {op.id: op.operands for op in un.body.ops if op.id in (3, 6)}
+    assert consumers == {3: (1, 2), 6: (1, 2)}
+    assert un.carried == ((4, 3), (5, 3))
+
+
 def test_unroll_identity_factor():
     loop = accumulator_loop()
     assert unroll(LoopNest(loops=(loop,)), 1).loops[0] is loop
@@ -214,7 +230,7 @@ def test_unroll_identity_factor():
 # space, ops read inputs and ops, carries pair any two ops (their consumer
 # need not read their producer, and two may share a consumer), and loops nest
 # and may be `nounroll`.
-UNROLL_SHA256 = "44ce8e9bbfcdf2b4f2ce56c7af17fec7d05c53b272ecbd5bdbeb78f899efc49f"
+UNROLL_SHA256 = "891485186155fa20f2e435b0c3b51f5f83d18d9ab1e62f99dc58546be9585668"
 
 
 def random_body(rng: random.Random) -> Dfg:

@@ -95,6 +95,19 @@ def test_connection_to_undeclared_instance_diagnosed():
     assert any("undeclared instance 'ghost'" in d.message for d in err.value.diagnostics)
 
 
+@pytest.mark.parametrize("entries, message", [
+    ("entry { x = 1.5; }", "expressions are integer-only"),
+    ("entry { } entry { notify E; }", "duplicate entry block"),
+])
+def test_entry_block_diagnosed(entries, message):
+    with pytest.raises(ParseError) as err:
+        parse_component(
+            "component C { period 1 s; output event E; var x: int32 = 0; "
+            f"initial A; state A {{ {entries} ts(inf); }} }}"
+        )
+    assert [d.message for d in err.value.diagnostics] == [message]
+
+
 def test_guard_expression_precedence():
     c = parse_component(
         """

@@ -179,6 +179,9 @@ def test_compiled_short_circuit_skips_a_failing_right_side(op, left, div, env):
     (ex.BinOp("/", ex.Num(1), ex.Num(0)), "division by zero"),
     (ex.BinOp("%", ex.Num(-5), ex.BinOp("-", ex.Num(2), ex.Num(2))), "modulo by zero"),
     (ex.BinOp("+", ex.Num(1), ex.Var("nope")), "undefined variable 'nope'"),
+    (ex.UnOp("~", ex.Num(1)), "unknown unary operator '~'"),
+    (ex.BinOp("**", ex.Num(2), ex.Num(3)), "unknown operator '**'"),
+    ("x", "not an expression: 'x'"),
 ])
 def test_compiling_never_raises_and_running_raises_the_evaluation_error(e, message):
     run = ex.compile_expr(e)

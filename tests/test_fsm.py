@@ -81,6 +81,12 @@ def test_same_duration_scales_with_frequency():
 
 # --- Synthesis checks ---------------------------------------------------------
 
+def test_non_positive_frequency_rejected():
+    comp = parse_component("component C { period 1 s; initial A; state A { ts(inf); } }")
+    with pytest.raises(SynthesisError, match=r"^instance 'dut' has non-positive frequency 0$"):
+        synthesize_single(comp, 0)
+
+
 def test_unconditional_delta_cycle_rejected():
     comp = parse_component(
         """

@@ -1,4 +1,4 @@
-"""Numeric kernels: the sort-and-scan mask must agree exactly with the
+"""Numeric kernels: the dominance test must agree exactly with the
 pairwise oracle, and configuration evaluation with a nested-loop reference."""
 
 import itertools
@@ -47,6 +47,21 @@ def test_scan_mask_matches_brute_mask():
         assert np.array_equal(kernels.pareto_mask(xs, ys), kernels.pareto_mask_brute(xs, ys))
 
 
+EDGE_VALUES = [0.0, -0.0, 5e-324, 1e-300, 1.0, 1e308, np.inf, -1.0, 2.0**53, 2.0**53 + 2]
+
+
+def test_pareto_mask_matches_brute_mask_on_extreme_values():
+    # Signed zeros, the least subnormal, huge and infinite values, and
+    # neighbours where float spacing is 2.
+    rng = np.random.default_rng(3)
+    grid = [(x, y) for x in EDGE_VALUES for y in EDGE_VALUES]
+    for n in [len(grid)] + [int(k) for k in rng.integers(1, 25, size=300)]:
+        pick = rng.choice(len(grid), size=n, replace=n > len(grid))
+        xs = np.array([grid[i][0] for i in pick])
+        ys = np.array([grid[i][1] for i in pick])
+        assert np.array_equal(kernels.pareto_mask(xs, ys), kernels.pareto_mask_brute(xs, ys))
+
+
 def test_exact_ties_are_kept():
     xs = np.array([1.0, 1.0, 2.0])
     ys = np.array([2.0, 2.0, 1.0])
@@ -75,6 +90,29 @@ def test_scan_mask_matches_brute_mask_on_tie_heavy_sets(points):
     ys = np.array([y for _, y in points], dtype=np.float64)
     assert np.array_equal(kernels.pareto_mask(xs, ys), kernels.pareto_mask_brute(xs, ys))
     assert np.array_equal(kernels.pareto_mask(xs, ys), reference_mask(xs, ys))
+
+
+MARGINS = st.sampled_from([0.0, 0.5, 1.0, 1.5])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=40),
+    MARGINS, MARGINS,
+)
+def test_dominated_matches_pairwise_definition(points, margin_x, margin_y):
+    # Margins of a half and of whole grid steps put points exactly on and
+    # off each boundary.
+    xs = np.array([x for x, _ in points], dtype=np.float64)
+    ys = np.array([y for _, y in points], dtype=np.float64)
+    expected = [
+        any(
+            (xj < xi - margin_x and yj <= yi) or (xj <= xi and yj < yi - margin_y)
+            for xj, yj in zip(xs.tolist(), ys.tolist())
+        )
+        for xi, yi in zip(xs.tolist(), ys.tolist())
+    ]
+    assert kernels.dominated(xs, ys, margin_x, margin_y).tolist() == expected
 
 
 def _random_space(seed, n_groups=3, group_size=4):

@@ -278,6 +278,8 @@ AB = PsmSystem(
      "system Sys: error: duplicate instance 'a'"),
     ({"instances": (*AB.instances, Instance("c", "C"))},
      "system Sys: error: instance 'c' uses unknown component 'C'"),
+    ({"instances": (Instance("a", "X"), Instance("b", "B"))},
+     "system Sys: error: instance 'a' uses unknown component 'X'"),
     ({"instances": (Instance("a", "A", Fraction(0)), Instance("b", "B"))},
      "system Sys: error: instance 'a' has non-positive period override"),
     ({"connections": (Connection("z", "Out", "b", "In"),)},
@@ -290,7 +292,8 @@ AB = PsmSystem(
      "system Sys, a.Out -> b.InD: error: connected events disagree on payload presence"),
     ({"ports": (ExternalPort("Kick", Direction.INPUT, "b", "In"),)},
      "system Sys, port Kick: error: input 'b.In' is driven by two sources"),
-], ids=["duplicate-instance", "unknown-component", "period-override-0", "undeclared-instance",
+], ids=["duplicate-instance", "unknown-component", "connection-from-unknown-component",
+        "period-override-0", "undeclared-instance",
         "missing-event", "wrong-direction", "payload-presence", "port-drives-a-driven-input"])
 def test_system_findings_of_library_built_models(fields, message):
     assert validate_system(AB, AB_COMPS).findings == []

@@ -24,10 +24,12 @@ def test_format_picks_largest_integral_unit():
     assert format_duration(Fraction(2)) == "2 s"
     assert format_duration(Fraction(1, 10**6)) == "1 us"
     assert format_duration(Fraction(1, 10**9)) == "1 ns"
+    assert format_duration(Fraction(-5, 1000)) == "-5 ms"
 
 
 def test_format_decimal_fallback():
     assert format_duration(Fraction(15, 10**10)) == "1.5 ns"
+    assert format_duration(Fraction(1, 5 * 10**9)) == "0.2 ns"
     assert format_duration(Fraction(0)) == "0 s"
 
 
