@@ -5,26 +5,25 @@ period, derive the minimum frequency at which every computation still meets
 its deadline, scale all alternatives' power to the common frequency above a
 static fraction that does not scale, evaluate area and energy for every
 combination, and extract the non-dominated (area, energy) front.  The front
-is merged from per-group fronts, one candidate clock at a time, without
-enumerating the space; only the reports enumerate it, chunk by chunk on flat
-arrays with the `kernels` module.  Reports are written with fixed decimal
-formatting so repeated runs are byte-identical.  The configs.csv rows and
-scatter.svg circles are laid out as one NUL-padded byte matrix, a line per
-row: numbers become ASCII digits by integer arithmetic on whole columns,
-labels come from a bytes table, and the NUL bytes are dropped at the end.
-A number whose rounding that arithmetic cannot settle exactly (within an
-ulp of a half-way point, negative, not finite, or too large) is formatted
-on its own by `%`, so every cell reads as `_fmt` or `_fmt_area` would
-write it.  The report files are written as bytes; only their few `str`
-pieces (headers, pareto.json, summary.txt, the SVG frame) are encoded.
-scatter.svg draws the feasible cloud as one circle per occupied cell of a
-grid of `CELL`-pixel cells over the plot, so its size is bounded by the
-grid (275 x 205 cells at 2 px) plus the front, which is drawn exactly."""
+is merged from per-group fronts, one list of partial sums per candidate
+clock, without enumerating the space; only the reports enumerate it, chunk
+by chunk on flat arrays with the `kernels` module.  Reports are written with
+fixed decimal formatting so repeated runs are byte-identical.  The
+configs.csv rows and scatter.svg circles are laid out as one NUL-padded byte
+matrix, a line per row: numbers become ASCII digits by integer arithmetic on
+whole columns, labels come from a bytes table, and the NUL bytes are dropped
+at the end.  A number whose rounding that arithmetic cannot settle exactly
+(within an ulp of a half-way point, negative, not finite, or too large) is
+formatted on its own by `%`, so every cell reads as `_fmt` or `_fmt_area`
+would write it.  The report files are written as bytes; only their few `str`
+pieces (headers, summary.txt, the SVG frame) are encoded.  scatter.svg draws
+the feasible cloud as one circle per occupied cell of a grid of `CELL`-pixel
+cells over the plot, so its size is bounded by the grid (275 x 205 cells at
+2 px) plus the front, which is drawn exactly."""
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
 import os
@@ -64,12 +63,17 @@ class EnvelopeEntry:
 
 
 def as_float(value: Fraction, what: str, unit: str) -> float:
-    """`float(value)`, or a DseError naming a value beyond a float's range."""
+    """`float(value)`, or a DseError naming a value beyond a float's range:
+    one too large, or one not zero that rounds to zero."""
     try:
-        return float(value)
+        number = float(value)
+        if number or not value:
+            return number
+        size = "small"
     except OverflowError:
-        near = Context(prec=6).divide(value.numerator, value.denominator).normalize()
-        raise DseError(f"{what}: {near:g} {unit} is too large for a float") from None
+        size = "large"
+    near = Context(prec=6).divide(value.numerator, value.denominator).normalize()
+    raise DseError(f"{what}: {near:g} {unit} is too {size} for a float")
 
 
 def required_frequency(alt: MccAlternative, entry: EnvelopeEntry) -> float:
@@ -275,14 +279,15 @@ def explore(
     independent: bool = False,
 ) -> Report:
     """Merge the front, enumerate the space, and write the report files
-    (configs.csv, pareto.csv, pareto.json, scatter.svg, summary.txt).
+    (configs.csv, pareto.csv, scatter.svg, summary.txt).
 
     A row's power scales from its f_max to its clock with
     `kernels.scaled_power`, `static_fraction` being the part that does not
     scale.  With `independent=True` each computation runs at its own required
     frequency (per-instance clock generics) instead of one shared clock.
     Infeasible configurations are listed with the feasible flag down, never
-    silently dropped.
+    silently dropped.  A space whose per-configuration arrays cannot be
+    allocated is refused before the output directory is made.
     """
     if not 0.0 <= static_fraction < 1.0:
         raise DseError(f"static fraction must be in [0, 1), got {static_fraction}")
@@ -294,10 +299,11 @@ def explore(
     names = list(groups)
     labels = np.array([f"{n}={i}".encode() for n in names for i in range(len(groups[n]))])
     total = space.total
-    f_common = np.empty(total)
-    area = np.empty(total)
-    energy = np.empty(total)
-    feasible = np.empty(total, dtype=np.bool_)
+    try:
+        f_common, area, energy = np.empty(total), np.empty(total), np.empty(total)
+        feasible = np.empty(total, dtype=np.bool_)
+    except (MemoryError, ValueError):  # numpy's "array is too big" is a ValueError
+        raise DseError(f"the design space has {total} configurations, too many to list in memory") from None
 
     os.makedirs(out_dir, exist_ok=True)
     files: dict[str, str] = {}
@@ -339,17 +345,6 @@ def explore(
     reduction = 1.0 - min_energy.energy / unscaled if unscaled > 0 else 0.0
 
     write("pareto.csv", (header, rows_text(front_ids)))
-
-    payload = [
-        {
-            "config_id": c.config_id,
-            "area": c.area,
-            "energy_mj": round(c.energy, 9),
-            "choices": {n: i for n, i in zip(names, c.indices)},
-        }
-        for c in front
-    ]
-    write("pareto.json", ((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode(),))
 
     write("scatter.svg", render_scatter(area[feasible], energy[feasible], front))
 
@@ -456,7 +451,7 @@ class FlatSpace:
 
     @property
     def total(self) -> int:
-        return int(np.prod(self.sizes.astype(np.float64)))
+        return math.prod(self.sizes.tolist())
 
 
 def flatten_groups(
@@ -521,29 +516,24 @@ def synthetic_space(
 CHUNK = 1 << 16  # configurations per kernel call; partial sums per merge block
 
 
-def _extend(pairs, first: int, size: int, area: np.ndarray, terms: np.ndarray,
+def _extend(sums, rows: np.ndarray, first: int, size: int, area: np.ndarray, terms: np.ndarray,
             chunk: int, margins: tuple[float, float]):
-    """Add one group to partial sums: for each (sums, rows) pair, every sum
-    plus every one of its rows, `chunk` sums at most per product block; the
-    beaten sums of each block and of their union are dropped.  `sums` is
-    (areas, energies, config-id prefixes), and the group's `size` rows start
-    at flat row `first`."""
+    """Add one group to partial sums: every sum plus every one of its `rows`,
+    `chunk` sums at most per product block; the beaten sums of each block
+    and of their union are dropped.  `sums` is (areas, energies, config-id
+    prefixes), and the group's `size` rows start at flat row `first`."""
+    a, e, ids = sums
+    step = max(1, chunk // len(rows))
     blocks = []
-    for (a, e, ids), rows in pairs:
-        if not (len(a) and len(rows)):
-            continue
-        step = max(1, chunk // len(rows))
-        for lo in range(0, len(a), step):
-            hi = lo + step
-            block = (
-                (a[lo:hi, None] + area[rows]).ravel(),
-                (e[lo:hi, None] + terms[rows]).ravel(),
-                (ids[lo:hi, None] * size + (rows - first)).ravel(),
-            )
-            keep = ~kernels.dominated(block[0], block[1], *margins)
-            blocks.append(tuple(column[keep] for column in block))
-    if not blocks:
-        return np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
+    for lo in range(0, len(a), step):
+        hi = lo + step
+        block = (
+            (a[lo:hi, None] + area[rows]).ravel(),
+            (e[lo:hi, None] + terms[rows]).ravel(),
+            (ids[lo:hi, None] * size + (rows - first)).ravel(),
+        )
+        keep = ~kernels.dominated(block[0], block[1], *margins)
+        blocks.append(tuple(column[keep] for column in block))
     if len(blocks) == 1:
         return blocks[0]
     a, e, ids = (np.concatenate(columns) for columns in zip(*blocks))
@@ -561,32 +551,39 @@ def _merge_front(
     """The front of the space, found by merging per-group fronts instead of
     enumerating the cartesian product.
 
-    With a common clock, each distinct f_req is taken in turn as the clock f.
-    The configurations it clocks choose in each group a row with
-    f_req <= f <= f_max, and at least one row with f_req == f.  Their (area,
-    energy) sums are formed group by group in declaration order from 0.0,
-    with `evaluate_rows`' per-row energy, so that each total equals its
-    enumerated value to the bit; sums that already include a row at f are
-    kept apart from those that do not, and only the first kind is complete.
-    With `independent` there is one pass over the rows with f_req <= f_max.
+    With a common clock, each distinct f_req is taken in turn as the clock f,
+    and its pass sums every configuration of rows with f_req <= f <= f_max,
+    group by group in declaration order from 0.0 with `evaluate_combos`'
+    per-row energy, so that each configuration f clocks (one with a row at
+    f_req == f) totals its enumerated value to the bit.  One whose largest
+    f_req f' is below f totals the same area and, as the scaled power of a
+    power >= 0 does not fall as the clock rises, no less energy than at f';
+    so it removes no front point, and where it ties itself the front lists
+    its id once.  With `independent` there is one pass over the rows with
+    f_req <= f_max.
 
     After each group, a partial sum is dropped only when another one is not
     above it in either coordinate and below it by more than the rounding
     error that the remaining additions and the window product can make (4 G
     eps times the largest possible total, plus a floor for subnormals), so
     the dropped sum ends dominated in every configuration and exact ties
-    survive, as in enumeration.  Each clock's complete sums join the front
-    through an exact `pareto_mask`; the clocks run upwards, and one is
-    skipped when a front point already dominates the sum of its groups'
-    least areas and energies, which no configuration it clocks can beat.
-    All three tests are `kernels.dominated`.  A space is refused when the
-    groups' largest areas, or largest energies over the window at the
-    highest clock each row can run at, sum beyond a float's range.
+    survive, as in enumeration.  Each pass's sums join the front through an
+    exact `pareto_mask`; the clocks run upwards, and one is skipped when a
+    front point already dominates the sum of its groups' least areas and
+    energies, which no configuration it clocks can beat.  All three tests
+    are `kernels.dominated`.  A space is refused when a row has a negative
+    power, when it holds more configurations than an int64 id can number,
+    or when the groups' largest areas, or largest energies over the window
+    at the highest clock each row can run at, sum beyond a float's range.
 
     Returns (front areas, front energies in mJ, front config ids), sorted by
     area, energy and id, and the number of feasible configs, counted
     combinatorially.
     """
+    if (space.power < 0).any():
+        raise DseError(f"a row has a negative power, {float(space.power.min())} mW")
+    if space.total > np.iinfo(np.int64).max:
+        raise DseError(f"the design space has {space.total} configurations, more than an int64 id can number")
     if not window > 0:
         raise DseError(f"window must be positive, got {window}")
     d = static_fraction
@@ -603,14 +600,12 @@ def _merge_front(
     feasible = 0
 
     def merge(fits: np.ndarray, at: np.ndarray, terms: np.ndarray) -> None:
-        """Merge the front of the configurations made of `fits` rows that
-        include an `at` row into `front`, and count them into `feasible`."""
+        """Merge the front of the configurations made of `fits` rows into
+        `front`, and count those that include an `at` row into `feasible`."""
         nonlocal front, feasible
         groups = [lo + np.flatnonzero(fits[lo:lo + n]) for lo, n in zip(offsets, sizes)]
-        n_fit = n_below = 1
-        for rows in groups:
-            n_fit *= len(rows)
-            n_below *= int((~at[rows]).sum())
+        n_fit = math.prod(len(rows) for rows in groups)
+        n_below = math.prod(int((~at[rows]).sum()) for rows in groups)
         if n_fit == n_below:
             return
         feasible += n_fit - n_below
@@ -626,17 +621,11 @@ def _merge_front(
             scale * sum(float(np.abs(terms[rows]).max()) for rows in groups)
             + 4 * tiny / min(window, 1.0),
         )
-        done = np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
-        undone = np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.int64)
-        for g, (rows, first, size) in enumerate(zip(groups, offsets, sizes)):
-            hit = at[rows]
-            done = _extend([(done, rows), (undone, rows[hit])], first, size,
-                           space.area, terms, chunk, margins)
-            if g < len(groups) - 1:  # the last group's undone sums are never complete
-                undone = _extend([(undone, rows[~hit])], first, size, space.area, terms,
-                                 chunk, margins)
+        sums = np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.int64)
+        for rows, first, size in zip(groups, offsets, sizes):
+            sums = _extend(sums, rows, first, size, space.area, terms, chunk, margins)
         areas, energies, ids = (
-            np.concatenate(pair) for pair in zip(front, (done[0], done[1] * window, done[2]))
+            np.concatenate(pair) for pair in zip(front, (sums[0], sums[1] * window, sums[2]))
         )
         keep = kernels.pareto_mask(areas, energies)
         front = areas[keep], energies[keep], ids[keep]
@@ -648,9 +637,10 @@ def _merge_front(
         for f in np.unique(f_req).tolist():
             fits = (f_req <= f) & (f <= f_max)
             merge(fits, f_req == f, kernels.scaled_power(space.power, f, f_max, d))
-    areas, energies, ids = front
-    order = np.lexsort((ids, energies, areas))
-    return areas[order], energies[order], ids[order], feasible
+    order = np.lexsort(front[::-1])  # by area, energy and id
+    areas, energies, ids = (column[order] for column in front)
+    once = np.append(True, ids[1:] != ids[:-1])[:len(ids)]  # a config tied with itself at two clocks
+    return areas[once], energies[once], ids[once], feasible
 
 
 def explore_streaming(

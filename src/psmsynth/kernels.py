@@ -85,8 +85,9 @@ def scaled_power(power, f, f_max, d):
     return power * (d + (1.0 - d) * (f / f_max))
 
 
-def evaluate_rows(rows, f_req, f_max, power, area, static_fraction=0.0, independent=False):
-    """Evaluate the configurations whose choices are the columns of `rows`.
+def evaluate_combos(start, count, offsets, sizes, f_req, f_max, power, area,
+                    static_fraction=0.0, independent=False):
+    """Evaluate configurations [start, start+count) of the cartesian product.
 
     Power scales from each row's f_max down to its clock with `scaled_power`.
     The clock is the configuration's common frequency, the largest f_req of its
@@ -94,9 +95,10 @@ def evaluate_rows(rows, f_req, f_max, power, area, static_fraction=0.0, independ
     runs at its own f_req and must only meet its own f_max.  Sums run over
     the groups in order, starting from 0.0, exactly like Python's `sum`.
 
-    Returns (total area, energy per second, feasible, common frequency).
+    Returns (total area, energy per second, feasible, common frequency);
+    multiply the energy by the accounting window outside.
     """
-    count = rows.shape[1]
+    rows = combo_rows(np.arange(start, start + count, dtype=np.int64), offsets, sizes)
     f_common = np.zeros(count)
     total_area = np.zeros(count)
     energy = np.zeros(count)
@@ -115,15 +117,3 @@ def evaluate_rows(rows, f_req, f_max, power, area, static_fraction=0.0, independ
             energy += scaled_power(power[r], f_common, f_max[r], static_fraction)
             feasible &= f_common <= f_max[r]
     return total_area, energy, feasible, f_common
-
-
-def evaluate_combos(start, count, offsets, sizes, f_req, f_max, power, area,
-                    static_fraction=0.0, independent=False):
-    """Evaluate configurations [start, start+count) of the cartesian product
-    with `evaluate_rows`; multiply the energy by the accounting window
-    outside."""
-    ids = np.arange(start, start + count, dtype=np.int64)
-    return evaluate_rows(
-        combo_rows(ids, offsets, sizes), f_req, f_max, power, area,
-        static_fraction, independent,
-    )

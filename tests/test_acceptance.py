@@ -335,7 +335,7 @@ def test_acceptance_synthesized_machines_match_reference(fixtures):
 # --- 11: reproducible reports ---------------------------------------------------
 
 def test_acceptance_exploration_reports_are_reproducible(fixtures, tmp_path, capsys):
-    names = ["configs.csv", "pareto.csv", "pareto.json", "scatter.svg", "summary.txt"]
+    names = ["configs.csv", "pareto.csv", "scatter.svg", "summary.txt"]
     outputs, manifests = [], []
     for run in ("first", "second"):
         out = tmp_path / run

@@ -489,7 +489,7 @@ def test_explore_reruns_are_reproducible(fixtures, tmp_path, capsys):
         )
         assert code == 0
         assert "configurations: 32" in out
-        files = ["configs.csv", "pareto.csv", "pareto.json", "scatter.svg", "summary.txt"]
+        files = ["configs.csv", "pareto.csv", "scatter.svg", "summary.txt"]
         outputs.append({f: (tmp_path / name / f).read_bytes() for f in files})
     assert outputs[0] == outputs[1]
     manifests = [
@@ -564,6 +564,8 @@ def test_explore_requires_period_entries(fixtures, tmp_path, capsys):
     ("window = 1/0", "'window': invalid value '1/0'"),
     ("window = 1e400 s", "window: 1e+400 s is too large for a float"),
     ("period.mhr = 1e-400 s", "clock for computation 'mhr': 4.056e+403 Hz is too large for a float"),
+    ("window = 1e-400 s", "window: 1e-400 s is too small for a float"),
+    ("period.mhr = 1e400 s", "clock for computation 'mhr': 4.056e-397 Hz is too small for a float"),
     ("static_fracton = 0.5", "unknown config key(s): static_fracton"),
     ("period.hr = 100 ms", "unknown config key(s): period.hr"),
 ])
@@ -632,6 +634,27 @@ def test_explore_refuses_totals_beyond_a_float(tmp_path, capsys, rows, message):
     ))
     cfg = tmp_path / "huge.cfg"
     cfg.write_text("window = 1 s\nperiod.a = 10 us\nperiod.b = 10 us\n")  # f_req = f_max
+    code, out, err = run(["explore", "--alts", alts, "--config", cfg, "--out", tmp_path / "out"], capsys)
+    assert code == 1
+    assert out == "" and err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n_groups, message", [
+    (55, "the design space has 36028797018963968 configurations, too many to list in memory"),
+    (64, "the design space has 18446744073709551616 configurations, more than an int64 id can number"),
+], ids=["memory", "int64"])
+def test_explore_refuses_a_space_it_cannot_list(tmp_path, capsys, n_groups, message):
+    # Two rows per computation, the second dominated by the first, so the
+    # front merges at once.  2**55 configurations need 2**58 bytes of
+    # evaluations, more than any address space, so nothing is allocated;
+    # 2**64 cannot be numbered by a config id.
+    alts = tmp_path / "wide.csv"
+    alts.write_text("mcc,source,unroll,lambda,freq_mhz,exec_cycles,area,power_mw\n" + "".join(
+        f"c{g},measured,0,{lam},100,1000,{lam},{lam}\n" for g in range(n_groups) for lam in (1, 2)
+    ))
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("window = 1 s\n" + "".join(f"period.c{g} = 10 us\n" for g in range(n_groups)))
     code, out, err = run(["explore", "--alts", alts, "--config", cfg, "--out", tmp_path / "out"], capsys)
     assert code == 1
     assert out == "" and err == f"error: {message}\n"

@@ -377,11 +377,17 @@ def test_merged_front_equals_the_enumerating_oracle(space, mode, window, chunk):
     )
 
 
+def test_merge_refuses_more_configurations_than_an_id_can_number():
+    # 2**64 configurations: an int64 config id would wrap around.
+    with pytest.raises(dse.DseError, match="^the design space has 18446744073709551616 configurations"):
+        explore_streaming(synthetic_space(n_groups=64, group_size=2))
+
+
 def test_merge_refuses_a_negative_power():
     # Only a hand-built space can hold one: `MccAlternative` refuses it.
     space = replace(synthetic_space(n_groups=2, group_size=2), power=np.array([1.0, -1.0, 1.0, 1.0]))
     for window in (0.1, 0.0):
-        with pytest.raises(dse.DseError, match=r"^row 1 has a negative power, -1\.0 mW$"):
+        with pytest.raises(dse.DseError, match=r"^a row has a negative power, -1\.0 mW$"):
             dse._merge_front(space, window)
 
 
@@ -390,9 +396,7 @@ def test_merge_refuses_a_negative_power():
 def test_explore_writes_deterministic_reports(fixtures, tmp_path):
     groups = load_groups(fixtures / "wpm_lcfds.csv")
     env = env_for(groups)
-    names = [
-        "configs.csv", "pareto.csv", "pareto.json", "scatter.svg", "summary.txt",
-    ]
+    names = ["configs.csv", "pareto.csv", "scatter.svg", "summary.txt"]
     outputs = []
     for run in ("a", "b"):
         report = explore(groups, env, WINDOW, tmp_path / run)
@@ -604,8 +608,8 @@ def test_explore_makes_few_python_calls_per_configuration(tmp_path):
         sys.setprofile(None)
     assert len(report.configs) == 100_000
     # 6,261 calls when this bound was set and 6,263 once the scatter became
-    # grid marks: most of them merge the front and write pareto.json, and
-    # only a few hundred format the reports.
+    # grid marks; 4,249 once pareto.json was no longer written, of which
+    # ~2,900 merge the front and only a few hundred format the reports.
     assert calls < 8_000, f"{calls} Python calls for {len(report.configs)} configs"
 
 
@@ -818,7 +822,7 @@ def test_golden_report_digests(fixtures, tmp_path, capsys):
         independent, static_fraction = MODES[mode]
         out = tmp_path / f"{table}-{mode}"
         report = explore(groups, env_for(groups), WINDOW, out, static_fraction, independent)
-        assert set(REPORT_FILES) <= set(report.files)
+        assert sorted(report.files) == sorted(REPORT_FILES)
         digests[(table, mode)] = report_digest(out)
         files[(table, mode)] = file_digests(out)
         printed[(table, mode)] = report_stdout_digest(out, capsys)
@@ -916,8 +920,8 @@ def test_golden_reports_with_fractional_areas(tmp_path, capsys):
 def test_report_prints_each_front_point_as_pareto_csv_does(fixtures, tmp_path, capsys):
     # fractional_groups' front has areas such as 6125.6 and 1501.3-1501.6,
     # which a whole-number area would round together.  half_way's energy of
-    # 2.4999999996e-6 mJ is 2.5e-6 in pareto.json, which at six places reads
-    # 0.000003 where pareto.csv reads 0.000002.
+    # 2.4999999996e-6 mJ reads 0.000002 at six places, but 0.000003 if it is
+    # first rounded to nine (2.5e-6).
     half_way = {"h": [alt("h", 10_000_000, 100, 1.0, 2.4999999996e-5),
                       alt("h", 10_000_000, 100, 0.5, 3.3e-5)]}
     for name, groups in (("fractional", fractional_groups()),
