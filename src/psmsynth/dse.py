@@ -604,8 +604,10 @@ def _merge_front(
         `front`, and count those that include an `at` row into `feasible`."""
         nonlocal front, feasible
         groups = [lo + np.flatnonzero(fits[lo:lo + n]) for lo, n in zip(offsets, sizes)]
-        n_fit = math.prod(len(rows) for rows in groups)
-        n_below = math.prod(int((~at[rows]).sum()) for rows in groups)
+        n_fit = n_below = 1
+        for rows in groups:
+            n_fit *= len(rows)
+            n_below *= int((~at[rows]).sum())
         if n_fit == n_below:
             return
         feasible += n_fit - n_below
@@ -637,8 +639,9 @@ def _merge_front(
         for f in np.unique(f_req).tolist():
             fits = (f_req <= f) & (f <= f_max)
             merge(fits, f_req == f, kernels.scaled_power(space.power, f, f_max, d))
-    order = np.lexsort(front[::-1])  # by area, energy and id
-    areas, energies, ids = (column[order] for column in front)
+    areas, energies, ids = front
+    order = np.lexsort((ids, energies, areas))
+    areas, energies, ids = areas[order], energies[order], ids[order]
     once = np.append(True, ids[1:] != ids[:-1])[:len(ids)]  # a config tied with itself at two clocks
     return areas[once], energies[once], ids[once], feasible
 
