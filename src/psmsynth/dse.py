@@ -572,16 +572,18 @@ def _merge_front(
     front point already dominates the sum of its groups' least areas and
     energies, which no configuration it clocks can beat.  All three tests
     are `kernels.dominated`.  A space is refused when a row has a negative
-    power, when it holds more configurations than an int64 id can number,
-    or when the groups' largest areas, or largest energies over the window
-    at the highest clock each row can run at, sum beyond a float's range.
+    power or required clock (only a hand-built `FlatSpace` can), when it
+    holds more configurations than an int64 id can number, or when the
+    groups' largest areas, or largest energies over the window at the
+    highest clock each row can run at, sum beyond a float's range.
 
     Returns (front areas, front energies in mJ, front config ids), sorted by
     area, energy and id, and the number of feasible configs, counted
     combinatorially.
     """
-    if (space.power < 0).any():
-        raise DseError(f"a row has a negative power, {float(space.power.min())} mW")
+    for what, values, unit in (("power", space.power, "mW"), ("required clock", space.f_req, "Hz")):
+        if (values < 0).any():
+            raise DseError(f"a row has a negative {what}, {float(values.min())} {unit}")
     if space.total > np.iinfo(np.int64).max:
         raise DseError(f"the design space has {space.total} configurations, more than an int64 id can number")
     if not window > 0:

@@ -383,12 +383,16 @@ def test_merge_refuses_more_configurations_than_an_id_can_number():
         explore_streaming(synthetic_space(n_groups=64, group_size=2))
 
 
-def test_merge_refuses_a_negative_power():
-    # Only a hand-built space can hold one: `MccAlternative` refuses it.
-    space = replace(synthetic_space(n_groups=2, group_size=2), power=np.array([1.0, -1.0, 1.0, 1.0]))
-    for window in (0.1, 0.0):
-        with pytest.raises(dse.DseError, match=r"^a row has a negative power, -1\.0 mW$"):
-            dse._merge_front(space, window)
+def test_merge_refuses_a_negative_power_or_clock():
+    # Only a hand-built space can hold either: `MccAlternative` refuses a
+    # negative power, and cycles and periods are positive.
+    space = synthetic_space(n_groups=2, group_size=2)
+    for field, what, unit in (("power", "power", "mW"), ("f_req", "required clock", "Hz")):
+        values = getattr(space, field).copy()
+        values[1] = -1.0
+        for window in (0.1, 0.0):
+            with pytest.raises(dse.DseError, match=rf"^a row has a negative {what}, -1\.0 {unit}$"):
+                dse._merge_front(replace(space, **{field: values}), window)
 
 
 # --- Reports ------------------------------------------------------------------
