@@ -300,7 +300,9 @@ def explore(
     labels = np.array([f"{n}={i}".encode() for n in names for i in range(len(groups[n]))])
     total = space.total
     try:
-        f_common, area, energy = np.empty(total), np.empty(total), np.empty(total)
+        f_common = np.empty(total)
+        area = np.empty(total)
+        energy = np.empty(total)
         feasible = np.empty(total, dtype=np.bool_)
     except (MemoryError, ValueError):  # numpy's "array is too big" is a ValueError
         raise DseError(f"the design space has {total} configurations, too many to list in memory") from None
