@@ -4,7 +4,9 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import fds_oracle
 from conftest import OP_TYPE_LIST, random_dfg
 from ilp import area, min_area_schedule
 from psmsynth.dfg import (
@@ -215,6 +217,47 @@ def test_golden_schedules_of_dense_and_unrolled_graphs(fixtures):
     for d, lam in jobs:
         digest.update(format_schedule(d, fds_schedule(d, lam)).encode())
     assert digest.hexdigest() == DENSE_UNROLLED_SHA256
+
+
+# --- Against the plain scheduler ---------------------------------------------
+# `fds_oracle` rebuilds every graph and re-evaluates every op each round; the
+# scheduler must fix the same (op, step) in every round.
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_schedules_equal_the_plain_scheduler(data):
+    d = random_dfg(random.Random(data.draw(st.integers(0, 2**32))), 40)
+    assume(len(d.ops) >= 3)
+    lam = data.draw(st.integers(min_latency(d), max_useful_latency(d)))
+    assert fds_schedule(d, lam).start == fds_oracle.fds_schedule(d, lam).start
+
+
+def test_unrolled_mhr_schedules_equal_the_plain_scheduler(fixtures):
+    body = unroll(parse_nest((fixtures / "mhr.dfg").read_text()), 2).loops[0].body
+    assert (min_latency(body), len(body.ops)) == (63, 128)
+    for lam in range(63, 127):
+        assert fds_schedule(body, lam).start == fds_oracle.fds_schedule(body, lam).start, lam
+
+
+def twin_dfg(rng: random.Random) -> Dfg:
+    """Two copies of one random graph that share its input ports."""
+    d = random_dfg(rng, 64)
+    n_in, n_ops = len(d.inputs), len(d.ops)
+
+    def copy_id(x: int) -> int:
+        return x if x < n_in else x + n_ops
+
+    twin = [Op(copy_id(op.id), op.type, tuple(map(copy_id, op.operands))) for op in d.ops]
+    return Dfg(d.ops + tuple(twin), d.inputs, (*d.outputs, *map(copy_id, d.outputs)))
+
+
+def test_twin_body_schedules_equal_the_plain_scheduler():
+    rng = random.Random(47)
+    for _ in range(6):
+        d = twin_dfg(rng)
+        lo, hi = min_latency(d), max_useful_latency(d)
+        for lam in sorted({lo, (lo + hi) // 2, hi}):
+            assert fds_schedule(d, lam).start == fds_oracle.fds_schedule(d, lam).start, lam
 
 
 # --- Against the exact ILP optimum -------------------------------------------
