@@ -78,10 +78,13 @@ def as_float(value: Fraction, what: str, unit: str) -> float:
 
 def required_frequency(alt: MccAlternative, entry: EnvelopeEntry) -> float:
     """Minimum clock frequency (Hz) at which the alternative finishes all its
-    invocations within the period.  May exceed f_max — that marks the
-    alternative infeasible, it is never silently excluded."""
-    cycles = entry.invocations * (alt.exec_cycles + entry.reserved_cycles)
-    return as_float(cycles / entry.period, f"clock for computation '{alt.mcc}'", "Hz")
+    invocations within the period, as the least float not below it, so that
+    neither the reports nor the f_max check take a clock a hair too slow.
+    May exceed f_max — that marks the alternative infeasible, it is never
+    silently excluded."""
+    needed = entry.invocations * (alt.exec_cycles + entry.reserved_cycles) / entry.period
+    clock = as_float(needed, f"clock for computation '{alt.mcc}'", "Hz")
+    return clock if clock >= needed else math.nextafter(clock, math.inf)
 
 
 @dataclass(frozen=True)
@@ -286,7 +289,9 @@ def explore(
     scale.  With `independent=True` each computation runs at its own required
     frequency (per-instance clock generics) instead of one shared clock.
     Infeasible configurations are listed with the feasible flag down, never
-    silently dropped.  A space whose per-configuration arrays cannot be
+    silently dropped.  The reports print each configuration's clock rounded
+    up to a whole Hz, so that a printed clock is never too slow; energies are
+    computed at the required clock itself.  A space whose per-configuration arrays cannot be
     allocated is refused before the output directory is made.
     """
     if not 0.0 <= static_fraction < 1.0:
@@ -320,7 +325,7 @@ def explore(
         """configs.csv / pareto.csv lines of the configurations `ids`."""
         return _csv_rows(
             ids, labels[kernels.combo_rows(ids, space.offsets, space.sizes)],
-            f_common[ids] / MHZ, area[ids], energy[ids], feasible[ids],
+            np.ceil(f_common[ids]) / MHZ, area[ids], energy[ids], feasible[ids],
         )
 
     def configs_rows() -> Iterator[bytes]:
@@ -355,9 +360,9 @@ def explore(
         f"feasible: {n_feasible}\n"
         f"pareto points: {len(front)}\n"
         f"min-area config: id={min_area.config_id} area={_fmt_area(min_area.area)} "
-        f"energy_mj={_fmt(min_area.energy)} f_common_mhz={_fmt(min_area.f_common / MHZ)}\n"
+        f"energy_mj={_fmt(min_area.energy)} f_common_mhz={_fmt(math.ceil(min_area.f_common) / MHZ)}\n"
         f"min-energy config: id={min_energy.config_id} area={_fmt_area(min_energy.area)} "
-        f"energy_mj={_fmt(min_energy.energy)} f_common_mhz={_fmt(min_energy.f_common / MHZ)}\n"
+        f"energy_mj={_fmt(min_energy.energy)} f_common_mhz={_fmt(math.ceil(min_energy.f_common) / MHZ)}\n"
         f"energy reduction vs unscaled (min-energy config): {_fmt(100.0 * reduction, 2)}%\n"
     ).encode(),))
 

@@ -4,7 +4,12 @@ The force-directed scheduler fixes one operation per round at the
 (operation, control step) pair with the lowest total force, where force is
 measured against per-type distribution graphs.  Ties break on lowest total
 force, then lowest op id, then earliest step, which makes results
-byte-for-byte reproducible.
+byte-for-byte reproducible.  Rounds are incremental: a round rebuilds only
+the graphs of the types whose frames moved, and re-evaluates only the ops
+whose forces read a moved frame or a rebuilt graph; every other op keeps
+its best pair from an earlier round.  As each graph sums its ops in the same
+order and each force keeps its expression, the schedules equal those of
+re-evaluating every op every round bit for bit (`tests/fds_oracle.py`).
 
 Every routine here reads the dependence index each `Dfg` builds once, when
 it is constructed: operation predecessors and successors, dependence order,
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .dfg import (
     DEFAULT_LATENCIES,
@@ -80,30 +85,31 @@ def validate_schedule(dfg: Dfg, schedule: Schedule) -> None:
 
 # --- Distribution graphs -----------------------------------------------------
 
-def _distribution_graphs(
-    dfg: Dfg, kind: Mapping[int, str], lam: int, lo: Mapping[int, int], hi: Mapping[int, int]
-) -> dict[str, list[float]]:
-    """Expected occupancy per type (`kind` maps op to type) and control step
-    0..lam-1.  Each op spreads its latency evenly over the starts in its
-    frame; the resulting trapezoid is added as four second differences and
-    integrated twice."""
-    second = {k: [0.0] * (lam + 2) for k in sorted(set(kind.values()))}
-    for v in dfg.order:
-        d, lat, m = second[kind[v]], dfg.lat[v], 1.0 / (hi[v] - lo[v] + 1)
+def _type_graph(
+    kind: str, ops: Iterable[int], lam: int, lo: Sequence[int], hi: Sequence[int]
+) -> list[float]:
+    """Expected occupancy of type `kind` per control step 0..lam-1 from the
+    frames of its `ops`, summed in the order given.  Each op spreads its
+    latency evenly over the starts in its frame; the resulting trapezoid is
+    added as four second differences and integrated twice."""
+    d, lat = [0.0] * (lam + 2), DEFAULT_LATENCIES[kind]
+    for v in ops:
+        m = 1.0 / (hi[v] - lo[v] + 1)
         d[lo[v]] += m
         d[lo[v] + lat] -= m
         d[hi[v] + 1] -= m
         d[hi[v] + 1 + lat] += m
-    return {kind: list(accumulate(accumulate(d)))[:lam] for kind, d in second.items()}
+    return list(accumulate(accumulate(d)))[:lam]
 
 
 def fds_schedule(dfg: Dfg, lam: int) -> Schedule:
     """Minimum-resource schedule under the latency constraint `lam`.
 
-    Each round evaluates the self force plus depth-1 predecessor/successor
-    forces for every unfixed (op, step) candidate and fixes the
-    minimum-force pair.  Frames come from `Dfg.frames` once; after each fix
-    `_pin` narrows only the frames that the fixed op bounds.
+    Each round fixes the unfixed (op, step) pair with the least
+    (round(force, 9), op, step), where the force of a pair is its self force
+    plus its depth-1 predecessor/successor forces.  Frames come from
+    `Dfg.frames` once; after each fix `_pin` narrows only the frames that
+    the fixed op bounds and returns the ops whose frame moved.
 
     Per type, W[s] is the distribution-graph mass an op of that type covers
     when it starts at s, and R is the prefix sum of W.  The self force of
@@ -116,43 +122,69 @@ def fds_schedule(dfg: Dfg, lam: int) -> Schedule:
     cut p's frame (t < hi[p] + lat[p]), an unfixed successor s only at those
     that cut s's frame (t + lat[v] > lo[s]): predecessors in `preds` order,
     then successors, so each force sums its terms in one fixed order.
+
+    Rounds are incremental.  Only the types of moved ops get their graph, W
+    and R recomputed.  The changed ops are the unfixed ops of those types
+    and the unfixed moved ops; each op keeps its least (key, op, step), and
+    only the changed ops and the neighbours of changed or moved ops are
+    evaluated again, since no other op reads a frame, graph or base that
+    moved.  A neighbour whose frame is one step adds no term, so fixing it
+    where it must start dirties nothing.  The schedules equal those of
+    rebuilding everything every round bit for bit: each graph sums its ops
+    in `dfg.order`, every force keeps its expression and term order, and
+    the least cached tuple is the least over all pairs.
     """
     needed = min_latency(dfg)
     if lam < needed:
         raise InfeasibleLatency(lam, needed)
-    kind, lat = {op.id: op.type for op in dfg.ops}, dfg.lat
-    lo, hi = dfg.frames(lam)
-    unfixed = sorted(dfg.order)
-    fixed: dict[int, int] = {}
-    while unfixed:
-        graphs = _distribution_graphs(dfg, kind, lam, lo, hi)
-        window: dict[str, list[float]] = {}
-        cum: dict[str, list[float]] = {}
-        for k, dg in graphs.items():
+    # Op i is the i-th lowest id, so comparing indices compares ids.
+    ids = sorted(dfg.order)
+    index = {v: i for i, v in enumerate(ids)}
+    kind = [dfg.op(v).type for v in ids]
+    lat = [dfg.lat[v] for v in ids]
+    preds = [[index[p] for p in dfg.preds[v]] for v in ids]
+    succs = [[index[s] for s in dfg.succs[v]] for v in ids]
+    lo_of, hi_of = dfg.frames(lam)
+    lo, hi = [lo_of[v] for v in ids], [hi_of[v] for v in ids]
+    of_type: dict[str, list[int]] = {}
+    for v in dfg.order:
+        of_type.setdefault(kind[index[v]], []).append(index[v])
+    fixed = [False] * len(ids)
+    window: dict[str, list[float]] = {}
+    cum: dict[str, list[float]] = {}
+    base = [0.0] * len(ids)
+    best: dict[int, tuple[float, int, int]] = {}
+    start: dict[int, int] = {}
+    moved = set(range(len(ids)))
+    for _ in ids:
+        types = {kind[u] for u in moved}
+        for k in types:
             # W[s] = sum(dg[s:s + L]), added left to right.
-            w = dg
+            dg = w = _type_graph(k, of_type[k], lam, lo, hi)
             for shift in range(1, DEFAULT_LATENCIES[k]):
                 w = [x + y for x, y in zip(w, dg[shift:])]
             window[k] = w
             cum[k] = [0.0, *accumulate(w)]
-        base = {
-            v: (cum[kind[v]][hi[v] + 1] - cum[kind[v]][lo[v]]) / (hi[v] - lo[v] + 1)
-            for v in unfixed
-        }
+        changed = {u for u in moved if not fixed[u]}
+        changed.update(u for k in types for u in of_type[k] if not fixed[u])
+        for u in changed:
+            c = cum[kind[u]]
+            base[u] = (c[hi[u] + 1] - c[lo[u]]) / (hi[u] - lo[u] + 1)
+        dirty = set(changed)
+        for u in changed | moved:
+            dirty.update(preds[u])
+            dirty.update(succs[u])
 
-        # Minimum of (round(force, 9), op, step).  Candidates come in (op,
-        # step) order, so only a strictly smaller rounded force wins; and as
-        # rounding is monotone, a force not below the best raw one cannot.
-        best_key = best_force = float("inf")
-        best_v = best_t = -1
-        for v in unfixed:
+        for v in dirty:
+            if fixed[v]:
+                continue
             v_lo, v_hi, v_lat, b = lo[v], hi[v], lat[v], base[v]
             forces = [x - b for x in window[kind[v]][v_lo:v_hi + 1]]
             # Fixed neighbors never tighten: their one start already
             # satisfies every start in v's frame.  Frames are consistent, so
             # a tightened frame is never empty.
-            for p in dfg.preds[v]:
-                if p in fixed:
+            for p in preds[v]:
+                if fixed[p]:
                     continue
                 # Starting at t cuts p's frame to [lo[p], t - lat[p]].
                 first = v_lo - lat[p] + 1
@@ -167,8 +199,8 @@ def fds_schedule(dfg: Dfg, lam: int) -> Schedule:
                         )
                     ]
                     forces[:len(head)] = head
-            for s in dfg.succs[v]:
-                if s in fixed:
+            for s in succs[v]:
+                if fixed[s]:
                     continue
                 # Starting at t cuts s's frame to [t + lat[v], hi[s]].
                 i = max(lo[s] + 1 - v_lat - v_lo, 0)
@@ -179,46 +211,54 @@ def fds_schedule(dfg: Dfg, lam: int) -> Schedule:
                         f + ((c1 - c) / d - sbase)
                         for f, c, d in zip(forces[i:], scum[first:], range(shi - first + 1, 0, -1))
                     ]
-            if min(forces) < best_force:
-                for i, force in enumerate(forces):
-                    if force < best_force:
-                        key = round(force, 9)
-                        if key < best_key:
-                            best_key, best_force, best_v, best_t = key, force, v, v_lo + i
-        fixed[best_v] = best_t
-        unfixed.remove(best_v)
-        _pin(dfg, lo, hi, fixed, best_v)
+            # The least rounded force is that of the least force (rounding
+            # is monotone); an earlier step ties it only from within 1e-8.
+            least = min(forces)
+            i, key = forces.index(least), round(least, 9)
+            if i and min(forces[:i]) - least < 1e-8:
+                i = next(j for j, force in enumerate(forces) if round(force, 9) == key)
+            best[v] = (key, v, v_lo + i)
 
-    schedule = Schedule(dict(fixed), lam)
+        _, v, t = min(best.values())
+        del best[v]
+        fixed[v] = True
+        start[ids[v]] = t
+        moved = _pin(preds, succs, lat, lo, hi, fixed, v, t)
+
+    schedule = Schedule(start, lam)
     validate_schedule(dfg, schedule)
     return schedule
 
 
 def _pin(
-    dfg: Dfg, lo: dict[int, int], hi: dict[int, int], fixed: Mapping[int, int], v: int
-) -> None:
-    """Narrow the frames once `v` is fixed at `fixed[v]`: pin v's frame,
-    push `lo` forward through unfixed successors and `hi` back through
-    unfixed predecessors, and stop where a bound does not move.  The frames
-    then equal `dfg.frames(lam, fixed)`."""
-    lat = dfg.lat
-    lo[v] = hi[v] = fixed[v]
+    preds: Sequence[Sequence[int]], succs: Sequence[Sequence[int]], lat: Sequence[int],
+    lo: list[int], hi: list[int], fixed: Sequence[bool], v: int, t: int,
+) -> set[int]:
+    """Narrow the frames once `v` is fixed at step `t`: pin v's frame, push
+    `lo` forward through unfixed successors and `hi` back through unfixed
+    predecessors, and stop where a bound does not move.  The frames then
+    equal `dfg.frames(lam, fixed)`.  Returns the ops whose frame moved."""
+    moved = {v} if lo[v] < hi[v] else set()
+    lo[v] = hi[v] = t
     stack = [v]
     while stack:
         u = stack.pop()
         end = lo[u] + lat[u]
-        for s in dfg.succs[u]:
-            if lo[s] < end and s not in fixed:
+        for s in succs[u]:
+            if lo[s] < end and not fixed[s]:
                 lo[s] = end
+                moved.add(s)
                 stack.append(s)
     stack = [v]
     while stack:
         u = stack.pop()
-        for p in dfg.preds[u]:
+        for p in preds[u]:
             start = hi[u] - lat[p]
-            if hi[p] > start and p not in fixed:
+            if hi[p] > start and not fixed[p]:
                 hi[p] = start
+                moved.add(p)
                 stack.append(p)
+    return moved
 
 
 def schedule_nest(nest: LoopNest, lam: int) -> tuple[int, ResourceUsage, dict]:

@@ -661,6 +661,20 @@ def test_explore_refuses_a_space_it_cannot_list(tmp_path, capsys, n_groups, mess
     assert not (tmp_path / "out").exists()
 
 
+def test_explore_prints_a_clock_rounded_up_to_a_whole_hz(tmp_path, capsys):
+    # 100 cycles in 42,857 us need 2,333.34 Hz; at the nearest whole Hz,
+    # 2,333 Hz, the call would take 42,863 us.
+    alts = tmp_path / "slow.csv"
+    alts.write_text("mcc,source,unroll,lambda,freq_mhz,exec_cycles,area,power_mw\nm,measured,0,1,1,100,10,1\n")
+    cfg = tmp_path / "slow.cfg"
+    cfg.write_text("window = 1 s\nperiod.m = 42857 us\n")
+    code, _, err = run(["explore", "--alts", alts, "--config", cfg, "--out", tmp_path / "out"], capsys)
+    assert code == 0, err
+    assert (tmp_path / "out" / "pareto.csv").read_text().splitlines()[1].split(",")[2] == "0.002334"
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert summary.count("f_common_mhz=0.002334\n") == 2
+
+
 def test_explore_missing_table_exits_3(fixtures, tmp_path, capsys):
     code, _, _ = run(
         [

@@ -107,6 +107,30 @@ def test_required_frequency_accounts_for_invocations_and_reserve():
     assert required_frequency(a, entry) == pytest.approx(3 * 110 / 1e-3)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    cycles=st.integers(1, 10**9),
+    period=st.integers(1, 10**9),
+    per_second=st.sampled_from([10**6, 10**9]),  # periods in us or ns
+)
+@example(cycles=100, period=42_857, per_second=10**6)
+# 23,333,334 cycles in 100,000,003 ns need 233,333,333 + 1/100,000,003 Hz,
+# whose nearest float is the whole 233,333,333.
+@example(cycles=23_333_334, period=100_000_003, per_second=10**9)
+def test_printed_clock_is_never_below_the_required_clock(cycles, period, per_second):
+    needed = math.ceil(Fraction(cycles * per_second, period))
+    row = MccAlternative("m", "measured", 0, None, cycles, 2.0 * needed, 1.0, 1.0)
+    with tempfile.TemporaryDirectory() as out:
+        explore({"m": [row]}, {"m": EnvelopeEntry(Fraction(period, per_second))}, WINDOW, out)
+        with open(f"{out}/pareto.csv") as handle:
+            printed = [handle.read().splitlines()[1].split(",")[2]]
+        with open(f"{out}/summary.txt") as handle:
+            printed += re.findall(r"f_common_mhz=(\S+)", handle.read())
+    assert len(printed) == 3
+    for mhz in printed:
+        assert Fraction(mhz) * MHZ >= needed, mhz
+
+
 def test_common_frequency_takes_worst_requirement():
     groups = {"a": [alt("a", 1000, 100, 1, 1)], "b": [alt("b", 5000, 100, 1, 1)]}
     for independent in (False, True):

@@ -38,21 +38,45 @@ def chain3() -> Dfg:
     return Dfg((Op(0, "add", ()), Op(1, "add", (0,)), Op(2, "add", (1,))), (), (2,))
 
 
+class Rounds:
+    """What `fds_schedule` computes, as it computes it.  The scheduler numbers
+    the ops 0..n-1 in id order.  `graphs` holds every per-type distribution
+    graph it computes, as (type, {op: (lo, hi)} of the frames it was computed
+    from, {step: mass}); `frames` holds each round's frames {op: (lo, hi)}
+    after that round's fix."""
+
+    def __init__(self):
+        self.graphs: list = []
+        self.frames: list = []
+
+    def clear(self) -> None:
+        self.graphs.clear()
+        self.frames.clear()
+
+
 @pytest.fixture
-def rounds(monkeypatch) -> list:
-    """(frames, graphs) of each scheduling round, as `fds_schedule` computes
-    them: frames {op: (lo, hi)} and distribution graphs {type: {step: mass}}."""
-    recorded = []
-    graphs_of = fds._distribution_graphs
+def rounds(monkeypatch) -> Rounds:
+    recorded = Rounds()
+    type_graph, pin = fds._type_graph, fds._pin
 
-    def recording(dfg, kind, lam, lo, hi):
-        graphs = graphs_of(dfg, kind, lam, lo, hi)
-        frames = {v: (lo[v], hi[v]) for v in dfg.order}
-        recorded.append((frames, {k: dict(enumerate(dg)) for k, dg in graphs.items()}))
-        return graphs
+    def recording_graph(kind, ops, lam, lo, hi):
+        graph = type_graph(kind, ops, lam, lo, hi)
+        recorded.graphs.append((kind, {v: (lo[v], hi[v]) for v in ops}, dict(enumerate(graph))))
+        return graph
 
-    monkeypatch.setattr(fds, "_distribution_graphs", recording)
+    def recording_pin(preds, succs, lat, lo, hi, fixed, v, t):
+        moved = pin(preds, succs, lat, lo, hi, fixed, v, t)
+        recorded.frames.append(dict(enumerate(zip(lo, hi))))
+        return moved
+
+    monkeypatch.setattr(fds, "_type_graph", recording_graph)
+    monkeypatch.setattr(fds, "_pin", recording_pin)
     return recorded
+
+
+def indices_of(d: Dfg) -> dict[int, int]:
+    """The scheduler's index of each op id."""
+    return {v: i for i, v in enumerate(sorted(d.order))}
 
 
 # --- Validity over many random instances --------------------------------------
@@ -69,8 +93,8 @@ def test_random_dags_yield_valid_schedules():
 
 
 def test_distribution_mass_is_conserved_every_round(rounds):
-    # At every scheduling round, each type's distribution graph integrates to
-    # (number of ops of that type) x (latency of that type).
+    # Every distribution graph the scheduler computes integrates to (number
+    # of ops of its type) x (latency of that type).
     rng = random.Random(19)
     for _ in range(100):
         d = random_dfg(rng, 20)
@@ -80,10 +104,10 @@ def test_distribution_mass_is_conserved_every_round(rounds):
             expected[op.type] = expected.get(op.type, 0.0) + lat
         rounds.clear()
         fds_schedule(d, min_latency(d) + rng.randint(0, 3))
-        assert len(rounds) == len(d.ops)
-        for _, graphs in rounds:
-            for op_type, total in expected.items():
-                assert sum(graphs[op_type].values()) == pytest.approx(total)
+        assert len(rounds.frames) == len(d.ops)
+        assert {kind for kind, _, _ in rounds.graphs} == set(expected)
+        for kind, _, graph in rounds.graphs:
+            assert sum(graph.values()) == pytest.approx(expected[kind])
 
 
 def test_distribution_graphs_match_direct_summation(rounds):
@@ -92,26 +116,25 @@ def test_distribution_graphs_match_direct_summation(rounds):
     rng = random.Random(37)
     for _ in range(50):
         d = random_dfg(rng, 20)
-        kinds = {op.id: op.type for op in d.ops}
+        index = indices_of(d)
         rounds.clear()
         fds_schedule(d, rng.randint(min_latency(d), max_useful_latency(d)))
-        for frames, graphs in rounds:
-            direct: dict[str, dict[int, float]] = {}
-            for v, (lo, hi) in frames.items():
-                lat = DEFAULT_LATENCIES.get(kinds[v], 1)
-                dg = direct.setdefault(kinds[v], {})
+        assert rounds.graphs
+        for kind, frames, graph in rounds.graphs:
+            assert set(frames) == {index[op.id] for op in d.ops if op.type == kind}
+            lat = DEFAULT_LATENCIES.get(kind, 1)
+            direct: dict[int, float] = {}
+            for lo, hi in frames.values():
                 for start in range(lo, hi + 1):
                     for t in range(start, start + lat):
-                        dg[t] = dg.get(t, 0.0) + 1.0 / (hi - lo + 1)
-            assert set(graphs) == set(direct)
-            for kind, dg in graphs.items():
-                for t, mass in dg.items():
-                    assert mass == pytest.approx(direct[kind].get(t, 0.0), abs=1e-12)
+                        direct[t] = direct.get(t, 0.0) + 1.0 / (hi - lo + 1)
+            for t, mass in graph.items():
+                assert mass == pytest.approx(direct.get(t, 0.0), abs=1e-12)
 
 
 def test_incremental_frames_equal_recomputed_frames(rounds, fixtures):
-    # Fixing an op at its only start moves no bound, so in every round the
-    # ops with lo == hi can stand for the fixed ones.
+    # Fixing an op at its only start moves no bound, so after every round
+    # the ops with lo == hi can stand for the fixed ones.
     rng = random.Random(29)
     jobs = []
     for _ in range(60):
@@ -120,12 +143,25 @@ def test_incremental_frames_equal_recomputed_frames(rounds, fixtures):
     body = unroll(parse_nest((fixtures / "mhr.dfg").read_text()), 2).loops[0].body
     jobs += [(body, 63), (body, 105)]
     for d, lam in jobs:
+        index = indices_of(d)
         rounds.clear()
         fds_schedule(d, lam)
-        assert len(rounds) == len(d.ops)
-        for frames, _ in rounds:
-            lo, hi = d.frames(lam, {v: a for v, (a, b) in frames.items() if a == b})
-            assert frames == {v: (lo[v], hi[v]) for v in d.order}
+        assert len(rounds.frames) == len(d.ops)
+        for frames in rounds.frames:
+            by_id = {v: frames[index[v]] for v in d.order}
+            lo, hi = d.frames(lam, {v: a for v, (a, b) in by_id.items() if a == b})
+            assert by_id == {v: (lo[v], hi[v]) for v in d.order}
+
+
+def test_rounds_recompute_only_the_graphs_that_moved(rounds, fixtures):
+    # Rebuilding every type's graph every round took 7 types x 128 rounds =
+    # 896 graphs a schedule; only the types of ops whose frame moved are
+    # rebuilt: 15 graphs at lambda 63 and 128 at 126.  Bounds are twice that.
+    body = unroll(parse_nest((fixtures / "mhr.dfg").read_text()), 2).loops[0].body
+    for lam, bound in ((63, 30), (126, 256)):
+        rounds.clear()
+        fds_schedule(body, lam)
+        assert len(rounds.graphs) <= bound, lam
 
 
 def test_infeasible_latency_raises():
