@@ -321,25 +321,26 @@ def explore(
             handle.writelines(parts)
         files[name] = path
 
-    def rows_text(ids: np.ndarray) -> bytes:
-        """configs.csv / pareto.csv lines of the configurations `ids`."""
-        return _csv_rows(
-            ids, labels[kernels.combo_rows(ids, space.offsets, space.sizes)],
-            np.ceil(f_common[ids]) / MHZ, area[ids], energy[ids], feasible[ids],
-        )
+    def rows_text(ids: np.ndarray, choices: np.ndarray) -> bytes:
+        """configs.csv / pareto.csv lines of the configurations `ids`, whose
+        choice labels are `choices`."""
+        return _csv_rows(ids, choices, np.ceil(f_common[ids]) / MHZ, area[ids], energy[ids], feasible[ids])
 
     def configs_rows() -> Iterator[bytes]:
         """Evaluate the space a `CHUNK` at a time into the arrays above and
-        yield each chunk's configs.csv lines."""
+        yield each chunk's configs.csv lines, labelled from the rows the
+        kernel decoded."""
         for start in range(0, total, CHUNK):
             count = min(CHUNK, total - start)
             part = slice(start, start + count)
-            area[part], energy[part], feasible[part], f_common[part] = kernels.evaluate_combos(
+            area[part], energy[part], feasible[part], f_common[part], rows = kernels.evaluate_combos(
                 start, count, space.offsets, space.sizes, space.f_req, space.f_max,
                 space.power, space.area, static_fraction, independent,
             )
             energy[part] *= window
-            yield rows_text(np.arange(start, start + count, dtype=np.int64))
+            choices = labels[rows]
+            del rows  # not held while the lines are laid out
+            yield rows_text(np.arange(start, start + count, dtype=np.int64), choices)
 
     header = (",".join(["config_id", *names, "f_common_mhz", "area", "energy_mj", "feasible"]) + "\n").encode()
     write("configs.csv", itertools.chain((header,), configs_rows()))
@@ -351,7 +352,8 @@ def explore(
     unscaled = sum(alt.power for alt in min_energy.choices) * window
     reduction = 1.0 - min_energy.energy / unscaled if unscaled > 0 else 0.0
 
-    write("pareto.csv", (header, rows_text(front_ids)))
+    front_rows = kernels.combo_rows(front_ids, space.offsets, space.sizes)
+    write("pareto.csv", (header, rows_text(front_ids, labels[front_rows])))
 
     write("scatter.svg", render_scatter(area[feasible], energy[feasible], front))
 
@@ -566,8 +568,8 @@ def _merge_front(
     f_req f' is below f totals the same area and, as the scaled power of a
     power >= 0 does not fall as the clock rises, no less energy than at f';
     so it removes no front point, and where it ties itself the front lists
-    its id once.  With `independent` there is one pass over the rows with
-    f_req <= f_max.
+    its id once.  With `independent` the one clock is each row's own f_req,
+    so one pass sums the rows with f_req <= f_max.
 
     After each group, a partial sum is dropped only when another one is not
     above it in either coordinate and below it by more than the rounding
@@ -607,25 +609,26 @@ def _merge_front(
     eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
     front = np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
     feasible = 0
-
-    def merge(fits: np.ndarray, at: np.ndarray, terms: np.ndarray) -> None:
-        """Merge the front of the configurations made of `fits` rows into
-        `front`, and count those that include an `at` row into `feasible`."""
-        nonlocal front, feasible
+    for f in [f_req] if independent else np.unique(f_req).tolist():
+        # Merge the front of the configurations made of rows that fit clock
+        # f, and count those that include a row clocked at f as feasible.
+        fits = (f_req <= f) & (f <= f_max)
+        at = f_req == f
+        terms = kernels.scaled_power(space.power, f, f_max, d)
         groups = [lo + np.flatnonzero(fits[lo:lo + n]) for lo, n in zip(offsets, sizes)]
         n_fit = n_below = 1
         for rows in groups:
             n_fit *= len(rows)
             n_below *= int((~at[rows]).sum())
         if n_fit == n_below:
-            return
+            continue
         feasible += n_fit - n_below
         # Float sums are monotone, so no configuration here is below the sums
         # of the group minima; a front point that dominates those dominates all.
         low_a = sum(float(space.area[rows].min()) for rows in groups)
         low_e = sum(float(terms[rows].min()) for rows in groups) * window
         if kernels.dominated(np.append(front[0], low_a), np.append(front[1], low_e))[-1]:
-            return
+            continue
         scale = 4 * len(groups) * eps
         margins = (
             scale * sum(float(np.abs(space.area[rows]).max()) for rows in groups) + 4 * tiny,
@@ -640,14 +643,6 @@ def _merge_front(
         )
         keep = kernels.pareto_mask(areas, energies)
         front = areas[keep], energies[keep], ids[keep]
-
-    if independent:
-        fits = f_req <= f_max
-        merge(fits, np.ones_like(fits), kernels.scaled_power(space.power, f_req, f_max, d))
-    else:
-        for f in np.unique(f_req).tolist():
-            fits = (f_req <= f) & (f <= f_max)
-            merge(fits, f_req == f, kernels.scaled_power(space.power, f, f_max, d))
     areas, energies, ids = front
     order = np.lexsort((ids, energies, areas))
     areas, energies, ids = areas[order], energies[order], ids[order]

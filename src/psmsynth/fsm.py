@@ -43,6 +43,7 @@ from .model import (
     InvokeMcc,
     PsmComponent,
     PsmSystem,
+    SimulationError,
     TimingKind,
     TraceEvent,
     _fanout,
@@ -268,10 +269,15 @@ def interpret(
 
     Stimulus timestamps are seconds; an event at time t is sampled at the
     target's first clock edge strictly after t.  Stimulus and MCC results are
-    checked as `model.simulate` checks them, with a SimulationError.
+    checked as `model.simulate` checks them, with a SimulationError, and so
+    is a negative `max_cycles` or a `horizon` that is not positive.
     """
     if max_cycles is None and horizon is None:
         raise TypeError("interpret needs max_cycles or horizon")
+    if max_cycles is not None and max_cycles < 0:
+        raise SimulationError(f"max_cycles must not be negative, got {max_cycles}")
+    if horizon is not None and not horizon > 0:
+        raise SimulationError(f"horizon must be positive, got {horizon}")
     mcc_latencies = dict(mcc_latencies or {})
     mcc_impls = dict(mcc_impls or {})
     comps = {spec.name: spec.component for spec in sys_ir.instances}
@@ -395,9 +401,11 @@ def compare_with_reference(
     """Check that the cycle-level trace matches the reference semantics.
 
     Returns human-readable mismatch descriptions (empty list = equivalent).
-    Each FSM timestamp must land within one clock period of the reference
-    time, plus one cycle per zero-time step in the same instant and the
-    handshake overhead.
+    Each FSM entry time must lie within a tolerance of the reference time:
+    the instance's period (the component's declared `period` unless the
+    system overrides it; 500 ms for mhr), plus 1 + z + `HANDSHAKE_CYCLES`
+    cycles of the instance's clock, z being the number of zero-time steps
+    before the entry in the same instant.
     """
     problems: list[str] = []
     ref_entries, ref_events = _by_instance(ref.state_entries), _by_instance(ref.events)
@@ -738,50 +746,43 @@ def _emit_component_module(out, comp: PsmComponent) -> None:
 
 
 def _emit_state_case(out, comp: PsmComponent, s) -> None:
+    """The state's entry arm, then one arm per call that waits for it.  Each
+    arm ends alike: it starts the next call, or, after the last, starts the
+    timer, returns to the state from a call arm, and clears `do_entry`."""
     invokes = [a for a in s.entry if isinstance(a, InvokeMcc)]
-    has_timer = _has_timer(s)
+    name = s.name.upper()
     ind = "          "
-    out.write(f"        S_{s.name.upper()}: begin\n")
-    out.write(f"{ind}if (do_entry) begin\n")
-    for action in s.entry:
-        if isinstance(action, Emit):
-            if action.value is not None:
-                out.write(f"{ind}  ev_{action.event}_data <= {ex.to_text(action.value)};\n")
-            out.write(f"{ind}  ev_{action.event}_req <= ~ev_{action.event}_req;\n")
-        elif isinstance(action, Assign):
-            out.write(f"{ind}  {action.var} <= {ex.to_text(action.value)};\n")
-    if invokes:
-        first = invokes[0]
-        for i, arg in enumerate(first.args):
-            out.write(f"{ind}  mcc_{first.mcc}_arg{i} <= {arg};\n")
-        out.write(f"{ind}  mcc_{first.mcc}_start <= 1'b1;\n")
-        out.write(f"{ind}  state <= S_{s.name.upper()}_CALL0;\n")
-    else:
-        if has_timer:
-            out.write(f"{ind}  tmr_{s.name}_start <= 1'b1;\n")
-        out.write(f"{ind}  do_entry <= 1'b0;\n")
-    out.write(f"{ind}end else begin\n")
-    _emit_dwell(out, comp, s, ind + "  ")
-    out.write(f"{ind}end\n")
-    out.write("        end\n")
-    for i, inv in enumerate(invokes):
-        out.write(f"        S_{s.name.upper()}_CALL{i}: begin\n")
-        out.write(f"{ind}if (mcc_{inv.mcc}_done) begin\n")
-        for j, res in enumerate(inv.results):
-            out.write(f"{ind}  {res} <= mcc_{inv.mcc}_res{j};\n")
-        if i + 1 < len(invokes):
-            nxt = invokes[i + 1]
+    for i in range(len(invokes) + 1):
+        if i == 0:
+            out.write(f"        S_{name}: begin\n{ind}if (do_entry) begin\n")
+            for action in s.entry:
+                if isinstance(action, Emit):
+                    if action.value is not None:
+                        out.write(f"{ind}  ev_{action.event}_data <= {ex.to_text(action.value)};\n")
+                    out.write(f"{ind}  ev_{action.event}_req <= ~ev_{action.event}_req;\n")
+                elif isinstance(action, Assign):
+                    out.write(f"{ind}  {action.var} <= {ex.to_text(action.value)};\n")
+        else:
+            done = invokes[i - 1]
+            out.write(f"        S_{name}_CALL{i - 1}: begin\n{ind}if (mcc_{done.mcc}_done) begin\n")
+            for j, res in enumerate(done.results):
+                out.write(f"{ind}  {res} <= mcc_{done.mcc}_res{j};\n")
+        if i < len(invokes):
+            nxt = invokes[i]
             for j, arg in enumerate(nxt.args):
                 out.write(f"{ind}  mcc_{nxt.mcc}_arg{j} <= {arg};\n")
             out.write(f"{ind}  mcc_{nxt.mcc}_start <= 1'b1;\n")
-            out.write(f"{ind}  state <= S_{s.name.upper()}_CALL{i + 1};\n")
+            out.write(f"{ind}  state <= S_{name}_CALL{i};\n")
         else:
-            if has_timer:
+            if _has_timer(s):
                 out.write(f"{ind}  tmr_{s.name}_start <= 1'b1;\n")
-            out.write(f"{ind}  state <= S_{s.name.upper()};\n")
+            if i:
+                out.write(f"{ind}  state <= S_{name};\n")
             out.write(f"{ind}  do_entry <= 1'b0;\n")
-        out.write(f"{ind}end\n")
-        out.write("        end\n")
+        if i == 0:
+            out.write(f"{ind}end else begin\n")
+            _emit_dwell(out, comp, s, ind + "  ")
+        out.write(f"{ind}end\n        end\n")
 
 
 def _emit_dwell(out, comp: PsmComponent, s, ind) -> None:

@@ -90,13 +90,14 @@ def evaluate_combos(start, count, offsets, sizes, f_req, f_max, power, area,
     """Evaluate configurations [start, start+count) of the cartesian product.
 
     Power scales from each row's f_max down to its clock with `scaled_power`.
-    The clock is the configuration's common frequency, the largest f_req of its
-    rows, which must not exceed any row's f_max; with `independent` each row
-    runs at its own f_req and must only meet its own f_max.  Sums run over
-    the groups in order, starting from 0.0, exactly like Python's `sum`.
+    A row's clock is its own f_req with `independent`, and otherwise the
+    configuration's common frequency, the largest f_req of its rows; either
+    way it must not exceed the row's f_max.  Sums run over the groups in
+    order, starting from 0.0, exactly like Python's `sum`.
 
-    Returns (total area, energy per second, feasible, common frequency);
-    multiply the energy by the accounting window outside.
+    Returns (total area, energy per second, feasible, common frequency,
+    flat rows as `combo_rows` gives them); multiply the energy by the
+    accounting window outside.
     """
     rows = combo_rows(np.arange(start, start + count, dtype=np.int64), offsets, sizes)
     f_common = np.zeros(count)
@@ -106,14 +107,8 @@ def evaluate_combos(start, count, offsets, sizes, f_req, f_max, power, area,
     for r in rows:
         np.maximum(f_common, f_req[r], out=f_common)
         total_area += area[r]
-    if independent:
-        scaled = scaled_power(power, f_req, f_max, static_fraction)
-        meets = f_req <= f_max
-        for r in rows:
-            energy += scaled[r]
-            feasible &= meets[r]
-    else:
-        for r in rows:
-            energy += scaled_power(power[r], f_common, f_max[r], static_fraction)
-            feasible &= f_common <= f_max[r]
-    return total_area, energy, feasible, f_common
+    for r in rows:
+        f = f_req[r] if independent else f_common
+        energy += scaled_power(power[r], f, f_max[r], static_fraction)
+        feasible &= f <= f_max[r]
+    return total_area, energy, feasible, f_common, rows

@@ -600,8 +600,11 @@ def simulate(
     Simultaneous work is processed in instance declaration order, external
     events before timer expirations, and zero-time transitions run to
     quiescence before time advances.  Stored values wrap to the declared
-    width of their variable or event.
+    width of their variable or event.  A horizon that is not positive is
+    refused, as it leaves no instant to run.
     """
+    if not horizon > 0:
+        raise SimulationError(f"horizon must be positive, got {horizon}")
     report = validate_system(system, components)
     if not report.ok:
         msgs = "; ".join(str(f) for f in report.errors)

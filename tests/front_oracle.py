@@ -20,7 +20,7 @@ def enumerate_front(space, window, static_fraction=0.0, independent=False, chunk
     feasible = 0
     for start in range(0, space.total, chunk):
         count = min(chunk, space.total - start)
-        areas, energies, ok, _ = kernels.evaluate_combos(
+        areas, energies, ok, _, _ = kernels.evaluate_combos(
             start, count, space.offsets, space.sizes, space.f_req, space.f_max,
             space.power, space.area, static_fraction, independent,
         )

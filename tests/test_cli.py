@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 import psmsynth
-from psmsynth import cli, dsl, fds
+from psmsynth import cli, dse, dsl, fds, kernels
 from psmsynth.cli import (
     CliError,
     load_config,
@@ -534,6 +534,27 @@ def test_report_needs_a_pareto_csv_row_per_front_point(fixtures, tmp_path, capsy
     code, out, err = run(["report", out_dir], capsys)
     assert code == 1
     assert out == "" and err == f"error: {pareto}: no front rows\n"
+
+
+def test_explore_decodes_each_chunk_once(fixtures, tmp_path, capsys, monkeypatch):
+    # Work guard: a chunk's configs.csv labels come from the rows its
+    # evaluation decoded, so `combo_rows` runs once per chunk plus once for
+    # the front.
+    calls = 0
+    decode = kernels.combo_rows
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return decode(*args)
+
+    monkeypatch.setattr(dse, "CHUNK", 7)
+    monkeypatch.setattr(kernels, "combo_rows", counted)
+    argv = ["explore", "--alts", fixtures / "wpm_lcfds.csv", "--config", fixtures / "wpm.cfg"]
+    assert run(argv + ["--out", tmp_path / "dse"], capsys)[0] == 0
+    n_configs = len((tmp_path / "dse" / "configs.csv").read_text().splitlines()) - 1
+    assert -(-n_configs // 7) == 5
+    assert calls == 5 + 1
 
 
 def test_explore_requires_period_entries(fixtures, tmp_path, capsys):

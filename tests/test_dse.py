@@ -219,7 +219,7 @@ def test_kernel_and_explore_match_the_scalar_oracle(space, static_fraction, inde
     groups, env = space
     expected = oracle_configs(groups, env, window, static_fraction, independent)
     flat = flatten_groups(groups, env)
-    area, energy, feasible, f_common = kernels.evaluate_combos(
+    area, energy, feasible, f_common, _ = kernels.evaluate_combos(
         0, flat.total, flat.offsets, flat.sizes, flat.f_req, flat.f_max, flat.power,
         flat.area, static_fraction, independent,
     )

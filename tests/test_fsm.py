@@ -620,6 +620,28 @@ def test_simulator_and_interpreter_reject_the_same_inputs(wpm, stim, impls, mess
         interpret(sys_ir, stim, 10**6, ALL_LATENCIES, impls)
 
 
+@pytest.mark.parametrize("bounds, message", [
+    ({"horizon": Fraction(0)}, "horizon must be positive, got 0"),
+    ({"horizon": Fraction(-1)}, "horizon must be positive, got -1"),
+    ({"max_cycles": -5}, "max_cycles must not be negative, got -5"),
+], ids=["horizon-0", "horizon-negative", "max-cycles-negative"])
+def test_a_run_with_no_instant_before_its_bound_is_refused(fixtures, bounds, message):
+    # Both engines stop strictly before the horizon, so a horizon of 0 or
+    # less leaves no instant to record, not even the reset entry.
+    comp = parse_file(fixtures / "sensor.psm")
+    if "horizon" in bounds:
+        with pytest.raises(SimulationError, match=re.escape(message)):
+            model.simulate_component(comp, [], bounds["horizon"])
+    with pytest.raises(SimulationError, match=re.escape(message)):
+        interpret(synthesize_single(comp, 1 * MHZ), [], **bounds)
+
+
+def test_a_run_of_cycle_zero_records_the_reset_entry(fixtures):
+    comp = parse_file(fixtures / "sensor.psm")
+    trace = interpret(synthesize_single(comp, 1 * MHZ), [], max_cycles=0)
+    assert [(e.cycle, e.state) for e in trace.entries] == [(0, "Emit")]
+
+
 WIDTHS = """
 component W { period 1 s;
   output event Out(int8); output event Wide(int8); output event Res(int8);

@@ -157,7 +157,7 @@ def test_combo_evaluation_matches_nested_loop_order():
                 static_fraction, independent,
             )
             ref = _combo_reference(space, static_fraction, independent)
-            assert [g.tolist() for g in got] == ref
+            assert [g.tolist() for g in got[:4]] == ref
 
 
 def test_combo_evaluation_chunking_is_seamless():
@@ -176,4 +176,9 @@ def test_combo_evaluation_chunking_is_seamless():
     ]
     for k in range(4):
         np.testing.assert_array_equal(np.concatenate([p[k] for p in parts]), whole[k])
+    # The fifth value is the flat rows decoded for the evaluation.
+    for start, part in zip(range(0, total, 7), parts):
+        ids = np.arange(start, start + len(part[0]))
+        np.testing.assert_array_equal(part[4], kernels.combo_rows(ids, space["offsets"], space["sizes"]))
+    np.testing.assert_array_equal(np.concatenate([p[4] for p in parts], axis=1), whole[4])
 
