@@ -8,7 +8,9 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import interpret_oracle
 from psmsynth import expr as ex
 from psmsynth import fsm, model
 from psmsynth.dsl import parse_component, parse_file, parse_system
@@ -451,6 +453,35 @@ def test_golden_wpm_traces_at_off_grid_clocks(wpm):
         "dropped": "6f295b4e487026588cd4f3a7bce2147223691a3f4fef2695977697dcde03a0a1",
         "vcd": "779a1b0bdeb1fe1fcc0c2ed2719351999bfd60fbf0d48e41c00c96589a152df8",
     }
+
+
+OFF_GRID_CLOCKS = [Fraction(4 * 10**9, 3), Fraction(10**7, 7), 999_983, Fraction(3 * MHZ, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    clocks=st.sampled_from(["one", "mixed", "off-grid"]),
+    starts=st.lists(st.fractions(0, 3, max_denominator=10**7), max_size=6),
+    latencies=st.fixed_dictionaries({name: st.integers(0, 6000) for name in ALL_LATENCIES}),
+    bound=st.sampled_from(["max_cycles", "horizon", "both"]),
+    length=st.fractions(Fraction(1, 20), 3, max_denominator=1000),
+)
+def test_interpret_matches_the_plain_interpreter(wpm, clocks, starts, latencies, bound, length):
+    # The plain interpreter asks every instance for its next edge at every
+    # step; the one in src/ must record the same entries, events and drops.
+    system, comps = wpm
+    table = {"one": [1 * MHZ], "mixed": MIXED_FREQS, "off-grid": OFF_GRID_CLOCKS}[clocks]
+    freqs = {inst.name: table[i % len(table)] for i, inst in enumerate(system.instances)}
+    sys_ir = synthesize_system(system, comps, freqs)
+    stim = [TraceEvent(t, "StartMeasure", "Start", None) for t in starts]
+    bounds = {
+        "max_cycles": {"max_cycles": int(length * MHZ)},
+        "horizon": {"horizon": length},
+        "both": {"max_cycles": int(length * MHZ) // 2, "horizon": length},
+    }[bound]
+    want = interpret_oracle.interpret(sys_ir, stim, mcc_latencies=latencies, mcc_impls=ALL_IMPLS, **bounds)
+    got = interpret(sys_ir, stim, mcc_latencies=latencies, mcc_impls=ALL_IMPLS, **bounds)
+    assert (got.entries, got.events, got.dropped) == (want.entries, want.events, want.dropped)
 
 
 def test_horizon_bounds_mixed_clocks_like_the_simulator(wpm):
