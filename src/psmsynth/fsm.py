@@ -29,6 +29,7 @@ from __future__ import annotations
 import heapq
 import io
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -187,7 +188,7 @@ def synthesize_single(comp: PsmComponent, freq, instance_name: str = "dut") -> S
 
 # --- Cycle-level interpretation ----------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CycleStateEntry:
     instance: str
     cycle: int
@@ -195,7 +196,7 @@ class CycleStateEntry:
     state: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CycleEventRecord:
     instance: str
     cycle: int
@@ -217,16 +218,18 @@ class _Rt:
     is the last edge it runs.  `done_at` is the edge at which the running
     call ends, `fire_at` the edge at which the pending transition to
     `target` fires; `queue` is a heap of (arrival, seq, event, payload).
+    `due` is the edge of the instance's one live agenda entry, or None.
     `state` is the name of the state the instance is in and `code` its
     component's compiled states (`model._state_code`)."""
 
     __slots__ = (
-        "inst", "code", "unit", "last", "cycle", "state", "vars",
-        "queue", "staged", "done_at", "fire_at", "target",
+        "inst", "index", "code", "unit", "last", "cycle", "state", "vars",
+        "queue", "staged", "done_at", "fire_at", "target", "due",
     )
 
-    def __init__(self, inst: FsmInstance, code, unit: int, last: int):
+    def __init__(self, inst: FsmInstance, index: int, code, unit: int, last: int):
         self.inst = inst
+        self.index = index
         comp = inst.component
         self.code = code
         self.unit = unit
@@ -239,6 +242,7 @@ class _Rt:
         self.done_at: int | None = None
         self.fire_at: int | None = None
         self.target: str | None = None
+        self.due: int | None = 0  # the reset edge, until the agenda is built
 
     def wake(self) -> int | None:
         """The next edge with work: the end of the running call; else the
@@ -270,7 +274,8 @@ def interpret(
     Stimulus timestamps are seconds; an event at time t is sampled at the
     target's first clock edge strictly after t.  Stimulus and MCC results are
     checked as `model.simulate` checks them, with a SimulationError, and so
-    is a negative `max_cycles` or a `horizon` that is not positive.
+    is a negative `max_cycles`, a `horizon` that is not positive, or an MCC
+    latency that is not a non-negative integer.
     """
     if max_cycles is None and horizon is None:
         raise TypeError("interpret needs max_cycles or horizon")
@@ -279,6 +284,9 @@ def interpret(
     if horizon is not None and not horizon > 0:
         raise SimulationError(f"horizon must be positive, got {horizon}")
     mcc_latencies = dict(mcc_latencies or {})
+    for name, latency in mcc_latencies.items():
+        if not isinstance(latency, numbers.Integral) or latency < 0:
+            raise SimulationError(f"mcc '{name}' latency must be a non-negative integer, got {latency!r}")
     mcc_impls = dict(mcc_impls or {})
     comps = {spec.name: spec.component for spec in sys_ir.instances}
     routed = [
@@ -292,23 +300,38 @@ def interpret(
     used = {id(spec.component): spec.component for spec in sys_ir.instances}
     code = {key: _state_code(comp, mcc_impls) for key, comp in used.items()}
     rts = []
-    for spec in sys_ir.instances:
+    for i, spec in enumerate(sys_ir.instances):
         last = max_cycles
         if horizon is not None:
             x = Fraction(horizon) * spec.freq
             before = (x.numerator - 1) // x.denominator  # the last edge k with k < x
             last = before if last is None else min(last, before)
         unit = base * spec.freq.denominator // spec.freq.numerator
-        rts.append(_Rt(spec, code[id(spec.component)], unit, last))
+        rts.append(_Rt(spec, i, code[id(spec.component)], unit, last))
     by_name = {rt.inst.name: rt for rt in rts}
     fanout = _fanout(sys_ir.system)
     trace = CycleTrace()
+    # One agenda, a heap of (edge time, instance index, edge): an entry is
+    # live while its edge is its instance's `due`, and skipped otherwise.
+    agenda: list[tuple[int, int, int]] = []
     seq = 0
+
+    def schedule(rt: _Rt, k: int | None) -> None:
+        if k is not None and k <= rt.last:
+            rt.due = k
+            heapq.heappush(agenda, (k * rt.unit, rt.index, k))
+        else:
+            rt.due = None
 
     def deliver(arrival: int, inst_name: str, event: str, payload: int | None) -> None:
         nonlocal seq
-        heapq.heappush(by_name[inst_name].queue, (arrival, seq, event, payload))
+        rt = by_name[inst_name]
+        heapq.heappush(rt.queue, (arrival, seq, event, payload))
         seq += 1
+        if rt.done_at is None:  # an arrival can only bring the wake forward
+            k = arrival // rt.unit + 1
+            if rt.due is None or k < rt.due:
+                schedule(rt, k)
 
     for time, inst_name, event, payload in routed:
         deliver(time.numerator * (base // time.denominator), inst_name, event, payload)
@@ -323,8 +346,11 @@ def interpret(
     def arm(rt: _Rt) -> None:
         """Schedule the state's transition: a true guard or a delta spec fires
         on the next edge, a finite spec when its timer runs out."""
-        _, guards, _, delta, timer = rt.code[rt.state]
-        target = next((to for guard, to in guards if guard(rt.vars)), delta)
+        _, guards, _, target, timer = rt.code[rt.state]
+        for guard, to in guards:
+            if guard(rt.vars):
+                target = to
+                break
         if target is not None:
             rt.fire_at, rt.target = rt.cycle + 1, target
         elif timer is not None:
@@ -377,18 +403,16 @@ def interpret(
 
     for rt in rts:  # reset: all instances enter their initial state at cycle 0
         enter(rt, rt.state)
-
-    while True:
-        due = []
-        for i, rt in enumerate(rts):
-            k = rt.wake()
-            if k is not None and k <= rt.last:
-                due.append((k * rt.unit, i, k))
-        if not due:
-            return trace
-        _, i, k = min(due)
-        rts[i].cycle = k
-        step(rts[i])
+    for rt in rts:
+        schedule(rt, rt.wake())
+    while agenda:
+        _, i, k = heapq.heappop(agenda)
+        rt = rts[i]
+        if k == rt.due:  # after a step, only the stepped instance moves
+            rt.cycle = k
+            step(rt)
+            schedule(rt, rt.wake())
+    return trace
 
 
 # --- Reference comparison ----------------------------------------------------
@@ -521,10 +545,12 @@ def write_vcd(trace: CycleTrace, sys_ir: SystemIr, handle) -> None:
         at(num, den).append(rise)
         at(num * p + den * q, den * p).append(fall)
 
+    body = []
     for ns in sorted(changes):
-        handle.write(f"#{ns}\n")
-        for line in changes[ns]:
-            handle.write(line + "\n")
+        body.append(f"#{ns}")
+        body += changes[ns]
+    body.append("")  # each line ends in a newline
+    handle.write("\n".join(body))
 
 
 # --- Hardware text emission ---------------------------------------------------

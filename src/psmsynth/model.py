@@ -402,7 +402,7 @@ def validate_system(system: PsmSystem, components: Mapping[str, PsmComponent]) -
 
 # --- Traces ------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TraceEvent:
     time: Fraction
     instance: str
@@ -410,7 +410,7 @@ class TraceEvent:
     payload: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class StateEntry:
     time: Fraction
     instance: str
@@ -495,31 +495,16 @@ def _fanout(system: PsmSystem) -> dict[tuple[str, str], list[tuple[str, str]]]:
     return fanout
 
 
-def _call_mcc(
-    mcc_impls: Mapping[str, McImpl], action: InvokeMcc,
-    variables: Mapping[str, int], widths: Mapping[str, int],
-) -> list[tuple[str, int]]:
-    """(result variable, value wrapped to the variable's width) pairs of one
-    invocation; a computation without an implementation returns zeros."""
-    impl = mcc_impls.get(action.mcc)
-    args = tuple(variables[a] for a in action.args)
-    results = impl(args) if impl else tuple(0 for _ in action.results)
-    if len(results) != len(action.results):
-        raise SimulationError(
-            f"mcc '{action.mcc}' returned {len(results)} values, expected {len(action.results)}"
-        )
-    return [(name, ex.wrap_signed(value, widths[name])) for name, value in zip(action.results, results)]
-
-
 def _state_code(comp: PsmComponent, mcc_impls: Mapping[str, McImpl]) -> dict[str, tuple]:
     """Each state compiled once for a run into the one form both engines
     run: (actions, guards, imports, delta, timer).  An action is ("emit",
     event, payload), ("assign", variable, value) or ("invoke", mcc, results),
     each third item a function of the variables: values come wrapped to
     their declared width, a pure event's payload is None, and `results`
-    gives `_call_mcc`'s pairs.  A guard is (condition, target), `imports`
-    maps each imported event to its target, and `delta` and `timer` are the
-    targets of a delta and of a finite timing spec, or None."""
+    gives the call's (result variable, wrapped value) pairs, zeros without
+    an implementation.  A guard is (condition, target), `imports` maps each
+    imported event to its target, and `delta` and `timer` are the targets
+    of a delta and of a finite timing spec, or None."""
     widths = {v.name: v.width for v in comp.variables}
     payload_widths = {e.name: e.payload_width for e in comp.events}
 
@@ -529,12 +514,23 @@ def _state_code(comp: PsmComponent, mcc_impls: Mapping[str, McImpl]) -> dict[str
         value, half, mask = ex.compile_expr(e), 1 << (width - 1), (1 << width) - 1
         return lambda env: ((value(env) + half) & mask) - half
 
+    def invoke(action: InvokeMcc):
+        impl, args, n = mcc_impls.get(action.mcc), action.args, len(action.results)
+        wraps = [(r, 1 << (widths[r] - 1), (1 << widths[r]) - 1) for r in action.results]
+
+        def call(env):
+            values = impl(tuple([env[a] for a in args])) if impl else (0,) * n
+            if len(values) != n:
+                raise SimulationError(f"mcc '{action.mcc}' returned {len(values)} values, expected {n}")
+            return [(r, ((v + half) & mask) - half) for (r, half, mask), v in zip(wraps, values)]
+        return call
+
     def compiled(action: Action) -> tuple:
         if isinstance(action, Emit):
             return "emit", action.event, wrapped(action.value, payload_widths[action.event])
         if isinstance(action, Assign):
             return "assign", action.var, wrapped(action.value, widths[action.var])
-        return "invoke", action.mcc, lambda env: _call_mcc(mcc_impls, action, env, widths)
+        return "invoke", action.mcc, invoke(action)
 
     def target(s: State, kind: TimingKind) -> str | None:
         return s.timed.target if s.timed is not None and s.timed.kind is kind else None
@@ -655,7 +651,11 @@ def simulate(
                     variables[name] = fn(variables)
                 else:
                     variables.update(fn(variables))
-            target = next((to for guard, to in guards if guard(variables)), delta)
+            target = delta
+            for guard, to in guards:
+                if guard(variables):
+                    target = to
+                    break
             if target is None:
                 dwell = st.dwell.get(st.state)
                 st.timer_deadline = None if dwell is None else now + dwell

@@ -4,7 +4,7 @@ reference simulator, and hardware text emission."""
 import hashlib
 import io
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -430,6 +430,28 @@ def test_golden_wpm_traces(wpm, mixed, max_cycles, horizon, digests, diverging):
     } == digests
 
 
+@pytest.mark.parametrize("cls, values", [
+    (fsm.CycleStateEntry, {"instance": "mhr", "cycle": 3, "time": MS, "state": "Idle"}),
+    (fsm.CycleEventRecord, {"instance": "mhr", "cycle": 3, "time": MS, "event": "Alarm", "payload": 7}),
+    (TraceEvent, {"time": MS, "instance": "mhr", "event": "Start", "payload": None}),
+    (model.StateEntry, {"time": MS, "instance": "mhr", "state": "Idle"}),
+], ids=["CycleStateEntry", "CycleEventRecord", "TraceEvent", "StateEntry"])
+def test_trace_records_keep_their_fields_order_and_value_semantics(cls, values):
+    # perfbench/ and the tests build records positionally (perfbench's
+    # `CycleEventRecord(instance, cycle, time, event, payload)` and
+    # `TraceEvent(t, "StartMeasure", "Start", None)`) and edit them with
+    # `replace`; records are plain slotted dataclasses.
+    assert [f.name for f in fields(cls)] == list(values)
+    record = cls(*values.values())
+    assert record == cls(**values)
+    assert not hasattr(record, "__dict__")
+    first = next(iter(values))
+    changed = replace(record, **{first: values[first] * 2})
+    assert changed != record
+    assert getattr(changed, first) == values[first] * 2 and getattr(record, first) == values[first]
+    assert replace(changed, **{first: values[first]}) == record
+
+
 def test_golden_wpm_traces_at_off_grid_clocks(wpm):
     # Clocks whose ticks are not whole nanoseconds, stimulus off every grid:
     # the 4/3 GHz edges fall on .5 ns, so the VCD pins how ties are rounded.
@@ -529,6 +551,28 @@ def test_interpret_makes_few_fraction_calls_per_record(wpm):
     records = len(cyc.entries) + len(cyc.events) + len(cyc.dropped)
     assert records == 3679
     assert calls <= 2 * records, f"{calls} calls into fractions for {records} records"
+
+
+def test_interpret_wakes_only_the_stepped_instance(wpm):
+    # Work-count guard: the run keeps one agenda of instance wakes and asks
+    # only the instance it stepped for its next edge, so a step costs O(1)
+    # wakes, not one per instance (seven here).
+    import cProfile
+    import pstats
+
+    system, comps = wpm
+    sys_ir = synthesize_system(system, comps, {inst.name: 1 * MHZ for inst in system.instances})
+    stim = [TraceEvent(t, "StartMeasure", "Start", None) for t in WPM_STARTS]
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        interpret(sys_ir, stim, 3 * 10**6 - 1, ALL_LATENCIES, ALL_IMPLS)
+    finally:
+        profile.disable()
+    calls = {fn: stat[1] for (file, _, fn), stat in pstats.Stats(profile).stats.items()
+             if file == fsm.__file__ and fn in ("wake", "step")}
+    assert calls["step"] > 3000
+    assert calls["wake"] <= 2 * calls["step"], calls
 
 
 def _expression_nodes(comps) -> int:
@@ -671,6 +715,28 @@ def test_a_run_of_cycle_zero_records_the_reset_entry(fixtures):
     comp = parse_file(fixtures / "sensor.psm")
     trace = interpret(synthesize_single(comp, 1 * MHZ), [], max_cycles=0)
     assert [(e.cycle, e.state) for e in trace.entries] == [(0, "Emit")]
+
+
+@pytest.mark.parametrize("latency", [-2, -3, 1.5, "x", None], ids=["-2", "-3", "1.5", "x", "None"])
+def test_an_mcc_latency_that_is_not_a_non_negative_integer_is_refused(wpm, latency):
+    # A latency of -2 would leave the call no cycles, so its results would
+    # never be applied; -3 would end the call before the edge that starts it.
+    system, comps = wpm
+    sys_ir = synthesize_system(system, comps, {inst.name: 1 * MHZ for inst in system.instances})
+    stim = [TraceEvent(MS, "StartMeasure", "Start", None)]
+    message = f"mcc 'ComputeHR' latency must be a non-negative integer, got {latency!r}"
+    with pytest.raises(SimulationError, match=re.escape(message)):
+        interpret(sys_ir, stim, 10**6, {**ALL_LATENCIES, "ComputeHR": latency}, ALL_IMPLS)
+
+
+def test_a_call_of_latency_zero_takes_the_handshake_cycles():
+    # The 1 s timer starts once the call is done, HANDSHAKE_CYCLES edges after
+    # the entry, and the next entry exports the call's result.
+    comp = parse_component(WIDTHS)
+    sys_ir = synthesize_single(comp, 1 * MHZ)
+    cyc = interpret(sys_ir, [], 2 * 10**6 + 4, {"Id": 0}, {"Id": lambda a: a})
+    assert [e.cycle for e in cyc.entries] == [0, 10**6 + 2, 2 * 10**6 + 4]
+    assert [e.payload for e in cyc.events if e.event == "Res"] == [0, 100, -56]
 
 
 WIDTHS = """
