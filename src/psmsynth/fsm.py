@@ -218,7 +218,8 @@ class _Rt:
     is the last edge it runs.  `done_at` is the edge at which the running
     call ends, `fire_at` the edge at which the pending transition to
     `target` fires; `queue` is a heap of (arrival, seq, event, payload).
-    `due` is the edge of the instance's one live agenda entry, or None.
+    `index`, the instance's position in the system, orders ties on the
+    agenda, and `due` is the edge of the instance's live entry, or None.
     `state` is the name of the state the instance is in and `code` its
     component's compiled states (`model._state_code`)."""
 
@@ -328,8 +329,8 @@ def interpret(
         rt = by_name[inst_name]
         heapq.heappush(rt.queue, (arrival, seq, event, payload))
         seq += 1
-        if rt.done_at is None:  # an arrival can only bring the wake forward
-            k = arrival // rt.unit + 1
+        if rt.done_at is None:  # a running call's end waits for no arrival
+            k = arrival // rt.unit + 1  # > cycle, as nothing arrives before the receiver's edge
             if rt.due is None or k < rt.due:
                 schedule(rt, k)
 
@@ -504,13 +505,13 @@ def write_vcd(trace: CycleTrace, sys_ir: SystemIr, handle) -> None:
     """Write state changes and event strobes to the text handle as a VCD
     waveform (1 ns timescale)."""
     handle.write("$timescale 1ns $end\n")
-    ids: dict[tuple[str, str], str] = {}
+    ids: dict[tuple[str, str | None], str] = {}  # (instance, event or None for the state)
     counter = 0
     for spec in sys_ir.instances:
         handle.write(f"$scope module {spec.name} $end\n")
-        ids[(spec.name, "__state")] = _vcd_id(counter)
+        ids[(spec.name, None)] = _vcd_id(counter)
         counter += 1
-        handle.write(f"$var integer 32 {ids[(spec.name, '__state')]} state $end\n")
+        handle.write(f"$var integer 32 {ids[(spec.name, None)]} state $end\n")
         for e in spec.component.events:
             ids[(spec.name, e.name)] = _vcd_id(counter)
             counter += 1
@@ -530,7 +531,7 @@ def write_vcd(trace: CycleTrace, sys_ir: SystemIr, handle) -> None:
 
     # Each change line is built once and shared by all the records it stands for.
     set_state = {
-        (spec.name, state.name): f"b{code:b} {ids[(spec.name, '__state')]}"
+        (spec.name, state.name): f"b{code:b} {ids[(spec.name, None)]}"
         for spec in sys_ir.instances
         for code, state in enumerate(spec.component.states)
     }

@@ -828,6 +828,19 @@ def test_vcd_export_structure(fixtures):
     assert "#0\n" in text and "#10000000\n" in text  # 10 ms in ns
 
 
+def test_vcd_keeps_the_state_wire_apart_from_an_event_named_state():
+    comp = parse_component(
+        "component C { period 1 s; output event __state; initial A;"
+        " state A { entry { notify __state; } ts(1 ms) -> B; } state B { ts(1 ms) -> A; } }"
+    )
+    sys_ir = synthesize_single(comp, 1000)
+    buf = io.StringIO()
+    write_vcd(interpret(sys_ir, [], 2), sys_ir, buf)
+    assert buf.getvalue().split("$enddefinitions $end\n")[1] == (
+        '#0\nb0 !\n1"\n#1000000\nb1 !\n0"\n#2000000\nb0 !\n1"\n#3000000\n0"\n'
+    )
+
+
 def test_rtl_emission_golden(fixtures):
     comp = parse_file(fixtures / "mhr.psm")
     sys_ir = synthesize_single(comp, 102 * MHZ)
