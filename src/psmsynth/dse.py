@@ -182,12 +182,15 @@ def _area_cells(areas: np.ndarray) -> np.ndarray:
     return _patch(cells, wide, _text_cells([_fmt_area(a) for a in areas[wide].tolist()]))
 
 
-def _lines(n: int, parts: Sequence[str | np.ndarray]) -> bytes:
+def _lines(n: int, parts: Sequence[str | np.ndarray]) -> bytearray:
     """`n` lines, line i the concatenation of `parts`: ASCII text common to
     every line, or cells, of which line i takes cell i.  The lines are laid
-    out as one (n, width) byte matrix, and its NUL padding is dropped."""
+    out as one (n, width) byte matrix over a bytearray, and its NUL padding
+    is dropped from the bytearray itself, with no copy of the matrix."""
     widths = [len(part) for part in parts]
-    matrix = np.empty((n, sum(widths)), np.uint8)
+    width = sum(widths)
+    out = bytearray(n * width)
+    matrix = np.frombuffer(out, np.uint8).reshape(n, width)
     matrix[:] = np.frombuffer(
         "".join(p if isinstance(p, str) else "\0" * w for p, w in zip(parts, widths)).encode(), np.uint8
     )
@@ -196,14 +199,14 @@ def _lines(n: int, parts: Sequence[str | np.ndarray]) -> bytes:
         if not isinstance(part, str):
             matrix[:, at:at + width] = part.T
         at += width
-    return matrix.tobytes().replace(b"\0", b"")
+    return out.replace(b"\0", b"")
 
 
 _FLAGS = np.array([b"no", b"yes"]).view(np.uint8).reshape(2, 3)
 
 
 def _csv_rows(ids: np.ndarray, choices: np.ndarray, f_mhz: np.ndarray, areas: np.ndarray,
-              energies: np.ndarray, feasible: np.ndarray) -> bytes:
+              energies: np.ndarray, feasible: np.ndarray) -> bytearray:
     """configs.csv / pareto.csv lines of a chunk from whole columns: ids, the
     (groups, rows) choice labels (bytes, or ASCII strings), f_common in MHz,
     areas, energies in mJ and feasible flags; as `str(id)`, the labels,
@@ -218,7 +221,7 @@ def _csv_rows(ids: np.ndarray, choices: np.ndarray, f_mhz: np.ndarray, areas: np
     ])
 
 
-def _circles(cx: np.ndarray, cy: np.ndarray) -> bytes:
+def _circles(cx: np.ndarray, cy: np.ndarray) -> bytearray:
     """scatter.svg steelblue circles at the centres (cx, cy), as
     `_fmt(x, 2)`."""
     return _lines(len(cx), [
@@ -321,12 +324,12 @@ def explore(
             handle.writelines(parts)
         files[name] = path
 
-    def rows_text(ids: np.ndarray, choices: np.ndarray) -> bytes:
+    def rows_text(ids: np.ndarray, choices: np.ndarray) -> bytearray:
         """configs.csv / pareto.csv lines of the configurations `ids`, whose
         choice labels are `choices`."""
         return _csv_rows(ids, choices, np.ceil(f_common[ids]) / MHZ, area[ids], energy[ids], feasible[ids])
 
-    def configs_rows() -> Iterator[bytes]:
+    def configs_rows() -> Iterator[bytearray]:
         """Evaluate the space a `CHUNK` at a time into the arrays above and
         yield each chunk's configs.csv lines, labelled from the rows the
         kernel decoded."""

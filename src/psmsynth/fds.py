@@ -5,11 +5,17 @@ The force-directed scheduler fixes one operation per round at the
 measured against per-type distribution graphs.  Ties break on lowest total
 force, then lowest op id, then earliest step, which makes results
 byte-for-byte reproducible.  Rounds are incremental: a round rebuilds only
-the graphs of the types whose frames moved, and re-evaluates only the ops
-whose forces read a moved frame or a rebuilt graph; every other op keeps
-its best pair from an earlier round.  As each graph sums its ops in the same
-order and each force keeps its expression, the schedules equal those of
-re-evaluating every op every round bit for bit (`tests/fds_oracle.py`).
+the graphs of the types whose frames moved, and an op whose forces read a
+moved frame or a rebuilt graph goes stale; every other op keeps its best
+pair from an earlier round.  Evaluation is lazy, as in the accelerated
+greedy method (Minoux, 1978): each stale op carries a lower bound on its
+forces, the sum of its own and its unfixed neighbours' slacks (an op's least
+W over its frame minus its base), and a round evaluates stale ops in bound
+order only while a bound could still beat the least evaluated pair.  On the
+128-op unrolled mhr body that cuts a schedule's evaluations from 4,713 to
+1,203 at lambda 84.  As each graph sums its ops in the same order and each
+force keeps its expression, the schedules equal those of re-evaluating every
+op every round bit for bit (`tests/fds_oracle.py`).
 
 Every routine here reads the dependence index each `Dfg` builds once, when
 it is constructed: operation predecessors and successors, dependence order,
@@ -24,6 +30,7 @@ runs x makespan.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush, heapreplace
 from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
@@ -41,6 +48,13 @@ from .dfg import (
 
 class SchedulingError(Exception):
     pass
+
+
+# Covers the rounding of forces and slack sums and the 5e-10 of
+# round(force, 9), so a skipped op's key is strictly above the round's
+# winner.  Those roundings are a few ulps of the prefix sums R, which stay
+# below lam x ops x latency, so 1e-6 holds with room for the graphs here.
+_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -124,15 +138,32 @@ def fds_schedule(dfg: Dfg, lam: int) -> Schedule:
     then successors, so each force sums its terms in one fixed order.
 
     Rounds are incremental.  Only the types of moved ops get their graph, W
-    and R recomputed.  The changed ops are the unfixed ops of those types
-    and the unfixed moved ops; each op keeps its least (key, op, step), and
-    only the changed ops and the neighbours of changed or moved ops are
-    evaluated again, since no other op reads a frame, graph or base that
+    and R recomputed.  The changed ops are the unfixed ops of those types,
+    which include the unfixed moved ops; each op keeps its least (key, op,
+    step), and only the changed ops and the neighbours of changed or moved
+    ops go stale, since no other op reads a frame, graph or base that
     moved.  A neighbour whose frame is one step adds no term, so fixing it
-    where it must start dirties nothing.  The schedules equal those of
-    rebuilding everything every round bit for bit: each graph sums its ops
-    in `dfg.order`, every force keeps its expression and term order, and
-    the least cached tuple is the least over all pairs.
+    where it must start dirties nothing.
+
+    Stale ops are evaluated lazily.  A changed op u also keeps its slack,
+    min(W[lo[u]:hi[u] + 1]) - base[u] <= 0: that is exactly its least self
+    force, and no term u adds to a neighbour's force is below it, since a
+    cut frame's mean W is at least the least W of the whole frame.  So
+    slack[v] plus the slacks of v's unfixed neighbours bounds every force of
+    v from below, and the bound holds until v goes stale again; a fixed op's
+    slack is 0.  One heap holds every unfixed op, evaluated ones at their
+    (key, op, step) and stale ones at their bound less `_MARGIN`; a round
+    evaluates stale ops off its top until an evaluated pair is least, and
+    fixes that pair.  The margin covers the rounding of the slack sums and
+    of round(force, 9), so every op left stale has a key strictly above the
+    winner's.  On the 128-op unrolled mhr body at lambda 63/84/105/126 a
+    schedule evaluates 134/1,203/2,017/2,061 ops, where evaluating every
+    stale op took 460/4,713/3,837/3,840.
+
+    The schedules equal those of rebuilding and evaluating everything every
+    round bit for bit: each graph sums its ops in `dfg.order`, every force
+    keeps its expression and term order, and the least evaluated tuple is
+    the least over all pairs.
     """
     needed = min_latency(dfg)
     if lam < needed:
@@ -144,6 +175,8 @@ def fds_schedule(dfg: Dfg, lam: int) -> Schedule:
     lat = [dfg.lat[v] for v in ids]
     preds = [[index[p] for p in dfg.preds[v]] for v in ids]
     succs = [[index[s] for s in dfg.succs[v]] for v in ids]
+    # The ops whose slack bounds each op's forces; a fixed op's slack is 0.
+    around = [[v, *preds[v], *succs[v]] for v in range(len(ids))]
     lo_of, hi_of = dfg.frames(lam)
     lo, hi = [lo_of[v] for v in ids], [hi_of[v] for v in ids]
     of_type: dict[str, list[int]] = {}
@@ -153,7 +186,13 @@ def fds_schedule(dfg: Dfg, lam: int) -> Schedule:
     window: dict[str, list[float]] = {}
     cum: dict[str, list[float]] = {}
     base = [0.0] * len(ids)
-    best: dict[int, tuple[float, int, int]] = {}
+    slack = [0.0] * len(ids)
+    # One heap holds each unfixed op's entry: (key, v, step) once evaluated,
+    # (bound - margin, v, -1) while stale.  entry[v] is v's live entry; the
+    # others are dropped when they reach the top, and all at once when the
+    # heap holds four entries an op.
+    heap: list[tuple[float, int, int]] = []
+    entry: list[tuple[float, int, int] | None] = [None] * len(ids)
     start: dict[int, int] = {}
     moved = set(range(len(ids)))
     for _ in ids:
@@ -165,69 +204,102 @@ def fds_schedule(dfg: Dfg, lam: int) -> Schedule:
                 w = [x + y for x, y in zip(w, dg[shift:])]
             window[k] = w
             cum[k] = [0.0, *accumulate(w)]
-        changed = {u for u in moved if not fixed[u]}
-        changed.update(u for k in types for u in of_type[k] if not fixed[u])
+        # Every unfixed moved op is of a rebuilt type.
+        changed = {u for k in types for u in of_type[k] if not fixed[u]}
         for u in changed:
-            c = cum[kind[u]]
-            base[u] = (c[hi[u] + 1] - c[lo[u]]) / (hi[u] - lo[u] + 1)
-        dirty = set(changed)
+            c, u_lo, u_hi = cum[kind[u]], lo[u], hi[u]
+            base[u] = b = (c[u_hi + 1] - c[u_lo]) / (u_hi - u_lo + 1)
+            slack[u] = min(window[kind[u]][u_lo:u_hi + 1]) - b
+        dirty: set[int] = set()
         for u in changed | moved:
-            dirty.update(preds[u])
-            dirty.update(succs[u])
-
+            dirty.update(around[u])
         for v in dirty:
-            if fixed[v]:
-                continue
-            v_lo, v_hi, v_lat, b = lo[v], hi[v], lat[v], base[v]
-            forces = [x - b for x in window[kind[v]][v_lo:v_hi + 1]]
-            # Fixed neighbors never tighten: their one start already
-            # satisfies every start in v's frame.  Frames are consistent, so
-            # a tightened frame is never empty.
-            for p in preds[v]:
-                if fixed[p]:
-                    continue
-                # Starting at t cuts p's frame to [lo[p], t - lat[p]].
-                first = v_lo - lat[p] + 1
-                cuts = hi[p] - first + 1
-                if cuts > 0:
-                    pcum, plo, pbase = cum[kind[p]], lo[p], base[p]
-                    c0 = pcum[plo]
-                    head = [
-                        f + ((c - c0) / d - pbase)
-                        for f, c, d in zip(
-                            forces, pcum[first:first + cuts], range(first - plo, hi[p] - plo + 1)
-                        )
-                    ]
-                    forces[:len(head)] = head
-            for s in succs[v]:
-                if fixed[s]:
-                    continue
-                # Starting at t cuts s's frame to [t + lat[v], hi[s]].
-                i = max(lo[s] + 1 - v_lat - v_lo, 0)
-                if i <= v_hi - v_lo:
-                    scum, shi, sbase = cum[kind[s]], hi[s], base[s]
-                    c1, first = scum[shi + 1], v_lo + i + v_lat
-                    forces[i:] = [
-                        f + ((c1 - c) / d - sbase)
-                        for f, c, d in zip(forces[i:], scum[first:], range(shi - first + 1, 0, -1))
-                    ]
-            # The least rounded force is that of the least force (rounding
-            # is monotone); an earlier step ties it only from within 1e-8.
-            least = min(forces)
-            i, key = forces.index(least), round(least, 9)
-            if i and min(forces[:i]) - least < 1e-8:
-                i = next(j for j, force in enumerate(forces) if round(force, 9) == key)
-            best[v] = (key, v, v_lo + i)
+            if not fixed[v]:
+                b = -_MARGIN
+                for u in around[v]:
+                    b += slack[u]
+                entry[v] = e = (b, v, -1)
+                heappush(heap, e)
+        if len(heap) > 4 * len(ids):
+            heap = [e for e in heap if entry[e[1]] is e]
+            heapify(heap)
 
-        _, v, t = min(best.values())
-        del best[v]
+        # Evaluate stale ops in bound order until an evaluated pair is least.
+        while True:
+            e = heap[0]
+            v = e[1]
+            if entry[v] is not e:
+                heappop(heap)
+            elif e[2] < 0:
+                entry[v] = e = _least_force(
+                    v, kind, lat, preds, succs, lo, hi, fixed, window, cum, base
+                )
+                heapreplace(heap, e)
+            else:
+                break
+
+        _, v, t = heappop(heap)
+        entry[v] = None
         fixed[v] = True
+        slack[v] = 0.0
         start[ids[v]] = t
         moved = _pin(preds, succs, lat, lo, hi, fixed, v, t)
 
     schedule = Schedule(start, lam)
     validate_schedule(dfg, schedule)
     return schedule
+
+
+def _least_force(
+    v: int, kind: Sequence[str], lat: Sequence[int],
+    preds: Sequence[Sequence[int]], succs: Sequence[Sequence[int]],
+    lo: Sequence[int], hi: Sequence[int], fixed: Sequence[bool],
+    window: Mapping[str, Sequence[float]], cum: Mapping[str, Sequence[float]],
+    base: Sequence[float],
+) -> tuple[float, int, int]:
+    """The least (round(force, 9), v, step) over the steps of v's frame."""
+    v_lo, v_hi, v_lat, b = lo[v], hi[v], lat[v], base[v]
+    forces = [x - b for x in window[kind[v]][v_lo:v_hi + 1]]
+    # Fixed neighbors never tighten: their one start already satisfies every
+    # start in v's frame.  Frames are consistent, so a tightened frame is
+    # never empty.
+    for p in preds[v]:
+        if fixed[p]:
+            continue
+        # Starting at t cuts p's frame to [lo[p], t - lat[p]].
+        first = v_lo - lat[p] + 1
+        cuts = hi[p] - first + 1
+        if cuts > 0:
+            pcum, plo, pbase = cum[kind[p]], lo[p], base[p]
+            c0 = pcum[plo]
+            head = [
+                f + ((c - c0) / d - pbase)
+                for f, c, d in zip(
+                    forces, pcum[first:first + cuts], range(first - plo, hi[p] - plo + 1)
+                )
+            ]
+            forces[:len(head)] = head
+    for s in succs[v]:
+        if fixed[s]:
+            continue
+        # Starting at t cuts s's frame to [t + lat[v], hi[s]].
+        i = lo[s] + 1 - v_lat - v_lo
+        if i < 0:
+            i = 0
+        if i <= v_hi - v_lo:
+            scum, shi, sbase = cum[kind[s]], hi[s], base[s]
+            c1, first = scum[shi + 1], v_lo + i + v_lat
+            forces[i:] = [
+                f + ((c1 - c) / d - sbase)
+                for f, c, d in zip(forces[i:], scum[first:], range(shi - first + 1, 0, -1))
+            ]
+    # The least rounded force is that of the least force (rounding is
+    # monotone); an earlier step ties it only from within 1e-8.
+    least = min(forces)
+    i, key = forces.index(least), round(least, 9)
+    if i and min(forces[:i]) - least < 1e-8:
+        i = next(j for j, force in enumerate(forces) if round(force, 9) == key)
+    return key, v, v_lo + i
 
 
 def _pin(

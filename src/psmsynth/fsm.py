@@ -47,6 +47,7 @@ from .model import (
     SimulationError,
     TimingKind,
     TraceEvent,
+    _check_mcc_names,
     _fanout,
     _has_timer,
     _route_stimulus,
@@ -275,8 +276,9 @@ def interpret(
     Stimulus timestamps are seconds; an event at time t is sampled at the
     target's first clock edge strictly after t.  Stimulus and MCC results are
     checked as `model.simulate` checks them, with a SimulationError, and so
-    is a negative `max_cycles`, a `horizon` that is not positive, or an MCC
-    latency that is not a non-negative integer.
+    is a negative `max_cycles`, a `horizon` that is not positive, an MCC
+    latency that is not a non-negative integer, and a latency or
+    implementation for an MCC that no component of the run declares.
     """
     if max_cycles is None and horizon is None:
         raise TypeError("interpret needs max_cycles or horizon")
@@ -299,6 +301,7 @@ def interpret(
         *(spec.freq.numerator for spec in sys_ir.instances), *(t.denominator for t, *_ in routed)
     )
     used = {id(spec.component): spec.component for spec in sys_ir.instances}
+    _check_mcc_names([*mcc_latencies, *mcc_impls], used.values())
     code = {key: _state_code(comp, mcc_impls) for key, comp in used.items()}
     rts = []
     for i, spec in enumerate(sys_ir.instances):

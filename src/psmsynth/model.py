@@ -487,6 +487,15 @@ def _route_stimulus(
     return routed
 
 
+def _check_mcc_names(names: Iterable[str], comps: Iterable[PsmComponent]) -> None:
+    """Refuse an MCC latency or implementation for a name that no component
+    of the run declares: such an entry would be ignored without a word."""
+    declared = {m.name for comp in comps for m in comp.mccs}
+    for name in names:
+        if name not in declared:
+            raise SimulationError(f"mcc '{name}' is declared by no component of the run")
+
+
 def _fanout(system: PsmSystem) -> dict[tuple[str, str], list[tuple[str, str]]]:
     """The (instance, input) receivers of each (instance, output) event."""
     fanout: dict[tuple[str, str], list[tuple[str, str]]] = {}
@@ -597,7 +606,8 @@ def simulate(
     events before timer expirations, and zero-time transitions run to
     quiescence before time advances.  Stored values wrap to the declared
     width of their variable or event.  A horizon that is not positive is
-    refused, as it leaves no instant to run.
+    refused, as it leaves no instant to run, and so is an implementation for
+    an MCC that no component of the run declares.
     """
     if not horizon > 0:
         raise SimulationError(f"horizon must be positive, got {horizon}")
@@ -615,6 +625,7 @@ def simulate(
     dwells = [s.timed.duration for c in used.values() for s in c.states if _has_timer(s)]
     base = math.lcm(*(Fraction(t).denominator for t in [horizon, *dwells, *(t for t, *_ in routed)]))
     end = int(Fraction(horizon) * base)
+    _check_mcc_names(mcc_impls, used.values())
     code = {key: _state_code(comp, mcc_impls) for key, comp in used.items()}
     insts = {inst.name: _InstanceState(inst.name, comps[inst.name], code[inst.component], base)
              for inst in system.instances}

@@ -20,6 +20,12 @@ def fixtures() -> pathlib.Path:
     return FIXTURES
 
 
+def own_mccs(table: dict, comp) -> dict:
+    """The entries of an MCC latency or implementation table for the MCCs
+    that `comp` declares, as a run of `comp` alone takes them."""
+    return {m.name: table[m.name] for m in comp.mccs}
+
+
 def random_dfg(rng: random.Random, max_ops: int = 30) -> Dfg:
     """Random connected-ish DAG over the dense id space: a few input ports,
     then ops whose operands point at strictly earlier ids."""

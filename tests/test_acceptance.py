@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import random_dfg
+from conftest import own_mccs, random_dfg
 from front_oracle import enumerate_front
 from ilp import area, min_area_schedule
 from psmsynth import dse, fds, fsm, kernels
@@ -296,9 +296,10 @@ def test_acceptance_synthesized_machines_match_reference(fixtures):
     conditions = {}
     for name, (stim, horizon, max_cycles) in component_cases.items():
         comp = parse_file(fixtures / name)
-        ref = simulate_component(comp, stim, horizon, ALL_IMPLS)
+        impls = own_mccs(ALL_IMPLS, comp)
+        ref = simulate_component(comp, stim, horizon, impls)
         sys_ir = fsm.synthesize_single(comp, 1 * mhz)
-        cyc = fsm.interpret(sys_ir, stim, max_cycles, ALL_LATENCIES, ALL_IMPLS)
+        cyc = fsm.interpret(sys_ir, stim, max_cycles, own_mccs(ALL_LATENCIES, comp), impls)
         conditions[f"{name} equivalent"] = (
             fsm.compare_with_reference(ref, cyc, sys_ir) == []
         )
@@ -322,8 +323,8 @@ def test_acceptance_synthesized_machines_match_reference(fixtures):
         watch_ir,
         [TraceEvent(Fraction(0), "dut", "Start", None)],
         51_100_000,
-        ALL_LATENCIES,
-        ALL_IMPLS,
+        own_mccs(ALL_LATENCIES, comp),
+        own_mccs(ALL_IMPLS, comp),
     )
     brady = [e for e in watch.entries if e.state == "ReportBradycardia"]
     conditions["watchdog fires after 51,000,000-cycle dwell"] = bool(brady) and (

@@ -1,6 +1,7 @@
 """Force-directed scheduling: validity, conservation, oracle comparisons."""
 
 import hashlib
+import pathlib
 import random
 
 import pytest
@@ -162,6 +163,24 @@ def test_rounds_recompute_only_the_graphs_that_moved(rounds, fixtures):
         rounds.clear()
         fds_schedule(body, lam)
         assert len(rounds.graphs) <= bound, lam
+
+
+def test_rounds_evaluate_only_the_ops_that_could_win(monkeypatch):
+    # Evaluating every stale op took 4,713 force evaluations to schedule the
+    # frozen mhr x2 body at lambda 84; the slack bound leaves 1,203.
+    calls = []
+    least_force = fds._least_force
+
+    def counting(v, *args):
+        calls.append(v)
+        return least_force(v, *args)
+
+    monkeypatch.setattr(fds, "_least_force", counting)
+    frozen = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "data" / "mhr_x2.dfg"
+    body = parse_nest(frozen.read_text()).loops[0].body
+    assert len(body.ops) == 128
+    fds_schedule(body, 84)
+    assert len(calls) <= 2000
 
 
 def test_infeasible_latency_raises():

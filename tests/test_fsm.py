@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import interpret_oracle
+from conftest import own_mccs
 from psmsynth import expr as ex
 from psmsynth import fsm, model
 from psmsynth.dsl import parse_component, parse_file, parse_system
@@ -308,7 +309,8 @@ def test_fixture_components_match_reference(fixtures):
     for name, (stim, horizon, max_cycles) in cases.items():
         comp = parse_file(fixtures / name)
         problems, ref, cyc = _equivalent(
-            comp, stim, horizon, 1 * MHZ, max_cycles, ALL_LATENCIES, ALL_IMPLS
+            comp, stim, horizon, 1 * MHZ, max_cycles,
+            own_mccs(ALL_LATENCIES, comp), own_mccs(ALL_IMPLS, comp),
         )
         assert problems == [], name
         assert len(ref.state_entries) > 1, name
@@ -342,8 +344,8 @@ def test_watchdog_fires_after_exact_timer_dwell(fixtures):
         sys_ir,
         [TraceEvent(Fraction(0), "dut", "Start", None)],
         51_100_000,
-        ALL_LATENCIES,
-        ALL_IMPLS,
+        own_mccs(ALL_LATENCIES, comp),
+        own_mccs(ALL_IMPLS, comp),
     )
     brady = [e for e in cyc.entries if e.state == "ReportBradycardia"]
     assert brady, "watchdog never fired"
@@ -355,8 +357,9 @@ def test_watchdog_fires_after_exact_timer_dwell(fixtures):
 def test_interpretation_deterministic(fixtures):
     comp = parse_file(fixtures / "spo2.psm")
     stim = [TraceEvent(t * MS, "dut", "Sample", t) for t in range(5, 50, 7)]
+    latencies, impls = own_mccs(ALL_LATENCIES, comp), own_mccs(ALL_IMPLS, comp)
     runs = [
-        interpret(synthesize_single(comp, 1 * MHZ), stim, 60_000, ALL_LATENCIES, ALL_IMPLS)
+        interpret(synthesize_single(comp, 1 * MHZ), stim, 60_000, latencies, impls)
         for _ in range(2)
     ]
     assert runs[0].entries == runs[1].entries
@@ -736,6 +739,37 @@ def test_an_mcc_latency_that_is_not_a_non_negative_integer_is_refused(wpm, laten
     message = f"mcc 'ComputeHR' latency must be a non-negative integer, got {latency!r}"
     with pytest.raises(SimulationError, match=re.escape(message)):
         interpret(sys_ir, stim, 10**6, {**ALL_LATENCIES, "ComputeHR": latency}, ALL_IMPLS)
+
+
+@pytest.mark.parametrize("latencies, impls, name", [
+    ({**ALL_LATENCIES, "ComputHR": 4056}, ALL_IMPLS, "ComputHR"),
+    ({"ComputHR": 4056}, {}, "ComputHR"),
+    (ALL_LATENCIES, {**ALL_IMPLS, "ComputHRx": HR_IMPL["ComputeHR"]}, "ComputHRx"),
+], ids=["latency", "latency-alone", "implementation"])
+def test_an_mcc_that_no_component_declares_is_refused(wpm, latencies, impls, name):
+    # Ignoring the binding would run a misspelt MCC at 1 cycle, or without
+    # its implementation, and give the same trace as no binding at all.
+    system, comps = wpm
+    sys_ir = synthesize_system(system, comps, {inst.name: 1 * MHZ for inst in system.instances})
+    stim = [TraceEvent(MS, "StartMeasure", "Start", None)]
+    message = f"mcc '{name}' is declared by no component of the run"
+    with pytest.raises(SimulationError, match=re.escape(message)):
+        interpret(sys_ir, stim, 10**6, latencies, impls)
+    if name in impls:
+        with pytest.raises(SimulationError, match=re.escape(message)):
+            simulate(system, comps, stim, Fraction(1), impls)
+
+
+@pytest.mark.parametrize("engine", ["simulate", "interpret"])
+def test_an_mcc_of_a_component_outside_the_run_is_refused(fixtures, engine):
+    # SpO2 declares ComputeSpo2 only; WPM's other MCCs are not its own.
+    comp = parse_file(fixtures / "spo2.psm")
+    message = "mcc 'ComputeHR' is declared by no component of the run"
+    with pytest.raises(SimulationError, match=re.escape(message)):
+        if engine == "simulate":
+            simulate_component(comp, [], 10 * MS, ALL_IMPLS)
+        else:
+            interpret(synthesize_single(comp, 1 * MHZ), [], 10, ALL_LATENCIES, ALL_IMPLS)
 
 
 def test_a_call_of_latency_zero_takes_the_handshake_cycles():
