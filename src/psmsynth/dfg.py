@@ -47,8 +47,9 @@ class Op:
 class Dfg:
     """A graph, indexed once when built: `preds` holds each op's operands
     that are ops (an operand used twice is listed twice), `succs` the ops
-    reading each op in `ops` order, `lat` each op's latency, and `order` the
-    ops in dependence order, lowest ready id first."""
+    reading each op in `ops` order, `lat` each op's latency, `order` the
+    ops in dependence order, lowest ready id first, and `early` each op's
+    ASAP start, which `asap`, `min_latency` and `frames` read."""
 
     ops: tuple[Op, ...] = ()
     inputs: tuple[int, ...] = ()
@@ -58,6 +59,7 @@ class Dfg:
     succs: dict[int, list[int]] = field(init=False, repr=False, compare=False)
     lat: dict[int, int] = field(init=False, repr=False, compare=False)
     order: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    early: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = sorted(self.inputs) + sorted(o.id for o in self.ops)
@@ -96,8 +98,10 @@ class Dfg:
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "preds", preds)
         object.__setattr__(self, "succs", succs)
-        object.__setattr__(self, "lat", {op.id: DEFAULT_LATENCIES[op.type] for op in self.ops})
+        lat = {op.id: DEFAULT_LATENCIES[op.type] for op in self.ops}
+        object.__setattr__(self, "lat", lat)
         object.__setattr__(self, "order", tuple(order))
+        object.__setattr__(self, "early", _forward(order, preds, lat, {}))
 
     def op(self, op_id: int) -> Op:
         return self._by_id[op_id]
@@ -111,11 +115,7 @@ class Dfg:
         empty."""
         fixed = fixed or {}
         lat, order, preds, succs = self.lat, self.order, self.preds, self.succs
-        lo: dict[int, int] = {}
-        for v in order:
-            lo[v] = fixed[v] if v in fixed else max(
-                (lo[p] + lat[p] for p in preds[v]), default=0
-            )
+        lo = _forward(order, preds, lat, fixed) if fixed else dict(self.early)
         hi: dict[int, int] = {}
         for v in reversed(order):
             hi[v] = fixed[v] if v in fixed else min(
@@ -125,6 +125,15 @@ class Dfg:
             if lo[v] > hi[v]:
                 raise InfeasibleLatency(lam, min_latency(self), v)
         return lo, hi
+
+
+def _forward(order, preds, lat, fixed: Mapping[int, int]) -> dict[int, int]:
+    """Each op's earliest start, in dependence `order`, with the `fixed`
+    ops at their placements: one forward pass over the graph."""
+    lo: dict[int, int] = {}
+    for v in order:
+        lo[v] = fixed[v] if v in fixed else max((lo[p] + lat[p] for p in preds[v]), default=0)
+    return lo
 
 
 @dataclass(frozen=True)
@@ -220,15 +229,11 @@ def unroll(nest: LoopNest, factor: int) -> LoopNest:
 # --- Scheduling analyses -----------------------------------------------------
 
 def asap(dfg: Dfg) -> dict[int, int]:
-    start: dict[int, int] = {}
-    for v in dfg.order:
-        start[v] = max((start[p] + dfg.lat[p] for p in dfg.preds[v]), default=0)
-    return start
+    return dict(dfg.early)
 
 
 def min_latency(dfg: Dfg) -> int:
-    start = asap(dfg)
-    return max((start[v] + dfg.lat[v] for v in start), default=0)
+    return max((start + dfg.lat[v] for v, start in dfg.early.items()), default=0)
 
 
 class InfeasibleLatency(DfgError):

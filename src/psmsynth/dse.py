@@ -6,11 +6,17 @@ its deadline, scale all alternatives' power to the common frequency above a
 static fraction that does not scale, evaluate area and energy for every
 combination, and extract the non-dominated (area, energy) front.  The front
 is merged from per-group fronts, one list of partial sums per candidate
-clock, without enumerating the space; only the reports enumerate it, chunk
-by chunk on flat arrays with the `kernels` module.  Reports are written with
-fixed decimal formatting so repeated runs are byte-identical.  The
-configs.csv rows and scatter.svg circles are laid out as one NUL-padded byte
-matrix, a line per row: numbers become ASCII digits by integer arithmetic on
+clock, without enumerating the space; only the reports enumerate it, block
+by block on flat arrays with the `kernels` module.  One block size, `CHUNK`
+(16k configurations), serves the kernel calls, the report lines and the
+merge's product blocks, so that a block's byte matrix stays in cache; each
+block's configs.csv lines take their cells from that block's kernel
+outputs.  Reports are written with fixed decimal formatting so repeated
+runs are byte-identical.  A configuration's clock is always one of the
+required clocks, so those are formatted once, as a table, and every
+f_common_mhz cell is gathered from it.  The configs.csv rows and
+scatter.svg circles are laid out as one NUL-padded byte matrix a block at
+a time, a line per row: numbers become ASCII digits by integer arithmetic on
 whole columns, labels come from a bytes table, and the NUL bytes are dropped
 at the end.  A number whose rounding that arithmetic cannot settle exactly
 (within an ulp of a half-way point, negative, not finite, or too large) is
@@ -19,7 +25,9 @@ would write it.  The report files are written as bytes; only their few `str`
 pieces (headers, summary.txt, the SVG frame) are encoded.  scatter.svg draws
 the feasible cloud as one circle per occupied cell of a grid of `CELL`-pixel
 cells over the plot, so its size is bounded by the grid (275 x 205 cells at
-2 px) plus the front, which is drawn exactly."""
+2 px) plus the front, which is drawn exactly.  A point's cell is the floor
+of its plot offset times 1 / `CELL`, which is exact, and so equal to the
+float `//`, while `CELL` is a power of two."""
 
 from __future__ import annotations
 
@@ -31,7 +39,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from decimal import Context
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -207,18 +215,28 @@ _FLAGS = np.array([b"no", b"yes"]).view(np.uint8).reshape(2, 3)
 
 def _csv_rows(ids: np.ndarray, choices: np.ndarray, f_mhz: np.ndarray, areas: np.ndarray,
               energies: np.ndarray, feasible: np.ndarray) -> bytearray:
-    """configs.csv / pareto.csv lines of a chunk from whole columns: ids, the
-    (groups, rows) choice labels (bytes, or ASCII strings), f_common in MHz,
-    areas, energies in mJ and feasible flags; as `str(id)`, the labels,
-    `_fmt`, `_fmt_area`, `_fmt` and yes/no."""
+    """configs.csv / pareto.csv lines of a block from whole columns: ids, the
+    (groups, rows) choice labels (bytes, or ASCII strings), the f_common_mhz
+    cells, areas, energies in mJ and feasible flags; as `str(id)`, the
+    labels, the cells, `_fmt_area`, `_fmt` and yes/no."""
     labels = np.asarray(choices, dtype="S")
     n_groups, n = labels.shape
     columns = labels.view(np.uint8).reshape(n_groups, n, labels.itemsize).transpose(0, 2, 1)
     return _lines(n, [
         _digits(ids), *(piece for label in columns for piece in (",", label)),
-        ",", _fixed(f_mhz, 6), ",", _area_cells(areas), ",", _fixed(energies, 6),
+        ",", f_mhz, ",", _area_cells(areas), ",", _fixed(energies, 6),
         ",", _FLAGS[feasible.astype(np.intp)].T, "\n",
     ])
+
+
+def _clock_cells(f_req: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The f_common_mhz cells of clocks, each one of the required clocks
+    `f_req`, as `_fmt(math.ceil(f) / MHZ)` would write them.  Each distinct
+    required clock is formatted once, and a clock's cell is gathered from
+    that table by its position in the sorted distinct clocks."""
+    clocks = np.unique(f_req)
+    table = _fixed(np.ceil(clocks) / MHZ, 6)
+    return lambda f: table[:, np.searchsorted(clocks, f)]
 
 
 def _circles(cx: np.ndarray, cy: np.ndarray) -> bytearray:
@@ -305,6 +323,7 @@ def explore(
     if not n_feasible:
         raise InfeasibleConfigError("no feasible configuration in the design space")
     names = list(groups)
+    clock_cells = _clock_cells(space.f_req)  # a configuration's clock is its rows' largest f_req
     labels = np.array([f"{n}={i}".encode() for n in names for i in range(len(groups[n]))])
     total = space.total
     try:
@@ -324,26 +343,27 @@ def explore(
             handle.writelines(parts)
         files[name] = path
 
-    def rows_text(ids: np.ndarray, choices: np.ndarray) -> bytearray:
-        """configs.csv / pareto.csv lines of the configurations `ids`, whose
-        choice labels are `choices`."""
-        return _csv_rows(ids, choices, np.ceil(f_common[ids]) / MHZ, area[ids], energy[ids], feasible[ids])
-
     def configs_rows() -> Iterator[bytearray]:
         """Evaluate the space a `CHUNK` at a time into the arrays above and
-        yield each chunk's configs.csv lines, labelled from the rows the
-        kernel decoded."""
+        yield each block's configs.csv lines, their cells taken from the
+        block's kernel outputs and labelled from the rows it decoded."""
         for start in range(0, total, CHUNK):
             count = min(CHUNK, total - start)
             part = slice(start, start + count)
-            area[part], energy[part], feasible[part], f_common[part], rows = kernels.evaluate_combos(
+            block_area, block_energy, block_feasible, block_f, rows = kernels.evaluate_combos(
                 start, count, space.offsets, space.sizes, space.f_req, space.f_max,
                 space.power, space.area, static_fraction, independent,
             )
-            energy[part] *= window
+            block_energy *= window
+            area[part], energy[part], feasible[part], f_common[part] = (
+                block_area, block_energy, block_feasible, block_f
+            )
             choices = labels[rows]
             del rows  # not held while the lines are laid out
-            yield rows_text(np.arange(start, start + count, dtype=np.int64), choices)
+            yield _csv_rows(
+                np.arange(start, start + count, dtype=np.int64), choices, clock_cells(block_f),
+                block_area, block_energy, block_feasible,
+            )
 
     header = (",".join(["config_id", *names, "f_common_mhz", "area", "energy_mj", "feasible"]) + "\n").encode()
     write("configs.csv", itertools.chain((header,), configs_rows()))
@@ -356,7 +376,10 @@ def explore(
     reduction = 1.0 - min_energy.energy / unscaled if unscaled > 0 else 0.0
 
     front_rows = kernels.combo_rows(front_ids, space.offsets, space.sizes)
-    write("pareto.csv", (header, rows_text(front_ids, labels[front_rows])))
+    write("pareto.csv", (header, _csv_rows(
+        front_ids, labels[front_rows], clock_cells(f_common[front_ids]),
+        area[front_ids], energy[front_ids], feasible[front_ids],
+    )))
 
     write("scatter.svg", render_scatter(area[feasible], energy[feasible], front))
 
@@ -374,7 +397,7 @@ def explore(
     return Report(configs, front, min_area, min_energy, reduction, files)
 
 
-CELL = 2  # px, the side of a scatter.svg grid cell
+CELL = 2  # px, the side of a scatter.svg grid cell; a power of two
 
 
 def render_scatter(
@@ -389,10 +412,11 @@ def render_scatter(
     y = 430 and the greatest to y = 20.  A range of one value is widened by
     1.0, or by one ulp where adding 1.0 rounds back to the same value.  The
     plot is a grid of `CELL`-sized cells, column `(x - 70) // CELL` and row
-    `(y - 20) // CELL`, points on the far edges joining the last column or
-    row.  The cloud is one steelblue circle at the centre of each cell that
-    holds a point, row by row from the top; the front is drawn at its exact
-    points."""
+    `(y - 20) // CELL`, computed as the floor of the offset times 1 / CELL,
+    which is exact for a power of two; points on the far edges join the
+    last column or row.  The cloud is one steelblue circle at the centre of
+    each cell that holds a point, row by row from the top; the front is
+    drawn at its exact points."""
     width, height = 640, 480
     ml, mr, mt, mb = 70, 20, 20, 50
     x0, x1 = float(areas.min()), float(areas.max())
@@ -411,8 +435,8 @@ def render_scatter(
     occupied = np.zeros((rows, columns), np.bool_)
     for start in range(0, len(areas), CHUNK):
         cx, cy = coords(areas[start:start + CHUNK], energies[start:start + CHUNK])
-        column = ((cx - ml) // CELL).astype(np.intp)
-        row = ((cy - mt) // CELL).astype(np.intp)
+        column = np.floor((cx - ml) * (1 / CELL)).astype(np.intp)
+        row = np.floor((cy - mt) * (1 / CELL)).astype(np.intp)
         occupied[row.clip(0, rows - 1), column.clip(0, columns - 1)] = True
     row, column = np.nonzero(occupied)
 
@@ -525,7 +549,7 @@ def synthetic_space(
     )
 
 
-CHUNK = 1 << 16  # configurations per kernel call; partial sums per merge block
+CHUNK = 1 << 14  # configurations per kernel call and report block; partial sums per merge block
 
 
 def _extend(sums, rows: np.ndarray, first: int, size: int, area: np.ndarray, terms: np.ndarray,

@@ -19,12 +19,12 @@ op every round bit for bit (`tests/fds_oracle.py`).
 
 Every routine here reads the dependence index each `Dfg` builds once, when
 it is constructed: operation predecessors and successors, dependence order,
-and the latency of each op, which is fixed by its type
-(`dfg.DEFAULT_LATENCIES`).  Time frames come from `Dfg.frames` once per
-schedule; each round then narrows only the frames its fixed op bounds, so
-rounds never recompute them.  A loop nest is scheduled part by part over
-`dfg.nest_parts`, and its execution cycles are the sum over its parts of
-runs x makespan.
+the latency of each op, which is fixed by its type
+(`dfg.DEFAULT_LATENCIES`), and each op's ASAP start.  Time frames come from
+`Dfg.frames` once per schedule; each round then narrows only the frames its
+fixed op bounds, so rounds never recompute them.  A loop nest is scheduled
+part by part over `dfg.nest_parts`, and its execution cycles are the sum
+over its parts of runs x makespan.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .dfg import (
     Dfg,
     InfeasibleLatency,
     LoopNest,
-    asap,
     min_latency,
     max_useful_latency,
     nest_parts,
@@ -85,7 +84,7 @@ def resource_usage(dfg: Dfg, schedule: Schedule) -> ResourceUsage:
 
 def validate_schedule(dfg: Dfg, schedule: Schedule) -> None:
     """Raise if frame containment, dependences, or the makespan bound fail."""
-    early, lat = asap(dfg), dfg.lat
+    early, lat = dfg.early, dfg.lat
     for op in dfg.ops:
         t = schedule.start[op.id]
         if t < early[op.id]:

@@ -665,11 +665,18 @@ def test_explore_refuses_totals_beyond_a_float(tmp_path, capsys, rows, message):
     (55, "the design space has 36028797018963968 configurations, too many to list in memory"),
     (64, "the design space has 18446744073709551616 configurations, more than an int64 id can number"),
 ], ids=["memory", "int64"])
-def test_explore_refuses_a_space_it_cannot_list(tmp_path, capsys, n_groups, message):
+def test_explore_refuses_a_space_it_cannot_list(tmp_path, capsys, monkeypatch, n_groups, message):
     # Two rows per computation, the second dominated by the first, so the
     # front merges at once.  2**55 configurations need 2**58 bytes of
     # evaluations, more than any address space, so nothing is allocated;
-    # 2**64 cannot be numbered by a config id.
+    # 2**64 cannot be numbered by a config id.  A refusal that slipped past
+    # the check would start listing the space, so evaluating it fails the
+    # test at once instead of writing configs.csv.
+
+    def evaluate(*args, **kwargs):
+        raise AssertionError("explore evaluated a space it should have refused")
+
+    monkeypatch.setattr(kernels, "evaluate_combos", evaluate)
     alts = tmp_path / "wide.csv"
     alts.write_text("mcc,source,unroll,lambda,freq_mhz,exec_cycles,area,power_mw\n" + "".join(
         f"c{g},measured,0,{lam},100,1000,{lam},{lam}\n" for g in range(n_groups) for lam in (1, 2)

@@ -600,7 +600,7 @@ def test_chunk_formatting_equals_the_per_cell_reference(rows, n_groups):
         [[f"g{g}={(i >> g) % 13}" for i in ids] for g in range(n_groups)], dtype=object
     ).reshape(n_groups, len(ids))
     got = dse._csv_rows(
-        np.array(ids, dtype=np.int64), choices, np.array(f_mhz, dtype=float),
+        np.array(ids, dtype=np.int64), choices, dse._fixed(np.array(f_mhz, dtype=float), 6),
         np.array(areas, dtype=float), np.array(energies, dtype=float), np.array(ok, dtype=bool),
     )
     assert got == "".join(
@@ -612,6 +612,52 @@ def test_chunk_formatting_equals_the_per_cell_reference(rows, n_groups):
         f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="steelblue" fill-opacity="0.6"/>\n'
         for x, y in zip(cx, cy)
     ).encode()
+
+
+_clock = st.one_of(
+    st.floats(0.0, 1e12),
+    st.integers(0, 10**12).map(float),
+    st.integers(0, 10**9).map(lambda k: k + 0.5),
+    st.floats(1e12, 1e300),
+    st.sampled_from([0.0, 5e-324, 999_999.5, 2.0**53 + 2, 1e300]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(_clock, min_size=1, max_size=5), min_size=1, max_size=4), st.booleans())
+def test_clock_table_cells_equal_the_per_cell_reference(groups, independent):
+    # A configuration's clock, in either mode, is the largest f_req of its
+    # rows, so every clock the kernel returns has its cell in the table.
+    f_req = np.array([f for group in groups for f in group])
+    sizes = np.array([len(group) for group in groups], dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    ones = np.ones(len(f_req))
+    total = int(np.prod(sizes))
+    f_common = kernels.evaluate_combos(
+        0, total, offsets, sizes, f_req, ones, ones, ones, 0.0, independent
+    )[3]
+    cells = dse._clock_cells(f_req)(f_common)
+    assert dse._lines(total, [cells, "\n"]).decode().splitlines() == [
+        dse._fmt(math.ceil(f) / MHZ) for f in f_common.tolist()
+    ]
+
+
+def test_scatter_cell_is_a_power_of_two():
+    # `render_scatter` maps an offset to its cell by a product with
+    # 1 / CELL, which is exact, and so equals the float `//`, only then.
+    assert dse.CELL >= 1 and dse.CELL & (dse.CELL - 1) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@example(70.0, 20.0)
+@example(620.0, 430.0)
+@example(math.nextafter(72.0, 0), math.nextafter(22.0, 0))
+@given(st.floats(70.0, 620.0), st.floats(20.0, 430.0))
+def test_scatter_cell_product_equals_the_floor_division(x, y):
+    # Plot coordinates: x in [70, 620] and y in [20, 430].
+    xs, ys = np.array([x]), np.array([y])
+    assert np.floor((xs - 70) * (1 / dse.CELL)) == (xs - 70) // dse.CELL
+    assert np.floor((ys - 20) * (1 / dse.CELL)) == (ys - 20) // dse.CELL
 
 
 def test_explore_makes_few_python_calls_per_configuration(tmp_path):
@@ -868,7 +914,7 @@ def fractional_groups(seed=3, sizes=(11, 13, 9, 7, 8)):
     (1234.5, 0.1, 0.2, ...), so totals such as 0.1 + 0.2 are not integers and
     are written with six decimals, and whose powers carry nine decimals, so
     energies round at the sixth.  The space holds 72,072 configurations: more
-    than one `dse.CHUNK`, and not a multiple of it."""
+    than four `dse.CHUNK` blocks, and not a multiple of one."""
     rng = random.Random(seed)
     fractions = (0.1, 0.2, 0.3, 0.5, 0.7)
     groups = {}
@@ -928,7 +974,7 @@ def test_golden_reports_with_fractional_areas(tmp_path, capsys):
         independent, static_fraction = MODES[mode]
         out = tmp_path / mode
         report = explore(groups, env_for(groups), WINDOW, out, static_fraction, independent)
-        assert len(report.configs) > dse.CHUNK and len(report.configs) % dse.CHUNK
+        assert len(report.configs) > 4 * dse.CHUNK and len(report.configs) % dse.CHUNK
         areas = (out / "configs.csv").read_text().splitlines()[1:]
         assert any("." in row.split(",")[-3] for row in areas)
         assert any("." not in row.split(",")[-3] for row in areas)
@@ -943,6 +989,30 @@ def test_golden_reports_with_fractional_areas(tmp_path, capsys):
     assert files == FRACTIONAL_FILES
     assert digests == FRACTIONAL_REPORTS
     assert printed == FRACTIONAL_STDOUT
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 16])
+def test_blocking_changes_no_report_byte(fixtures, tmp_path, monkeypatch, chunk):
+    # Neither blocks of 7 configurations, which split every golden table
+    # into several, nor the 64k blocks of earlier versions move a byte.
+    monkeypatch.setattr(dse, "CHUNK", chunk)
+    digests = {}
+    for table, mode, groups in golden_runs(fixtures):
+        independent, static_fraction = MODES[mode]
+        out = tmp_path / f"{table}-{mode}"
+        explore(groups, env_for(groups), WINDOW, out, static_fraction, independent)
+        digests[(table, mode)] = report_digest(out)
+    assert digests == GOLDEN_REPORTS
+    digests, files = {}, {}
+    groups = fractional_groups()
+    for mode in FRACTIONAL_REPORTS:
+        independent, static_fraction = MODES[mode]
+        out = tmp_path / f"fractional-{mode}"
+        explore(groups, env_for(groups), WINDOW, out, static_fraction, independent)
+        digests[mode] = report_digest(out)
+        files[mode] = file_digests(out)
+    assert files == FRACTIONAL_FILES
+    assert digests == FRACTIONAL_REPORTS
 
 
 def test_report_prints_each_front_point_as_pareto_csv_does(fixtures, tmp_path, capsys):

@@ -17,16 +17,18 @@ from psmsynth.dfg import (
     Op,
     max_useful_latency,
     min_latency,
+    nest_parts,
     parse_nest,
     unroll,
 )
-from psmsynth import fds
+from psmsynth import dfg, fds
 from psmsynth.fds import (
     fds_schedule,
     format_schedule,
     latency_sweep,
     resource_usage,
     schedule_nest,
+    schedule_sweep,
     validate_schedule,
 )
 
@@ -181,6 +183,28 @@ def test_rounds_evaluate_only_the_ops_that_could_win(monkeypatch):
     assert len(body.ops) == 128
     fds_schedule(body, 84)
     assert len(calls) <= 2000
+
+
+def test_schedule_sweep_makes_one_forward_pass_per_part(fixtures, monkeypatch):
+    # Work guard: a graph computes its ASAP starts once, when it is built,
+    # and `min_latency`, `Dfg.frames` and `validate_schedule` read them, so
+    # building a nest and sweeping it makes one forward pass per part.
+    passes = 0
+    forward = dfg._forward
+
+    def counted(*args):
+        nonlocal passes
+        passes += 1
+        return forward(*args)
+
+    monkeypatch.setattr(dfg, "_forward", counted)
+    for name in ("mhr", "spo2", "emg", "chain", "adds4"):
+        passes = 0
+        nest = parse_nest((fixtures / f"{name}.dfg").read_text())
+        parts = [part for part, _ in nest_parts(nest).values() if part is not None]
+        probe = nest.loops[0].body if nest.loops else nest.pre
+        assert schedule_sweep(nest, latency_sweep(probe))
+        assert passes == len(parts), name
 
 
 def test_infeasible_latency_raises():
